@@ -52,7 +52,7 @@ def _write_manifest(out_dir, config_path, seed, inputs, outputs, warnings=0):
         "outputs": sorted(str(p) for p in outputs),
         "warnings": warnings,
     }
-    io_formats.atomic_write_text(Path(out_dir) / "manifest.json", io_formats.canonical_json(doc))
+    io_formats.atomic_write(Path(out_dir) / "manifest.json", io_formats.canonical_json(doc))
     return doc
 
 
@@ -97,7 +97,7 @@ def cmd_simulate(args) -> int:
         "boards": [io_formats.pose_to_json(t) for t in scene.board_poses],
     }
     gt_path = out / "ground_truth.json"
-    io_formats.atomic_write_text(gt_path, io_formats.canonical_json(gt_doc))
+    io_formats.atomic_write(gt_path, io_formats.canonical_json(gt_doc))
     outputs.append(gt_path)
 
     for seq in range(len(scene.board_poses)):
@@ -112,7 +112,7 @@ def cmd_simulate(args) -> int:
                 io_formats.write_cloud(cloud_path, cloud)
                 init = sim.perturbed_board_init(scene, sensor, seq)
                 init_path = seq_dir / f"init_{sensor}.json"
-                io_formats.atomic_write_text(
+                io_formats.atomic_write(
                     init_path,
                     io_formats.canonical_json({"pose": io_formats.pose_to_json(init)}),
                 )
@@ -126,7 +126,7 @@ def cmd_simulate(args) -> int:
                     ],
                 }
                 path = seq_dir / f"corners_{sensor}.json"
-                io_formats.atomic_write_text(path, io_formats.canonical_json(doc))
+                io_formats.atomic_write(path, io_formats.canonical_json(doc))
                 outputs.append(path)
     _write_manifest(out, args.config, seed, [args.config], outputs)
     _summary(args, {"command": "simulate", "sequences": len(scene.board_poses), "out": str(out)})
@@ -227,7 +227,13 @@ def cmd_calibrate(args) -> int:
         log.error("co-visibility graph disconnected: %s", e)
         return EXIT_DISCONNECTED
     except SolverNotConverged as e:
-        log.error("solver did not converge: %s", e.diagnostics.__dict__.keys())
+        d = e.diagnostics
+        log.error(
+            "solver did not converge: final cost %.6g, gradient norm %.6g, %d iterations",
+            d.final_cost,
+            d.gradient_norm,
+            d.iterations,
+        )
         return EXIT_NOT_CONVERGED
     except CrosscalError as e:
         log.error("calibration failed: %s", e)

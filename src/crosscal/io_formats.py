@@ -1,4 +1,4 @@
-"""File schemas: point clouds (ASCII PLY / CSV), detection records (JSON,
+"""File schemas: point clouds (PLY / CSV), detection records (JSON,
 schema v1), config files and calibration reports.
 
 All JSON is serialized canonically (sorted keys, 2-space indent, trailing
@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -33,13 +32,14 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def atomic_write_text(path, text: str):
-    """Write via temp file + rename so readers never see partial output."""
+def atomic_write(path, data: str | bytes):
+    """Write text or bytes via temp file + rename so readers never see
+    partial output."""
     path = Path(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as f:
+            f.write(data)
         os.replace(tmp, path)
     except OSError as e:
         raise IoError(f"cannot write {path}: {e}") from e
@@ -47,30 +47,44 @@ def atomic_write_text(path, text: str):
 
 # --- point clouds -----------------------------------------------------------
 
+# PLY scalar type names (both spellings) -> NumPy type codes, byte order apart.
+_PLY_SCALARS = {
+    "char": "i1", "int8": "i1",
+    "uchar": "u1", "uint8": "u1",
+    "short": "i2", "int16": "i2",
+    "ushort": "u2", "uint16": "u2",
+    "int": "i4", "int32": "i4",
+    "uint": "u4", "uint32": "u4",
+    "float": "f4", "float32": "f4",
+    "double": "f8", "float64": "f8",
+}
+_PLY_FORMATS = {"ascii": None, "binary_little_endian": "<", "binary_big_endian": ">"}
+
+
 def write_cloud(path, cloud: np.ndarray):
-    """ASCII PLY for .ply, CSV with x,y,z header for .csv."""
+    """Binary little-endian float64 PLY for .ply, CSV with x,y,z header for .csv."""
     path = Path(path)
-    cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
+    cloud = np.asarray(cloud, dtype="<f8").reshape(-1, 3)
     if path.suffix == ".ply":
-        lines = [
-            "ply",
-            "format ascii 1.0",
-            f"element vertex {len(cloud)}",
-            "property double x",
-            "property double y",
-            "property double z",
-            "end_header",
-        ]
-        body = ("%.12g %.12g %.12g\n" * len(cloud)) % tuple(cloud.ravel())
-        atomic_write_text(path, "\n".join(lines) + "\n" + body)
+        header = (
+            "ply\n"
+            "format binary_little_endian 1.0\n"
+            f"element vertex {len(cloud)}\n"
+            "property double x\n"
+            "property double y\n"
+            "property double z\n"
+            "end_header\n"
+        )
+        atomic_write(path, header.encode("ascii") + cloud.tobytes())
     elif path.suffix == ".csv":
         body = ("%.12g,%.12g,%.12g\n" * len(cloud)) % tuple(cloud.ravel())
-        atomic_write_text(path, "x,y,z\n" + body)
+        atomic_write(path, "x,y,z\n" + body)
     else:
         raise UnsupportedFormat(f"unknown cloud extension {path.suffix!r}")
 
 
 def read_cloud(path) -> np.ndarray:
+    """(n, 3) float64 x, y, z from ASCII or binary PLY, or CSV."""
     path = Path(path)
     if path.suffix == ".ply":
         return _read_ply(path)
@@ -79,59 +93,90 @@ def read_cloud(path) -> np.ndarray:
     raise UnsupportedFormat(f"unknown cloud extension {path.suffix!r}")
 
 
-def _read_ply(path) -> np.ndarray:
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0].strip() != "ply":
-        raise ParseError("missing 'ply' magic", line=1)
-    n_vertex = None
-    props = []
+def _read_ply_header(data: bytes):
+    """-> (format, vertex count, {property: type code}, body offset, header lines).
+
+    Only the vertex element is read, so it must come first and hold scalar
+    properties; elements after it are ignored.
+    """
+    fmt = n_vertex = None
+    props = {}
     in_vertex = False
-    header_end = None
-    for ln, line in enumerate(lines[1:], start=2):
-        tok = line.split()
+    pos = 0
+    ln = 0
+    while True:
+        end = data.find(b"\n", pos)
+        tok = data[pos : len(data) if end < 0 else end].decode("ascii", "replace").split()
+        ln += 1
+        if ln == 1 and tok != ["ply"]:
+            raise ParseError("missing 'ply' magic", line=1)
+        if tok == ["end_header"]:
+            break
+        if end < 0:
+            raise ParseError("unterminated PLY header", line=ln)
+        pos = end + 1
         if not tok:
             continue
         if tok[0] == "format":
-            if tok[1] != "ascii":
-                raise UnsupportedFormat("binary PLY not supported")
+            fmt = tok[1] if len(tok) > 1 else None
+            if fmt not in _PLY_FORMATS:
+                raise UnsupportedFormat(f"PLY format {fmt!r} not supported")
         elif tok[0] == "element":
+            if len(tok) != 3 or not tok[2].isdigit():
+                raise ParseError("malformed PLY element line", line=ln)
             in_vertex = tok[1] == "vertex"
             if in_vertex:
                 n_vertex = int(tok[2])
+            elif n_vertex is None:
+                raise UnsupportedFormat(f"PLY element {tok[1]!r} before the vertex element")
         elif tok[0] == "property" and in_vertex:
-            props.append(tok[-1])
-        elif tok[0] == "end_header":
-            header_end = ln
-            break
-    if header_end is None or n_vertex is None:
-        raise ParseError("unterminated PLY header", line=len(lines))
+            if len(tok) > 1 and tok[1] == "list":
+                raise UnsupportedFormat("PLY list property in the vertex element")
+            if len(tok) != 3 or tok[1] not in _PLY_SCALARS:
+                raise UnsupportedFormat(f"PLY property {' '.join(tok[1:])!r} not supported")
+            if tok[2] in props:
+                raise ParseError(f"duplicate PLY property {tok[2]!r}", line=ln)
+            props[tok[2]] = _PLY_SCALARS[tok[1]]
+    if fmt is None or n_vertex is None:
+        raise ParseError("PLY header lacks a format or vertex element", line=ln)
+    if not {"x", "y", "z"} <= props.keys():
+        raise ParseError("PLY vertex element lacks x/y/z properties", line=ln)
+    return fmt, n_vertex, props, len(data) if end < 0 else end + 1, ln
+
+
+def _read_ply(path) -> np.ndarray:
+    with open(path, "rb") as f:
+        data = f.read()
+    fmt, n_vertex, props, offset, header_end = _read_ply_header(data)
+    endian = _PLY_FORMATS[fmt]
+    if endian is not None:
+        vertex = np.dtype([(name, endian + code) for name, code in props.items()])
+        if len(data) - offset < n_vertex * vertex.itemsize:
+            raise ParseError("binary PLY body shorter than declared", line=header_end)
+        rows = np.frombuffer(data, vertex, count=n_vertex, offset=offset)
+        return np.column_stack([rows[c] for c in ("x", "y", "z")]).astype(np.float64, copy=False)
+
+    cols = [list(props).index(c) for c in ("x", "y", "z")]
+    lines = data[offset:].decode("ascii", "replace").splitlines()
+    if len(lines) < n_vertex:
+        raise ParseError("fewer vertex rows than declared", line=header_end + len(lines))
+    body = lines[:n_vertex]
+    # Whole body parsed at once; any mismatch falls back to the per-line
+    # loop for a precise error location.
     try:
-        cols = [props.index(c) for c in ("x", "y", "z")]
+        flat = np.array(" ".join(body).split(), dtype=float)
     except ValueError:
-        raise ParseError("PLY vertex element lacks x/y/z properties", line=header_end)
-    if len(lines) - header_end < n_vertex:
-        raise ParseError("fewer vertex rows than declared", line=len(lines))
-    body = lines[header_end : header_end + n_vertex]
-    if len(props) == 3 and cols == [0, 1, 2]:
-        # Fast path: whole body parsed in one C call; any mismatch falls
-        # back to the per-line loop for a precise error location.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            try:
-                flat = np.fromstring("\n".join(body), sep=" ")  # noqa: NPY201
-            except ValueError:
-                flat = np.empty(0)
-        if flat.size == 3 * n_vertex:
-            return flat.reshape(-1, 3)
-    data = np.zeros((n_vertex, 3))
+        flat = np.empty(0)
+    if flat.size == n_vertex * len(props):
+        return flat.reshape(n_vertex, len(props))[:, cols]
+    out = np.zeros((n_vertex, 3))
     for i, line in enumerate(body):
         tok = line.split()
         try:
-            data[i] = [float(tok[c]) for c in cols]
+            out[i] = [float(tok[c]) for c in cols]
         except (ValueError, IndexError):
             raise ParseError("malformed vertex row", line=header_end + i + 1)
-    return data
+    return out
 
 
 def _read_csv(path) -> np.ndarray:
@@ -249,7 +294,7 @@ def _record_from_json(d: dict, strict: bool) -> DetectionRecord:
 
 def write_detections(path, records):
     doc = {"version": SCHEMA_VERSION, "records": [_record_to_json(r) for r in records]}
-    atomic_write_text(path, canonical_json(doc))
+    atomic_write(path, canonical_json(doc))
 
 
 def read_detections(path, strict: bool = False):
@@ -391,7 +436,7 @@ def read_config(path) -> ConfigFile:
 
 
 def write_config(path, cfg: ConfigFile):
-    atomic_write_text(path, canonical_json(config_to_json(cfg)))
+    atomic_write(path, canonical_json(config_to_json(cfg)))
 
 
 # --- calibration reports ----------------------------------------------------
@@ -459,8 +504,8 @@ def write_report(result: CalibrationResult, path, consistency: dict | None = Non
     """JSON report at `path`, human-readable table alongside as .txt."""
     path = Path(path)
     doc = report_to_json(result, consistency)
-    atomic_write_text(path, canonical_json(doc))
-    atomic_write_text(path.with_suffix(".txt"), format_report_text(doc))
+    atomic_write(path, canonical_json(doc))
+    atomic_write(path.with_suffix(".txt"), format_report_text(doc))
     return doc
 
 

@@ -116,15 +116,6 @@ def _point_normals(pts: np.ndarray, tree: cKDTree, k: int = 20):
     return v[:, :, 0]
 
 
-def _point_covariances(pts: np.ndarray, tree: cKDTree, k: int = 20, eps_cov: float = 1e-3):
-    """Plane-regularized covariance per point: eigenvalues -> (eps, 1, 1).
-
-    Equivalent to I - (1 - eps) n n^T with n the 20-NN plane normal.
-    """
-    n = _point_normals(pts, tree, k)
-    return np.eye(3) - (1.0 - eps_cov) * np.einsum("ni,nj->nij", n, n)
-
-
 def gicp_register(source, target, t_init: RigidTransform, p: LidarParams):
     """Plane-to-plane GICP; returns (transform source->target frame, fitness).
 

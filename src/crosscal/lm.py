@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import CrosscalError
+
 
 @dataclass
 class LMResult:
@@ -36,8 +38,9 @@ def levenberg_marquardt(
 ) -> LMResult:
     """Minimize 0.5*||r(state)||^2.
 
-    residual_fn may raise to signal an invalid trial state (e.g. a point
-    behind the camera); the step is then rejected and damping increased.
+    residual_fn may raise a CrosscalError to signal an invalid trial state
+    (e.g. a point behind the camera); the step is then rejected and damping
+    increased. Any other exception propagates.
     """
     r = residual_fn(state)
     cost = 0.5 * float(r @ r)
@@ -65,7 +68,7 @@ def levenberg_marquardt(
             try:
                 r_trial = residual_fn(trial)
                 cost_trial = 0.5 * float(r_trial @ r_trial)
-            except Exception:
+            except CrosscalError:
                 cost_trial = np.inf
             if cost_trial < cost:
                 state, r, cost = trial, r_trial, cost_trial
@@ -78,10 +81,9 @@ def levenberg_marquardt(
             lam *= 10.0
             if lam > 1e14:
                 break
-        if not accepted or converged:
-            if accepted and converged:
-                pass
-            elif not accepted:
-                converged = grad_norm < 1e-6  # stalled at a flat minimum
+        if not accepted:
+            converged = grad_norm < 1e-6  # stalled at a flat minimum
+            break
+        if converged:
             break
     return LMResult(state, cost, grad_norm, it, converged, history)

@@ -2,6 +2,7 @@
 manifests, determinism, and reference-frame selection."""
 
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 
 import crosscal
-from crosscal import cli, geometry, io_formats
+from crosscal import cli, geometry, io_formats, optimizer
 from crosscal.camera import CameraDetection
+from crosscal.errors import SolverNotConverged
 from crosscal.geometry import RigidTransform
 from crosscal.lidar import LidarDetection
 from crosscal.optimizer import SensorId
@@ -89,6 +91,9 @@ def test_simulate_repeat_byte_identical(ws, tmp_path):
     a = _tree_bytes(ws["data"])
     b = _tree_bytes(out2)
     assert set(a) == set(b)
+    clouds = [k for k in a if k.name.startswith("cloud_") and k.suffix == ".ply"]
+    assert len(clouds) == 8
+    assert all(a[k].startswith(b"ply\nformat binary_little_endian 1.0\n") for k in clouds)
     for k in a:
         if k.name == "manifest.json":
             continue  # records absolute output paths
@@ -315,6 +320,41 @@ def test_calibrate_disconnected_exit_5(ws, tmp_path):
         ]
     )
     assert rc == 5
+
+
+def test_calibrate_not_converged_logs_solver_state(ws, tmp_path, monkeypatch, caplog):
+    def fail(problem):
+        raise SolverNotConverged(
+            optimizer.CalibrationResult(
+                poses={},
+                problem=problem,
+                final_cost=0.0123456,
+                initial_cost=9.87,
+                iterations=100,
+                converged=False,
+                gradient_norm=4.5e-3,
+            )
+        )
+
+    monkeypatch.setattr(optimizer, "solve", fail)
+    with caplog.at_level(logging.ERROR, logger="crosscal"):
+        rc = cli.main(
+            [
+                "calibrate",
+                "--config",
+                str(ws["config"]),
+                "--detections",
+                str(ws["det"]),
+                "--out",
+                str(tmp_path / "r.json"),
+            ]
+        )
+    assert rc == cli.EXIT_NOT_CONVERGED
+    msg = caplog.text
+    assert "final cost 0.0123456" in msg
+    assert "gradient norm 0.0045" in msg
+    assert "100 iterations" in msg
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_calibrate_consistency_line_on_stderr(ws, tmp_path, capsys):

@@ -27,7 +27,18 @@ def test_ply_round_trip_1000_points(tmp_path):
     io_formats.write_cloud(path, cloud)
     back = io_formats.read_cloud(path)
     assert back.shape == (1000, 3)
-    assert np.abs(back - cloud).max() < 1e-9
+    assert np.array_equal(back, cloud)  # binary float64: bit-exact
+
+
+def test_ply_written_as_binary_little_endian_float64(tmp_path):
+    cloud = np.array([[1.0, -2.5, 3.25], [0.1, 0.2, 0.3]])
+    path = tmp_path / "c.ply"
+    io_formats.write_cloud(path, cloud)
+    header = (
+        b"ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+        b"property double x\nproperty double y\nproperty double z\nend_header\n"
+    )
+    assert path.read_bytes() == header + cloud.astype("<f8").tobytes()
 
 
 def test_csv_round_trip(tmp_path):
@@ -58,12 +69,57 @@ def test_ply_extra_properties_ignored(tmp_path):
     assert np.array_equal(cloud, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
 
 
-def test_binary_ply_unsupported(tmp_path):
-    path = tmp_path / "c.ply"
-    path.write_text(
-        "ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
-        "property float x\nproperty float y\nproperty float z\nend_header\n"
+def _write_ply(path, header_lines, body: bytes):
+    path.write_bytes(("\n".join(["ply", *header_lines, "end_header"]) + "\n").encode() + body)
+
+
+XYZ_DOUBLE = ["property double x", "property double y", "property double z"]
+
+
+def test_binary_big_endian_float_with_extra_properties(tmp_path):
+    rows = np.array(
+        [(1.5, -2.25, 3.0, 7), (-0.5, 0.125, 8.0, 255)],
+        dtype=[("x", ">f4"), ("y", ">f4"), ("z", ">f4"), ("intensity", "u1")],
     )
+    path = tmp_path / "c.ply"
+    header = [
+        "format binary_big_endian 1.0",
+        "comment scanner output",
+        "element vertex 2",
+        "property float x",
+        "property float y",
+        "property float z",
+        "property uchar intensity",
+        "element face 1",  # after the vertex element: not read
+        "property list uchar int vertex_indices",
+    ]
+    face = bytes([3]) + np.array([0, 1, 2], dtype=">i4").tobytes()
+    _write_ply(path, header, rows.tobytes() + face)
+    cloud = io_formats.read_cloud(path)
+    assert cloud.dtype == np.float64
+    assert np.array_equal(cloud, [[1.5, -2.25, 3.0], [-0.5, 0.125, 8.0]])
+
+
+def test_binary_ply_truncated_body(tmp_path):
+    path = tmp_path / "c.ply"
+    body = np.zeros((2, 3), dtype="<f8").tobytes()[:-1]
+    _write_ply(path, ["format binary_little_endian 1.0", "element vertex 2", *XYZ_DOUBLE], body)
+    with pytest.raises(ParseError):
+        io_formats.read_cloud(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        ["element vertex 1", *XYZ_DOUBLE, "property list uchar int idx"],
+        ["element camera 1", "property float k", "element vertex 1", *XYZ_DOUBLE],
+    ],
+    ids=["list-property", "element-before-vertex"],
+)
+@pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+def test_ply_unsupported_layouts(tmp_path, header, fmt):
+    path = tmp_path / "c.ply"
+    _write_ply(path, [f"format {fmt} 1.0", *header], b"0 0 0 0\n" * 8)
     with pytest.raises(UnsupportedFormat):
         io_formats.read_cloud(path)
 

@@ -12,11 +12,13 @@ from crosscal import geometry, optimizer, sim
 from crosscal.errors import (
     DegenerateCenters,
     DisconnectedGraph,
+    NonPositiveDepth,
     NoReferenceObservations,
     UnknownSensor,
 )
 from crosscal.geometry import RigidTransform
 from crosscal.lidar import LidarDetection
+from crosscal.lm import levenberg_marquardt
 from crosscal.optimizer import (
     SensorId,
     SequenceObservations,
@@ -390,3 +392,44 @@ def test_gauge_invariance_of_relative_transforms():
             t1 = geometry.compose(geometry.invert(r1.poses[b]), r1.poses[a])
             t2 = geometry.compose(geometry.invert(r2.poses[b]), r2.poses[a])
             assert np.abs(t1.matrix() - t2.matrix()).max() < 1e-9
+
+
+# --- levenberg_marquardt ----------------------------------------------------
+
+def _lm_on_identity_residual(residual_fn, trials):
+    """Minimize 0.5*||x||^2 from x = 3, recording (state, dx) of every trial."""
+
+    def plus(x, dx):
+        trials.append((x.copy(), dx.copy()))
+        return x + dx
+
+    return levenberg_marquardt(np.array([3.0]), residual_fn, lambda x: np.eye(1), plus)
+
+
+def test_lm_trial_raising_crosscal_error_is_rejected_with_more_damping():
+    trials = []
+
+    def residual(x):
+        if len(trials) == 1:
+            raise NonPositiveDepth("trial point behind the camera")
+        return x
+
+    res = _lm_on_identity_residual(residual, trials)
+    (x1, dx1), (x2, dx2) = trials[:2]
+    assert x2 == x1 == 3.0  # the first trial was not accepted
+    # dx = -x / (1 + lambda): damping went up tenfold
+    assert dx1[0] == pytest.approx(-3.0 / (1 + 1e-3))
+    assert dx2[0] == pytest.approx(-3.0 / (1 + 1e-2))
+    assert res.converged and abs(res.state[0]) < 1e-6
+
+
+def test_lm_other_exception_from_residual_propagates():
+    trials = []
+
+    def residual(x):
+        if trials:
+            raise RuntimeError("bug in the residual")
+        return x
+
+    with pytest.raises(RuntimeError, match="bug in the residual"):
+        _lm_on_identity_residual(residual, trials)

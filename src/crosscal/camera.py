@@ -13,13 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import BehindCamera, DegenerateConfiguration, InsufficientCorners, NonPositiveDepth
+from .errors import BehindCamera, DegenerateConfiguration, InsufficientCorners
 from .geometry import Intrinsics, RigidTransform
 from .lm import levenberg_marquardt
 from .target import TargetSpec, checker_corners_board, circle_centers_board
-
-_MIN_DEPTH = 1e-9
-
 
 @dataclass(frozen=True)
 class CornerObservation:
@@ -101,32 +98,18 @@ def _mirror_candidate(pose: RigidTransform) -> RigidTransform:
     return RigidTransform(geometry.rotation_exp(w) @ pose.rotation, pose.translation)
 
 
-def _reproj_residual(pose: RigidTransform, obj, uv, k: Intrinsics):
-    pts = pose.apply(obj)
-    if np.any(pts[:, 2] <= _MIN_DEPTH):
-        raise NonPositiveDepth("corner behind camera during PnP")
-    proj = geometry.project_many(k, pts)
-    return (proj - uv).ravel()
-
-
 def pnp_jacobian(pose: RigidTransform, obj, k: Intrinsics):
     """Analytic Jacobian of the stacked reprojection residual w.r.t. a
     left-multiplied se(3) increment on the pose."""
     pts = pose.apply(obj)
-    n = len(pts)
-    jac = np.zeros((2 * n, 6))
-    for i, p in enumerate(pts):
-        x, y, z = p
-        dpi = np.array([[k.fx / z, 0.0, -k.fx * x / z**2], [0.0, k.fy / z, -k.fy * y / z**2]])
-        dp = np.hstack([np.eye(3), -geometry.skew(p)])
-        jac[2 * i : 2 * i + 2] = dpi @ dp
-    return jac
+    return (geometry.project_jacobian(pts, k.fx, k.fy) @ geometry.point_jacobian(pts)).reshape(-1, 6)
 
 
 def _refine(pose, obj, uv, k):
     res = levenberg_marquardt(
         pose,
-        lambda t: _reproj_residual(t, obj, uv, k),
+        # project_many raises NonPositiveDepth for a corner behind the camera: the step is rejected
+        lambda t: (geometry.project_many(k, t.apply(obj)) - uv).ravel(),
         lambda t: pnp_jacobian(t, obj, k),
         lambda t, dx: geometry.compose(geometry.exp_se3(dx), t),
         max_iter=100,
@@ -150,7 +133,7 @@ def solve_pnp(corners, spec: TargetSpec, k: Intrinsics) -> RigidTransform:
     candidates = []
     for cand in (base, _mirror_candidate(base)):
         depths = cand.apply(obj)[:, 2]
-        if np.all(depths > _MIN_DEPTH):
+        if np.all(depths > geometry.MIN_DEPTH):
             candidates.append(cand)
     if not candidates:
         raise BehindCamera("no pose candidate with all-positive corner depth")
@@ -163,7 +146,7 @@ def solve_pnp(corners, spec: TargetSpec, k: Intrinsics) -> RigidTransform:
         if best is None or key < (best_cost, 0 if best_facing else 1):
             best, best_cost, best_facing = refined, cost, facing
     depths = best.apply(obj)[:, 2]
-    if np.any(depths <= _MIN_DEPTH):
+    if np.any(depths <= geometry.MIN_DEPTH):
         raise BehindCamera("refined pose leaves corners behind the camera")
     return best
 

@@ -8,7 +8,7 @@ XYZ, degrees).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -16,6 +16,7 @@ import numpy as np
 from .errors import NearPiRotation, NonPositiveDepth
 
 _EPS = 1e-9
+MIN_DEPTH = 1e-9  # camera-frame depth at or below which a point is behind the camera
 
 
 @dataclass(frozen=True)
@@ -39,11 +40,6 @@ class RigidTransform:
     @staticmethod
     def identity() -> "RigidTransform":
         return RigidTransform(np.eye(3), np.zeros(3))
-
-    @staticmethod
-    def from_matrix(m: np.ndarray) -> "RigidTransform":
-        m = np.asarray(m, dtype=float)
-        return RigidTransform(m[:3, :3], m[:3, 3])
 
     def matrix(self) -> np.ndarray:
         m = np.eye(4)
@@ -88,15 +84,11 @@ def invert(t: RigidTransform) -> RigidTransform:
     return RigidTransform(rt, -rt @ t.translation)
 
 
-def transform_point(t: RigidTransform, p: np.ndarray) -> np.ndarray:
-    return t.apply(p)
-
-
 def project(k: Intrinsics, p_cam: np.ndarray) -> np.ndarray:
     """Pinhole projection of one camera-frame point to pixels."""
     x, y, z = np.asarray(p_cam, dtype=float).reshape(3)
-    if z <= _EPS:
-        raise NonPositiveDepth(f"depth {z:.3e} <= {_EPS}")
+    if z <= MIN_DEPTH:
+        raise NonPositiveDepth(f"depth {z:.3e} <= {MIN_DEPTH}")
     return np.array([k.fx * x / z + k.cx, k.fy * y / z + k.cy])
 
 
@@ -104,9 +96,23 @@ def project_many(k: Intrinsics, pts: np.ndarray) -> np.ndarray:
     """Vectorized projection; raises if any depth is non-positive."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
     z = pts[:, 2]
-    if np.any(z <= _EPS):
+    if np.any(z <= MIN_DEPTH):
         raise NonPositiveDepth("at least one point at non-positive depth")
     return np.stack([k.fx * pts[:, 0] / z + k.cx, k.fy * pts[:, 1] / z + k.cy], axis=1)
+
+
+def project_jacobian(q: np.ndarray, fx, fy) -> np.ndarray:
+    """(..., 2, 3) derivative of the pinhole projection at camera-frame
+    points q (..., 3); fx and fy broadcast against q[..., 0]."""
+    x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    o = np.zeros_like(z)
+    return np.stack([fx / z, o, -fx * x / z**2, o, fy / z, -fy * y / z**2], -1).reshape(z.shape + (2, 3))
+
+
+def point_jacobian(p: np.ndarray) -> np.ndarray:
+    """(..., 3, 6) derivative of a transformed point p = T @ p0 (..., 3) with
+    respect to a left-multiplied se(3) increment (v, w): [I | -skew(p)]."""
+    return np.concatenate([np.broadcast_to(np.eye(3), np.shape(p) + (3,)), -skew(p)], axis=-1)
 
 
 class EulerXYZ(NamedTuple):
@@ -157,8 +163,10 @@ def euler_xyz_from_rotation(r: np.ndarray) -> EulerXYZ:
 
 
 def skew(v: np.ndarray) -> np.ndarray:
-    x, y, z = v
-    return np.array([[0, -z, y], [z, 0, -x], [-y, x, 0]], dtype=float)
+    """Cross-product matrices (..., 3, 3) of vectors (..., 3)."""
+    x, y, z = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
+    o = np.zeros_like(x)
+    return np.stack([o, -z, y, z, o, -x, -y, x, o], axis=-1).reshape(x.shape + (3, 3))
 
 
 def rotation_exp(w: np.ndarray) -> np.ndarray:

@@ -313,7 +313,6 @@ def read_detections(path, strict: bool = False):
 class SensorConfig:
     sensor: SensorId
     intrinsics: Intrinsics | None = None
-    initial_pose: RigidTransform | None = None
 
 
 @dataclass(frozen=True)
@@ -381,8 +380,6 @@ def config_to_json(cfg: ConfigFile) -> dict:
         d = {"kind": s.sensor.kind, "index": s.sensor.index}
         if s.intrinsics is not None:
             d["intrinsics"] = asdict(s.intrinsics)
-        if s.initial_pose is not None:
-            d["initial_pose"] = pose_to_json(s.initial_pose)
         sensors.append(d)
     return {
         "sensors": sensors,
@@ -394,11 +391,14 @@ def config_to_json(cfg: ConfigFile) -> dict:
     }
 
 
-def _dataclass_from(d: dict, cls, what: str):
-    names = {f.name for f in fields(cls)}
-    unknown = set(d) - names
+def _reject_unknown(d: dict, names, what: str):
+    unknown = set(d) - set(names)
     if unknown:
         raise ParseError(f"unknown {what} fields: {sorted(unknown)}")
+
+
+def _dataclass_from(d: dict, cls, what: str):
+    _reject_unknown(d, [f.name for f in fields(cls)], what)
     return cls(**d)
 
 
@@ -406,9 +406,9 @@ def config_from_json(doc: dict) -> ConfigFile:
     try:
         sensors = []
         for d in doc["sensors"]:
+            _reject_unknown(d, ("kind", "index", "intrinsics"), "sensor")
             intr = _dataclass_from(d["intrinsics"], Intrinsics, "intrinsics") if "intrinsics" in d else None
-            pose = pose_from_json(d["initial_pose"]) if "initial_pose" in d else None
-            sensors.append(SensorConfig(SensorId(d["kind"], int(d["index"])), intr, pose))
+            sensors.append(SensorConfig(SensorId(d["kind"], int(d["index"])), intr))
         d2 = doc.get("target", {})
         if "circle_offsets" in d2:
             d2 = {**d2, "circle_offsets": tuple(map(tuple, d2["circle_offsets"]))}

@@ -82,9 +82,6 @@ class OccupancyGrid:
     def cell(self):
         return 1.0 / self.res
 
-    def cell_center(self, ij):
-        return self.origin + (np.asarray(ij, dtype=float) + 0.5) * self.cell
-
 
 @dataclass(frozen=True)
 class LidarDetection:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,172 +198,183 @@ def initial_guess(p: CalibrationProblem) -> dict:
     return poses
 
 
-def _terms(p: CalibrationProblem):
-    """Enumerate residual terms once; reused by residual and Jacobian."""
-    out = []
+class _Terms(NamedTuple):
+    """Residual terms of one kind: in term n, pose i[n] maps the centers of
+    record a[n] into B, where they meet record b[n] of sensor j[n]: its
+    pixels (camera terms) or its own centers mapped by pose j (LiDAR pairs)."""
+
+    i: np.ndarray  # (T,) sensor indices into p.sensors
+    j: np.ndarray
+    a: np.ndarray  # (T,) record indices
+    b: np.ndarray
+    rows: np.ndarray  # (T, 8 | 12) positions in the residual vector
+
+
+class _TermTable(NamedTuple):
+    records: list  # (sequence position, SensorId) of each detection record
+    centers: np.ndarray  # (N, 4, 3) record centers in the sensor frame
+    pixels: np.ndarray  # (N, 4, 2) camera records' pixel centers, 0 for LiDARs
+    sensor: np.ndarray  # (S, 6) weight, fx, fy, cx, cy, behind-camera residual
+    cam: _Terms
+    lidar: _Terms
+
+
+def _term_table(p: CalibrationProblem) -> _TermTable:
+    """Enumerate the residual terms once, in residual-vector order: per
+    sequence, the camera terms of each observing camera j, then the LiDAR pairs."""
     sp = p.params
-    for seq in p.sequences:
-        cams = [s for s in p.sensors if s.kind == "camera" and s in seq.observations]
-        lids = [s for s in p.sensors if s.kind == "lidar" and s in seq.observations]
-        for j in cams:
-            k = p.intrinsics[j]
+    sensor = np.zeros((len(p.sensors), 6))
+    sensor[:, 0] = sp.lidar_residual_weight
+    for n, s in enumerate(p.sensors):
+        if s.kind == "camera":
+            k = p.intrinsics[s]
             w = sp.camera_residual_weight if sp.camera_residual_weight is not None else 1.0 / k.fx
-            obs2d = seq.observations[j].centers_2d
-            for i in cams:
-                if i == j and not sp.include_camera_self_terms:
-                    continue
-                out.append(("cam", seq.sequence, i, j, seq.observations[i].centers_3d, obs2d, k, w))
-            for i in lids:
-                out.append(("cam", seq.sequence, i, j, seq.observations[i].centers, obs2d, k, w))
-        for a_idx, i in enumerate(lids):
-            for j in lids[a_idx + 1 :]:
-                out.append(
-                    (
-                        "lidar",
-                        seq.sequence,
-                        i,
-                        j,
-                        seq.observations[i].centers,
-                        seq.observations[j].centers,
-                        None,
-                        sp.lidar_residual_weight,
-                    )
-                )
-    return out
+            sensor[n] = w, k.fx, k.fy, k.cx, k.cy, w * np.hypot(k.width, k.height) / np.sqrt(2.0)
+    records, terms, row = [], ([], []), 0
+    for q, seq in enumerate(p.sequences):
+        present = [s for s in p.sensors if s in seq.observations]
+        lids = [s for s in present if s.kind == "lidar"]
+        rec = {s: len(records) + n for n, s in enumerate(present)}
+        records += [(q, s) for s in present]
+        pairs = [(i, j, 0) for j in present if j not in lids for i in present]
+        pairs = [t for t in pairs if t[0] != t[1] or sp.include_camera_self_terms]
+        pairs += [(i, j, 1) for n, i in enumerate(lids) for j in lids[n + 1 :]]
+        for i, j, kind in pairs:
+            terms[kind].append((p.sensors.index(i), p.sensors.index(j), rec[i], rec[j], row))
+            row += (8, 12)[kind]
+    dets = [p.sequences[q].observations[s] for q, s in records]
+    cam, lidar = (np.array(t, dtype=int).reshape(-1, 5).T for t in terms)
+    return _TermTable(
+        records,
+        np.array([detection_centers(d) for d in dets]),
+        np.array([getattr(d, "centers_2d", np.zeros((4, 2))) for d in dets]),
+        sensor,
+        _Terms(*cam[:4], cam[4, :, None] + np.arange(8)),
+        _Terms(*lidar[:4], lidar[4, :, None] + np.arange(12)),
+    )
 
 
-def _huber_scale(block: np.ndarray, delta):
-    if delta is None:
-        return 1.0
-    n = float(np.linalg.norm(block))
-    return 1.0 if n <= delta else np.sqrt(delta / n)
+def _pose_arrays(p: CalibrationProblem, poses: dict):
+    rot = np.array([poses[s].rotation for s in p.sensors])
+    return rot, np.array([poses[s].translation for s in p.sensors])
 
 
-def residuals(p: CalibrationProblem, poses: dict, terms=None):
+def _camera_blocks(tab: _TermTable, t: _Terms, rot, trans, jac: bool):
+    """(T, 8) residual blocks, their (T, 8, 6) derivatives by poses i and j
+    (None unless jac) and the number of centers behind camera j."""
+    y = tab.centers[t.a] @ rot[t.i].transpose(0, 2, 1) + trans[t.i, None]  # centers in B
+    q = (y - trans[t.j, None]) @ rot[t.j]  # centers in camera j
+    behind = q[..., 2] <= geometry.MIN_DEPTH
+    q[behind] = 1.0  # any depth > 0: these rows are capped and their derivatives zeroed
+    w, fx, fy, cx, cy, cap = tab.sensor[t.j, :, None].transpose(1, 0, 2)
+    uv = np.stack([fx * q[..., 0] / q[..., 2] + cx, fy * q[..., 1] / q[..., 2] + cy], axis=-1)
+    block = np.where(behind[..., None], cap[:, None], w[:, None] * (uv - tab.pixels[t.b])).reshape(-1, 8)
+    if not jac:
+        return block, None, None, int(behind.sum())
+    rjt = rot[t.j, None].transpose(0, 1, 3, 2)
+    core = (w[..., None, None] * geometry.project_jacobian(q, fx, fy)) @ rjt @ geometry.point_jacobian(y)
+    core[behind | (t.i == t.j)[:, None]] = 0.0  # capped rows; self terms do not move
+    return block, core.reshape(-1, 8, 6), -core.reshape(-1, 8, 6), int(behind.sum())
+
+
+def _lidar_blocks(tab: _TermTable, t: _Terms, rot, trans, jac: bool):
+    """(T, 12) residual blocks and their (T, 12, 6) derivatives by poses i and j."""
+    yi = tab.centers[t.a] @ rot[t.i].transpose(0, 2, 1) + trans[t.i, None]
+    yj = tab.centers[t.b] @ rot[t.j].transpose(0, 2, 1) + trans[t.j, None]
+    w = tab.sensor[t.j, 0, None, None]
+    block = (w * (yi - yj)).reshape(-1, 12)
+    if not jac:
+        return block, None, None, 0
+    di = w[..., None] * geometry.point_jacobian(yi)
+    dj = -w[..., None] * geometry.point_jacobian(yj)
+    return block, di.reshape(-1, 12, 6), dj.reshape(-1, 12, 6), 0
+
+
+def _huber(block, delta):
+    """(T, 1) Huber scales: sqrt(delta / n) for blocks of norm n > delta, else 1."""
+    n = np.linalg.norm(block, axis=1, keepdims=True)
+    return np.ones_like(n) if delta is None else np.sqrt(delta / np.maximum(n, delta))
+
+
+def residuals(p: CalibrationProblem, poses: dict, table: _TermTable | None = None):
     """Stacked residual vector; behind-camera projections are capped at the
     image diagonal and counted in the returned flag total."""
-    r, flags = _residuals_impl(p, poses, terms)
+    tab = _term_table(p) if table is None else table
+    rot, trans = _pose_arrays(p, poses)
+    r = np.empty(tab.cam.rows.size + tab.lidar.rows.size)
+    flags = 0
+    for blocks, t in ((_camera_blocks, tab.cam), (_lidar_blocks, tab.lidar)):
+        block, _, _, n = blocks(tab, t, rot, trans, jac=False)
+        r[t.rows] = _huber(block, p.params.huber_delta) * block
+        flags += n
     return r, flags
 
 
-def _residuals_impl(p: CalibrationProblem, poses, terms):
-    if terms is None:
-        terms = _terms(p)
-    delta = p.params.huber_delta
-    blocks = []
-    flags = 0
-    for kind, _seq, i, j, pts_i, obs_j, intr, w in terms:
-        ti, tj = poses[i], poses[j]
-        if kind == "lidar":
-            block = w * (ti.apply(pts_i) - tj.apply(obs_j))
-            blocks.append((block * _huber_scale(block, delta)).ravel())
-            continue
-        y = ti.apply(pts_i)  # centers in B
-        q = geometry.invert(tj).apply(y)  # centers in camera j
-        block = np.zeros((4, 2))
-        diag = np.hypot(intr.width, intr.height)
-        for kk in range(4):
-            if q[kk, 2] <= 1e-9:
-                block[kk] = w * diag / np.sqrt(2.0)
-                flags += 1
-            else:
-                block[kk] = w * (
-                    np.array(
-                        [
-                            intr.fx * q[kk, 0] / q[kk, 2] + intr.cx,
-                            intr.fy * q[kk, 1] / q[kk, 2] + intr.cy,
-                        ]
-                    )
-                    - obs_j[kk]
-                )
-        blocks.append((block * _huber_scale(block, delta)).ravel())
-    return np.concatenate(blocks), flags
-
-
-def jacobian(p: CalibrationProblem, poses: dict, terms=None) -> np.ndarray:
+def jacobian(p: CalibrationProblem, poses: dict, table: _TermTable | None = None) -> np.ndarray:
     """Analytic Jacobian w.r.t. left-multiplied tangent increments on every
     non-reference pose, ordered like p.sensors with the reference skipped."""
-    if terms is None:
-        terms = _terms(p)
-    free = [s for s in p.sensors if s != p.reference]
-    col = {s: 6 * k for k, s in enumerate(free)}
-    n_rows = sum(8 if t[0] == "cam" else 12 for t in terms)
-    jac = np.zeros((n_rows, 6 * len(free)))
-    row = 0
-    for kind, _seq, i, j, pts_i, obs_j, intr, w in terms:
-        ti, tj = poses[i], poses[j]
-        if kind == "lidar":
-            yi, yj = ti.apply(pts_i), tj.apply(obs_j)
-            for kk in range(4):
-                bi = w * np.hstack([np.eye(3), -geometry.skew(yi[kk])])
-                bj = -w * np.hstack([np.eye(3), -geometry.skew(yj[kk])])
-                if i in col:
-                    jac[row : row + 3, col[i] : col[i] + 6] = bi
-                if j in col:
-                    jac[row : row + 3, col[j] : col[j] + 6] = bj
-                row += 3
-            continue
-        y = ti.apply(pts_i)
-        rjt = tj.rotation.T
-        q = (y - tj.translation) @ tj.rotation
-        for kk in range(4):
-            if q[kk, 2] <= 1e-9:
-                row += 2
-                continue
-            x, yy, z = q[kk]
-            dpi = np.array(
-                [[intr.fx / z, 0.0, -intr.fx * x / z**2], [0.0, intr.fy / z, -intr.fy * yy / z**2]]
-            )
-            b = np.hstack([np.eye(3), -geometry.skew(y[kk])])
-            core = w * dpi @ rjt @ b
-            if i != j:
-                if i in col:
-                    jac[row : row + 2, col[i] : col[i] + 6] = core
-                if j in col:
-                    jac[row : row + 2, col[j] : col[j] + 6] = -core
-            row += 2
+    tab = _term_table(p) if table is None else table
+    rot, trans = _pose_arrays(p, poses)
+    delta = p.params.huber_delta
+    free = np.array([s != p.reference for s in p.sensors])
+    col = np.where(free, 6 * np.cumsum(free) - 6, -1)  # first column of each free pose
+    jac = np.zeros((tab.cam.rows.size + tab.lidar.rows.size, 6 * free.sum()))
+    for blocks, t in ((_camera_blocks, tab.cam), (_lidar_blocks, tab.lidar)):
+        block, di, dj, _ = blocks(tab, t, rot, trans, jac=True)
+        if delta is not None:  # d(s r) = s (I - u u^T / 2) dr with u = r / n, where n > delta
+            s = _huber(block, delta)
+            u = block * (s < 1) * s**2 / delta
+            di, dj = (s[..., None] * (d - 0.5 * u[..., None] * (u[:, None] @ d)) for d in (di, dj))
+        for sensor, d in ((t.i, di), (t.j, dj)):
+            keep = col[sensor] >= 0
+            jac[t.rows[keep, :, None], col[sensor[keep], None, None] + np.arange(6)] = d[keep]
     return jac
 
 
 def resolve_circle_ordering(p: CalibrationProblem, poses: dict) -> CalibrationProblem:
-    """Undo the square board's 4-fold order ambiguity per LiDAR detection by
-    trying the 4 cyclic rotations and keeping the lowest-residual one."""
-    new_seqs = []
-    for seq in p.sequences:
-        obs = dict(seq.observations)
-        for sensor, det in seq.observations.items():
-            if not isinstance(det, LidarDetection):
-                continue
-            others = {s: d for s, d in seq.observations.items() if s != sensor}
-            best = (np.inf, 0)
-            for shift in range(4):
-                cand = replace(det, centers=np.roll(det.centers, -shift, axis=0))
-                sub = SequenceObservations(seq.sequence, {**others, sensor: cand})
-                subp = replace(p, sequences=(sub,))
-                r, _ = residuals(subp, poses)
-                cost = float(r @ r)
-                if cost < best[0] - 1e-12:
-                    best = (cost, shift)
-            if best[1] != 0:
-                obs[sensor] = replace(det, centers=np.roll(det.centers, -best[1], axis=0))
-        new_seqs.append(SequenceObservations(seq.sequence, obs))
-    return replace(p, sequences=tuple(new_seqs))
+    """Undo the square board's 4-fold order ambiguity per LiDAR record: of
+    the 4 cyclic shifts, keep the one with the lowest cost unless the current
+    order is within 1e-12 of it. One pass per LiDAR in p.sensors order scores
+    its records against their sequences' cameras and the LiDARs resolved in
+    earlier passes, so an out-of-order record cannot drag a correct partner
+    along; a sequence without a camera is anchored on its first LiDAR."""
+    tab = _term_table(p)
+    centers = tab.centers.copy()
+    shift = np.zeros(len(centers), dtype=int)
+    owner = np.array([p.sensors.index(s) for _, s in tab.records])
+    for k in np.flatnonzero([s.kind == "lidar" for s in p.sensors]):
+        recs = np.flatnonzero(owner == k)
+        cost = np.zeros((4, len(centers)))
+        for s in range(4):
+            trial = centers.copy()
+            trial[recs] = np.roll(centers[recs], -s, axis=1)
+            r = residuals(p, poses, tab._replace(centers=trial))[0]
+            # LiDAR k is pose i of its camera terms and pose j of its pairs with earlier LiDARs
+            for t, rec in ((tab.cam, tab.cam.a), (tab.lidar, tab.lidar.b)):
+                cost[s] += np.bincount(rec, (r[t.rows] ** 2).sum(axis=1), len(centers))
+        c = cost[:, recs]
+        shift[recs] = np.where(c[0] - c.min(axis=0) > 1e-12, c.argmin(axis=0), 0)
+        centers[recs] = centers[recs[:, None], (np.arange(4) + shift[recs, None]) % 4]
+    obs = [dict(seq.observations) for seq in p.sequences]
+    for n in np.flatnonzero(shift):
+        q, sensor = tab.records[n]
+        obs[q][sensor] = replace(obs[q][sensor], centers=centers[n])
+    seqs = [SequenceObservations(seq.sequence, o) for seq, o in zip(p.sequences, obs)]
+    return replace(p, sequences=tuple(seqs))
 
 
-def solve(p: CalibrationProblem, sp: SolveParams | None = None) -> CalibrationResult:
+def solve(p: CalibrationProblem) -> CalibrationResult:
     """Levenberg-Marquardt over all non-reference poses."""
-    if sp is not None:
-        p = replace(p, params=sp)
     poses0 = initial_guess(p)
     p = resolve_circle_ordering(p, poses0)
-    terms = _terms(p)
+    table = _term_table(p)
     free = [s for s in p.sensors if s != p.reference]
 
     def res_fn(poses):
-        return _residuals_impl(p, poses, terms)[0]
+        return residuals(p, poses, table)[0]
 
     def jac_fn(poses):
-        return jacobian(p, poses, terms)
+        return jacobian(p, poses, table)
 
     def plus(poses, dx):
         out = dict(poses)
@@ -387,7 +399,7 @@ def solve(p: CalibrationProblem, sp: SolveParams | None = None) -> CalibrationRe
         lambda_init=p.params.lm_lambda_init,
         gradient_tol=p.params.gradient_tol,
     )
-    _, flags = _residuals_impl(p, res.state, terms)
+    _, flags = residuals(p, res.state, table)
     meta = {
         "camera_residual_weight": p.params.camera_residual_weight or "1/fx per camera",
         "lidar_residual_weight": p.params.lidar_residual_weight,
@@ -451,11 +463,10 @@ def consistency_check_pairwise(p: CalibrationProblem, chain):
     return float(rot), float(np.linalg.norm(loop.translation))
 
 
-def reprojection_report(result: CalibrationResult, p: CalibrationProblem | None = None):
+def reprojection_report(result: CalibrationResult):
     """Per-sequence, per-pair Euclidean distances of the 4 centers mapped
     into the reference frame; rows (sequence, name_i, name_j, [4 floats])."""
-    if p is None:
-        p = result.problem
+    p = result.problem
     rows = []
     for seq in p.sequences:
         present = [s for s in p.sensors if s in seq.observations]

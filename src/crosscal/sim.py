@@ -93,8 +93,7 @@ def default_intrinsics() -> Intrinsics:
     return Intrinsics(700.0, 700.0, 639.5, 359.5, 1280, 720)
 
 
-def sensor_sees_board(scene_or_args, sensor=None, sequence=None, **_):
-    scene = scene_or_args
+def sensor_sees_board(scene: Scene, sensor: SensorId, sequence: int) -> bool:
     return _visible(
         scene.pose_of(sensor),
         sensor,
@@ -143,7 +142,6 @@ def _visible(t_sw, sensor, t_bw, spec, intr, scan):
 def make_scene(
     n_lidars: int = 2,
     m_cameras: int = 3,
-    layout: str = "default",
     sequences: int = 20,
     spec: TargetSpec | None = None,
     noise: NoiseModel | None = None,
@@ -163,8 +161,6 @@ def make_scene(
     InfeasibleLayout is raised."""
     if n_lidars + m_cameras < 2:
         raise InfeasibleLayout("need at least two sensors")
-    if layout != "default":
-        raise InfeasibleLayout(f"unknown layout {layout!r}")
     spec = spec or TargetSpec()
     noise = noise or NoiseModel()
     scan = scan or ScanPattern()

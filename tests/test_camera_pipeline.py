@@ -168,7 +168,7 @@ def test_derive_circle_centers_random_pose_oracle():
         pose = board_pose(rng)
         pts3, pts2 = derive_circle_centers(pose, SPEC, K)
         for k, c in enumerate(circle_centers_board(SPEC)):
-            assert np.allclose(pts3[k], geometry.transform_point(pose, c), atol=1e-12)
+            assert np.allclose(pts3[k], pose.apply(c), atol=1e-12)
             assert np.allclose(pts2[k], geometry.project(K, pts3[k]), atol=1e-12)
 
 

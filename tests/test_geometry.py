@@ -56,15 +56,24 @@ def test_invert_matches_matrix_inverse():
 
 def test_transform_point_trivial_and_oracle():
     p = np.array([0.3, -0.2, 1.5])
-    assert np.allclose(geometry.transform_point(RigidTransform.identity(), p), p)
+    assert np.allclose(RigidTransform.identity().apply(p), p)
     lift = RigidTransform(np.eye(3), np.array([0.0, 0.0, 1.0]))
-    assert np.allclose(geometry.transform_point(lift, np.zeros(3)), [0.0, 0.0, 1.0])
+    assert np.allclose(lift.apply(np.zeros(3)), [0.0, 0.0, 1.0])
     rng = np.random.default_rng(5)
     for _ in range(100):
         t = random_rigid(rng)
         q = rng.normal(size=3)
         hom = (t.matrix() @ np.append(q, 1.0))[:3]
-        assert np.abs(geometry.transform_point(t, q) - hom).max() < 1e-12
+        assert np.abs(t.apply(q) - hom).max() < 1e-12
+
+
+def test_skew_broadcasts_as_cross_product():
+    rng = np.random.default_rng(12)
+    v, u = rng.normal(size=(2, 5, 4, 3))
+    k = geometry.skew(v)
+    assert k.shape == (5, 4, 3, 3)
+    assert np.abs((k @ u[..., None])[..., 0] - np.cross(v, u)).max() < 1e-14
+    assert np.array_equal(k[2, 1], geometry.skew(list(v[2, 1])))
 
 
 def test_rotation_validation_rejects_non_orthonormal():
@@ -103,7 +112,7 @@ def test_project_after_transform_matches_homogeneous_oracle():
         if hom[2] <= 1e-3:
             continue
         uv = hom[:2] / hom[2]
-        assert np.abs(geometry.project(k, geometry.transform_point(t, p)) - uv).max() < 1e-9
+        assert np.abs(geometry.project(k, t.apply(p)) - uv).max() < 1e-9
         done += 1
 
 

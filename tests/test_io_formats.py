@@ -298,6 +298,11 @@ def test_config_unknown_field_rejected(tmp_path):
     doc["lidar_params"]["bogus"] = 1
     with pytest.raises(ParseError):
         io_formats.config_from_json(doc)
+    # sensor entries too: a config still carrying the removed initial_pose fails loudly
+    doc = io_formats.config_to_json(cfg)
+    doc["sensors"][-1]["initial_pose"] = {"translation": [0, 0, 0], "euler_xyz_deg": [0, 0, 0]}
+    with pytest.raises(ParseError, match="initial_pose"):
+        io_formats.config_from_json(doc)
 
 
 # --- report formatting ------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import oracle_observations, pose_errors, random_rigid
 from crosscal import geometry, optimizer, sim
+from crosscal.camera import CameraDetection
 from crosscal.errors import (
     DegenerateCenters,
     DisconnectedGraph,
@@ -233,34 +234,68 @@ def test_camera_self_terms_can_be_disabled():
 
 # --- jacobian ---------------------------------------------------------------
 
+def _central_differences(p, poses, eps=1e-6):
+    free = [s for s in p.sensors if s != p.reference]
+    num = np.zeros((len(residuals(p, poses)[0]), 6 * len(free)))
+    for k, s in enumerate(free):
+        for a in range(6):
+            dx = np.zeros(6)
+            dx[a] = eps
+            up = dict(poses)
+            up[s] = geometry.compose(geometry.exp_se3(dx), poses[s])
+            dn = dict(poses)
+            dn[s] = geometry.compose(geometry.exp_se3(-dx), poses[s])
+            num[:, 6 * k + a] = (residuals(p, up)[0] - residuals(p, dn)[0]) / (2 * eps)
+    return num
+
+
 def test_jacobian_matches_central_differences_100_states():
     scene = _scene(sequences=3)
-    p = _problem(scene)
-    free = [s for s in p.sensors if s != p.reference]
     gt = _gt_poses(scene, CAM0)
-    rng = np.random.default_rng(2)
-    eps = 1e-6
-    for _ in range(100):
-        poses = {
-            s: geometry.compose(
-                geometry.exp_se3(np.concatenate([rng.normal(0, 0.05, 3), rng.normal(0, 0.02, 3)])),
-                t,
-            )
-            for s, t in gt.items()
-        }
-        jac = jacobian(p, poses)
-        num = np.zeros_like(jac)
-        for k, s in enumerate(free):
-            for a in range(6):
-                dx = np.zeros(6)
-                dx[a] = eps
-                up = dict(poses)
-                up[s] = geometry.compose(geometry.exp_se3(dx), poses[s])
-                dn = dict(poses)
-                dn[s] = geometry.compose(geometry.exp_se3(-dx), poses[s])
-                num[:, 6 * k + a] = (residuals(p, up)[0] - residuals(p, dn)[0]) / (2 * eps)
-        scale = max(np.abs(jac).max(), 1.0)
-        assert np.abs(jac - num).max() / scale < 1e-4
+    for delta in (None, 1e-3):  # with Huber weighting, most blocks are above delta here
+        p = _problem(scene, params=optimizer.SolveParams(huber_delta=delta))
+        rng = np.random.default_rng(2)
+        for _ in range(100):
+            poses = {
+                s: geometry.compose(
+                    geometry.exp_se3(np.concatenate([rng.normal(0, 0.05, 3), rng.normal(0, 0.02, 3)])),
+                    t,
+                )
+                for s, t in gt.items()
+            }
+            jac = jacobian(p, poses)
+            scale = max(np.abs(jac).max(), 1.0)
+            assert np.abs(jac - _central_differences(p, poses)).max() / scale < 1e-4
+
+
+def test_centers_behind_a_camera_are_capped_flagged_and_constant():
+    cam1 = SensorId("camera", 1)
+    k = sim.default_intrinsics()
+    board = SQUARE + [0.0, 0.0, 5.0]
+    board[:, 2] += [-0.2, 0.2, 0.2, -0.2]  # tilted: centers 0 and 3 are nearer
+
+    def cam_obs(c):
+        return CameraDetection(RigidTransform.identity(), c, geometry.project_many(k, c), 0.0, 49)
+
+    seqs = [SequenceObservations(0, {CAM0: cam_obs(board), cam1: cam_obs(board), L0: _lidar_obs(board)})]
+    p = build_problem(seqs, CAM0, {CAM0: k, cam1: k})
+    # camera1 stands 5 m ahead of camera0, level with the board: centers 0 and 3
+    # of camera0 and of lidar0 lie 0.2 m behind it, the other two 0.2 m in front
+    poses = {
+        CAM0: RigidTransform.identity(),
+        cam1: RigidTransform(geometry.rotation_exp([0.01, -0.02, 0.03]), [0.01, 0.02, 5.0]),
+        L0: RigidTransform(geometry.rotation_exp([0.0, 0.01, 0.0]), [0.02, 0.0, 0.0]),
+    }
+    r, flags = residuals(p, poses)
+    assert flags == 4
+    # rows: camera0's terms from camera0, camera1, lidar0 (0-23), then camera1's (24-47)
+    capped = [row for base in (24, 40) for c in (0, 3) for row in (base + 2 * c, base + 2 * c + 1)]
+    cap = np.hypot(k.width, k.height) / k.fx / np.sqrt(2.0)
+    assert np.allclose(r[capped], cap, rtol=1e-15)
+    jac = jacobian(p, poses)
+    assert np.all(jac[capped] == 0.0)
+    num = _central_differences(p, poses)
+    assert np.abs(jac - num).max() / np.abs(jac).max() < 1e-6
 
 
 # --- solve ------------------------------------------------------------------
@@ -295,6 +330,31 @@ def test_solve_metadata_declares_weights():
 
 # --- circle ordering --------------------------------------------------------
 
+def _assert_same_centers(p, fixed):
+    for a, b in zip(p.sequences, fixed.sequences):
+        for s in a.observations:
+            ca = optimizer.detection_centers(a.observations[s])
+            cb = optimizer.detection_centers(b.observations[s])
+            assert np.array_equal(ca, cb), (a.sequence, str(s))
+
+
+def _roll_lidar_records(p, pick, rng):
+    """p with the LiDAR records that pick(sequence position, sensor) selects
+    rolled by a random nonzero cyclic shift."""
+    def roll(qi, s, det):
+        if s.kind != "lidar" or not pick(qi, s):
+            return det
+        return replace(det, centers=np.roll(det.centers, int(rng.integers(1, 4)), axis=0))
+
+    return replace(
+        p,
+        sequences=tuple(
+            replace(q, observations={s: roll(qi, s, d) for s, d in q.observations.items()})
+            for qi, q in enumerate(p.sequences)
+        ),
+    )
+
+
 def test_resolve_circle_ordering_100_trials():
     scene = _scene(sequences=4, seed=6)
     p = _problem(scene)
@@ -307,32 +367,30 @@ def test_resolve_circle_ordering_100_trials():
     ]
     rng = np.random.default_rng(3)
     for _ in range(100):
-        qi, s = lidar_slots[rng.integers(len(lidar_slots))]
-        shift = int(rng.integers(1, 4))
-        seq = p.sequences[qi]
-        det = seq.observations[s]
-        bad = replace(det, centers=np.roll(det.centers, shift, axis=0))
-        corrupted = replace(
-            p,
-            sequences=tuple(
-                replace(q, observations={**q.observations, s: bad}) if k == qi else q
-                for k, q in enumerate(p.sequences)
-            ),
-        )
-        fixed = resolve_circle_ordering(corrupted, gt)
-        got = fixed.sequences[qi].observations[s].centers
-        assert np.abs(got - det.centers).max() < 1e-12
+        slot = lidar_slots[rng.integers(len(lidar_slots))]
+        corrupted = _roll_lidar_records(p, lambda qi, s: (qi, s) == slot, rng)
+        # the rolled record is restored and every other record left as it was
+        _assert_same_centers(p, resolve_circle_ordering(corrupted, gt))
+
+
+def test_resolve_circle_ordering_all_lidar_records_rolled():
+    rng = np.random.default_rng(4)
+    scene = _scene(sequences=10, seed=6)
+    p = _problem(scene)
+    rolled = _roll_lidar_records(p, lambda qi, s: True, rng)
+    _assert_same_centers(p, resolve_circle_ordering(rolled, _gt_poses(scene, CAM0)))
+    # without a camera, each sequence's first LiDAR is the anchor the others follow
+    scene = _scene(n_lidars=3, m_cameras=0, sequences=6, seed=6)
+    p = _problem(scene, reference=L0)
+    first = {qi: min(q.observations) for qi, q in enumerate(p.sequences)}
+    rolled = _roll_lidar_records(p, lambda qi, s: s != first[qi], rng)
+    _assert_same_centers(p, resolve_circle_ordering(rolled, _gt_poses(scene, L0)))
 
 
 def test_resolve_keeps_correct_order_unchanged():
     scene = _scene(sequences=3, seed=7)
     p = _problem(scene, reference=L0)
-    fixed = resolve_circle_ordering(p, _gt_poses(scene, L0))
-    for a, b in zip(p.sequences, fixed.sequences):
-        for s in a.observations:
-            ca = optimizer.detection_centers(a.observations[s])
-            cb = optimizer.detection_centers(b.observations[s])
-            assert np.array_equal(ca, cb)
+    _assert_same_centers(p, resolve_circle_ordering(p, _gt_poses(scene, L0)))
 
 
 # --- consistency / reports --------------------------------------------------

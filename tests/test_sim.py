@@ -35,8 +35,6 @@ def test_minimal_scene_and_infeasible_layouts():
     assert len(scene.sensors) == 2
     with pytest.raises(InfeasibleLayout):
         sim.make_scene(n_lidars=1, m_cameras=0, sequences=1)
-    with pytest.raises(InfeasibleLayout):
-        sim.make_scene(layout="ring")
 
 
 def test_every_board_meets_visibility_contract():

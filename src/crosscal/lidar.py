@@ -9,7 +9,8 @@ bit-deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -29,6 +30,11 @@ from .errors import (
 )
 from .geometry import RigidTransform
 from .target import TargetSpec, circle_centers_board, generate_mask_cloud
+
+
+# Hypotheses x points scored per array pass in ransac_plane: 512 KB of
+# float64, small enough to stay in cache.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -113,20 +119,30 @@ def _point_normals(pts: np.ndarray, tree: cKDTree, k: int = 20):
     return v[:, :, 0]
 
 
-def gicp_register(source, target, t_init: RigidTransform, p: LidarParams):
+@lru_cache(maxsize=8)
+def _board_model(spec: TargetSpec, mask_pitch: float):
+    """Board mask cloud and its point normals, built once per (spec, pitch)."""
+    mask = generate_mask_cloud(spec, mask_pitch)
+    normals = _point_normals(mask, cKDTree(mask))
+    mask.flags.writeable = normals.flags.writeable = False
+    return mask, normals
+
+
+def gicp_register(source, target, t_init: RigidTransform, p: LidarParams, source_normals=None):
     """Plane-to-plane GICP; returns (transform source->target frame, fitness).
 
     The returned transform includes t_init. Fitness is the mean squared
     Euclidean distance of the matched correspondences after convergence.
+    `source_normals`, when given, are the source's 20-NN normals
+    (`_point_normals`), e.g. cached for a fixed board model.
     """
     source = np.asarray(source, dtype=float).reshape(-1, 3)
     target = np.asarray(target, dtype=float).reshape(-1, 3)
     if len(source) < 50 or len(target) < 50:
         raise DegenerateInput(f"GICP needs >= 50 points, got {len(source)}/{len(target)}")
 
-    src_tree = cKDTree(source)
     tgt_tree = cKDTree(target)
-    nrm_s = _point_normals(source, src_tree)
+    nrm_s = _point_normals(source, cKDTree(source)) if source_normals is None else source_normals
     nrm_t = _point_normals(target, tgt_tree)
     a_reg = 1.0 - 1e-3  # regularized covariance = I - a_reg * n n^T
 
@@ -161,13 +177,13 @@ def gicp_register(source, target, t_init: RigidTransform, p: LidarParams):
         rm = np.einsum("ni,ni->n", um, resid)
         sq = np.einsum("ni,ni->n", resid, resid)
         cost = float((0.5 * sq + wp * rp**2 + wm * rm**2).mean())
-        return cost, ps, resid, up, um, wp, wm, n_valid
+        return cost, ps, resid, up, um, wp, wm, n_valid, dists[valid]
 
     t_cur = t_init
     step_norm = np.inf
     state = matched(t_cur)
     for _ in range(p.gicp_max_iter):
-        cost, ps, resid, up, um, wp, wm, n_valid = state
+        cost, ps, resid, up, um, wp, wm, n_valid, _ = state
         # Gauss-Newton blocks for J_i = [I | -skew(p_i)] and
         # M_i = 0.5 I + wp up up^T + wm um um^T, expanded analytically so no
         # per-point 3x3 or 3x6 temporaries are materialized.
@@ -202,17 +218,18 @@ def gicp_register(source, target, t_init: RigidTransform, p: LidarParams):
         # so extrapolate (double alpha while the cost keeps dropping); near
         # the optimum backtrack instead so the step can vanish.
         alpha, step_norm = 1.0, 0.0
-        s1 = matched(geometry.compose(geometry.exp_se3(dx), t_cur))
+        t1 = geometry.compose(geometry.exp_se3(dx), t_cur)
+        s1 = matched(t1)
         if s1[0] < cost:
-            best = (s1, 1.0)
+            best = (s1, t1, 1.0)
             while alpha < 256:
-                s2 = matched(geometry.compose(geometry.exp_se3(2 * alpha * dx), t_cur))
+                t2 = geometry.compose(geometry.exp_se3(2 * alpha * dx), t_cur)
+                s2 = matched(t2)
                 if s2[0] >= best[0][0]:
                     break
                 alpha *= 2
-                best = (s2, alpha)
-            state, alpha = best
-            t_cur = geometry.compose(geometry.exp_se3(alpha * dx), t_cur)
+                best = (s2, t2, alpha)
+            state, t_cur, alpha = best
             step_norm = float(alpha * np.linalg.norm(dx))
         else:
             while alpha * np.linalg.norm(dx) >= 1e-7:
@@ -228,12 +245,7 @@ def gicp_register(source, target, t_init: RigidTransform, p: LidarParams):
             break
     if step_norm >= 1e-6:
         raise NotConverged(f"GICP step norm {step_norm:.2e} after {p.gicp_max_iter} iterations")
-    moved = t_cur.apply(source)
-    dists, _ = tgt_tree.query(moved, distance_upper_bound=p.gicp_corr_dist)
-    valid = np.isfinite(dists)
-    if not valid.any():
-        raise PoorFit("no correspondences at convergence")
-    fitness = float((dists[valid] ** 2).mean())
+    fitness = float((state[-1] ** 2).mean())  # state is matched(t_cur)
     if fitness >= p.gicp_fitness_eps:
         raise PoorFit(f"fitness {fitness:.3e} >= {p.gicp_fitness_eps:.3e}")
     return t_cur, fitness
@@ -271,29 +283,38 @@ def _fit_plane_lsq(pts):
 
 def ransac_plane(pts: np.ndarray, p: LidarParams, rng=None):
     """RANSAC plane segmentation; consensus plane is least-squares refit to
-    its inliers and inliers recomputed against the refit plane."""
+    its inliers and inliers recomputed against the refit plane.
+
+    One triplet is drawn per iteration; the hypothesis with the first
+    maximal inlier count wins, and its consensus set is taken from its
+    plane computed for that triplet alone."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
     if len(pts) < 3:
         raise DegenerateInput(f"{len(pts)} points, need >= 3")
     if rng is None:
         rng = np.random.default_rng(p.rng_seed)
-    best_count, best_normal, best_d = -1, None, None
     n_pts = len(pts)
-    for _ in range(p.ransac_iters):
-        i, j, k = rng.choice(n_pts, size=3, replace=False)
-        v1, v2 = pts[j] - pts[i], pts[k] - pts[i]
-        n = np.cross(v1, v2)
-        norm = np.linalg.norm(n)
-        if norm < 1e-12:
-            continue
-        n = n / norm
-        d = -float(n @ pts[i])
-        count = int((np.abs(pts @ n + d) < p.ransac_eps).sum())
-        if count > best_count:
-            best_count, best_normal, best_d = count, n, d
-    if best_normal is None:
+    draws = [rng.choice(n_pts, size=3, replace=False) for _ in range(p.ransac_iters)]
+    tri = np.array(draws, dtype=int).reshape(-1, 3)
+    normals = np.cross(pts[tri[:, 1]] - pts[tri[:, 0]], pts[tri[:, 2]] - pts[tri[:, 0]])
+    norms = np.linalg.norm(normals, axis=1)
+    ok = norms >= 1e-12
+    normals[ok] /= norms[ok, None]
+    offsets = -np.einsum("hi,hi->h", normals, pts[tri[:, 0]])
+    # Score the hypotheses a chunk at a time; collinear triplets score -1.
+    counts = np.full(len(tri), -1)
+    step = max(_CHUNK_ELEMENTS // n_pts, 1)
+    for lo in range(0, len(tri), step):
+        chunk = slice(lo, lo + step)
+        inside = np.abs(normals[chunk] @ pts.T + offsets[chunk, None]) < p.ransac_eps
+        counts[chunk] = np.where(ok[chunk], inside.sum(axis=1), -1)
+    if not (counts >= 0).any():
         raise DegenerateInput("all sampled triplets collinear")
-    consensus = pts[np.abs(pts @ best_normal + best_d) < p.ransac_eps]
+    i, j, k = tri[np.argmax(counts)]  # first maximal count, as a sequential scan keeps
+    n = np.cross(pts[j] - pts[i], pts[k] - pts[i])
+    n = n / np.linalg.norm(n)
+    d = -float(n @ pts[i])
+    consensus = pts[np.abs(pts @ n + d) < p.ransac_eps]
     if len(consensus) < 3:
         raise DegenerateInput("consensus set degenerate")
     plane = _fit_plane_lsq(consensus)
@@ -389,38 +410,37 @@ def refine_circles(g: OccupancyGrid, window, spec: TargetSpec, preferred=None):
     di, dj = _disc_stencil(radius_cells)
     mask_area = len(di)
     nx, ny = g.occupied.shape
-    shifts = sorted(
-        ((si, sj) for si in range(-10, 11) for sj in range(-10, 11)),
-        key=lambda s: (s[0] * s[0] + s[1] * s[1], s),
+    shifts = np.array(
+        sorted(
+            ((si, sj) for si in range(-10, 11) for sj in range(-10, 11)),
+            key=lambda s: (s[0] * s[0] + s[1] * s[1], s),
+        )
     )
+    cells = np.floor((np.array(initial_centers) - g.origin) * g.res).astype(int)
+    # Off-grid cells count as occupied: pad the grid with occupied cells out to
+    # the farthest shifted stencil cell, then count every shift of a hole with
+    # one gather of (shift, stencil cell) flat indices.
+    reach = 10 + int(np.abs(np.concatenate([di, dj])).max())
+    pad = max(0, reach - int(cells.min()), reach + 1 + int((cells - [nx, ny]).max()))
+    padded = np.pad(g.occupied, pad, constant_values=True)
+    stride = padded.shape[1]
+    offsets = (shifts[:, 0] * stride + shifts[:, 1])[:, None] + (di * stride + dj)
+    flat = padded.ravel()
     centers = []
-    for k, c0 in enumerate(initial_centers):
-        ci, cj = np.floor((np.asarray(c0) - g.origin) * g.res).astype(int)
-        counts = {}
-        for si, sj in shifts:
-            ii = ci + si + di
-            jj = cj + sj + dj
-            inside = (ii >= 0) & (ii < nx) & (jj >= 0) & (jj < ny)
-            count = int(g.occupied[ii[inside], jj[inside]].sum())
-            count += int(mask_area - inside.sum())  # off-grid counts as occupied
-            counts[(si, sj)] = count
-        best_count = min(counts.values())
+    for k, (c0, cell) in enumerate(zip(initial_centers, cells)):
+        counts = flat[(cell[0] + pad) * stride + cell[1] + pad + offsets].sum(axis=1)
+        best_count = int(counts.min())
         if best_count > 0.5 * mask_area:
             raise NoVoidFound(f"best mask occupancy {best_count}/{mask_area}")
-        ties = [s for s in shifts if counts[s] == best_count]
+        ties = shifts[counts == best_count]  # by increasing displacement
         if preferred is None:
-            si, sj = ties[0]  # smallest displacement
-            centers.append(np.asarray(c0, dtype=float) + np.array([si, sj]) * g.cell)
+            centers.append(np.asarray(c0, dtype=float) + ties[0] * g.cell)
             continue
         want = np.asarray(preferred[k], dtype=float)[:2]
-        cell_of = lambda s: np.array([ci + s[0], cj + s[1]])
-        pos_of = lambda s: g.origin + (cell_of(s) + 0.5) * g.cell
-        si, sj = min(ties, key=lambda s: float(np.sum((pos_of(s) - want) ** 2)))
+        pos = g.origin + (cell + ties + 0.5) * g.cell
+        best = int(np.argmin(((pos - want) ** 2).sum(axis=1)))  # first of equally near ties
         want_cell = np.floor((want - g.origin) * g.res).astype(int)
-        if np.array_equal(want_cell, cell_of((si, sj))):
-            centers.append(want)
-        else:
-            centers.append(pos_of((si, sj)))
+        centers.append(want if np.array_equal(want_cell, cell + ties[best]) else pos[best])
     return centers
 
 
@@ -471,10 +491,10 @@ def detect_target_lidar(
 ) -> LidarDetection:
     """Full board detection: filter -> GICP -> match -> RANSAC -> normalize
     -> occupancy -> window -> circle refinement -> 3D lift."""
-    mask = generate_mask_cloud(spec, mask_pitch)
+    mask, mask_normals = _board_model(spec, mask_pitch)
     try:
         filtered = filter_cloud(cloud, p)
-        t_refined, fitness = gicp_register(mask, filtered, t_init, p)
+        t_refined, fitness = gicp_register(mask, filtered, t_init, p, mask_normals)
         matched = match_points(filtered, t_refined.apply(mask), p.nn_delta)
         plane, inliers = ransac_plane(matched, p)
         # Orient the fitted normal like the estimated board z so the grid

@@ -4,7 +4,9 @@ The state is opaque: callers provide residual/jacobian callbacks plus a
 retraction `plus(state, dx)` so poses can be updated on the SE(3) tangent
 space. Damping follows the classic lambda*10 / lambda/10 schedule starting
 at 1e-3; cost is monotonically non-increasing over accepted steps by
-construction.
+construction. A trial whose predicted reduction is below the cost's rounding
+(MINPACK's stopping test, More 1978) is not evaluated: the damping loop ends
+as if exhausted.
 """
 
 from __future__ import annotations
@@ -41,11 +43,18 @@ def levenberg_marquardt(
     residual_fn may raise a CrosscalError to signal an invalid trial state
     (e.g. a point behind the camera); the step is then rejected and damping
     increased. Any other exception propagates.
+
+    Stops when the gradient norm drops below gradient_tol, an accepted step
+    is shorter than step_tol, or no step can lower the cost: the damping
+    loop ran out, or the damped model predicts a reduction of at most
+    eps * cost. The last two report converged only if the gradient norm is
+    below 1e-6 (a flat minimum).
     """
     r = residual_fn(state)
     cost = 0.5 * float(r @ r)
     lam = lambda_init
     history = [cost]
+    eps = np.finfo(float).eps
     grad_norm = np.inf
     converged = False
     it = 0
@@ -64,6 +73,9 @@ def levenberg_marquardt(
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
+            # 0.5*||r||^2 - 0.5*||r + J dx||^2, using (J^T J + lam I) dx = -grad
+            if 0.5 * float(dx @ (lam * dx - grad)) <= eps * cost:
+                break
             trial = plus(state, dx)
             try:
                 r_trial = residual_fn(trial)

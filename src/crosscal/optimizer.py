@@ -291,9 +291,14 @@ def _lidar_blocks(tab: _TermTable, t: _Terms, rot, trans, jac: bool):
 
 
 def _huber(block, delta):
-    """(T, 1) Huber scales: sqrt(delta / n) for blocks of norm n > delta, else 1."""
+    """(T, 1) Huber scales s and norms n of the blocks: a block of norm
+    n > delta is scaled by s = sqrt(delta (2 n - delta)) / n, so that its cost
+    (s n)^2 / 2 is the Huber loss delta n - delta^2 / 2; smaller blocks keep s = 1."""
     n = np.linalg.norm(block, axis=1, keepdims=True)
-    return np.ones_like(n) if delta is None else np.sqrt(delta / np.maximum(n, delta))
+    if delta is None:
+        return np.ones_like(n), n
+    m = np.maximum(n, delta)
+    return np.where(n > delta, np.sqrt(delta * (2.0 * m - delta)) / m, 1.0), n
 
 
 def residuals(p: CalibrationProblem, poses: dict, table: _TermTable | None = None):
@@ -305,7 +310,7 @@ def residuals(p: CalibrationProblem, poses: dict, table: _TermTable | None = Non
     flags = 0
     for blocks, t in ((_camera_blocks, tab.cam), (_lidar_blocks, tab.lidar)):
         block, _, _, n = blocks(tab, t, rot, trans, jac=False)
-        r[t.rows] = _huber(block, p.params.huber_delta) * block
+        r[t.rows] = _huber(block, p.params.huber_delta)[0] * block
         flags += n
     return r, flags
 
@@ -321,10 +326,11 @@ def jacobian(p: CalibrationProblem, poses: dict, table: _TermTable | None = None
     jac = np.zeros((tab.cam.rows.size + tab.lidar.rows.size, 6 * free.sum()))
     for blocks, t in ((_camera_blocks, tab.cam), (_lidar_blocks, tab.lidar)):
         block, di, dj, _ = blocks(tab, t, rot, trans, jac=True)
-        if delta is not None:  # d(s r) = s (I - u u^T / 2) dr with u = r / n, where n > delta
-            s = _huber(block, delta)
-            u = block * (s < 1) * s**2 / delta
-            di, dj = (s[..., None] * (d - 0.5 * u[..., None] * (u[:, None] @ d)) for d in (di, dj))
+        if delta is not None:  # d(s r) = s (I - c u u^T) dr, u = r / n, c = (n - delta) / (2 n - delta)
+            s, n = _huber(block, delta)
+            m = np.maximum(n, delta)
+            u = block / m * np.sqrt((m - delta) / (2.0 * m - delta))  # sqrt(c) u, 0 where n <= delta
+            di, dj = (s[..., None] * (d - u[..., None] * (u[:, None] @ d)) for d in (di, dj))
         for sensor, d in ((t.i, di), (t.j, dj)):
             keep = col[sensor] >= 0
             jac[t.rows[keep, :, None], col[sensor[keep], None, None] + np.arange(6)] = d[keep]
@@ -373,8 +379,8 @@ def solve(p: CalibrationProblem) -> CalibrationResult:
     def res_fn(poses):
         return residuals(p, poses, table)[0]
 
-    def jac_fn(poses):
-        return jacobian(p, poses, table)
+    def jac_fn(poses):  # LM's first Jacobian is the j0 checked below
+        return j0 if poses is poses0 else jacobian(p, poses, table)
 
     def plus(poses, dx):
         out = dict(poses)
@@ -382,7 +388,7 @@ def solve(p: CalibrationProblem) -> CalibrationResult:
             out[s] = geometry.compose(geometry.exp_se3(dx[6 * k : 6 * k + 6]), poses[s])
         return out
 
-    j0 = jac_fn(poses0)
+    j0 = jacobian(p, poses0, table)
     h0 = j0.T @ j0
     eig = np.linalg.eigvalsh(h0)
     if eig[0] < 1e-12 * max(eig[-1], 1.0):

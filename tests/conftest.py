@@ -40,6 +40,48 @@ def random_rigid(rng, max_angle=np.pi - 0.1, max_trans=2.0):
     )
 
 
+def lm_without_reduction_stop(state, residual_fn, jac_fn, plus, max_iter=100, gradient_tol=1e-10):
+    """Levenberg-Marquardt as it was before the predicted-reduction stop:
+    the damping loop runs until a trial lowers the cost or lambda passes
+    1e14. Returns (state, cost, converged)."""
+    r = residual_fn(state)
+    cost = 0.5 * float(r @ r)
+    lam = 1e-3
+    converged = False
+    for _ in range(max_iter):
+        jac = jac_fn(state)
+        grad = jac.T @ r
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm < gradient_tol:
+            converged = True
+            break
+        hess = jac.T @ jac
+        accepted = False
+        for _ in range(30):
+            dx = np.linalg.solve(hess + lam * np.eye(hess.shape[0]), -grad)
+            trial = plus(state, dx)
+            try:
+                r_trial = residual_fn(trial)
+                cost_trial = 0.5 * float(r_trial @ r_trial)
+            except CrosscalError:
+                cost_trial = np.inf
+            if cost_trial < cost:
+                state, r, cost = trial, r_trial, cost_trial
+                lam = max(lam / 10.0, 1e-12)
+                accepted = True
+                converged = float(dx @ dx) < 1e-14**2
+                break
+            lam *= 10.0
+            if lam > 1e14:
+                break
+        if not accepted:
+            converged = grad_norm < 1e-6
+            break
+        if converged:
+            break
+    return state, cost, converged
+
+
 def oracle_observations(scene):
     """Exact per-sequence detections straight from ground truth, bypassing
     rendering; used to test the optimizer in isolation."""

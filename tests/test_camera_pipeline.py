@@ -4,7 +4,8 @@ center derivation, simulator round-trip."""
 import numpy as np
 import pytest
 
-from crosscal import geometry, sim
+from conftest import lm_without_reduction_stop
+from crosscal import camera, geometry, sim
 from crosscal.camera import (
     CornerObservation,
     derive_circle_centers,
@@ -14,6 +15,7 @@ from crosscal.camera import (
 )
 from crosscal.errors import DegenerateConfiguration, InsufficientCorners
 from crosscal.geometry import Intrinsics, RigidTransform
+from crosscal.lm import levenberg_marquardt
 from crosscal.optimizer import SensorId
 from crosscal.target import TargetSpec, checker_corners_board, circle_centers_board
 
@@ -76,6 +78,52 @@ def test_noisy_pnp_translation_error_median():
         pose = solve_pnp(synth_corners(truth, noise=0.5, rng=rng), SPEC, K)
         errs.append(pose_delta(truth, pose)[0])
     assert np.median(errs) < 0.03
+
+
+def _rejected_trials(costs):
+    """(all, after the last accepted step) rejected trials of an LM run, from
+    the cost of every residual evaluation: a trial is accepted iff it lowers
+    the cost."""
+    best, rejected, tail = costs[0], 0, 0
+    for c in costs[1:]:
+        if c < best:
+            best, tail = c, 0
+        else:
+            rejected, tail = rejected + 1, tail + 1
+    return rejected, tail
+
+
+def test_noisy_pnp_lm_stops_at_the_cost_rounding_floor():
+    """Boards at 5 m with 0.5 px noise: the gradient at the optimum stays above
+    gradient_tol (1e-10) but below what the cost can resolve. LM stops there
+    with at most 2 rejected trials after its last accepted step, where damping
+    until lambda > 1e14 rejects a median of ~16, and lands within 1e-8 of that
+    loop's pose."""
+    rng = np.random.default_rng(21)
+    old_tails = []
+    for _ in range(12):
+        truth = board_pose(rng, dist=5.0)
+        obj, uv = camera._board_points(synth_corners(truth, noise=0.5, rng=rng), SPEC)
+        start = geometry.compose(geometry.exp_se3(rng.normal(0.0, 0.02, 6)), truth)
+        costs = []
+
+        def residual(t):
+            r = (geometry.project_many(K, t.apply(obj)) - uv).ravel()
+            costs.append(0.5 * float(r @ r))
+            return r
+
+        def plus(t, dx):
+            return geometry.compose(geometry.exp_se3(dx), t)
+
+        args = (residual, lambda t: pnp_jacobian(t, obj, K), plus)
+        res = levenberg_marquardt(start, *args, gradient_tol=1e-10)
+        assert _rejected_trials(costs)[1] <= 2
+        costs.clear()
+        old_state = lm_without_reduction_stop(start, *args, gradient_tol=1e-10)[0]
+        old_tails.append(_rejected_trials(costs)[1])
+        dt, dr = pose_delta(old_state, res.state)
+        assert dt < 1e-8 and dr < 1e-8
+    assert np.median(old_tails) >= 10
 
 
 def test_too_few_corners():

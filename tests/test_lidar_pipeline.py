@@ -4,7 +4,7 @@ end-to-end detection on simulated clouds."""
 import numpy as np
 import pytest
 
-from crosscal import geometry, sim
+from crosscal import geometry, lidar, sim
 from crosscal.errors import (
     DegenerateInput,
     EmptyAfterFilter,
@@ -224,6 +224,49 @@ def test_ransac_deterministic_given_seed():
     assert p1 == p2 and np.array_equal(i1, i2)
 
 
+def _ransac_per_hypothesis(pts, p):
+    """Oracle: one hypothesis scored per iteration, the first strictly
+    larger count kept, then the same refit as ransac_plane."""
+    rng = np.random.default_rng(p.rng_seed)
+    best_count, best_normal, best_d = -1, None, None
+    for _ in range(p.ransac_iters):
+        i, j, k = rng.choice(len(pts), size=3, replace=False)
+        n = np.cross(pts[j] - pts[i], pts[k] - pts[i])
+        norm = np.linalg.norm(n)
+        if norm < 1e-12:
+            continue
+        n = n / norm
+        d = -float(n @ pts[i])
+        count = int((np.abs(pts @ n + d) < p.ransac_eps).sum())
+        if count > best_count:
+            best_count, best_normal, best_d = count, n, d
+    plane = lidar._fit_plane_lsq(pts[np.abs(pts @ best_normal + best_d) < p.ransac_eps])
+    return plane, pts[plane.distances(pts) < p.ransac_eps]
+
+
+def test_ransac_batched_matches_per_hypothesis_oracle():
+    clouds = []
+    for seed, n_pts in ((0, 300), (1, 1500), (2, 6000), (3, 70000)):
+        rng = np.random.default_rng(seed)
+        n_true = geometry.rotation_exp(rng.normal(0, 0.4, 3)) @ np.array([0.0, 0.0, 1.0])
+        basis = np.linalg.svd(n_true[None, :])[2][1:]
+        n_in = int(0.7 * n_pts)
+        inplane = rng.uniform(-1, 1, size=(n_in, 2)) @ basis + rng.normal(0, 0.01, (n_in, 1)) * n_true
+        pts = np.vstack([inplane, rng.uniform(-1, 1, size=(n_pts - n_in, 3))])
+        pts[:3] = pts[0]  # a few repeated points for degenerate triplets
+        clouds.append((seed, pts))
+    assert n_pts > lidar._CHUNK_ELEMENTS  # the last cloud takes a chunk per hypothesis
+    for seed in range(4):  # two equal exact planes: the maximal count ties across them
+        xy = np.random.default_rng(10 + seed).uniform(-1, 1, size=(400, 2))
+        clouds.append((seed, np.vstack([np.column_stack([xy, np.full(400, z)]) for z in (0.0, 1.0)])))
+    for seed, pts in clouds:
+        p = LidarParams(rng_seed=seed)
+        plane, inliers = ransac_plane(pts, p)
+        want_plane, want_inliers = _ransac_per_hypothesis(pts, p)
+        assert plane == want_plane
+        assert np.array_equal(inliers, want_inliers)
+
+
 # --- normalize --------------------------------------------------------------
 
 def test_normalize_horizontal_plane_is_identity():
@@ -402,6 +445,61 @@ def test_refine_prefers_subcell_estimate_on_ties():
     for c, want in zip(centers, preferred):
         # preferred point returned verbatim when its cell attains the minimum
         assert np.abs(np.asarray(c) - want).max() < g.cell
+
+
+def _refine_per_shift(g, window, spec, preferred=None):
+    """Oracle: refine_circles counting each of the 441 shifts on its own."""
+    i0, j0 = window
+    win_center = g.origin + (np.array([i0, j0], dtype=float) + spec.board_width * g.res / 2.0) * g.cell
+    di, dj = lidar._disc_stencil(spec.circle_radius * g.res)
+    nx, ny = g.occupied.shape
+    shifts = sorted(
+        ((si, sj) for si in range(-10, 11) for sj in range(-10, 11)),
+        key=lambda s: (s[0] * s[0] + s[1] * s[1], s),
+    )
+    centers = []
+    for k, off in enumerate(spec.circle_offsets):
+        c0 = win_center + np.array(off)
+        ci, cj = np.floor((c0 - g.origin) * g.res).astype(int)
+        counts = {}
+        for si, sj in shifts:
+            ii, jj = ci + si + di, cj + sj + dj
+            inside = (ii >= 0) & (ii < nx) & (jj >= 0) & (jj < ny)
+            counts[(si, sj)] = int(g.occupied[ii[inside], jj[inside]].sum()) + int(len(di) - inside.sum())
+        best_count = min(counts.values())
+        if best_count > 0.5 * len(di):
+            raise NoVoidFound("oracle")
+        ties = [s for s in shifts if counts[s] == best_count]
+        if preferred is None:
+            centers.append(c0 + np.array(ties[0]) * g.cell)
+            continue
+        want = np.asarray(preferred[k], dtype=float)[:2]
+        pos_of = lambda s: g.origin + (np.array([ci + s[0], cj + s[1]]) + 0.5) * g.cell
+        best = min(ties, key=lambda s: float(np.sum((pos_of(s) - want) ** 2)))
+        want_cell = np.floor((want - g.origin) * g.res).astype(int)
+        centers.append(want if np.array_equal(want_cell, [ci + best[0], cj + best[1]]) else pos_of(best))
+    return centers
+
+
+def test_refine_matches_per_shift_counts_with_ties_and_off_grid_cells():
+    rng = np.random.default_rng(12)
+    cell = 1.0 / 200
+    for trial in range(6):
+        # 200 x 200 grid and a window 8 cells in: the +0.38 m holes' shifted
+        # stencils run off the grid's far edge
+        occ = rng.random((200, 200)) < (0.6 if trial % 2 else 0.35)
+        g = OccupancyGrid(occ, np.array([-0.5, -0.5]), 200.0)
+        window = (8, 8)
+        if trial % 2:  # voids wider than the stencil: many shifts tie at 0
+            for ox, oy in SPEC.circle_offsets:
+                i, j = int((ox + 0.5) / cell) + 8, int((oy + 0.5) / cell) + 8
+                occ[max(i - 16, 0) : i + 17, max(j - 16, 0) : j + 17] = False
+        design = [np.array(o) + 0.5 * cell + 8 * cell for o in SPEC.circle_offsets]
+        preferred = [d + rng.uniform(-4, 4, 2) * cell for d in design]
+        for pref in (None, preferred):
+            got = refine_circles(g, window, SPEC, preferred=pref)
+            want = _refine_per_shift(g, window, SPEC, preferred=pref)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 # --- end-to-end -------------------------------------------------------------

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import oracle_observations, pose_errors, random_rigid
+from conftest import lm_without_reduction_stop, oracle_observations, pose_errors, random_rigid
 from crosscal import geometry, optimizer, sim
 from crosscal.camera import CameraDetection
 from crosscal.errors import (
@@ -268,6 +268,27 @@ def test_jacobian_matches_central_differences_100_states():
             assert np.abs(jac - _central_differences(p, poses)).max() / scale < 1e-4
 
 
+def test_huber_cost_is_the_huber_loss_with_matching_slopes_at_delta():
+    delta = 1e-2
+    seqs = [SequenceObservations(0, {L0: _lidar_obs(SQUARE), L1: _lidar_obs(SQUARE)})]
+    p = build_problem(seqs, L0, {}, optimizer.SolveParams(huber_delta=delta))
+
+    def cost(tx):  # the one LiDAR pair's block has norm n = 2 |tx|
+        poses = {L0: RigidTransform.identity(), L1: RigidTransform(np.eye(3), [tx, 0.0, 0.0])}
+        r = residuals(p, poses)[0]
+        return 0.5 * float(r @ r)
+
+    t0, h = delta / 2, 1e-7
+    below = (cost(t0) - cost(t0 - h)) / h
+    above = (cost(t0 + h) - cost(t0)) / h
+    assert below == pytest.approx(2 * delta, rel=1e-4)  # d(n^2 / 2) / dtx at n = delta
+    assert above == pytest.approx(2 * delta, rel=1e-4)  # d(delta n) / dtx
+    for tx in (0.001, 0.05, 3.0):
+        n = 2 * tx
+        want = n * n / 2 if n <= delta else delta * n - delta**2 / 2
+        assert cost(tx) == pytest.approx(want, rel=1e-12)
+
+
 def test_centers_behind_a_camera_are_capped_flagged_and_constant():
     cam1 = SensorId("camera", 1)
     k = sim.default_intrinsics()
@@ -491,3 +512,31 @@ def test_lm_other_exception_from_residual_propagates():
 
     with pytest.raises(RuntimeError, match="bug in the residual"):
         _lm_on_identity_residual(residual, trials)
+
+
+def test_lm_identity_residual_still_converges_by_gradient():
+    res = _lm_on_identity_residual(lambda x: x, [])
+    assert res.converged and res.gradient_norm < 1e-10
+
+
+@pytest.mark.parametrize("floor, converged", [(1e3, True), (1e6, False)])
+def test_lm_stop_at_cost_rounding_reports_converged_like_an_exhausted_loop(floor, converged):
+    """r = (x, floor): the cost cannot drop below floor^2 / 2, and once x is
+    small the possible reduction x^2 / 2 is below the cost's rounding. Stopped
+    there, LM reports converged iff the gradient x is below 1e-6, as the
+    loop that rejects trials until its damping runs out does."""
+    costs = []
+
+    def residual(x):
+        r = np.array([x[0], floor])
+        costs.append(0.5 * float(r @ r))
+        return r
+
+    args = (residual, lambda x: np.array([[1.0], [0.0]]), lambda x, dx: x + dx)
+    res = levenberg_marquardt(np.array([3.0]), *args)
+    assert res.converged is converged
+    assert res.gradient_norm > 1e-10  # not the gradient stop
+    assert len(costs) == len(res.cost_history)  # no trial evaluated after the last accepted step
+    costs.clear()
+    assert lm_without_reduction_stop(np.array([3.0]), *args)[2] is converged
+    assert len(costs) > len(res.cost_history)

@@ -1,14 +1,18 @@
 """Board pose from 2D checker-corner detections (PnP) and circle-center lift.
 
 Corner identity is taken from the upstream detection files; nothing here
-touches pixels beyond the (id, u, v) observations. Pose initialization is a
-normalized-DLT homography decomposition; both planar-ambiguity candidates
-are refined by damped Gauss-Newton and the lower-reprojection one wins.
+touches pixels beyond the (id, u, v) observations. All corner sets of a run
+are solved together: each set's pose is initialized by a normalized-DLT
+homography decomposition, both planar-ambiguity candidates of every set are
+refined in one batched Levenberg-Marquardt call, and per set the
+lower-reprojection candidate wins. Sets are padded to the largest corner
+count; padded corners carry zero residual and zero Jacobian rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +21,7 @@ from .errors import BehindCamera, DegenerateConfiguration, InsufficientCorners
 from .geometry import Intrinsics, RigidTransform
 from .lm import levenberg_marquardt
 from .target import TargetSpec, checker_corners_board, circle_centers_board
+
 
 @dataclass(frozen=True)
 class CornerObservation:
@@ -35,120 +40,199 @@ class CameraDetection:
     corners_used: int
 
 
-def _board_points(corners, spec: TargetSpec):
-    lut = {cid: p for cid, p in checker_corners_board(spec)}
-    obj, img = [], []
-    for c in corners:
-        if c.corner_id in lut:
-            obj.append(lut[c.corner_id])
-            img.append(np.asarray(c.pixel, dtype=float))
-    return np.asarray(obj, dtype=float), np.asarray(img, dtype=float)
+class _CornerSets(NamedTuple):
+    """S corner sets padded to N corners; `take` selects sets in every field."""
+
+    obj: np.ndarray  # (S, N, 3) board points of the known corner ids, 0 on padding
+    uv: np.ndarray  # (S, N, 2) their pixels
+    used: np.ndarray  # (S, N) False on padding
+    k: np.ndarray  # (S, 4) fx, fy, cx, cy of each set's camera
+
+    def take(self, sets) -> "_CornerSets":
+        return _CornerSets(*(a[sets] for a in self))
 
 
-def _normalize_2d(pts):
-    """Hartley normalization: similarity mapping to mean 0, RMS sqrt(2)."""
-    mean = pts.mean(axis=0)
-    rms = np.sqrt(((pts - mean) ** 2).sum(axis=1).mean())
-    s = np.sqrt(2.0) / max(rms, 1e-12)
-    t = np.array([[s, 0, -s * mean[0]], [0, s, -s * mean[1]], [0, 0, 1]])
+def _corner_sets(corner_sets, spec: TargetSpec, intrinsics) -> _CornerSets:
+    """Board points and pixels of the corners whose ids the board has."""
+    lut = dict(checker_corners_board(spec))
+    known = [[c for c in cs if c.corner_id in lut] for cs in corner_sets]
+    n = max(map(len, known), default=0)
+    obj, uv = np.zeros((len(known), n, 3)), np.zeros((len(known), n, 2))
+    used = np.zeros((len(known), n), dtype=bool)
+    for s, cs in enumerate(known):
+        if cs:
+            obj[s, : len(cs)] = [lut[c.corner_id] for c in cs]
+            uv[s, : len(cs)] = [c.pixel for c in cs]
+            used[s, : len(cs)] = True
+    k = np.array([[k.fx, k.fy, k.cx, k.cy] for k in intrinsics], dtype=float).reshape(-1, 4)
+    return _CornerSets(obj, uv, used, k)
+
+
+def _camera_points(poses, c: _CornerSets):
+    """(P, N, 3) corners of the sets c in the camera frame under board->camera
+    poses (P, 4, 4); padded corners sit at (0, 0, 1)."""
+    pts = c.obj @ poses[:, :3, :3].transpose(0, 2, 1) + poses[:, None, :3, 3]
+    return np.where(c.used[..., None], pts, (0.0, 0.0, 1.0))
+
+
+def _reprojection(poses, c: _CornerSets):
+    """(P, N, 2) pixel residuals, 0 on padding, and (P,) whether any corner
+    is at or behind the camera (depth <= MIN_DEPTH)."""
+    pts = _camera_points(poses, c)
+    fx, fy, cx, cy = c.k.T[..., None]
+    bad = pts[..., 2] <= geometry.MIN_DEPTH
+    z = np.where(bad, 1.0, pts[..., 2])
+    r = np.stack([fx * pts[..., 0] / z + cx, fy * pts[..., 1] / z + cy], axis=-1) - c.uv
+    r[~c.used] = 0.0
+    return r, bad.any(axis=1)
+
+
+def pnp_jacobian(pts, fx, fy):
+    """(..., 2N, 6) analytic Jacobian of the stacked reprojection residual of
+    camera-frame corners pts (..., N, 3) w.r.t. a left-multiplied se(3)
+    increment on the pose; fx, fy broadcast against pts[..., 0]."""
+    jac = geometry.project_jacobian(pts, fx, fy) @ geometry.point_jacobian(pts)
+    return jac.reshape(jac.shape[:-3] + (-1, 6))
+
+
+def _refine(poses, c: _CornerSets):
+    """Batched LM from candidate poses (P, 4, 4) of the sets c; a trial that
+    puts a corner behind the camera gets an infinite cost and is rejected."""
+
+    def residual(states, rows):
+        r, behind = _reprojection(states, c.take(rows))
+        r[behind] = np.inf
+        return r.reshape(len(rows), -1)
+
+    def jacobian(states, rows):
+        sub = c.take(rows)
+        jac = pnp_jacobian(_camera_points(states, sub), sub.k[:, :1], sub.k[:, 1:2])
+        jac[~np.repeat(sub.used, 2, axis=1)] = 0.0
+        return jac
+
+    return levenberg_marquardt(
+        poses,
+        residual,
+        jacobian,
+        lambda states, dx: geometry.exp_se3_matrix(dx) @ states,
+        max_iter=100,
+        gradient_tol=1e-10,
+        batched=True,
+    )
+
+
+def _normalize_2d(pts, used):
+    """(S, 3, 3) Hartley normalizations: similarities mapping each set's used
+    points (S, N, 2) to mean 0, RMS sqrt(2)."""
+    n = used.sum(axis=1)
+    mean = (pts * used[..., None]).sum(axis=1) / n[:, None]
+    rms = np.sqrt((((pts - mean[:, None]) ** 2).sum(axis=2) * used).sum(axis=1) / n)
+    s = np.sqrt(2.0) / np.maximum(rms, 1e-12)
+    t = np.zeros((len(pts), 3, 3))
+    t[:, 0, 0] = t[:, 1, 1] = s
+    t[:, :2, 2] = -s[:, None] * mean
+    t[:, 2, 2] = 1.0
     return t
 
 
-def _homography_dlt(xy_board, uv):
-    t_obj = _normalize_2d(xy_board)
-    t_img = _normalize_2d(uv)
-    n = len(xy_board)
-    a = np.zeros((2 * n, 9))
-    ob = np.column_stack([xy_board, np.ones(n)]) @ t_obj.T
-    im = np.column_stack([uv, np.ones(n)]) @ t_img.T
-    for i in range(n):
-        x, y, _ = ob[i]
-        u, v, _ = im[i]
-        a[2 * i] = [x, y, 1, 0, 0, 0, -u * x, -u * y, -u]
-        a[2 * i + 1] = [0, 0, 0, x, y, 1, -v * x, -v * y, -v]
-    _, _, vt = np.linalg.svd(a)
-    h = vt[-1].reshape(3, 3)
+def _homographies(c: _CornerSets):
+    """(S, 3, 3) board->image homographies by normalized DLT."""
+    t_obj, t_img = _normalize_2d(c.obj[..., :2], c.used), _normalize_2d(c.uv, c.used)
+    ones = np.ones(c.used.shape + (1,))
+
+    def normalized(pts, t):
+        return np.moveaxis(np.concatenate([pts, ones], -1) @ t.transpose(0, 2, 1), -1, 0)
+
+    x, y, _ = normalized(c.obj[..., :2], t_obj)
+    u, v, _ = normalized(c.uv, t_img)
+    o, i = np.zeros_like(x), np.ones_like(x)
+    rows = np.stack(
+        [
+            np.stack([x, y, i, o, o, o, -u * x, -u * y, -u], axis=-1),
+            np.stack([o, o, o, x, y, i, -v * x, -v * y, -v], axis=-1),
+        ],
+        axis=2,
+    )
+    # zero rows for padding, and at least 9 rows so that vt holds the null vector
+    a = np.zeros((len(x), max(2 * x.shape[1], 9), 9))
+    a[:, : 2 * x.shape[1]] = (rows * c.used[..., None, None]).reshape(len(x), -1, 9)
+    h = np.linalg.svd(a, full_matrices=False)[2][:, -1].reshape(-1, 3, 3)
     return np.linalg.inv(t_img) @ h @ t_obj
 
 
-def _pose_from_homography(h, k: Intrinsics):
-    """Decompose a board->image homography into a rigid pose."""
-    m = np.linalg.inv(k.k_matrix()) @ h
-    scale = 1.0 / ((np.linalg.norm(m[:, 0]) + np.linalg.norm(m[:, 1])) / 2.0)
-    m = m * scale
-    if m[2, 2] < 0:  # enforce positive depth at the board origin
-        m = -m
-    r1, r2, t = m[:, 0], m[:, 1], m[:, 2]
-    r = geometry.orthonormalize(np.column_stack([r1, r2, np.cross(r1, r2)]))
-    return RigidTransform(r, t)
+def _poses_from_homographies(h, k):
+    """(S, 4, 4) rigid poses decomposed from board->image homographies."""
+    kmat = np.zeros((len(h), 3, 3))
+    kmat[:, 0, 0], kmat[:, 1, 1], kmat[:, 0, 2], kmat[:, 1, 2] = k.T
+    kmat[:, 2, 2] = 1.0
+    m = np.linalg.inv(kmat) @ h
+    scale = 1.0 / ((np.linalg.norm(m[:, :, 0], axis=1) + np.linalg.norm(m[:, :, 1], axis=1)) / 2.0)
+    m = m * scale[:, None, None]
+    m = np.where(m[:, 2:, 2:] < 0, -m, m)  # enforce positive depth at the board origin
+    r1, r2 = m[:, :, 0], m[:, :, 1]
+    poses = np.zeros((len(h), 4, 4))
+    poses[:, :3, :3] = geometry.orthonormalize(np.stack([r1, r2, np.cross(r1, r2)], axis=-1))
+    poses[:, :3, 3] = m[:, :, 2]
+    poses[:, 3, 3] = 1.0
+    return poses
 
 
-def _mirror_candidate(pose: RigidTransform) -> RigidTransform:
-    """Second planar-pose interpretation: board normal mirrored across the
-    line of sight to the board origin."""
-    view = pose.translation / max(np.linalg.norm(pose.translation), 1e-12)
-    n = pose.rotation @ np.array([0.0, 0.0, 1.0])
-    n_m = 2.0 * float(view @ n) * view - n
+def _mirror_candidates(poses):
+    """Second planar-pose interpretations: board normal mirrored across the
+    line of sight to the board origin (the pose itself where they coincide)."""
+    t = poses[:, :3, 3]
+    view = t / np.maximum(np.linalg.norm(t, axis=1), 1e-12)[:, None]
+    n = poses[:, :3, 2]  # board normal in the camera frame
+    n_m = 2.0 * (view * n).sum(axis=1)[:, None] * view - n
     axis = np.cross(n, n_m)
-    s = np.linalg.norm(axis)
-    c = np.clip(float(n @ n_m), -1.0, 1.0)
-    if s < 1e-12:
-        return pose
-    w = axis / s * np.arctan2(s, c)
-    return RigidTransform(geometry.rotation_exp(w) @ pose.rotation, pose.translation)
+    s = np.linalg.norm(axis, axis=1)
+    c = np.clip((n * n_m).sum(axis=1), -1.0, 1.0)
+    angle = np.where(s < 1e-12, 0.0, np.arctan2(s, c))
+    out = poses.copy()
+    w = axis / np.maximum(s, 1e-12)[:, None] * angle[:, None]
+    rot = geometry.exp_se3_matrix(np.concatenate([np.zeros_like(w), w], axis=1))[:, :3, :3]
+    out[:, :3, :3] = rot @ poses[:, :3, :3]
+    return out
 
 
-def pnp_jacobian(pose: RigidTransform, obj, k: Intrinsics):
-    """Analytic Jacobian of the stacked reprojection residual w.r.t. a
-    left-multiplied se(3) increment on the pose."""
-    pts = pose.apply(obj)
-    return (geometry.project_jacobian(pts, k.fx, k.fy) @ geometry.point_jacobian(pts)).reshape(-1, 6)
+def _solve(c: _CornerSets):
+    """Board->camera poses (S, 4, 4) minimizing each set's squared corner
+    reprojection error, and each set's error (None where solved)."""
+    count = c.used.sum(axis=1)
+    xy = c.obj[..., :2]
+    mean = (xy * c.used[..., None]).sum(axis=1) / np.maximum(count, 1)[:, None]
+    rank = np.linalg.matrix_rank((xy - mean[:, None]) * c.used[..., None], tol=1e-9)
+    errors = [None] * len(count)
+    for s, (n, rk) in enumerate(zip(count, rank)):
+        if n < 4:
+            errors[s] = InsufficientCorners(f"{n} usable corners, need >= 4")
+        elif rk < 2:
+            errors[s] = DegenerateConfiguration("board corners are collinear")
+    sets = np.array([s for s, e in enumerate(errors) if e is None], dtype=int)
+    poses = np.zeros((len(count), 4, 4))
+    if not sets.size:
+        return poses, errors
 
-
-def _refine(pose, obj, uv, k):
-    res = levenberg_marquardt(
-        pose,
-        # project_many raises NonPositiveDepth for a corner behind the camera: the step is rejected
-        lambda t: (geometry.project_many(k, t.apply(obj)) - uv).ravel(),
-        lambda t: pnp_jacobian(t, obj, k),
-        lambda t, dx: geometry.compose(geometry.exp_se3(dx), t),
-        max_iter=100,
-        gradient_tol=1e-10,
-    )
-    return res.state, res.cost
-
-
-def solve_pnp(corners, spec: TargetSpec, k: Intrinsics) -> RigidTransform:
-    """Board->camera pose minimizing squared corner reprojection error."""
-    obj, uv = _board_points(corners, spec)
-    if len(obj) < 4:
-        raise InsufficientCorners(f"{len(obj)} usable corners, need >= 4")
-    xy = obj[:, :2]
-    centered = xy - xy.mean(axis=0)
-    if np.linalg.matrix_rank(centered, tol=1e-9) < 2:
-        raise DegenerateConfiguration("board corners are collinear")
-
-    h = _homography_dlt(xy, uv)
-    base = _pose_from_homography(h, k)
-    candidates = []
-    for cand in (base, _mirror_candidate(base)):
-        depths = cand.apply(obj)[:, 2]
-        if np.all(depths > geometry.MIN_DEPTH):
-            candidates.append(cand)
-    if not candidates:
-        raise BehindCamera("no pose candidate with all-positive corner depth")
-
-    best, best_cost = None, np.inf
-    for cand in candidates:
-        refined, cost = _refine(cand, obj, uv, k)
-        facing = (refined.rotation @ np.array([0.0, 0.0, 1.0]))[2] < 0
-        key = (cost, 0 if facing else 1)
-        if best is None or key < (best_cost, 0 if best_facing else 1):
-            best, best_cost, best_facing = refined, cost, facing
-    depths = best.apply(obj)[:, 2]
-    if np.any(depths <= geometry.MIN_DEPTH):
-        raise BehindCamera("refined pose leaves corners behind the camera")
-    return best
+    sub = c.take(sets)
+    base = _poses_from_homographies(_homographies(sub), sub.k)
+    cand = np.concatenate([base, _mirror_candidates(base)])  # set k's candidates at k and k + P
+    owner = np.concatenate([sets, sets])
+    live = np.flatnonzero(~_reprojection(cand, c.take(owner))[1])
+    cost = np.full(len(cand), np.inf)
+    if live.size:
+        res = _refine(cand[live], c.take(owner[live]))
+        cand[live], cost[live] = res.state, res.cost
+    p = len(sets)
+    facing = cand[:, 2, 2] < 0  # board front toward the camera: ties go to it
+    mirror = (cost[p:] < cost[:p]) | ((cost[p:] == cost[:p]) & facing[p:] & ~facing[:p])
+    poses[sets] = np.where(mirror[:, None, None], cand[p:], cand[:p])
+    behind = _reprojection(poses[sets], sub)[1]
+    for k, s in enumerate(sets):
+        if np.isinf(cost[k]) and np.isinf(cost[k + p]):
+            errors[s] = BehindCamera("no pose candidate with all-positive corner depth")
+        elif behind[k]:
+            errors[s] = BehindCamera("refined pose leaves corners behind the camera")
+    return poses, errors
 
 
 def derive_circle_centers(t_board_cam: RigidTransform, spec: TargetSpec, k: Intrinsics):
@@ -158,10 +242,21 @@ def derive_circle_centers(t_board_cam: RigidTransform, spec: TargetSpec, k: Intr
     return pts3, pts2
 
 
-def detect_target_camera(corners, spec: TargetSpec, k: Intrinsics) -> CameraDetection:
-    pose = solve_pnp(corners, spec, k)
-    obj, uv = _board_points(corners, spec)
-    proj = geometry.project_many(k, pose.apply(obj))
-    err = float(np.linalg.norm(proj - uv, axis=1).mean())
-    pts3, pts2 = derive_circle_centers(pose, spec, k)
-    return CameraDetection(pose, pts3, pts2, err, len(obj))
+def detect_target_camera(corner_sets, spec: TargetSpec, intrinsics) -> list:
+    """Detections of all corner sets of a run, one PnP batch: for each set
+    (a list of CornerObservation, seen by the camera with the matching entry
+    of `intrinsics`) its CameraDetection, or the InsufficientCorners,
+    DegenerateConfiguration or BehindCamera error that stopped it."""
+    c = _corner_sets(corner_sets, spec, intrinsics)
+    poses, errors = _solve(c)
+    ok = np.array([e is None for e in errors], dtype=bool)
+    err = np.zeros(len(errors))
+    if ok.any():
+        r = np.linalg.norm(_reprojection(poses[ok], c.take(ok))[0], axis=2)
+        err[ok] = r.sum(axis=1) / c.used[ok].sum(axis=1)  # padded residuals are 0
+    out = list(errors)
+    for s in np.flatnonzero(ok):
+        pose = RigidTransform(poses[s, :3, :3], poses[s, :3, 3])
+        pts3, pts2 = derive_circle_centers(pose, spec, intrinsics[s])
+        out[s] = CameraDetection(pose, pts3, pts2, float(err[s]), int(c.used[s].sum()))
+    return out

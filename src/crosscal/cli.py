@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, io_formats, optimizer, sim
-from .camera import CornerObservation, detect_target_camera
+from .camera import detect_target_camera
 from .errors import (
     CrosscalError,
     DisconnectedGraph,
@@ -140,10 +140,11 @@ def cmd_detect(args) -> int:
         log.error("config error: %s", e)
         return EXIT_CONFIG
     data = Path(args.data)
-    records = []
-    warnings = 0
     inputs = [args.config]
     intr = cfg.intrinsics_map()
+    # (sequence, sensor, detection | CrosscalError | index into corner_sets),
+    # in the order the records are written; cameras are detected in one batch
+    slots, corner_sets, cameras = [], [], []
     for seq_dir in sorted(data.glob("seq_*")):
         seq = int(seq_dir.name.split("_")[1])
         for cloud_path in sorted(seq_dir.glob("cloud_lidar*.ply")):
@@ -153,27 +154,35 @@ def cmd_detect(args) -> int:
                 cloud = io_formats.read_cloud(cloud_path)
                 init_path = seq_dir / f"init_{sensor}.json"
                 if init_path.exists():
-                    with open(init_path) as f:
-                        t_init = io_formats.pose_from_json(json.load(f)["pose"])
+                    t_init = io_formats.read_board_init(init_path)
                 else:
                     t_init = rough_board_pose(cloud, cfg.lidar_params)
-                det = detect_target_lidar(cloud, cfg.target, t_init, cfg.lidar_params)
-                records.append(DetectionRecord(seq, sensor, det))
+                out = detect_target_lidar(cloud, cfg.target, t_init, cfg.lidar_params)
             except CrosscalError as e:
-                log.warning("sequence %d %s: detection failed: %s", seq, sensor, e)
-                warnings += 1
+                out = e
+            slots.append((seq, sensor, out))
         for corner_path in sorted(seq_dir.glob("corners_camera*.json")):
             sensor = SensorId("camera", int(corner_path.stem.replace("corners_camera", "")))
             inputs.append(corner_path)
             try:
-                with open(corner_path) as f:
-                    doc = json.load(f)
-                corners = [CornerObservation(int(c["id"]), tuple(c["uv"])) for c in doc["corners"]]
-                det = detect_target_camera(corners, cfg.target, intr[sensor])
-                records.append(DetectionRecord(seq, sensor, det))
+                corners = io_formats.read_corners(corner_path)
+                cameras.append(intr[sensor])
+                corner_sets.append(corners)
+                out = len(corner_sets) - 1
             except CrosscalError as e:
-                log.warning("sequence %d %s: detection failed: %s", seq, sensor, e)
-                warnings += 1
+                out = e
+            slots.append((seq, sensor, out))
+    detected = detect_target_camera(corner_sets, cfg.target, cameras)
+    records = []
+    warnings = 0
+    for seq, sensor, out in slots:
+        if isinstance(out, int):
+            out = detected[out]
+        if isinstance(out, CrosscalError):
+            log.warning("sequence %d %s: detection failed: %s", seq, sensor, out)
+            warnings += 1
+        else:
+            records.append(DetectionRecord(seq, sensor, out))
     if not records:
         log.error("no detections succeeded under %s", data)
         return EXIT_NO_DETECTIONS

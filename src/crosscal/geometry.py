@@ -213,6 +213,28 @@ def exp_se3(xi: np.ndarray) -> RigidTransform:
     return RigidTransform(r, jac @ v)
 
 
+def exp_se3_matrix(xi: np.ndarray) -> np.ndarray:
+    """SE(3) exponentials, as (..., 4, 4) homogeneous matrices, of 6-vectors
+    (..., 6) (v, w): the batched `exp_se3`. Its rounding differs from the
+    scalar `exp_se3` and `rotation_exp` (`theta**2` of a scalar goes through
+    libm's pow), which stay as they are so that simulated data keep their bits."""
+    xi = np.asarray(xi, dtype=float)
+    v, w = xi[..., :3], xi[..., 3:]
+    theta = np.linalg.norm(w, axis=-1)[..., None, None]
+    k = skew(w)
+    kk = k @ k
+    small = theta < 1e-8
+    t = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0, np.sin(t) / t)
+    b = np.where(small, 0.5, (1.0 - np.cos(t)) / t**2)
+    c = np.where(small, 1.0 / 6.0, (t - np.sin(t)) / t**3)
+    m = np.zeros(xi.shape[:-1] + (4, 4))
+    m[..., :3, :3] = np.eye(3) + a * k + b * kk
+    m[..., :3, 3] = ((np.eye(3) + b * k + c * kk) @ v[..., None])[..., 0]
+    m[..., 3, 3] = 1.0
+    return m
+
+
 def log_se3(t: RigidTransform) -> np.ndarray:
     """Inverse of exp_se3; raises NearPiRotation at angle >= pi - 1e-6."""
     w = rotation_log(t.rotation)
@@ -241,7 +263,7 @@ def rotation_angle(r: np.ndarray) -> float:
 
 
 def orthonormalize(r: np.ndarray) -> np.ndarray:
-    """Nearest rotation matrix (Frobenius) via SVD; fixes small drift."""
+    """Nearest rotation matrices (Frobenius) via SVD of (..., 3, 3); fixes small drift."""
     u, _, vt = np.linalg.svd(np.asarray(r, dtype=float))
-    d = np.sign(np.linalg.det(u @ vt))
-    return u @ np.diag([1.0, 1.0, d]) @ vt
+    u[..., 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
+    return u @ vt

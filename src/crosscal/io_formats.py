@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
-from .camera import CameraDetection
+from .camera import CameraDetection, CornerObservation
 from .errors import IoError, MissingField, ParseError, SchemaVersionMismatch, UnsupportedFormat
 from .geometry import Intrinsics, RigidTransform
 from .lidar import LidarDetection, LidarParams
@@ -209,6 +209,42 @@ def pose_to_json(t: RigidTransform) -> dict:
 def pose_from_json(d: dict) -> RigidTransform:
     rot = geometry.rotation_from_euler_xyz(*d["euler_xyz_deg"])
     return RigidTransform(rot, np.asarray(d["translation"], dtype=float))
+
+
+def _load_json(path):
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as e:
+            raise ParseError(e.msg, line=e.lineno) from e
+        except UnicodeDecodeError as e:
+            raise ParseError(str(e)) from e
+
+
+def read_corners(path) -> list:
+    """A camera's checker-corner detections, [CornerObservation], from a
+    `corners_camera*.json` file: {"corners": [{"id": int, "uv": [u, v]}, ...]}."""
+    doc = _load_json(path)
+    try:
+        return [
+            CornerObservation(int(c["id"]), (float(c["uv"][0]), float(c["uv"][1])))
+            for c in doc["corners"]
+        ]
+    except KeyError as e:
+        raise MissingField(f"{e} in {Path(path).name}") from e
+    except (TypeError, ValueError, IndexError) as e:
+        raise ParseError(f"malformed corner in {Path(path).name}: {e}") from e
+
+
+def read_board_init(path) -> RigidTransform:
+    """A LiDAR's rough board pose from an `init_lidar*.json` file: {"pose": pose}."""
+    doc = _load_json(path)
+    try:
+        return pose_from_json(doc["pose"])
+    except KeyError as e:
+        raise MissingField(f"{e} in {Path(path).name}") from e
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"malformed pose in {Path(path).name}: {e}") from e
 
 
 def sensor_to_json(s: SensorId) -> dict:
@@ -427,12 +463,7 @@ def config_from_json(doc: dict) -> ConfigFile:
 
 
 def read_config(path) -> ConfigFile:
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ParseError(e.msg, line=e.lineno) from e
-    return config_from_json(doc)
+    return config_from_json(_load_json(path))
 
 
 def write_config(path, cfg: ConfigFile):

@@ -60,7 +60,6 @@ class SolveParams:
     camera_residual_weight: float | None = None  # default 1/fx per camera
     lidar_residual_weight: float = 1.0
     huber_delta: float | None = None
-    include_camera_self_terms: bool = True
 
 
 @dataclass(frozen=True)
@@ -236,8 +235,8 @@ def _term_table(p: CalibrationProblem) -> _TermTable:
         lids = [s for s in present if s.kind == "lidar"]
         rec = {s: len(records) + n for n, s in enumerate(present)}
         records += [(q, s) for s in present]
-        pairs = [(i, j, 0) for j in present if j not in lids for i in present]
-        pairs = [t for t in pairs if t[0] != t[1] or sp.include_camera_self_terms]
+        # a camera's own centers project exactly onto its own pixels: no self terms
+        pairs = [(i, j, 0) for j in present if j not in lids for i in present if i != j]
         pairs += [(i, j, 1) for n, i in enumerate(lids) for j in lids[n + 1 :]]
         for i, j, kind in pairs:
             terms[kind].append((p.sensors.index(i), p.sensors.index(j), rec[i], rec[j], row))
@@ -273,7 +272,7 @@ def _camera_blocks(tab: _TermTable, t: _Terms, rot, trans, jac: bool):
         return block, None, None, int(behind.sum())
     rjt = rot[t.j, None].transpose(0, 1, 3, 2)
     core = (w[..., None, None] * geometry.project_jacobian(q, fx, fy)) @ rjt @ geometry.point_jacobian(y)
-    core[behind | (t.i == t.j)[:, None]] = 0.0  # capped rows; self terms do not move
+    core[behind] = 0.0  # capped rows
     return block, core.reshape(-1, 8, 6), -core.reshape(-1, 8, 6), int(behind.sum())
 
 

@@ -1,6 +1,8 @@
 """Shared helpers: random transforms, oracle/real detection builders, and
 the acceptance-line recorder printed in the terminal summary."""
 
+from pathlib import Path
+
 import numpy as np
 
 from crosscal import geometry, sim
@@ -19,6 +21,41 @@ def record_acceptance(name, ok, detail=""):
     ACCEPTANCE_LINES.append(line)
     print(line)
     return line
+
+
+class SuiteOutcomes:
+    """Outcomes of the test modules run in this session, by file name, for
+    the acceptance criteria (marked `suite_criterion`) that summarize a whole
+    module; those criteria run after every other test."""
+
+    def __init__(self):
+        self.modules = {}  # file name -> {"passed": n, "skipped": n, "failed": [node ids]}
+
+    def pytest_collection_modifyitems(self, items):
+        items.sort(key=lambda item: item.get_closest_marker("suite_criterion") is not None)
+
+    def pytest_collection_finish(self, session):
+        for item in session.items:
+            if item.get_closest_marker("suite_criterion") is None:
+                self.modules.setdefault(item.path.name, {"passed": 0, "skipped": 0, "failed": []})
+
+    def pytest_runtest_logreport(self, report):
+        out = self.modules.get(Path(report.nodeid.split("::")[0]).name)
+        if out is None:
+            return
+        if report.failed:
+            out["failed"].append(report.nodeid)
+        elif report.skipped:
+            out["skipped"] += 1
+        elif report.when == "call":
+            out["passed"] += 1
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "suite_criterion: acceptance criterion over a whole test module; runs last"
+    )
+    config.pluginmanager.register(SuiteOutcomes(), "suite-outcomes")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -107,28 +144,48 @@ def oracle_observations(scene):
     return out
 
 
+def solve_pnp(corners, spec, k):
+    """Board->camera pose of one corner set, through the batched detector;
+    raises the set's error."""
+    (out,) = detect_target_camera([corners], spec, [k])
+    if isinstance(out, CrosscalError):
+        raise out
+    return out.pose
+
+
 def detect_observations(scene, lp=None):
-    """Run the real detectors on rendered data, in process (no files)."""
+    """Run the real detectors on rendered data, in process (no files); the
+    camera detections of the scene in one batch, as `detect` runs them."""
     lp = lp or LidarParams()
-    out = []
-    for seq in range(len(scene.board_poses)):
-        obs = {}
-        for s in scene.sensor_ids:
-            if not sim.sensor_sees_board(scene, s, seq):
-                continue
+    seen = [
+        (seq, s)
+        for seq in range(len(scene.board_poses))
+        for s in scene.sensor_ids
+        if sim.sensor_sees_board(scene, s, seq)
+    ]
+    cams = [(seq, s) for seq, s in seen if s.kind == "camera"]
+    outcome = dict(
+        zip(
+            cams,
+            detect_target_camera(
+                [sim.render_camera(scene, s, seq) for seq, s in cams],
+                scene.spec,
+                [scene.intrinsics[s] for _, s in cams],
+            ),
+        )
+    )
+    obs = [{} for _ in scene.board_poses]
+    for seq, s in seen:
+        if s.kind == "lidar":
+            cloud = sim.render_lidar(scene, s, seq)
+            t_init = sim.perturbed_board_init(scene, s, seq)
             try:
-                if s.kind == "lidar":
-                    cloud = sim.render_lidar(scene, s, seq)
-                    t_init = sim.perturbed_board_init(scene, s, seq)
-                    obs[s] = detect_target_lidar(cloud, scene.spec, t_init, lp)
-                else:
-                    corners = sim.render_camera(scene, s, seq)
-                    obs[s] = detect_target_camera(corners, scene.spec, scene.intrinsics[s])
-            except CrosscalError:
-                continue
-        if len(obs) >= 2:
-            out.append(SequenceObservations(seq, obs))
-    return out
+                outcome[seq, s] = detect_target_lidar(cloud, scene.spec, t_init, lp)
+            except CrosscalError as e:
+                outcome[seq, s] = e
+        if not isinstance(outcome[seq, s], CrosscalError):
+            obs[seq][s] = outcome[seq, s]
+    return [SequenceObservations(seq, o) for seq, o in enumerate(obs) if len(o) >= 2]
 
 
 def pose_errors(result, scene):

@@ -270,7 +270,19 @@ def test_consistency_pairwise_finite_on_noise(noisy_runs):
 
 # --- unit-suite criteria (delegated to the dedicated suites) ----------------
 
-def _run_suite(name, path):
+def _run_suite(request, name, path):
+    """The suite's outcome in this session, where it ran (the criteria run
+    after every other test); otherwise from a pytest subprocess."""
+    seen = request.config.pluginmanager.get_plugin("suite-outcomes").modules.get(path.name)
+    if seen is not None:
+        ok = seen["passed"] > 0 and not seen["failed"]
+        tail = (
+            f"{seen['passed']} passed, {seen['skipped']} skipped, "
+            f"{len(seen['failed'])} failed in this session"
+        )
+        record_acceptance(name, ok, tail)
+        assert ok, "failed: " + ", ".join(seen["failed"])
+        return
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(path)],
         capture_output=True,
@@ -283,8 +295,10 @@ def _run_suite(name, path):
     assert ok, proc.stdout + proc.stderr
 
 
-def test_algorithm1_unit_suite():
+@pytest.mark.suite_criterion
+def test_algorithm1_unit_suite(request):
     _run_suite(
+        request,
         "algorithm1-unit-suite (filter/match/occupancy brute force x100, RANSAC "
         "20% outliers < 0.5 deg, normalize 1e-9 incl vertical, r=200 grid, "
         "exact circle cell shifts)",
@@ -292,15 +306,19 @@ def test_algorithm1_unit_suite():
     )
 
 
-def test_pnp_unit_suite():
+@pytest.mark.suite_criterion
+def test_pnp_unit_suite(request):
     _run_suite(
+        request,
         "pnp-unit-suite (exact < 1e-6, Jacobian vs FD < 1e-4, ambiguity 100 configs)",
         Path(__file__).parent / "test_camera_pipeline.py",
     )
 
 
-def test_optimizer_unit_suite():
+@pytest.mark.suite_criterion
+def test_optimizer_unit_suite(request):
     _run_suite(
+        request,
         "optimizer-unit-suite (cost monotonicity, gauge invariance 1e-9, "
         "ordering recovery 100/100)",
         Path(__file__).parent / "test_optimizer.py",

@@ -4,16 +4,15 @@ center derivation, simulator round-trip."""
 import numpy as np
 import pytest
 
-from conftest import lm_without_reduction_stop
-from crosscal import camera, geometry, sim
+from conftest import lm_without_reduction_stop, solve_pnp
+from crosscal import geometry, sim
 from crosscal.camera import (
     CornerObservation,
     derive_circle_centers,
     detect_target_camera,
     pnp_jacobian,
-    solve_pnp,
 )
-from crosscal.errors import DegenerateConfiguration, InsufficientCorners
+from crosscal.errors import DegenerateConfiguration, InsufficientCorners, NonPositiveDepth
 from crosscal.geometry import Intrinsics, RigidTransform
 from crosscal.lm import levenberg_marquardt
 from crosscal.optimizer import SensorId
@@ -21,6 +20,7 @@ from crosscal.target import TargetSpec, checker_corners_board, circle_centers_bo
 
 K = Intrinsics(700.0, 700.0, 639.5, 359.5, 1280, 720)
 SPEC = TargetSpec()
+OBJ = np.array([p for _, p in checker_corners_board(SPEC)])  # all corners, id order
 
 # board facing the camera (board +z toward the camera) at 3 m
 _FACING = geometry.rot_x(np.pi)
@@ -103,19 +103,19 @@ def test_noisy_pnp_lm_stops_at_the_cost_rounding_floor():
     old_tails = []
     for _ in range(12):
         truth = board_pose(rng, dist=5.0)
-        obj, uv = camera._board_points(synth_corners(truth, noise=0.5, rng=rng), SPEC)
+        uv = np.array([c.pixel for c in synth_corners(truth, noise=0.5, rng=rng)])
         start = geometry.compose(geometry.exp_se3(rng.normal(0.0, 0.02, 6)), truth)
         costs = []
 
         def residual(t):
-            r = (geometry.project_many(K, t.apply(obj)) - uv).ravel()
+            r = (geometry.project_many(K, t.apply(OBJ)) - uv).ravel()
             costs.append(0.5 * float(r @ r))
             return r
 
         def plus(t, dx):
             return geometry.compose(geometry.exp_se3(dx), t)
 
-        args = (residual, lambda t: pnp_jacobian(t, obj, K), plus)
+        args = (residual, lambda t: pnp_jacobian(t.apply(OBJ), K.fx, K.fy), plus)
         res = levenberg_marquardt(start, *args, gradient_tol=1e-10)
         assert _rejected_trials(costs)[1] <= 2
         costs.clear()
@@ -126,14 +126,123 @@ def test_noisy_pnp_lm_stops_at_the_cost_rounding_floor():
     assert np.median(old_tails) >= 10
 
 
+def _project(poses):
+    """Pixels (P, 49, 2) of all board corners under poses (P, 4, 4), whether
+    any corner is behind the camera, and the camera-frame corners."""
+    pts = OBJ @ poses[:, :3, :3].transpose(0, 2, 1) + poses[:, None, :3, 3]
+    behind = (pts[..., 2] <= geometry.MIN_DEPTH).any(axis=1)
+    return K.fx * pts[..., :2] / pts[..., 2:] + (K.cx, K.cy), behind, pts
+
+
+def _matrix(t):
+    return np.vstack([np.column_stack([t.rotation, t.translation]), [0.0, 0.0, 0.0, 1.0]])
+
+
+def test_batched_lm_matches_problems_solved_one_at_a_time():
+    """PnP problems solved in one lock-step batch against the same problems
+    solved one at a time by the unbatched call: cost within 1e-9 relative,
+    pose within 1e-6, the same stop verdicts and the same total iterations.
+    The batch mixes a problem that starts at its optimum (gradient 0), noisy
+    boards at 2-6 m, and boards at 0.4-1 m from far-off starts: some of these
+    try steps that put corners behind the camera, which the batch rejects
+    through an infinite residual and the unbatched call through
+    NonPositiveDepth, and some run to max_iter."""
+    rng = np.random.default_rng(1)
+    starts, uv = [], []
+    for n in range(48):
+        near = n >= 8
+        truth = _matrix(board_pose(rng, dist=rng.uniform(0.4, 1.0) if near else rng.uniform(2.0, 6.0)))
+        sigma = np.repeat((0.2, 0.6) if near else (0.02, 0.02), 3)
+        start = geometry.exp_se3_matrix(rng.normal(0.0, sigma)) @ truth
+        pixels = _project((start if n == 0 else truth)[None])[0][0]
+        if _project(start[None])[1][0]:
+            continue
+        starts.append(start)
+        uv.append(pixels + (0.0 if n == 0 else rng.normal(0.0, 0.5, pixels.shape)))
+    starts, uv = np.array(starts), np.array(uv)
+
+    def jacobian(states, rows):
+        return pnp_jacobian(_project(states)[2], K.fx, K.fy)
+
+    def residual(states, rows):
+        pixels, behind, _ = _project(states)
+        r = (pixels - uv[rows]).reshape(len(rows), -1)
+        r[behind] = np.inf
+        return r
+
+    def plus(states, dx):
+        return geometry.exp_se3_matrix(dx) @ states
+
+    options = {"max_iter": 10, "gradient_tol": 1e-10}
+    batch = levenberg_marquardt(starts.copy(), residual, jacobian, plus, batched=True, **options)
+    singles, raised = [], 0
+    for k, start in enumerate(starts):
+
+        def residual_one(state):
+            nonlocal raised
+            r = residual(state[None], [k])
+            if not np.isfinite(r).all():
+                raised += 1
+                raise NonPositiveDepth("trial corner behind the camera")
+            return r[0]
+
+        singles.append(
+            levenberg_marquardt(
+                start,
+                residual_one,
+                lambda s: jacobian(s[None], [k])[0],
+                lambda s, dx: plus(s[None], dx[None])[0],
+                **options,
+            )
+        )
+    cost = np.array([r.cost for r in singles])
+    assert np.all(np.abs(batch.cost - cost) <= 1e-9 * cost)
+    assert np.abs(batch.state - np.array([r.state for r in singles])).max() <= 1e-6
+    assert list(batch.converged) == [r.converged for r in singles]
+    assert batch.iterations == sum(r.iterations for r in singles)
+    assert [len(h) for h in batch.cost_history] == [len(r.cost_history) for r in singles]
+    # the mixture the batch was built for
+    assert singles[0].iterations == 1 and singles[0].converged and singles[0].cost == 0.0
+    assert raised > 0
+    assert any(r.iterations == options["max_iter"] and not r.converged for r in singles)
+    assert sum(r.converged for r in singles) > len(singles) // 2
+
+
+def test_detect_batch_matches_sets_detected_alone():
+    """Corner sets of different sizes, and sets that fail, detected in one
+    call: each set gets what it gets alone, the failures their typed errors
+    in place."""
+    rng = np.random.default_rng(9)
+    sets = []
+    for n in range(8):
+        truth = board_pose(rng, dist=rng.uniform(1.5, 6.0))
+        ids = None if n % 2 else list(rng.choice(49, size=rng.integers(8, 40), replace=False))
+        sets.append(synth_corners(truth, ids=ids, noise=0.5, rng=rng))
+    sets.insert(3, synth_corners(board_pose(), ids=[0, 1, 2]))
+    sets.insert(6, synth_corners(board_pose(), ids=list(range(7))))  # one board row
+    k2 = Intrinsics(900.0, 880.0, 640.0, 360.0, 1280, 720)
+    cams = [K if n % 3 else k2 for n in range(len(sets))]
+    together = detect_target_camera(sets, SPEC, cams)
+    assert isinstance(together[3], InsufficientCorners)
+    assert isinstance(together[6], DegenerateConfiguration)
+    for corners, k, det in zip(sets, cams, together):
+        (alone,) = detect_target_camera([corners], SPEC, [k])
+        if isinstance(alone, Exception):
+            assert type(det) is type(alone)
+            continue
+        assert np.abs(det.pose.matrix() - alone.pose.matrix()).max() < 1e-9
+        assert det.corners_used == alone.corners_used == len(corners)
+        assert det.reprojection_error == pytest.approx(alone.reprojection_error, rel=1e-9)
+        assert np.allclose(det.centers_2d, alone.centers_2d, rtol=0, atol=1e-6)
+
+
 def test_too_few_corners():
     truth = board_pose()
     with pytest.raises(InsufficientCorners):
         solve_pnp(synth_corners(truth, ids=[0, 1, 2]), SPEC, K)
     with pytest.raises(InsufficientCorners):
         solve_pnp([], SPEC, K)
-    with pytest.raises(InsufficientCorners):
-        detect_target_camera([], SPEC, K)
+    assert isinstance(detect_target_camera([[]], SPEC, [K])[0], InsufficientCorners)
 
 
 def test_collinear_corners_degenerate():
@@ -157,7 +266,7 @@ def test_jacobian_matches_central_differences():
     eps = 1e-6
     for _ in range(100):
         pose = board_pose(rng)
-        jac = pnp_jacobian(pose, obj, K)
+        jac = pnp_jacobian(pose.apply(obj), K.fx, K.fy)
         num = np.zeros_like(jac)
 
         def residual(t):
@@ -223,10 +332,11 @@ def test_derive_circle_centers_random_pose_oracle():
 def test_detection_reports_error_and_count():
     rng = np.random.default_rng(7)
     truth = board_pose(rng)
-    det = detect_target_camera(synth_corners(truth, noise=0.3, rng=rng), SPEC, K)
+    det, det0 = detect_target_camera(
+        [synth_corners(truth, noise=0.3, rng=rng), synth_corners(truth)], SPEC, [K, K]
+    )
     assert det.corners_used == 49
     assert 0.0 < det.reprojection_error < 2.0
-    det0 = detect_target_camera(synth_corners(truth), SPEC, K)
     assert det0.reprojection_error < 1e-8
 
 
@@ -238,7 +348,7 @@ def test_simulator_round_trip_noise_free():
         if not sim.sensor_sees_board(scene, cam, seq):
             continue
         corners = sim.render_camera(scene, cam, seq)
-        det = detect_target_camera(corners, scene.spec, scene.intrinsics[cam])
+        (det,) = detect_target_camera([corners], scene.spec, [scene.intrinsics[cam]])
         truth = gt.board_in_sensor(cam, seq)
         dt, dr = pose_delta(truth, det.pose)
         assert dt < 1e-6 and dr < 1e-6

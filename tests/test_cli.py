@@ -164,6 +164,34 @@ def test_detect_partial_failure_warns_but_succeeds(ws, tmp_path):
     assert not any(r.sequence == 0 and r.sensor == SensorId("lidar", 0) for r in recs)
 
 
+@pytest.mark.parametrize(
+    "pattern, content",
+    [
+        ("corners_camera*.json", '{"sensor": {"kind": "camera", "index": 0}}'),  # no "corners"
+        ("corners_camera*.json", "{not json"),
+        ("init_lidar*.json", '{"pose": {"translation": [0, 0, 1]}}'),  # no "euler_xyz_deg"
+        ("init_lidar*.json", "[]"),
+    ],
+    ids=["corners-missing-key", "corners-not-json", "init-missing-key", "init-not-an-object"],
+)
+def test_detect_malformed_input_file_costs_only_its_detection(ws, tmp_path, pattern, content):
+    data2 = tmp_path / "data"
+    shutil.copytree(ws["data"], data2)
+    victim = sorted((data2 / "seq_001").glob(pattern))[0]
+    victim.write_text(content)
+    sensor = victim.stem.split("_")[1]
+    out = tmp_path / "d.json"
+    rc = cli.main(
+        ["detect", "--config", str(ws["config"]), "--data", str(data2), "--out", str(out)]
+    )
+    assert rc == 0
+    assert json.loads((out.parent / "manifest.json").read_text())["warnings"] == 1
+    keys = [(r.sequence, str(r.sensor)) for r in io_formats.read_detections(ws["det"])]
+    assert [(r.sequence, str(r.sensor)) for r in io_formats.read_detections(out)] == [
+        k for k in keys if k != (1, sensor)
+    ]
+
+
 def test_detect_repeat_byte_identical(ws, tmp_path):
     out2 = tmp_path / "d2.json"
     rc = cli.main(

@@ -212,24 +212,10 @@ def test_residual_length_matches_enumeration_formula():
     for seq in p.sequences:
         n_cam = sum(1 for s in seq.observations if s.kind == "camera")
         n_lid = len(seq.observations) - n_cam
-        expected += 8 * n_cam * n_cam  # ordered camera pairs incl self
+        expected += 8 * n_cam * (n_cam - 1)  # ordered camera pairs, no self terms
         expected += 8 * n_lid * n_cam  # lidar -> camera
         expected += 12 * (n_lid * (n_lid - 1) // 2)  # unordered lidar pairs
     assert len(r) == expected
-
-
-def test_camera_self_terms_can_be_disabled():
-    scene = _scene()
-    p_on = _problem(scene)
-    p_off = _problem(
-        scene, params=optimizer.SolveParams(include_camera_self_terms=False)
-    )
-    r_on, _ = residuals(p_on, _gt_poses(scene, CAM0))
-    r_off, _ = residuals(p_off, _gt_poses(scene, CAM0))
-    n_self = sum(
-        8 for seq in p_on.sequences for s in seq.observations if s.kind == "camera"
-    )
-    assert len(r_on) - len(r_off) == n_self
 
 
 # --- jacobian ---------------------------------------------------------------
@@ -309,8 +295,8 @@ def test_centers_behind_a_camera_are_capped_flagged_and_constant():
     }
     r, flags = residuals(p, poses)
     assert flags == 4
-    # rows: camera0's terms from camera0, camera1, lidar0 (0-23), then camera1's (24-47)
-    capped = [row for base in (24, 40) for c in (0, 3) for row in (base + 2 * c, base + 2 * c + 1)]
+    # rows: camera0's terms from camera1, lidar0 (0-15), then camera1's from camera0, lidar0 (16-31)
+    capped = [row for base in (16, 24) for c in (0, 3) for row in (base + 2 * c, base + 2 * c + 1)]
     cap = np.hypot(k.width, k.height) / k.fx / np.sqrt(2.0)
     assert np.allclose(r[capped], cap, rtol=1e-15)
     jac = jacobian(p, poses)

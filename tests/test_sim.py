@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import solve_pnp
 from crosscal import geometry, sim
-from crosscal.camera import solve_pnp
 from crosscal.errors import InfeasibleLayout
 from crosscal.geometry import RigidTransform
 from crosscal.optimizer import SensorId

@@ -11,7 +11,9 @@ import argparse
 import hashlib
 import json
 import logging
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__, io_formats, optimizer, sim
@@ -24,6 +26,7 @@ from .errors import (
     ParseError,
     SchemaVersionMismatch,
     SolverNotConverged,
+    UnknownSensor,
 )
 from .io_formats import DetectionRecord
 from .lidar import detect_target_lidar, rough_board_pose
@@ -133,6 +136,44 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _detect_lidar(cloud_path, init_path, cfg):
+    """One LiDAR board detection, reads of its cloud and init included; a
+    CrosscalError is returned as the outcome, any other exception propagates."""
+    try:
+        cloud = io_formats.read_cloud(cloud_path)
+        if init_path.exists():
+            t_init = io_formats.read_board_init(init_path)
+        else:
+            t_init = rough_board_pose(cloud, cfg.lidar_params)
+        return detect_target_lidar(cloud, cfg.target, t_init, cfg.lidar_params)
+    except CrosscalError as e:
+        return e
+
+
+def _detect_lidars(jobs, cfg) -> list:
+    """The outcomes of the (cloud path, init path) `jobs`, in their order.
+
+    The detections are independent, so they run on a thread pool sized to
+    the usable CPUs: KD-tree queries and numpy's array loops release the
+    GIL. Each job reads its own cloud, so at most one cloud per worker is
+    alive at once."""
+    if not jobs:
+        return []
+    pool = ThreadPoolExecutor(max_workers=min(len(jobs), _usable_cpus()))
+    try:
+        futures = [pool.submit(_detect_lidar, *job, cfg) for job in jobs]
+        return [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def cmd_detect(args) -> int:
     try:
         cfg = _load_config(args.config)
@@ -142,42 +183,44 @@ def cmd_detect(args) -> int:
     data = Path(args.data)
     inputs = [args.config]
     intr = cfg.intrinsics_map()
-    # (sequence, sensor, detection | CrosscalError | index into corner_sets),
-    # in the order the records are written; cameras are detected in one batch
-    slots, corner_sets, cameras = [], [], []
+    lidars = {s.sensor for s in cfg.lidars()}
+    # (sequence, sensor, detection | CrosscalError | index into lidar_jobs
+    # or corner_sets), in the order the records are written; LiDARs are
+    # detected on a thread pool and cameras in one batch
+    slots, lidar_jobs, corner_sets, cameras = [], [], [], []
     for seq_dir in sorted(data.glob("seq_*")):
         seq = int(seq_dir.name.split("_")[1])
         for cloud_path in sorted(seq_dir.glob("cloud_lidar*.ply")):
             sensor = SensorId("lidar", int(cloud_path.stem.replace("cloud_lidar", "")))
             inputs.append(cloud_path)
-            try:
-                cloud = io_formats.read_cloud(cloud_path)
-                init_path = seq_dir / f"init_{sensor}.json"
-                if init_path.exists():
-                    t_init = io_formats.read_board_init(init_path)
-                else:
-                    t_init = rough_board_pose(cloud, cfg.lidar_params)
-                out = detect_target_lidar(cloud, cfg.target, t_init, cfg.lidar_params)
-            except CrosscalError as e:
-                out = e
+            if sensor in lidars:
+                lidar_jobs.append((cloud_path, seq_dir / f"init_{sensor}.json"))
+                out = len(lidar_jobs) - 1
+            else:
+                out = UnknownSensor(f"{sensor} is not in the config")
             slots.append((seq, sensor, out))
         for corner_path in sorted(seq_dir.glob("corners_camera*.json")):
             sensor = SensorId("camera", int(corner_path.stem.replace("corners_camera", "")))
             inputs.append(corner_path)
-            try:
-                corners = io_formats.read_corners(corner_path)
-                cameras.append(intr[sensor])
-                corner_sets.append(corners)
-                out = len(corner_sets) - 1
-            except CrosscalError as e:
-                out = e
+            if sensor not in intr:
+                out = UnknownSensor(f"{sensor} is not in the config")
+            else:
+                try:
+                    corner_sets.append(io_formats.read_corners(corner_path))
+                    cameras.append(intr[sensor])
+                    out = len(corner_sets) - 1
+                except CrosscalError as e:
+                    out = e
             slots.append((seq, sensor, out))
-    detected = detect_target_camera(corner_sets, cfg.target, cameras)
+    detected = {
+        "lidar": _detect_lidars(lidar_jobs, cfg),
+        "camera": detect_target_camera(corner_sets, cfg.target, cameras),
+    }
     records = []
     warnings = 0
     for seq, sensor, out in slots:
         if isinstance(out, int):
-            out = detected[out]
+            out = detected[sensor.kind][out]
         if isinstance(out, CrosscalError):
             log.warning("sequence %d %s: detection failed: %s", seq, sensor, out)
             warnings += 1

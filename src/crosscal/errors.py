@@ -114,7 +114,8 @@ class SolverNotConverged(CrosscalError):
 
 
 class UnknownSensor(CrosscalError):
-    """Consistency chain references a sensor absent from the result."""
+    """A sensor absent from the config, or a consistency chain that
+    references a sensor absent from the result."""
 
 
 # --- simulator --------------------------------------------------------------

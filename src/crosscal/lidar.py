@@ -9,6 +9,7 @@ bit-deterministic.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -119,9 +120,19 @@ def _point_normals(pts: np.ndarray, tree: cKDTree, k: int = 20):
     return v[:, :, 0]
 
 
-@lru_cache(maxsize=8)
+_board_model_lock = threading.Lock()
+
+
 def _board_model(spec: TargetSpec, mask_pitch: float):
-    """Board mask cloud and its point normals, built once per (spec, pitch)."""
+    """Board mask cloud and its point normals, built once per (spec, pitch),
+    even when several threads miss the cache at once: `lru_cache` does not
+    serialise misses, so the lookup runs under a lock."""
+    with _board_model_lock:
+        return _build_board_model(spec, mask_pitch)
+
+
+@lru_cache(maxsize=8)
+def _build_board_model(spec: TargetSpec, mask_pitch: float):
     mask = generate_mask_cloud(spec, mask_pitch)
     normals = _point_normals(mask, cKDTree(mask))
     mask.flags.writeable = normals.flags.writeable = False

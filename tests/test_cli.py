@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import crosscal
-from crosscal import cli, geometry, io_formats, optimizer
+from crosscal import cli, geometry, io_formats, lidar, optimizer
 from crosscal.camera import CameraDetection
 from crosscal.errors import SolverNotConverged
 from crosscal.geometry import RigidTransform
@@ -190,6 +191,119 @@ def test_detect_malformed_input_file_costs_only_its_detection(ws, tmp_path, patt
     assert [(r.sequence, str(r.sensor)) for r in io_formats.read_detections(out)] == [
         k for k in keys if k != (1, sensor)
     ]
+
+
+@pytest.mark.parametrize(
+    "sensor, copies",
+    [
+        ("camera7", {"corners_camera*.json": "corners_camera7.json"}),
+        ("lidar5", {"cloud_lidar*.ply": "cloud_lidar5.ply", "init_lidar*.json": "init_lidar5.json"}),
+    ],
+)
+def test_detect_file_of_unlisted_sensor_costs_only_its_detection(
+    ws, tmp_path, monkeypatch, caplog, sensor, copies
+):
+    data2 = tmp_path / "data"
+    shutil.copytree(ws["data"], data2)
+    for pattern, name in copies.items():
+        shutil.copy(sorted((data2 / "seq_001").glob(pattern))[0], data2 / "seq_001" / name)
+    read = []
+    read_cloud = io_formats.read_cloud
+    monkeypatch.setattr(io_formats, "read_cloud", lambda path: read.append(path) or read_cloud(path))
+    out = tmp_path / "d.json"
+    with caplog.at_level(logging.WARNING, logger="crosscal"):
+        rc = cli.main(
+            ["detect", "--config", str(ws["config"]), "--data", str(data2), "--out", str(out)]
+        )
+    assert rc == 0
+    assert json.loads((out.parent / "manifest.json").read_text())["warnings"] == 1
+    assert f"{sensor} is not in the config" in caplog.text
+    assert out.read_bytes() == ws["det"].read_bytes()
+    assert len(read) == 8 and not any("lidar5" in str(p) for p in read)
+
+
+def _detect(ws, out):
+    return cli.main(
+        ["detect", "--config", str(ws["config"]), "--data", str(ws["data"]), "--out", str(out)]
+    )
+
+
+def test_detect_on_one_worker_byte_identical_to_pool(ws, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    out = tmp_path / "d1.json"
+    assert _detect(ws, out) == 0
+    assert out.read_bytes() == ws["det"].read_bytes()
+
+
+def test_detect_builds_board_model_once_on_more_workers_than_cores(ws, tmp_path, monkeypatch):
+    """Eight workers on eight clouds miss the board model's cache together;
+    a short switch interval makes them interleave as often as they can."""
+    built = []
+    generate = lidar.generate_mask_cloud
+    monkeypatch.setattr(lidar, "generate_mask_cloud", lambda *a: built.append(a) or generate(*a))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+    lidar._build_board_model.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        out = tmp_path / "d8.json"
+        assert _detect(ws, out) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(built) == 1
+    assert out.read_bytes() == ws["det"].read_bytes()
+
+
+def test_detect_holds_at_most_one_cloud_per_worker(ws, tmp_path, monkeypatch):
+    lock = threading.Lock()
+    alive = [0]
+    peak = [0]
+    read_cloud, detect = io_formats.read_cloud, cli.detect_target_lidar
+
+    def counted_read(path):
+        cloud = read_cloud(path)
+        with lock:
+            alive[0] += 1
+            peak[0] = max(peak[0], alive[0])
+        return cloud
+
+    def counted_detect(*args):
+        try:
+            return detect(*args)
+        finally:
+            with lock:
+                alive[0] -= 1
+
+    monkeypatch.setattr(io_formats, "read_cloud", counted_read)
+    monkeypatch.setattr(cli, "detect_target_lidar", counted_detect)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    out = tmp_path / "d.json"
+    assert _detect(ws, out) == 0
+    assert alive[0] == 0
+    assert 1 < peak[0] <= 3
+    assert out.read_bytes() == ws["det"].read_bytes()
+
+
+def test_detect_unexpected_error_in_a_lidar_job_exits_1(ws, tmp_path, monkeypatch, caplog):
+    lock = threading.Lock()
+    calls = [0]
+    detect = cli.detect_target_lidar
+
+    def third_call_fails(*args):
+        with lock:
+            calls[0] += 1
+            n = calls[0]
+        if n == 3:
+            raise RuntimeError("bug in a detector")
+        return detect(*args)
+
+    monkeypatch.setattr(cli, "detect_target_lidar", third_call_fails)
+    out = tmp_path / "d.json"
+    with caplog.at_level(logging.WARNING, logger="crosscal"):
+        assert _detect(ws, out) == 1
+    assert "unexpected failure" in caplog.text and "bug in a detector" in caplog.text
+    assert "detection failed" not in caplog.text
+    assert not out.exists()
 
 
 def test_detect_repeat_byte_identical(ws, tmp_path):

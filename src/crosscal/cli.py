@@ -1,8 +1,10 @@
 """Command-line driver: simulate / detect / calibrate.
 
 Every command writes a run manifest (seed, config hash, tool version,
-inputs/outputs) next to its outputs so runs are reproducible; with the same
-inputs and seed the outputs are byte-identical.
+inputs/outputs) next to its outputs so runs are reproducible: `simulate` as
+`manifest.json` in its dataset directory, `detect` and `calibrate` as
+`<output stem>.manifest.json` beside their output file. With the same inputs
+(and, for `simulate`, the same seed) the outputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -42,11 +44,16 @@ EXIT_DISCONNECTED = 5
 EXIT_NOT_CONVERGED = 6
 
 
+def _manifest_path(out: Path) -> Path:
+    """The manifest of a command that writes the one file `out`."""
+    return out.with_name(out.stem + ".manifest.json")
+
+
 def _config_hash(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write_manifest(out_dir, config_path, seed, inputs, outputs, warnings=0):
+def _write_manifest(path, config_path, seed, inputs, outputs, warnings=0):
     doc = {
         "tool_version": __version__,
         "seed": seed,
@@ -55,7 +62,7 @@ def _write_manifest(out_dir, config_path, seed, inputs, outputs, warnings=0):
         "outputs": sorted(str(p) for p in outputs),
         "warnings": warnings,
     }
-    io_formats.atomic_write(Path(out_dir) / "manifest.json", io_formats.canonical_json(doc))
+    io_formats.atomic_write(path, io_formats.canonical_json(doc))
     return doc
 
 
@@ -131,7 +138,7 @@ def cmd_simulate(args) -> int:
                 path = seq_dir / f"corners_{sensor}.json"
                 io_formats.atomic_write(path, io_formats.canonical_json(doc))
                 outputs.append(path)
-    _write_manifest(out, args.config, seed, [args.config], outputs)
+    _write_manifest(out / "manifest.json", args.config, seed, [args.config], outputs)
     _summary(args, {"command": "simulate", "sequences": len(scene.board_poses), "out": str(out)})
     return EXIT_OK
 
@@ -144,11 +151,12 @@ def _usable_cpus() -> int:
 
 
 def _detect_lidar(cloud_path, init_path, cfg):
-    """One LiDAR board detection, reads of its cloud and init included; a
-    CrosscalError is returned as the outcome, any other exception propagates."""
+    """One LiDAR board detection, reads of its cloud and init included (with
+    no init file, `init_path` is None); a CrosscalError is returned as the
+    outcome, any other exception propagates."""
     try:
         cloud = io_formats.read_cloud(cloud_path)
-        if init_path.exists():
+        if init_path is not None:
             t_init = io_formats.read_board_init(init_path)
         else:
             t_init = rough_board_pose(cloud, cfg.lidar_params)
@@ -166,12 +174,8 @@ def _detect_lidars(jobs, cfg) -> list:
     alive at once."""
     if not jobs:
         return []
-    pool = ThreadPoolExecutor(max_workers=min(len(jobs), _usable_cpus()))
-    try:
-        futures = [pool.submit(_detect_lidar, *job, cfg) for job in jobs]
-        return [f.result() for f in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with ThreadPoolExecutor(max_workers=min(len(jobs), _usable_cpus())) as pool:
+        return list(pool.map(lambda job: _detect_lidar(*job, cfg), jobs))
 
 
 def cmd_detect(args) -> int:
@@ -194,7 +198,12 @@ def cmd_detect(args) -> int:
             sensor = SensorId("lidar", int(cloud_path.stem.replace("cloud_lidar", "")))
             inputs.append(cloud_path)
             if sensor in lidars:
-                lidar_jobs.append((cloud_path, seq_dir / f"init_{sensor}.json"))
+                init_path = seq_dir / f"init_{sensor}.json"
+                if init_path.exists():
+                    inputs.append(init_path)
+                else:
+                    init_path = None
+                lidar_jobs.append((cloud_path, init_path))
                 out = len(lidar_jobs) - 1
             else:
                 out = UnknownSensor(f"{sensor} is not in the config")
@@ -232,7 +241,7 @@ def cmd_detect(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     io_formats.write_detections(out, records)
-    _write_manifest(out.parent, args.config, args.seed, inputs, [out], warnings)
+    _write_manifest(_manifest_path(out), args.config, None, inputs, [out], warnings)
     _summary(
         args,
         {"command": "detect", "detections": len(records), "failures": warnings, "out": str(out)},
@@ -313,7 +322,7 @@ def cmd_calibrate(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     io_formats.write_report(result, out, consistency)
-    _write_manifest(out.parent, args.config, args.seed, [args.config, args.detections], [out])
+    _write_manifest(_manifest_path(out), args.config, None, [args.config, args.detections], [out])
     _summary(
         args,
         {
@@ -342,11 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="config JSON path")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--json", action="store_true", help="machine-readable summary on stdout")
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset with ground truth")
     common(p)
+    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)
 

@@ -15,10 +15,6 @@ class NonPositiveDepth(CrosscalError):
     """Point is on or behind the camera plane (Z <= 1e-9)."""
 
 
-class NearPiRotation(CrosscalError):
-    """SE(3) log requested for a rotation with angle >= pi - 1e-6."""
-
-
 # --- lidar pipeline ---------------------------------------------------------
 
 class LidarStageError(CrosscalError):

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NearPiRotation, NonPositiveDepth
+from .errors import NonPositiveDepth
 
 _EPS = 1e-9
 MIN_DEPTH = 1e-9  # camera-frame depth at or below which a point is behind the camera
@@ -70,9 +70,6 @@ class Intrinsics:
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point outside image")
 
-    def k_matrix(self) -> np.ndarray:
-        return np.array([[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]])
-
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """Composition a*b: applies b first, then a."""
@@ -82,14 +79,6 @@ def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
 def invert(t: RigidTransform) -> RigidTransform:
     rt = t.rotation.T
     return RigidTransform(rt, -rt @ t.translation)
-
-
-def project(k: Intrinsics, p_cam: np.ndarray) -> np.ndarray:
-    """Pinhole projection of one camera-frame point to pixels."""
-    x, y, z = np.asarray(p_cam, dtype=float).reshape(3)
-    if z <= MIN_DEPTH:
-        raise NonPositiveDepth(f"depth {z:.3e} <= {MIN_DEPTH}")
-    return np.array([k.fx * x / z + k.cx, k.fy * y / z + k.cy])
 
 
 def project_many(k: Intrinsics, pts: np.ndarray) -> np.ndarray:
@@ -181,20 +170,6 @@ def rotation_exp(w: np.ndarray) -> np.ndarray:
     return np.eye(3) + a * k + b * (k @ k)
 
 
-def rotation_log(r: np.ndarray) -> np.ndarray:
-    """SO(3) log; returns the axis-angle vector with angle in [0, pi)."""
-    r = np.asarray(r, dtype=float)
-    cos_t = np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)
-    theta = np.arccos(cos_t)
-    if theta >= np.pi - 1e-6:
-        raise NearPiRotation(f"rotation angle {theta:.9f} too close to pi")
-    if theta < 1e-10:
-        return np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]]) / 2.0
-    return theta / (2.0 * np.sin(theta)) * np.array(
-        [r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]]
-    )
-
-
 def exp_se3(xi: np.ndarray) -> RigidTransform:
     """SE(3) exponential of a 6-vector (v, w): translation part first."""
     xi = np.asarray(xi, dtype=float).reshape(6)
@@ -233,19 +208,6 @@ def exp_se3_matrix(xi: np.ndarray) -> np.ndarray:
     m[..., :3, 3] = ((np.eye(3) + b * k + c * kk) @ v[..., None])[..., 0]
     m[..., 3, 3] = 1.0
     return m
-
-
-def log_se3(t: RigidTransform) -> np.ndarray:
-    """Inverse of exp_se3; raises NearPiRotation at angle >= pi - 1e-6."""
-    w = rotation_log(t.rotation)
-    theta = np.linalg.norm(w)
-    k = skew(w)
-    if theta < 1e-8:
-        jinv = np.eye(3) - 0.5 * k + (k @ k) / 12.0
-    else:
-        a = 1.0 / theta**2 * (1.0 - theta * np.sin(theta) / (2.0 * (1.0 - np.cos(theta))))
-        jinv = np.eye(3) - 0.5 * k + a * (k @ k)
-    return np.concatenate([jinv @ t.translation, w])
 
 
 def rotation_angle(r: np.ndarray) -> float:

@@ -1,4 +1,4 @@
-"""File schemas: point clouds (PLY / CSV), detection records (JSON,
+"""File schemas: point clouds (PLY), detection records (JSON,
 schema v1), config files and calibration reports.
 
 All JSON is serialized canonically (sorted keys, 2-space indent, trailing
@@ -21,6 +21,7 @@ from .errors import IoError, MissingField, ParseError, SchemaVersionMismatch, Un
 from .geometry import Intrinsics, RigidTransform
 from .lidar import LidarDetection, LidarParams
 from .optimizer import CalibrationResult, SensorId, SolveParams, reprojection_report
+from .sim import NoiseModel, ScanPattern
 from .target import TargetSpec
 
 SCHEMA_VERSION = "v1"
@@ -62,35 +63,21 @@ _PLY_FORMATS = {"ascii": None, "binary_little_endian": "<", "binary_big_endian":
 
 
 def write_cloud(path, cloud: np.ndarray):
-    """Binary little-endian float64 PLY for .ply, CSV with x,y,z header for .csv."""
+    """Binary little-endian float64 PLY; `path` must end in .ply."""
     path = Path(path)
-    cloud = np.asarray(cloud, dtype="<f8").reshape(-1, 3)
-    if path.suffix == ".ply":
-        header = (
-            "ply\n"
-            "format binary_little_endian 1.0\n"
-            f"element vertex {len(cloud)}\n"
-            "property double x\n"
-            "property double y\n"
-            "property double z\n"
-            "end_header\n"
-        )
-        atomic_write(path, header.encode("ascii") + cloud.tobytes())
-    elif path.suffix == ".csv":
-        body = ("%.12g,%.12g,%.12g\n" * len(cloud)) % tuple(cloud.ravel())
-        atomic_write(path, "x,y,z\n" + body)
-    else:
+    if path.suffix != ".ply":
         raise UnsupportedFormat(f"unknown cloud extension {path.suffix!r}")
-
-
-def read_cloud(path) -> np.ndarray:
-    """(n, 3) float64 x, y, z from ASCII or binary PLY, or CSV."""
-    path = Path(path)
-    if path.suffix == ".ply":
-        return _read_ply(path)
-    if path.suffix == ".csv":
-        return _read_csv(path)
-    raise UnsupportedFormat(f"unknown cloud extension {path.suffix!r}")
+    cloud = np.asarray(cloud, dtype="<f8").reshape(-1, 3)
+    header = (
+        "ply\n"
+        "format binary_little_endian 1.0\n"
+        f"element vertex {len(cloud)}\n"
+        "property double x\n"
+        "property double y\n"
+        "property double z\n"
+        "end_header\n"
+    )
+    atomic_write(path, header.encode("ascii") + cloud.tobytes())
 
 
 def _read_ply_header(data: bytes):
@@ -144,7 +131,11 @@ def _read_ply_header(data: bytes):
     return fmt, n_vertex, props, len(data) if end < 0 else end + 1, ln
 
 
-def _read_ply(path) -> np.ndarray:
+def read_cloud(path) -> np.ndarray:
+    """(n, 3) float64 x, y, z from an ASCII or binary PLY."""
+    path = Path(path)
+    if path.suffix != ".ply":
+        raise UnsupportedFormat(f"unknown cloud extension {path.suffix!r}")
     with open(path, "rb") as f:
         data = f.read()
     fmt, n_vertex, props, offset, header_end = _read_ply_header(data)
@@ -177,23 +168,6 @@ def _read_ply(path) -> np.ndarray:
         except (ValueError, IndexError):
             raise ParseError("malformed vertex row", line=header_end + i + 1)
     return out
-
-
-def _read_csv(path) -> np.ndarray:
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or [c.strip() for c in lines[0].split(",")[:3]] != ["x", "y", "z"]:
-        raise ParseError("CSV cloud must start with 'x,y,z' header", line=1)
-    out = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        tok = line.split(",")
-        try:
-            out.append([float(tok[0]), float(tok[1]), float(tok[2])])
-        except (ValueError, IndexError):
-            raise ParseError("malformed row", line=ln)
-    return np.asarray(out, dtype=float).reshape(-1, 3)
 
 
 # --- poses / common pieces --------------------------------------------------
@@ -453,8 +427,12 @@ def config_from_json(doc: dict) -> ConfigFile:
         sp = _dataclass_from(doc.get("solve_params", {}), SolveParams, "solve_params")
         ref = sensor_from_json(doc["reference"])
         sim = {**DEFAULT_SIM, **doc.get("sim", {})}
-        sim["noise"] = {**DEFAULT_SIM["noise"], **sim.get("noise", {})}
-        sim["scan"] = {**DEFAULT_SIM["scan"], **sim.get("scan", {})}
+        _reject_unknown(sim, DEFAULT_SIM, "sim")
+        sim["noise"] = {**DEFAULT_SIM["noise"], **sim["noise"]}
+        sim["scan"] = {**DEFAULT_SIM["scan"], **sim["scan"]}
+        # built here only to check the values; `simulate` builds its own
+        _dataclass_from(sim["noise"], NoiseModel, "sim.noise")
+        _dataclass_from(sim["scan"], ScanPattern, "sim.scan")
         return ConfigFile(tuple(sensors), spec, lp, sp, ref, sim)
     except KeyError as e:
         raise MissingField(str(e)) from e
@@ -538,8 +516,3 @@ def write_report(result: CalibrationResult, path, consistency: dict | None = Non
     atomic_write(path, canonical_json(doc))
     atomic_write(path.with_suffix(".txt"), format_report_text(doc))
     return doc
-
-
-def read_report(path) -> dict:
-    with open(path) as f:
-        return json.load(f)

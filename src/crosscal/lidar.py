@@ -37,6 +37,8 @@ from .target import TargetSpec, circle_centers_board, generate_mask_cloud
 # float64, small enough to stay in cache.
 _CHUNK_ELEMENTS = 1 << 16
 
+_MASK_PITCH = 0.015  # m, point spacing of the board model GICP registers
+
 
 @dataclass(frozen=True)
 class LidarParams:
@@ -123,17 +125,17 @@ def _point_normals(pts: np.ndarray, tree: cKDTree, k: int = 20):
 _board_model_lock = threading.Lock()
 
 
-def _board_model(spec: TargetSpec, mask_pitch: float):
-    """Board mask cloud and its point normals, built once per (spec, pitch),
-    even when several threads miss the cache at once: `lru_cache` does not
+def _board_model(spec: TargetSpec):
+    """Board mask cloud and its point normals, built once per spec, even
+    when several threads miss the cache at once: `lru_cache` does not
     serialise misses, so the lookup runs under a lock."""
     with _board_model_lock:
-        return _build_board_model(spec, mask_pitch)
+        return _build_board_model(spec)
 
 
 @lru_cache(maxsize=8)
-def _build_board_model(spec: TargetSpec, mask_pitch: float):
-    mask = generate_mask_cloud(spec, mask_pitch)
+def _build_board_model(spec: TargetSpec):
+    mask = generate_mask_cloud(spec, _MASK_PITCH)
     normals = _point_normals(mask, cKDTree(mask))
     mask.flags.writeable = normals.flags.writeable = False
     return mask, normals
@@ -498,11 +500,10 @@ def detect_target_lidar(
     spec: TargetSpec,
     t_init: RigidTransform,
     p: LidarParams,
-    mask_pitch: float = 0.015,
 ) -> LidarDetection:
     """Full board detection: filter -> GICP -> match -> RANSAC -> normalize
     -> occupancy -> window -> circle refinement -> 3D lift."""
-    mask, mask_normals = _board_model(spec, mask_pitch)
+    mask, mask_normals = _board_model(spec)
     try:
         filtered = filter_cloud(cloud, p)
         t_refined, fitness = gicp_register(mask, filtered, t_init, p, mask_normals)

@@ -7,7 +7,8 @@ derived from (seed, sequence, sensor) so renders are order-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,11 +20,23 @@ from .optimizer import SensorId
 from .target import TargetSpec, checker_corners_board, circle_centers_board
 
 
+def _require_numbers(obj):
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ValueError(f"{f.name} must be a number, got {v!r}")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     lidar_sigma: float = 0.0  # range noise along the ray, meters
     pixel_sigma: float = 0.0  # corner noise, pixels
     dropout: float = 0.0  # corner dropout probability
+
+    def __post_init__(self):
+        _require_numbers(self)
+        if min(self.lidar_sigma, self.pixel_sigma, self.dropout) < 0 or self.dropout > 1:
+            raise ValueError("noise sigmas must be >= 0 and dropout in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -35,6 +48,11 @@ class ScanPattern:
     el_max_deg: float = 15.0
     el_res_deg: float = 1.0
     max_range: float = 30.0
+
+    def __post_init__(self):
+        _require_numbers(self)
+        if min(self.az_res_deg, self.el_res_deg, self.max_range) <= 0:
+            raise ValueError("scan resolutions and max_range must be positive")
 
 
 @dataclass(frozen=True)
@@ -88,6 +106,9 @@ _CAMERA_AXES = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
 _BOARD_BASE = np.array([[0.0, 0.0, -1.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 # board x -> world -y, board y -> world +z, board z -> world -x (faces sensors)
 
+_BOARD_BEARING_DEG = 40.0  # boards are placed within +/- this bearing of +x
+_BOARD_Z = 1.25  # board center height, m, +/- 5 cm
+
 
 def default_intrinsics() -> Intrinsics:
     return Intrinsics(700.0, 700.0, 639.5, 359.5, 1280, 720)
@@ -117,13 +138,7 @@ def _visible(t_sw, sensor, t_bw, spec, intr, scan):
     if sensor.kind == "camera":
         if np.any(pts_s[:, 2] <= 0.1):
             return False
-        uv = np.stack(
-            [
-                intr.fx * pts_s[:, 0] / pts_s[:, 2] + intr.cx,
-                intr.fy * pts_s[:, 1] / pts_s[:, 2] + intr.cy,
-            ],
-            axis=1,
-        )
+        uv = geometry.project_many(intr, pts_s)
         return bool(
             np.all((uv[:, 0] >= 5) & (uv[:, 0] < intr.width - 5))
             and np.all((uv[:, 1] >= 5) & (uv[:, 1] < intr.height - 5))
@@ -148,17 +163,15 @@ def make_scene(
     seed: int = 0,
     scan: ScanPattern | None = None,
     board_range=(5.5, 6.8),
-    board_bearing_deg: float = 40.0,
-    board_z: float = 1.25,
-    min_observers: int = 2,
     camera_intrinsics=None,
 ) -> Scene:
     """Deterministic scene: sensors near the origin, cameras fanned over the
     bearing arc the boards are sampled from. Spreading the boards over a wide
     arc is what makes sensor rotations observable; a narrow cone lets a
     rotation error trade against translation along the viewing direction.
-    Every sequence is visible to at least `min_observers` sensors or
-    InfeasibleLayout is raised."""
+    Every sequence is visible to every LiDAR, to at least one camera when
+    there are cameras, and to at least two sensors, or InfeasibleLayout is
+    raised."""
     if n_lidars + m_cameras < 2:
         raise InfeasibleLayout("need at least two sensors")
     spec = spec or TargetSpec()
@@ -171,7 +184,7 @@ def make_scene(
     for j in range(m_cameras):
         y = (j - (m_cameras - 1) / 2.0) * 0.8
         if m_cameras > 1:
-            yaw = np.deg2rad((j / (m_cameras - 1) - 0.5) * 2 * 0.5 * board_bearing_deg)
+            yaw = np.deg2rad((j / (m_cameras - 1) - 0.5) * 2 * 0.5 * _BOARD_BEARING_DEG)
         else:
             yaw = 0.0
         rot = geometry.rot_z(yaw) @ _CAMERA_AXES
@@ -190,13 +203,13 @@ def make_scene(
     for s in range(sequences):
         ok = None
         for _ in range(300):
-            bearing = np.deg2rad(rng.uniform(-board_bearing_deg, board_bearing_deg))
+            bearing = np.deg2rad(rng.uniform(-_BOARD_BEARING_DEG, _BOARD_BEARING_DEG))
             dist = rng.uniform(*board_range)
             pos = np.array(
                 [
                     dist * np.cos(bearing),
                     dist * np.sin(bearing),
-                    board_z + rng.uniform(-0.05, 0.05),
+                    _BOARD_Z + rng.uniform(-0.05, 0.05),
                 ]
             )
             # guarantee 8-20 deg of out-of-plane tilt: a fronto-parallel board
@@ -219,7 +232,7 @@ def make_scene(
             # Every LiDAR should capture every board (spinning scanners have
             # no azimuth limit) and at least one camera must anchor it.
             if (
-                len(seen) >= min_observers
+                len(seen) >= 2
                 and lidars_seen == n_lidars
                 and (cams_seen >= 1 or m_cameras == 0)
             ):
@@ -292,12 +305,12 @@ def render_camera(scene: Scene, sensor: SensorId, sequence: int):
         geometry.invert(scene.pose_of(sensor)), scene.board_poses[sequence]
     )
     rng = _rng(scene.seed, 2, sequence, sensor.index)
+    corners = checker_corners_board(scene.spec)
+    pts = np.array([t_bc.apply(pt) for _, pt in corners])
+    front = pts[:, 2] > 1e-3
+    ids = [cid for (cid, _), ok in zip(corners, front) if ok]
     out = []
-    for cid, pt in checker_corners_board(scene.spec):
-        p = t_bc.apply(pt)
-        if p[2] <= 1e-3:
-            continue
-        uv = np.array([intr.fx * p[0] / p[2] + intr.cx, intr.fy * p[1] / p[2] + intr.cy])
+    for cid, uv in zip(ids, geometry.project_many(intr, pts[front])):
         if scene.noise.pixel_sigma > 0:
             uv = uv + rng.normal(0.0, scene.noise.pixel_sigma, size=2)
         dropped = scene.noise.dropout > 0 and rng.random() < scene.noise.dropout

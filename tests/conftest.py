@@ -77,6 +77,23 @@ def random_rigid(rng, max_angle=np.pi - 0.1, max_trans=2.0):
     )
 
 
+def log_se3(t):
+    """Inverse of `geometry.exp_se3` for rotation angles below pi: the
+    6-vector (v, w), translation part first."""
+    r = t.rotation
+    theta = np.arccos(np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0))
+    axis = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    w = axis / 2.0 if theta < 1e-10 else theta / (2.0 * np.sin(theta)) * axis
+    theta = np.linalg.norm(w)
+    k = geometry.skew(w)
+    if theta < 1e-8:
+        jinv = np.eye(3) - 0.5 * k + (k @ k) / 12.0
+    else:
+        a = 1.0 / theta**2 * (1.0 - theta * np.sin(theta) / (2.0 * (1.0 - np.cos(theta))))
+        jinv = np.eye(3) - 0.5 * k + a * (k @ k)
+    return np.concatenate([jinv @ t.translation, w])
+
+
 def lm_without_reduction_stop(state, residual_fn, jac_fn, plus, max_iter=100, gradient_tol=1e-10):
     """Levenberg-Marquardt as it was before the predicted-reduction stop:
     the damping loop runs until a trial lowers the cost or lambda passes

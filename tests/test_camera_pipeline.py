@@ -39,7 +39,7 @@ def synth_corners(pose, ids=None, noise=0.0, rng=None, k=K, spec=SPEC):
     for cid, pt in checker_corners_board(spec):
         if ids is not None and cid not in ids:
             continue
-        uv = geometry.project(k, pose.apply(pt))
+        (uv,) = geometry.project_many(k, pose.apply(pt))
         if noise > 0:
             uv = uv + rng.normal(0.0, noise, size=2)
         out.append(CornerObservation(cid, (float(uv[0]), float(uv[1]))))
@@ -64,7 +64,10 @@ def test_exact_recovery_16_corners():
             pass
         obj = dict(checker_corners_board(SPEC))
         errs = [
-            np.linalg.norm(geometry.project(K, pose.apply(obj[i])) - geometry.project(K, truth.apply(obj[i])))
+            np.linalg.norm(
+                geometry.project_many(K, pose.apply(obj[i]))
+                - geometry.project_many(K, truth.apply(obj[i]))
+            )
             for i in ids
         ]
         assert max(errs) < 1e-8
@@ -326,7 +329,7 @@ def test_derive_circle_centers_random_pose_oracle():
         pts3, pts2 = derive_circle_centers(pose, SPEC, K)
         for k, c in enumerate(circle_centers_board(SPEC)):
             assert np.allclose(pts3[k], pose.apply(c), atol=1e-12)
-            assert np.allclose(pts2[k], geometry.project(K, pts3[k]), atol=1e-12)
+            assert np.allclose(pts2[k], geometry.project_many(K, pts3[k]), atol=1e-12)
 
 
 def test_detection_reports_error_and_count():

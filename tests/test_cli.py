@@ -21,6 +21,7 @@ from crosscal.errors import SolverNotConverged
 from crosscal.geometry import RigidTransform
 from crosscal.lidar import LidarDetection
 from crosscal.optimizer import SensorId
+from crosscal.target import circle_centers_board
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -109,6 +110,40 @@ def test_simulate_bad_config_exit_2(tmp_path):
     assert cli.main(["simulate", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "section, edit",
+    [
+        ("sim", {"bogus": 1}),
+        ("noise", {"bogus": 1}),
+        ("scan", {"bogus": 1}),
+        ("noise", {"lidar_sigma": "x"}),
+        ("scan", {"az_res_deg": 0}),
+    ],
+    ids=[
+        "sim-unknown-key",
+        "noise-unknown-key",
+        "scan-unknown-key",
+        "lidar-sigma-string",
+        "az-res-zero",
+    ],
+)
+def test_simulate_malformed_sim_section_exit_2(tmp_path, caplog, section, edit):
+    jsonschema = pytest.importorskip("jsonschema")
+    cfg = replace(io_formats.default_config(), sim={**io_formats.DEFAULT_SIM, "sequences": 2})
+    doc = json.loads(io_formats.canonical_json(io_formats.config_to_json(cfg)))
+    target = doc["sim"] if section == "sim" else doc["sim"][section]
+    target.update(edit)
+    schema = json.loads((REPO / "schemas" / "config.schema.json").read_text())
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, schema)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with caplog.at_level(logging.ERROR, logger="crosscal"):
+        rc = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "config error" in caplog.text
+
+
 def test_simulate_infeasible_exit_3(tmp_path):
     cfg = io_formats.default_config(n_lidars=1, m_cameras=0)
     cfg = replace(cfg, reference=SensorId("lidar", 0))
@@ -127,8 +162,13 @@ def test_detect_output_parses_with_full_coverage(ws):
     assert set(by_seq) == {0, 1, 2, 3}
     for sensors in by_seq.values():
         assert SensorId("lidar", 0) in sensors and SensorId("lidar", 1) in sensors
-    man = json.loads((ws["det"].parent / "manifest.json").read_text())
+    man = json.loads((ws["root"] / "detections.manifest.json").read_text())
     assert man["warnings"] == 0
+    inits = sorted(str(p) for p in ws["data"].glob("seq_*/init_lidar*.json"))
+    assert len(inits) == 8 and set(inits) <= set(man["inputs"])
+    assert man["outputs"] == [str(ws["det"])]
+    man = json.loads((ws["root"] / "report.manifest.json").read_text())
+    assert man["outputs"] == [str(ws["report"])]
 
 
 def test_detect_empty_dataset_exit_4(ws, tmp_path):
@@ -159,7 +199,7 @@ def test_detect_partial_failure_warns_but_succeeds(ws, tmp_path):
         ["detect", "--config", str(ws["config"]), "--data", str(data2), "--out", str(out)]
     )
     assert rc == 0
-    man = json.loads((out.parent / "manifest.json").read_text())
+    man = json.loads((tmp_path / "d.manifest.json").read_text())
     assert man["warnings"] == 1
     recs = io_formats.read_detections(out)
     assert not any(r.sequence == 0 and r.sensor == SensorId("lidar", 0) for r in recs)
@@ -186,7 +226,7 @@ def test_detect_malformed_input_file_costs_only_its_detection(ws, tmp_path, patt
         ["detect", "--config", str(ws["config"]), "--data", str(data2), "--out", str(out)]
     )
     assert rc == 0
-    assert json.loads((out.parent / "manifest.json").read_text())["warnings"] == 1
+    assert json.loads((tmp_path / "d.manifest.json").read_text())["warnings"] == 1
     keys = [(r.sequence, str(r.sensor)) for r in io_formats.read_detections(ws["det"])]
     assert [(r.sequence, str(r.sensor)) for r in io_formats.read_detections(out)] == [
         k for k in keys if k != (1, sensor)
@@ -216,10 +256,37 @@ def test_detect_file_of_unlisted_sensor_costs_only_its_detection(
             ["detect", "--config", str(ws["config"]), "--data", str(data2), "--out", str(out)]
         )
     assert rc == 0
-    assert json.loads((out.parent / "manifest.json").read_text())["warnings"] == 1
+    assert json.loads((tmp_path / "d.manifest.json").read_text())["warnings"] == 1
     assert f"{sensor} is not in the config" in caplog.text
     assert out.read_bytes() == ws["det"].read_bytes()
     assert len(read) == 8 and not any("lidar5" in str(p) for p in read)
+
+
+def test_detect_and_calibrate_without_init_files(ws, tmp_path):
+    """With no operator prior, each board pose comes from `rough_board_pose`;
+    the noise-free detections still meet the zero-noise criterion's bounds on
+    the circle centers: 1e-5 m off the board plane, 2 grid cells in it, for
+    the best of the 4 cyclic orders `calibrate` resolves."""
+    data = tmp_path / "data"
+    shutil.copytree(ws["data"], data, ignore=shutil.ignore_patterns("init_lidar*.json"))
+    det, report = tmp_path / "d.json", tmp_path / "r.json"
+    config = ["--config", str(ws["config"])]
+    assert cli.main(["detect", *config, "--data", str(data), "--out", str(det)]) == 0
+    assert cli.main(["calibrate", *config, "--detections", str(det), "--out", str(report)]) == 0
+    cfg = io_formats.read_config(ws["config"])
+    gt = json.loads((data / "ground_truth.json").read_text())
+    truth = circle_centers_board(cfg.target)
+    orders = [np.roll(truth, k, axis=0) for k in range(4)]
+    lidar_recs = [r for r in io_formats.read_detections(det) if r.sensor.kind == "lidar"]
+    assert len(lidar_recs) == 8
+    for rec in lidar_recs:
+        sensor_w = io_formats.pose_from_json(gt["sensors"][str(rec.sensor)])
+        board_w = io_formats.pose_from_json(gt["boards"][rec.sequence])
+        board_in_sensor = geometry.compose(geometry.invert(sensor_w), board_w)
+        local = geometry.invert(board_in_sensor).apply(rec.detection.centers)
+        assert np.abs(local[:, 2]).max() <= 1e-5
+        in_plane = min(np.linalg.norm((local - o)[:, :2], axis=1).max() for o in orders)
+        assert in_plane <= 2 / cfg.lidar_params.grid_res
 
 
 def _detect(ws, out):

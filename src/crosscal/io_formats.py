@@ -7,6 +7,7 @@ newline) so identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import tempfile
@@ -380,7 +381,7 @@ def default_config(n_lidars: int = 2, m_cameras: int = 3) -> ConfigFile:
         LidarParams(),
         SolveParams(),
         SensorId("camera", 0),
-        dict(DEFAULT_SIM),
+        copy.deepcopy(DEFAULT_SIM),
     )
 
 
@@ -428,11 +429,13 @@ def config_from_json(doc: dict) -> ConfigFile:
         ref = sensor_from_json(doc["reference"])
         sim = {**DEFAULT_SIM, **doc.get("sim", {})}
         _reject_unknown(sim, DEFAULT_SIM, "sim")
-        sim["noise"] = {**DEFAULT_SIM["noise"], **sim["noise"]}
-        sim["scan"] = {**DEFAULT_SIM["scan"], **sim["scan"]}
-        # built here only to check the values; `simulate` builds its own
-        _dataclass_from(sim["noise"], NoiseModel, "sim.noise")
-        _dataclass_from(sim["scan"], ScanPattern, "sim.scan")
+        for key, cls in (("noise", NoiseModel), ("scan", ScanPattern)):
+            sim[key] = {**DEFAULT_SIM[key], **sim[key]}
+            _dataclass_from(sim[key], cls, f"sim.{key}")  # checks only; `simulate` builds its own
+        for key, low in (("sequences", 1), ("seed", 0)):  # integers as JSON Schema has them
+            v = sim[key]
+            if not (type(v) is int or isinstance(v, float) and v.is_integer()) or v < low:
+                raise ParseError(f"sim.{key} must be an integer >= {low}, got {v!r}")
         return ConfigFile(tuple(sensors), spec, lp, sp, ref, sim)
     except KeyError as e:
         raise MissingField(str(e)) from e

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -38,6 +38,8 @@ from .target import TargetSpec, circle_centers_board, generate_mask_cloud
 _CHUNK_ELEMENTS = 1 << 16
 
 _MASK_PITCH = 0.015  # m, point spacing of the board model GICP registers
+
+_dot = partial(np.einsum, "in,in->n")  # dot products of the columns of (3, n) arrays
 
 
 @dataclass(frozen=True)
@@ -157,6 +159,8 @@ def gicp_register(source, target, t_init: RigidTransform, p: LidarParams, source
     tgt_tree = cKDTree(target)
     nrm_s = _point_normals(source, cKDTree(source)) if source_normals is None else source_normals
     nrm_t = _point_normals(target, tgt_tree)
+    # (3, n) rows: products, gathers and dot products run on contiguous rows
+    src, nrm_s, tgt, nrm_t = (np.ascontiguousarray(a.T) for a in (source, nrm_s, target, nrm_t))
     a_reg = 1.0 - 1e-3  # regularized covariance = I - a_reg * n n^T
 
     def matched(t):
@@ -168,60 +172,45 @@ def gicp_register(source, target, t_init: RigidTransform, p: LidarParams, source
         closed form through its (n1 +/- n2) eigenbasis, which is much
         cheaper than stacking and inverting 3x3 matrices.
         """
-        moved = t.apply(source)
-        dists, idx = tgt_tree.query(moved, distance_upper_bound=p.gicp_corr_dist)
+        moved = t.rotation @ src + t.translation[:, None]
+        dists, idx = tgt_tree.query(moved.T, distance_upper_bound=p.gicp_corr_dist)
         valid = np.isfinite(dists)
-        n_valid = int(valid.sum())
+        n_valid = int(np.count_nonzero(valid))
         if n_valid < 10:
             raise PoorFit(f"only {n_valid} GICP correspondences")
-        ps = moved[valid]
-        resid = ps - target[idx[valid]]  # (n, 3)
-        n1 = nrm_t[idx[valid]]
-        n2 = nrm_s[valid] @ t.rotation.T
-        n2 = np.where((np.einsum("ni,ni->n", n1, n2) < 0)[:, None], -n2, n2)
-        c = np.einsum("ni,ni->n", n1, n2)
-        up = n1 + n2
-        um = n1 - n2
-        up /= np.maximum(np.linalg.norm(up, axis=1), 1e-12)[:, None]
-        um /= np.maximum(np.linalg.norm(um, axis=1), 1e-12)[:, None]
+        n2 = t.rotation @ nrm_s
+        if n_valid < len(valid):
+            moved, n2, idx, dists = moved[:, valid], n2[:, valid], idx[valid], dists[valid]
+        resid = moved - np.take(tgt, idx, axis=1)
+        n1 = np.take(nrm_t, idx, axis=1)
+        c = _dot(n1, n2)
+        n2 *= np.where(c < 0, -1.0, 1.0)  # orient the source normal like n1
+        c = np.abs(c)
+        up, um = n1 + n2, n1 - n2
+        up /= np.maximum(np.sqrt(_dot(up, up)), 1e-12)
+        um /= np.maximum(np.sqrt(_dot(um, um)), 1e-12)
         wp = 1.0 / (2.0 - a_reg * (1.0 + c)) - 0.5
         wm = 1.0 / (2.0 - a_reg * (1.0 - c)) - 0.5
-        rp = np.einsum("ni,ni->n", up, resid)
-        rm = np.einsum("ni,ni->n", um, resid)
-        sq = np.einsum("ni,ni->n", resid, resid)
-        cost = float((0.5 * sq + wp * rp**2 + wm * rm**2).mean())
-        return cost, ps, resid, up, um, wp, wm, n_valid, dists[valid]
+        rp = _dot(up, resid)
+        rm = _dot(um, resid)
+        cost = float((0.5 * _dot(resid, resid) + wp * rp**2 + wm * rm**2).mean())
+        return cost, moved, resid, up, um, wp, wm, rp, rm, dists
 
     t_cur = t_init
     step_norm = np.inf
     state = matched(t_cur)
     for _ in range(p.gicp_max_iter):
-        cost, ps, resid, up, um, wp, wm, n_valid, _ = state
-        # Gauss-Newton blocks for J_i = [I | -skew(p_i)] and
-        # M_i = 0.5 I + wp up up^T + wm um um^T, expanded analytically so no
-        # per-point 3x3 or 3x6 temporaries are materialized.
-        a = np.cross(up, ps)
-        b = np.cross(um, ps)
-        h_tt = (
-            0.5 * n_valid * np.eye(3)
-            + np.einsum("n,ni,nj->ij", wp, up, up)
-            + np.einsum("n,ni,nj->ij", wm, um, um)
-        )
-        h_tw = -(
-            0.5 * geometry.skew(ps.sum(axis=0))
-            + np.einsum("n,ni,nj->ij", wp, up, a)
-            + np.einsum("n,ni,nj->ij", wm, um, b)
-        )
-        h_ww = (
-            0.5 * ((ps**2).sum() * np.eye(3) - ps.T @ ps)
-            + np.einsum("n,ni,nj->ij", wp, a, a)
-            + np.einsum("n,ni,nj->ij", wm, b, b)
-        )
-        hess = np.block([[h_tt, h_tw], [h_tw.T, h_ww]])
-        rp = (up * resid).sum(axis=1)
-        rm = (um * resid).sum(axis=1)
-        mr = 0.5 * resid + (wp * rp)[:, None] * up + (wm * rm)[:, None] * um
-        grad = np.concatenate([mr.sum(axis=0), np.cross(ps, mr).sum(axis=0)])
+        cost, ps, resid, up, um, wp, wm, rp, rm, _ = state
+        # Gauss-Newton for J_i = [I | -skew(p_i)] and M_i = 0.5 I + wp up up^T
+        # + wm um um^T. As J_i^T u = [u; p_i x u], the weighted terms are two
+        # GEMMs over (6, n) rows; the 0.5 J_i^T J_i term has a closed form.
+        jp = np.concatenate([up, np.cross(ps, up, axis=0)])
+        jm = np.concatenate([um, np.cross(ps, um, axis=0)])
+        s, ppt = geometry.skew(ps.sum(axis=1)), ps @ ps.T
+        hess = (jp * wp) @ jp.T + (jm * wm) @ jm.T
+        hess += 0.5 * np.block([[len(rp) * np.eye(3), -s], [s, np.trace(ppt) * np.eye(3) - ppt]])
+        grad = jp @ (wp * rp) + jm @ (wm * rm)
+        grad += 0.5 * np.concatenate([resid.sum(axis=1), np.cross(ps, resid, axis=0).sum(axis=1)])
         try:
             dx = np.linalg.solve(hess + 1e-9 * np.eye(6), -grad)
         except np.linalg.LinAlgError:

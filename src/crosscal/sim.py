@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +75,19 @@ class Scene:
     @property
     def sensor_ids(self):
         return [s for s, _ in self.sensors]
+
+    @cached_property
+    def ray_dirs(self) -> np.ndarray:
+        """Read-only (n, 3) ray directions of `scan` in the sensor frame, built once."""
+        scan = self.scan
+        az = np.deg2rad(np.arange(0.0, 360.0, scan.az_res_deg))
+        el = np.deg2rad(np.arange(scan.el_min_deg, scan.el_max_deg + 1e-9, scan.el_res_deg))
+        azg, elg = np.meshgrid(az, el, indexing="ij")
+        dirs = np.stack(
+            [np.cos(elg) * np.cos(azg), np.cos(elg) * np.sin(azg), np.sin(elg)], axis=-1
+        ).reshape(-1, 3)
+        dirs.flags.writeable = False
+        return dirs
 
 
 @dataclass(frozen=True)
@@ -249,16 +263,9 @@ def render_lidar(scene: Scene, sensor: SensorId, sequence: int) -> np.ndarray:
     the z=0 ground plane, nearest hit per ray, range noise applied."""
     if sensor.kind != "lidar":
         raise ValueError(f"{sensor} is not a lidar")
-    scan = scene.scan
     t_sw = scene.pose_of(sensor)
     t_bw = scene.board_poses[sequence]
-    az = np.deg2rad(np.arange(0.0, 360.0, scan.az_res_deg))
-    el = np.deg2rad(np.arange(scan.el_min_deg, scan.el_max_deg + 1e-9, scan.el_res_deg))
-    azg, elg = np.meshgrid(az, el, indexing="ij")
-    dirs_s = np.stack(
-        [np.cos(elg) * np.cos(azg), np.cos(elg) * np.sin(azg), np.sin(elg)], axis=-1
-    ).reshape(-1, 3)
-    dirs_w = dirs_s @ t_sw.rotation.T
+    dirs_w = scene.ray_dirs @ t_sw.rotation.T
     origin = t_sw.translation
 
     ranges = np.full(len(dirs_w), np.inf)
@@ -287,12 +294,12 @@ def render_lidar(scene: Scene, sensor: SensorId, sequence: int) -> np.ndarray:
         t_g = np.where(dz < -1e-12, -origin[2] / dz, np.inf)
     ranges = np.minimum(ranges, np.where(t_g > 0.05, t_g, np.inf))
 
-    valid = ranges <= scan.max_range
+    valid = ranges <= scene.scan.max_range
     r = ranges[valid]
     if scene.noise.lidar_sigma > 0:
         rng = _rng(scene.seed, 1, sequence, sensor.index)
         r = r + rng.normal(0.0, scene.noise.lidar_sigma, size=len(r))
-    return r[:, None] * dirs_s[valid]
+    return r[:, None] * scene.ray_dirs[valid]
 
 
 def render_camera(scene: Scene, sensor: SensorId, sequence: int):

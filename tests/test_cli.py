@@ -118,6 +118,11 @@ def test_simulate_bad_config_exit_2(tmp_path):
         ("scan", {"bogus": 1}),
         ("noise", {"lidar_sigma": "x"}),
         ("scan", {"az_res_deg": 0}),
+        ("sim", {"sequences": 0}),
+        ("sim", {"sequences": 1.5}),
+        ("sim", {"sequences": "2"}),
+        ("sim", {"seed": -3}),
+        ("sim", {"seed": True}),
     ],
     ids=[
         "sim-unknown-key",
@@ -125,6 +130,11 @@ def test_simulate_bad_config_exit_2(tmp_path):
         "scan-unknown-key",
         "lidar-sigma-string",
         "az-res-zero",
+        "sequences-zero",
+        "sequences-fractional",
+        "sequences-string",
+        "seed-negative",
+        "seed-bool",
     ],
 )
 def test_simulate_malformed_sim_section_exit_2(tmp_path, caplog, section, edit):

@@ -239,6 +239,24 @@ def test_config_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_default_configs_share_no_sim_dicts():
+    before = json.dumps(io_formats.DEFAULT_SIM, sort_keys=True)
+    cfg = io_formats.default_config()
+    cfg.sim["noise"]["lidar_sigma"] = 0.01
+    cfg.sim["scan"].update(az_res_deg=1.0)
+    io_formats.config_to_json(cfg)["sim"]["noise"]["dropout"] = 0.5
+    assert json.dumps(io_formats.DEFAULT_SIM, sort_keys=True) == before
+    assert io_formats.default_config().sim == json.loads(before)
+
+
+def test_config_sim_integers_as_json_schema_has_them():
+    # JSON Schema counts 2.0 as an integer; 1.5 and the rest are cases of
+    # test_cli.py::test_simulate_malformed_sim_section_exit_2
+    doc = io_formats.config_to_json(io_formats.default_config())
+    doc["sim"].update(sequences=2.0, seed=0.0)
+    assert io_formats.config_from_json(doc).sim["sequences"] == 2
+
+
 def test_config_duplicate_sensor_ids():
     s = io_formats.SensorConfig(SensorId("lidar", 0))
     with pytest.raises(ParseError):

@@ -3,9 +3,12 @@ end-to-end detection on simulated clouds."""
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from conftest import gicp_register_oracle
 from crosscal import geometry, lidar, sim
 from crosscal.errors import (
+    CrosscalError,
     DegenerateInput,
     EmptyAfterFilter,
     EmptyMatch,
@@ -174,6 +177,80 @@ def test_gicp_disjoint_clouds_poor_fit():
 def test_gicp_too_few_points():
     with pytest.raises(DegenerateInput):
         gicp_register(np.zeros((10, 3)), np.zeros((100, 3)), RigidTransform.identity(), P)
+
+
+def _counting_tree(log):
+    """cKDTree that logs, per query, whether any point found no neighbor
+    within the distance bound."""
+
+    class CountingTree(cKDTree):
+        def query(self, x, *args, **kwargs):
+            dists, idx = super().query(x, *args, **kwargs)
+            log.append(bool(np.isinf(dists).any()))
+            return dists, idx
+
+    return CountingTree
+
+
+def _check_gicp_against_oracle(cases, p, monkeypatch):
+    """Run gicp_register and the oracle from each (filtered cloud, t_init):
+    same outcome or error type, poses within 1e-8 m / rad, fitness within
+    1e-9 relative, KD-tree queries within 2. Returns how many runs of
+    gicp_register had a query leave mask points unmatched."""
+    mask, normals = lidar._board_model(SPEC)
+    log = []
+    monkeypatch.setattr(lidar, "cKDTree", _counting_tree(log))
+    unmatched = 0
+    for target, t_init in cases:
+        outs = []
+        for fn in (gicp_register, gicp_register_oracle):
+            log.clear()
+            try:
+                outs.append((fn(mask, target, t_init, p, normals), len(log)))
+            except CrosscalError as e:
+                outs.append((e, len(log)))
+            if fn is gicp_register:
+                unmatched += any(log)
+        (new, n_new), (old, n_old) = outs
+        assert abs(n_new - n_old) <= 2
+        if isinstance(old, CrosscalError):
+            assert type(new) is type(old), (new, old)
+            continue
+        assert not isinstance(new, CrosscalError), new
+        (t_new, fit_new), (t_old, fit_old) = new, old
+        assert np.abs(t_new.translation - t_old.translation).max() < 1e-8
+        delta = geometry.compose(geometry.invert(t_old), t_new)
+        assert geometry.rotation_angle(delta.rotation) < 1e-8
+        assert abs(fit_new - fit_old) <= 1e-9 * fit_old
+    return unmatched
+
+
+def _rig_gicp_cases(sigma, stations=8):
+    """(filtered cloud, init) of every LiDAR station of a seeded default-rig
+    scene at the default config's 0.2 x 0.2 deg scan."""
+    scene = sim.make_scene(
+        sequences=stations,
+        noise=sim.NoiseModel(lidar_sigma=sigma),
+        scan=sim.ScanPattern(el_res_deg=0.2),
+    )
+    return [
+        (filter_cloud(sim.render_lidar(scene, s, seq), P), sim.perturbed_board_init(scene, s, seq))
+        for seq in range(stations)
+        for s in scene.sensor_ids
+        if s.kind == "lidar"
+    ]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.005], ids=["noise-free", "noisy"])
+def test_gicp_matches_oracle_on_default_rig_clouds(sigma, monkeypatch):
+    _check_gicp_against_oracle(_rig_gicp_cases(sigma), P, monkeypatch)
+
+
+def test_gicp_matches_oracle_when_mask_points_go_unmatched(monkeypatch):
+    # At 5 cm, mask points over the target's holes or past its edges find no
+    # neighbor, so the probes drop them.
+    p = LidarParams(gicp_corr_dist=0.05)
+    assert _check_gicp_against_oracle(_rig_gicp_cases(0.0, stations=2), p, monkeypatch) > 0
 
 
 # --- ransac -----------------------------------------------------------------

@@ -165,6 +165,84 @@ def test_lidar_noise_is_along_the_ray():
     assert 0.005 < dr.std() < 0.02
 
 
+# --- ray grid ---------------------------------------------------------------
+
+def _render_lidar_per_call(scene, sensor, sequence):
+    """`render_lidar` with its ray grid built on every call, as it was before
+    the grid was held on the scene: the reference for `Scene.ray_dirs`."""
+    scan = scene.scan
+    t_sw = scene.pose_of(sensor)
+    t_bw = scene.board_poses[sequence]
+    az = np.deg2rad(np.arange(0.0, 360.0, scan.az_res_deg))
+    el = np.deg2rad(np.arange(scan.el_min_deg, scan.el_max_deg + 1e-9, scan.el_res_deg))
+    azg, elg = np.meshgrid(az, el, indexing="ij")
+    dirs_s = np.stack(
+        [np.cos(elg) * np.cos(azg), np.cos(elg) * np.sin(azg), np.sin(elg)], axis=-1
+    ).reshape(-1, 3)
+    dirs_w = dirs_s @ t_sw.rotation.T
+    origin = t_sw.translation
+    ranges = np.full(len(dirs_w), np.inf)
+    n = t_bw.rotation[:, 2]
+    denom = dirs_w @ n
+    num = float((t_bw.translation - origin) @ n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_hit = np.where(np.abs(denom) > 1e-12, num / denom, np.inf)
+    cand = (t_hit > 0.05) & np.isfinite(t_hit)
+    if cand.any():
+        hits_w = origin + t_hit[cand, None] * dirs_w[cand]
+        q = geometry.invert(t_bw).apply(hits_w)
+        inside = (np.abs(q[:, 0]) <= scene.spec.board_width / 2) & (
+            np.abs(q[:, 1]) <= scene.spec.board_height / 2
+        )
+        for ox, oy in scene.spec.circle_offsets:
+            inside &= (q[:, 0] - ox) ** 2 + (q[:, 1] - oy) ** 2 > scene.spec.circle_radius**2
+        idx = np.where(cand)[0][inside]
+        ranges[idx] = t_hit[idx]
+    dz = dirs_w[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_g = np.where(dz < -1e-12, -origin[2] / dz, np.inf)
+    ranges = np.minimum(ranges, np.where(t_g > 0.05, t_g, np.inf))
+    valid = ranges <= scan.max_range
+    r = ranges[valid]
+    if scene.noise.lidar_sigma > 0:
+        rng = sim._rng(scene.seed, 1, sequence, sensor.index)
+        r = r + rng.normal(0.0, scene.noise.lidar_sigma, size=len(r))
+    return r[:, None] * dirs_s[valid]
+
+
+CONFIG_SCAN = sim.ScanPattern(el_res_deg=0.2)  # the default config's 271,800-ray scan
+SPARSE_SCAN = sim.ScanPattern(az_res_deg=30.0, el_res_deg=30.0)  # 24 rays
+
+
+@pytest.mark.parametrize(
+    "scan, sigma",
+    [(CONFIG_SCAN, 0.0), (SPARSE_SCAN, 0.0), (CONFIG_SCAN, 0.005)],
+    ids=["default-scan", "sparse-scan", "noisy"],
+)
+def test_render_with_scene_ray_grid_equals_per_call_grid(scan, sigma):
+    scene = sim.make_scene(sequences=2, seed=5, scan=scan, noise=sim.NoiseModel(lidar_sigma=sigma))
+    for _ in range(2):  # the second pass reads the grid the first one built
+        for seq in range(2):
+            for i in range(2):
+                s = SensorId("lidar", i)
+                assert np.array_equal(
+                    sim.render_lidar(scene, s, seq), _render_lidar_per_call(scene, s, seq)
+                )
+
+
+def test_ray_grid_is_read_only_and_per_scan():
+    scene = sim.make_scene(sequences=1, seed=5, scan=CONFIG_SCAN)
+    dirs = scene.ray_dirs
+    assert dirs.shape == (1800 * 151, 3) and scene.ray_dirs is dirs
+    assert not dirs.flags.writeable
+    with pytest.raises(ValueError):
+        dirs[0, 0] = 0.0
+    sparse = replace(scene, scan=SPARSE_SCAN)
+    assert sparse.ray_dirs.shape == (24, 3)
+    assert scene.ray_dirs is dirs and scene.ray_dirs.shape == (1800 * 151, 3)
+    assert np.array_equal(replace(sparse, scan=CONFIG_SCAN).ray_dirs, dirs)
+
+
 # --- camera rendering -------------------------------------------------------
 
 def test_camera_render_full_corner_set_and_pnp_round_trip():

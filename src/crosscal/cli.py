@@ -3,8 +3,10 @@
 Every command writes a run manifest (seed, config hash, tool version,
 inputs/outputs) next to its outputs so runs are reproducible: `simulate` as
 `manifest.json` in its dataset directory, `detect` and `calibrate` as
-`<output stem>.manifest.json` beside their output file. With the same inputs
-(and, for `simulate`, the same seed) the outputs are byte-identical.
+`<output stem>.manifest.json` beside their output file. The manifest names
+files by their paths relative to its own directory. With the same inputs
+(and, for `simulate`, the same seed) the outputs are byte-identical, also when
+the inputs and outputs move together to another directory.
 """
 
 from __future__ import annotations
@@ -54,12 +56,14 @@ def _config_hash(path) -> str:
 
 
 def _write_manifest(path, config_path, seed, inputs, outputs, warnings=0):
+    """Write the manifest `path`; it names files relative to its own directory."""
+    here = Path(path).parent
     doc = {
         "tool_version": __version__,
         "seed": seed,
         "config_sha256": _config_hash(config_path),
-        "inputs": sorted(str(p) for p in inputs),
-        "outputs": sorted(str(p) for p in outputs),
+        "inputs": sorted(os.path.relpath(p, here) for p in inputs),
+        "outputs": sorted(os.path.relpath(p, here) for p in outputs),
         "warnings": warnings,
     }
     io_formats.atomic_write(path, io_formats.canonical_json(doc))

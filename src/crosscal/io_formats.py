@@ -309,13 +309,24 @@ def write_detections(path, records):
 
 
 def read_detections(path, strict: bool = False):
-    with open(path) as f:
-        doc = json.load(f)
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise ParseError(f"detections document must be an object, got {type(doc).__name__}")
     if doc.get("version") != SCHEMA_VERSION:
         raise SchemaVersionMismatch(f"expected {SCHEMA_VERSION!r}, got {doc.get('version')!r}")
     if "records" not in doc:
         raise MissingField("records")
-    return [_record_from_json(d, strict) for d in doc["records"]]
+    if not isinstance(doc["records"], list):
+        raise ParseError(f"records must be a list, got {type(doc['records']).__name__}")
+    out = []
+    for n, d in enumerate(doc["records"]):
+        try:
+            out.append(_record_from_json(d, strict))
+        except KeyError as e:
+            raise MissingField(f"{e} in record {n}") from e
+        except TypeError as e:
+            raise ParseError(f"malformed record {n}: {e}") from e
+    return out
 
 
 # --- config -----------------------------------------------------------------
@@ -415,6 +426,7 @@ def _dataclass_from(d: dict, cls, what: str):
 
 def config_from_json(doc: dict) -> ConfigFile:
     try:
+        _reject_unknown(doc, [f.name for f in fields(ConfigFile)], "config")
         sensors = []
         for d in doc["sensors"]:
             _reject_unknown(d, ("kind", "index", "intrinsics"), "sensor")

@@ -25,6 +25,9 @@ import numpy as np
 
 from .errors import CrosscalError
 
+LAMBDA_INIT = 1e-3  # starting damping
+STEP_TOL = 1e-14  # an accepted step shorter than this ends the solve
+
 
 @dataclass
 class LMResult:
@@ -46,9 +49,7 @@ def levenberg_marquardt(
     jac_fn,
     plus,
     max_iter: int = 100,
-    lambda_init: float = 1e-3,
     gradient_tol: float = 1e-10,
-    step_tol: float = 1e-14,
     batched: bool = False,
 ) -> LMResult:
     """Minimize 0.5*||r(state)||^2.
@@ -65,12 +66,12 @@ def levenberg_marquardt(
     propagates.
 
     Stops when the gradient norm drops below gradient_tol, an accepted step
-    is shorter than step_tol, or no step can lower the cost: the damping
+    is shorter than STEP_TOL, or no step can lower the cost: the damping
     loop ran out, or the damped model predicts a reduction of at most
     eps * cost. The last two report converged only if the gradient norm is
     below 1e-6 (a flat minimum).
     """
-    args = (max_iter, lambda_init, gradient_tol, step_tol)
+    args = (max_iter, gradient_tol)
     if batched:
         return _solve(state, residual_fn, jac_fn, plus, *args)
     res = _solve(
@@ -117,11 +118,11 @@ def _damped_steps(hess, lam, grad):
         return dx, ok
 
 
-def _solve(state, residual_fn, jac_fn, plus, max_iter, lambda_init, gradient_tol, step_tol):
+def _solve(state, residual_fn, jac_fn, plus, max_iter, gradient_tol):
     n = len(state)
     r = residual_fn(state, np.arange(n))
     cost = _half_squares(r)
-    lam = np.full(n, lambda_init)
+    lam = np.full(n, LAMBDA_INIT)
     history = [[c] for c in cost.tolist()]
     eps = np.finfo(float).eps
     grad_norm = np.full(n, np.inf)
@@ -165,7 +166,7 @@ def _solve(state, residual_fn, jac_fn, plus, max_iter, lambda_init, gradient_tol
                 for k, c in zip(won.tolist(), cost_trial[better].tolist()):
                     history[k].append(c)
                 lam[won] = np.maximum(lam[won] / 10.0, 1e-12)
-                converged[won] = np.einsum("bn,bn->b", step[better], step[better]) < step_tol**2
+                converged[won] = np.einsum("bn,bn->b", step[better], step[better]) < STEP_TOL**2
                 accepted[damping[trying][better]] = True
             lam[tried[~better]] *= 10.0
             lam[rows[~solved]] *= 10.0

@@ -55,11 +55,7 @@ class SequenceObservations:
 @dataclass(frozen=True)
 class SolveParams:
     max_iter: int = 100
-    lm_lambda_init: float = 1e-3
     gradient_tol: float = 1e-9
-    camera_residual_weight: float | None = None  # default 1/fx per camera
-    lidar_residual_weight: float = 1.0
-    huber_delta: float | None = None
 
 
 @dataclass(frozen=True)
@@ -220,14 +216,14 @@ class _TermTable(NamedTuple):
 
 def _term_table(p: CalibrationProblem) -> _TermTable:
     """Enumerate the residual terms once, in residual-vector order: per
-    sequence, the camera terms of each observing camera j, then the LiDAR pairs."""
-    sp = p.params
+    sequence, the camera terms of each observing camera j, then the LiDAR pairs.
+    A camera's residuals are weighted by 1/fx, a LiDAR's by 1."""
     sensor = np.zeros((len(p.sensors), 6))
-    sensor[:, 0] = sp.lidar_residual_weight
+    sensor[:, 0] = 1.0
     for n, s in enumerate(p.sensors):
         if s.kind == "camera":
             k = p.intrinsics[s]
-            w = sp.camera_residual_weight if sp.camera_residual_weight is not None else 1.0 / k.fx
+            w = 1.0 / k.fx
             sensor[n] = w, k.fx, k.fy, k.cx, k.cy, w * np.hypot(k.width, k.height) / np.sqrt(2.0)
     records, terms, row = [], ([], []), 0
     for q, seq in enumerate(p.sequences):
@@ -289,17 +285,6 @@ def _lidar_blocks(tab: _TermTable, t: _Terms, rot, trans, jac: bool):
     return block, di.reshape(-1, 12, 6), dj.reshape(-1, 12, 6), 0
 
 
-def _huber(block, delta):
-    """(T, 1) Huber scales s and norms n of the blocks: a block of norm
-    n > delta is scaled by s = sqrt(delta (2 n - delta)) / n, so that its cost
-    (s n)^2 / 2 is the Huber loss delta n - delta^2 / 2; smaller blocks keep s = 1."""
-    n = np.linalg.norm(block, axis=1, keepdims=True)
-    if delta is None:
-        return np.ones_like(n), n
-    m = np.maximum(n, delta)
-    return np.where(n > delta, np.sqrt(delta * (2.0 * m - delta)) / m, 1.0), n
-
-
 def residuals(p: CalibrationProblem, poses: dict, table: _TermTable | None = None):
     """Stacked residual vector; behind-camera projections are capped at the
     image diagonal and counted in the returned flag total."""
@@ -309,7 +294,7 @@ def residuals(p: CalibrationProblem, poses: dict, table: _TermTable | None = Non
     flags = 0
     for blocks, t in ((_camera_blocks, tab.cam), (_lidar_blocks, tab.lidar)):
         block, _, _, n = blocks(tab, t, rot, trans, jac=False)
-        r[t.rows] = _huber(block, p.params.huber_delta)[0] * block
+        r[t.rows] = block
         flags += n
     return r, flags
 
@@ -319,17 +304,11 @@ def jacobian(p: CalibrationProblem, poses: dict, table: _TermTable | None = None
     non-reference pose, ordered like p.sensors with the reference skipped."""
     tab = _term_table(p) if table is None else table
     rot, trans = _pose_arrays(p, poses)
-    delta = p.params.huber_delta
     free = np.array([s != p.reference for s in p.sensors])
     col = np.where(free, 6 * np.cumsum(free) - 6, -1)  # first column of each free pose
     jac = np.zeros((tab.cam.rows.size + tab.lidar.rows.size, 6 * free.sum()))
     for blocks, t in ((_camera_blocks, tab.cam), (_lidar_blocks, tab.lidar)):
-        block, di, dj, _ = blocks(tab, t, rot, trans, jac=True)
-        if delta is not None:  # d(s r) = s (I - c u u^T) dr, u = r / n, c = (n - delta) / (2 n - delta)
-            s, n = _huber(block, delta)
-            m = np.maximum(n, delta)
-            u = block / m * np.sqrt((m - delta) / (2.0 * m - delta))  # sqrt(c) u, 0 where n <= delta
-            di, dj = (s[..., None] * (d - u[..., None] * (u[:, None] @ d)) for d in (di, dj))
+        _, di, dj, _ = blocks(tab, t, rot, trans, jac=True)
         for sensor, d in ((t.i, di), (t.j, dj)):
             keep = col[sensor] >= 0
             jac[t.rows[keep, :, None], col[sensor[keep], None, None] + np.arange(6)] = d[keep]
@@ -401,14 +380,12 @@ def solve(p: CalibrationProblem) -> CalibrationResult:
         jac_fn,
         plus,
         max_iter=p.params.max_iter,
-        lambda_init=p.params.lm_lambda_init,
         gradient_tol=p.params.gradient_tol,
     )
     _, flags = residuals(p, res.state, table)
     meta = {
-        "camera_residual_weight": p.params.camera_residual_weight or "1/fx per camera",
-        "lidar_residual_weight": p.params.lidar_residual_weight,
-        "huber_delta": p.params.huber_delta,
+        "camera_residual_weight": "1/fx per camera",
+        "lidar_residual_weight": 1.0,
         "behind_camera_flags": flags,
     }
     result = CalibrationResult(

@@ -98,8 +98,26 @@ def test_simulate_repeat_byte_identical(ws, tmp_path):
     assert all(a[k].startswith(b"ply\nformat binary_little_endian 1.0\n") for k in clouds)
     for k in a:
         if k.name == "manifest.json":
-            continue  # records absolute output paths
+            continue  # names the config relative to the dataset, so by another path
         assert a[k] == b[k], k
+
+
+def test_simulate_tree_moves_with_its_config(tmp_path):
+    """Two runs, each with its config beside its dataset, in directories of
+    different name lengths: the trees are byte-identical, manifest included."""
+    cfg = replace(io_formats.default_config(), sim={**io_formats.DEFAULT_SIM, "sequences": 2})
+    trees = []
+    for name in ("a", "a_much_longer_directory_name"):
+        root = tmp_path / name
+        root.mkdir()
+        io_formats.write_config(root / "config.json", cfg)
+        argv = ["simulate", "--config", str(root / "config.json"), "--out", str(root / "data")]
+        assert cli.main(argv) == 0
+        trees.append(_tree_bytes(root))
+    assert trees[0] == trees[1]
+    man = json.loads(trees[0][Path("data/manifest.json")])
+    assert man["inputs"] == ["../config.json"]
+    assert "ground_truth.json" in man["outputs"]
 
 
 def test_simulate_bad_config_exit_2(tmp_path):
@@ -174,11 +192,13 @@ def test_detect_output_parses_with_full_coverage(ws):
         assert SensorId("lidar", 0) in sensors and SensorId("lidar", 1) in sensors
     man = json.loads((ws["root"] / "detections.manifest.json").read_text())
     assert man["warnings"] == 0
-    inits = sorted(str(p) for p in ws["data"].glob("seq_*/init_lidar*.json"))
+    # paths relative to the manifest's directory, ws["root"]
+    inits = sorted(str(p.relative_to(ws["root"])) for p in ws["data"].glob("seq_*/init_lidar*.json"))
     assert len(inits) == 8 and set(inits) <= set(man["inputs"])
-    assert man["outputs"] == [str(ws["det"])]
+    assert man["outputs"] == ["detections.json"]
     man = json.loads((ws["root"] / "report.manifest.json").read_text())
-    assert man["outputs"] == [str(ws["report"])]
+    assert man["inputs"] == ["config.json", "detections.json"]
+    assert man["outputs"] == ["report.json"]
 
 
 def test_detect_empty_dataset_exit_4(ws, tmp_path):
@@ -511,6 +531,18 @@ def test_calibrate_unknown_reference_exit_2(ws, tmp_path):
         ]
     )
     assert rc == 2
+
+
+def test_calibrate_malformed_detections_exit_2(ws, tmp_path, caplog):
+    doc = json.loads(ws["det"].read_text())
+    del doc["records"][0]["pose"]["euler_xyz_deg"]
+    det = tmp_path / "d.json"
+    det.write_text(json.dumps(doc))
+    argv = ["calibrate", "--config", str(ws["config"]), "--detections", str(det)]
+    with caplog.at_level(logging.ERROR, logger="crosscal"):
+        rc = cli.main(argv + ["--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert "input error" in caplog.text and "euler_xyz_deg" in caplog.text
 
 
 def test_calibrate_disconnected_exit_5(ws, tmp_path):

@@ -215,14 +215,50 @@ def test_detections_version_mismatch(tmp_path):
         io_formats.read_detections(path)
 
 
-def test_detections_missing_required_key(tmp_path):
-    path = tmp_path / "d.json"
-    io_formats.write_detections(path, _sample_records())
-    doc = json.loads(path.read_text())
-    del doc["records"][0]["pose"]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(MissingField):
-        io_formats.read_detections(path)
+_DELETE = object()
+
+
+def _edited(doc, path, value):
+    """doc with the node at `path` deleted (value _DELETE) or replaced."""
+    if not path:
+        return value
+    *parents, key = path
+    node = doc
+    for k in parents:
+        node = node[k]
+    if value is _DELETE:
+        del node[key]
+    else:
+        node[key] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path, value, error",
+    [
+        (("records", 0, "pose"), _DELETE, MissingField),
+        (("records", 0, "pose", "euler_xyz_deg"), _DELETE, MissingField),
+        (("records", 1, "sensor", "kind"), _DELETE, MissingField),
+        ((), [], ParseError),
+        (("records",), 5, ParseError),
+        (("records", 0, "pose"), "x", ParseError),
+    ],
+    ids=[
+        "no-pose",
+        "pose-without-euler",
+        "sensor-without-kind",
+        "document-a-list",
+        "records-a-number",
+        "pose-a-string",
+    ],
+)
+def test_detections_missing_required_key(tmp_path, path, value, error):
+    file = tmp_path / "d.json"
+    io_formats.write_detections(file, _sample_records())
+    doc = _edited(json.loads(file.read_text()), path, value)
+    file.write_text(json.dumps(doc))
+    with pytest.raises(error):
+        io_formats.read_detections(file)
 
 
 # --- config -----------------------------------------------------------------
@@ -305,6 +341,17 @@ def test_config_unknown_field_rejected(tmp_path):
     doc = io_formats.config_to_json(cfg)
     doc["sensors"][-1]["initial_pose"] = {"translation": [0, 0, 0], "euler_xyz_deg": [0, 0, 0]}
     with pytest.raises(ParseError, match="initial_pose"):
+        io_formats.config_from_json(doc)
+    # so does one still carrying a removed setting of the global solve
+    for key in ("lm_lambda_init", "camera_residual_weight", "lidar_residual_weight", "huber_delta"):
+        doc = io_formats.config_to_json(cfg)
+        doc["solve_params"][key] = 1.0
+        with pytest.raises(ParseError, match=key):
+            io_formats.config_from_json(doc)
+    # and a misspelled section, whose settings would otherwise give way to the defaults
+    doc = io_formats.config_to_json(cfg)
+    doc["lidar_param"] = {"d_max": 3.0}
+    with pytest.raises(ParseError, match="lidar_param"):
         io_formats.config_from_json(doc)
 
 

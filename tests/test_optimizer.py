@@ -48,13 +48,8 @@ def _scene(**kw):
     return sim.make_scene(**kw)
 
 
-def _problem(scene, reference=CAM0, params=None):
-    return build_problem(
-        oracle_observations(scene),
-        reference,
-        scene.intrinsics,
-        params or optimizer.SolveParams(),
-    )
+def _problem(scene, reference=CAM0):
+    return build_problem(oracle_observations(scene), reference, scene.intrinsics)
 
 
 def _gt_poses(scene, reference):
@@ -199,9 +194,8 @@ def test_residuals_eq6_hand_case():
         L1: RigidTransform(np.eye(3), np.array([0.1, 0.0, 0.0])),
     }
     r, _ = residuals(p, poses)
-    w = p.params.lidar_residual_weight
     assert r.shape == (12,)
-    assert np.allclose(r.reshape(4, 3), np.tile([-0.1 * w, 0.0, 0.0], (4, 1)), atol=1e-12)
+    assert np.allclose(r.reshape(4, 3), np.tile([-0.1, 0.0, 0.0], (4, 1)), atol=1e-12)  # LiDAR weight 1
 
 
 def test_residual_length_matches_enumeration_formula():
@@ -238,41 +232,19 @@ def _central_differences(p, poses, eps=1e-6):
 def test_jacobian_matches_central_differences_100_states():
     scene = _scene(sequences=3)
     gt = _gt_poses(scene, CAM0)
-    for delta in (None, 1e-3):  # with Huber weighting, most blocks are above delta here
-        p = _problem(scene, params=optimizer.SolveParams(huber_delta=delta))
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            poses = {
-                s: geometry.compose(
-                    geometry.exp_se3(np.concatenate([rng.normal(0, 0.05, 3), rng.normal(0, 0.02, 3)])),
-                    t,
-                )
-                for s, t in gt.items()
-            }
-            jac = jacobian(p, poses)
-            scale = max(np.abs(jac).max(), 1.0)
-            assert np.abs(jac - _central_differences(p, poses)).max() / scale < 1e-4
-
-
-def test_huber_cost_is_the_huber_loss_with_matching_slopes_at_delta():
-    delta = 1e-2
-    seqs = [SequenceObservations(0, {L0: _lidar_obs(SQUARE), L1: _lidar_obs(SQUARE)})]
-    p = build_problem(seqs, L0, {}, optimizer.SolveParams(huber_delta=delta))
-
-    def cost(tx):  # the one LiDAR pair's block has norm n = 2 |tx|
-        poses = {L0: RigidTransform.identity(), L1: RigidTransform(np.eye(3), [tx, 0.0, 0.0])}
-        r = residuals(p, poses)[0]
-        return 0.5 * float(r @ r)
-
-    t0, h = delta / 2, 1e-7
-    below = (cost(t0) - cost(t0 - h)) / h
-    above = (cost(t0 + h) - cost(t0)) / h
-    assert below == pytest.approx(2 * delta, rel=1e-4)  # d(n^2 / 2) / dtx at n = delta
-    assert above == pytest.approx(2 * delta, rel=1e-4)  # d(delta n) / dtx
-    for tx in (0.001, 0.05, 3.0):
-        n = 2 * tx
-        want = n * n / 2 if n <= delta else delta * n - delta**2 / 2
-        assert cost(tx) == pytest.approx(want, rel=1e-12)
+    p = _problem(scene)
+    rng = np.random.default_rng(2)
+    for _ in range(100):
+        poses = {
+            s: geometry.compose(
+                geometry.exp_se3(np.concatenate([rng.normal(0, 0.05, 3), rng.normal(0, 0.02, 3)])),
+                t,
+            )
+            for s, t in gt.items()
+        }
+        jac = jacobian(p, poses)
+        scale = max(np.abs(jac).max(), 1.0)
+        assert np.abs(jac - _central_differences(p, poses)).max() / scale < 1e-4
 
 
 def test_centers_behind_a_camera_are_capped_flagged_and_constant():

@@ -1,6 +1,7 @@
 """The JSON files the tools emit validate against the published schemas."""
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,11 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from conftest import oracle_observations
 from crosscal import io_formats, optimizer, sim
-from crosscal.optimizer import SensorId
+from crosscal.geometry import Intrinsics
+from crosscal.lidar import LidarParams
+from crosscal.optimizer import SensorId, SolveParams
+from crosscal.sim import NoiseModel, ScanPattern
+from crosscal.target import TargetSpec
 
 SCHEMAS = Path(__file__).parent.parent / "schemas"
 
@@ -22,6 +27,27 @@ def test_config_schema(tmp_path):
     path = tmp_path / "c.json"
     io_formats.write_config(path, io_formats.default_config())
     jsonschema.validate(json.loads(path.read_text()), _schema("config"))
+
+
+@pytest.mark.parametrize(
+    "section, cls",
+    [
+        (("properties", "lidar_params"), LidarParams),
+        (("properties", "solve_params"), SolveParams),
+        (("properties", "target"), TargetSpec),
+        (("properties", "sim", "properties", "noise"), NoiseModel),
+        (("properties", "sim", "properties", "scan"), ScanPattern),
+        (("$defs", "intrinsics"), Intrinsics),
+    ],
+    ids=["lidar_params", "solve_params", "target", "sim.noise", "sim.scan", "intrinsics"],
+)
+def test_config_schema_sections_list_their_dataclass_fields(section, cls):
+    """A field removed from the code cannot linger in the schema, nor the reverse."""
+    node = _schema("config")
+    for key in section:
+        node = node[key]
+    assert node["additionalProperties"] is False
+    assert sorted(node["properties"]) == sorted(f.name for f in fields(cls))
 
 
 def test_detections_and_report_schemas(tmp_path):

@@ -26,6 +26,7 @@ from .errors import (
     CrosscalError,
     DisconnectedGraph,
     InfeasibleLayout,
+    IoError,
     MissingField,
     ParseError,
     SchemaVersionMismatch,
@@ -44,6 +45,9 @@ EXIT_INFEASIBLE = 3
 EXIT_NO_DETECTIONS = 4
 EXIT_DISCONNECTED = 5
 EXIT_NOT_CONVERGED = 6
+
+# a config, or calibrate's detections, that cannot be read or used: exit 2
+_INPUT_ERRORS = (ParseError, MissingField, SchemaVersionMismatch, IoError, ValueError)
 
 
 def _manifest_path(out: Path) -> Path:
@@ -70,13 +74,6 @@ def _write_manifest(path, config_path, seed, inputs, outputs, warnings=0):
     return doc
 
 
-def _load_config(path):
-    try:
-        return io_formats.read_config(path)
-    except FileNotFoundError as e:
-        raise ParseError(str(e))
-
-
 def _scene_from_config(cfg, seed):
     s = cfg.sim
     return sim.make_scene(
@@ -93,10 +90,10 @@ def _scene_from_config(cfg, seed):
 
 def cmd_simulate(args) -> int:
     try:
-        cfg = _load_config(args.config)
+        cfg = io_formats.read_config(args.config)
         seed = args.seed if args.seed is not None else int(cfg.sim.get("seed", 0))
         scene = _scene_from_config(cfg, seed)
-    except (ParseError, MissingField, SchemaVersionMismatch, ValueError) as e:
+    except _INPUT_ERRORS as e:
         log.error("config error: %s", e)
         return EXIT_CONFIG
     except InfeasibleLayout as e:
@@ -184,8 +181,8 @@ def _detect_lidars(jobs, cfg) -> list:
 
 def cmd_detect(args) -> int:
     try:
-        cfg = _load_config(args.config)
-    except (ParseError, MissingField, SchemaVersionMismatch, ValueError) as e:
+        cfg = io_formats.read_config(args.config)
+    except _INPUT_ERRORS as e:
         log.error("config error: %s", e)
         return EXIT_CONFIG
     data = Path(args.data)
@@ -271,10 +268,10 @@ def _parse_reference(cfg, text):
 
 def cmd_calibrate(args) -> int:
     try:
-        cfg = _load_config(args.config)
+        cfg = io_formats.read_config(args.config)
         reference = _parse_reference(cfg, args.reference)
         records = io_formats.read_detections(args.detections, strict=args.strict_schema)
-    except (ParseError, MissingField, SchemaVersionMismatch, ValueError) as e:
+    except _INPUT_ERRORS as e:
         log.error("input error: %s", e)
         return EXIT_CONFIG
     by_seq = {}

@@ -143,4 +143,4 @@ class MissingField(CrosscalError):
 
 
 class IoError(CrosscalError):
-    """Filesystem-level failure while writing outputs."""
+    """Filesystem-level failure while reading inputs or writing outputs."""

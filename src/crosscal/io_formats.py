@@ -47,6 +47,15 @@ def atomic_write(path, data: str | bytes):
         raise IoError(f"cannot write {path}: {e}") from e
 
 
+def _read(path, mode: str):
+    """The contents of the input file `path`, opened with `mode`."""
+    try:
+        with open(path, mode) as f:
+            return f.read()
+    except OSError as e:
+        raise IoError(f"cannot read {path}: {e.strerror}") from e
+
+
 # --- point clouds -----------------------------------------------------------
 
 # PLY scalar type names (both spellings) -> NumPy type codes, byte order apart.
@@ -137,8 +146,7 @@ def read_cloud(path) -> np.ndarray:
     path = Path(path)
     if path.suffix != ".ply":
         raise UnsupportedFormat(f"unknown cloud extension {path.suffix!r}")
-    with open(path, "rb") as f:
-        data = f.read()
+    data = _read(path, "rb")
     fmt, n_vertex, props, offset, header_end = _read_ply_header(data)
     endian = _PLY_FORMATS[fmt]
     if endian is not None:
@@ -187,13 +195,12 @@ def pose_from_json(d: dict) -> RigidTransform:
 
 
 def _load_json(path):
-    with open(path) as f:
-        try:
-            return json.load(f)
-        except json.JSONDecodeError as e:
-            raise ParseError(e.msg, line=e.lineno) from e
-        except UnicodeDecodeError as e:
-            raise ParseError(str(e)) from e
+    try:
+        return json.loads(_read(path, "r"))
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{e.msg} in {Path(path).name}", line=e.lineno) from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{e} in {Path(path).name}") from e
 
 
 def read_corners(path) -> list:
@@ -215,7 +222,10 @@ def read_board_init(path) -> RigidTransform:
     """A LiDAR's rough board pose from an `init_lidar*.json` file: {"pose": pose}."""
     doc = _load_json(path)
     try:
-        return pose_from_json(doc["pose"])
+        pose = doc["pose"]
+        if not np.isfinite(np.asarray([pose["translation"], pose["euler_xyz_deg"]], float)).all():
+            raise ParseError(f"non-finite pose in {Path(path).name}")
+        return pose_from_json(pose)
     except KeyError as e:
         raise MissingField(f"{e} in {Path(path).name}") from e
     except (TypeError, ValueError) as e:

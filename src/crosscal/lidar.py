@@ -41,6 +41,10 @@ _MASK_PITCH = 0.015  # m, point spacing of the board model GICP registers
 
 _dot = partial(np.einsum, "in,in->n")  # dot products of the columns of (3, n) arrays
 
+# m; a distance between points within a few km of the sensor is rounded by
+# far less, so a nearest-neighbour certificate this far from failing holds
+_NN_MARGIN = 1e-9
+
 
 @dataclass(frozen=True)
 class LidarParams:
@@ -143,6 +147,56 @@ def _build_board_model(spec: TargetSpec):
     return mask, normals
 
 
+class _NearestTarget:
+    """Nearest target point of each of n moving points, and whether it lies
+    within `bound`: exactly what `tree.query(moved.T, distance_upper_bound=
+    bound)` returns, with the tree queried only for the points whose match
+    could have changed since their last query.
+
+    A point last queried at `a` had its nearest point j at d1 and every other
+    point at least c = min(d2, bound) away, d2 its second-nearest distance.
+    Moved to `m`, at e = |m - t_j| and delta = |m - a|, every other point
+    is still at least c - delta away, so j is still its unique nearest point
+    within the bound while e + delta < c (triangle inequality). The test
+    keeps `_NN_MARGIN` from its edge. A point that had no neighbour, or
+    whose d1 came within the margin of c, is queried again at every call; a
+    d1 within the margin takes its match from a one-neighbour query, as the
+    tree breaks a tie differently when asked for two."""
+
+    def __init__(self, tree: cKDTree, target: np.ndarray, bound: float, n: int):
+        self.tree, self.target, self.bound = tree, target, bound
+        self.anchor = np.zeros((3, n))
+        self.cap = np.full(n, -np.inf)  # c - margin; -inf: query again
+        self.idx = np.zeros(n, dtype=np.intp)  # 0 where not valid
+        self.valid = np.zeros(n, dtype=bool)
+
+    def __call__(self, moved: np.ndarray):
+        """(idx, valid, resid) for the (3, n) positions `moved`, resid being
+        moved minus the matched target points (meaningless where not valid).
+        idx and valid are this object's own, overwritten by the next call."""
+        d = moved - self.anchor
+        resid = moved - np.take(self.target, self.idx, axis=1)
+        stale = np.sqrt(_dot(d, d)) + np.sqrt(_dot(resid, resid)) >= self.cap
+        if stale.any():
+            rows = np.flatnonzero(stale)
+            pts = np.take(moved, rows, axis=1)
+            dists, idx = self.tree.query(pts.T, k=2, distance_upper_bound=self.bound)
+            d1, idx = dists[:, 0], idx[:, 0]
+            cap = np.minimum(dists[:, 1], self.bound)
+            near = np.isfinite(d1) & (cap - d1 <= _NN_MARGIN)
+            if near.any():
+                d1[near], idx[near] = self.tree.query(
+                    pts[:, near].T, distance_upper_bound=self.bound
+                )
+            valid = np.isfinite(d1)
+            np.copyto(self.anchor, moved, where=stale)
+            self.cap[rows] = np.where(valid & ~near, cap - _NN_MARGIN, -np.inf)
+            self.idx[rows] = np.where(valid, idx, 0)
+            self.valid[rows] = valid
+            resid = moved - np.take(self.target, self.idx, axis=1)
+        return self.idx, self.valid, resid
+
+
 def gicp_register(source, target, t_init: RigidTransform, p: LidarParams, source_normals=None):
     """Plane-to-plane GICP; returns (transform source->target frame, fitness).
 
@@ -162,26 +216,28 @@ def gicp_register(source, target, t_init: RigidTransform, p: LidarParams, source
     # (3, n) rows: products, gathers and dot products run on contiguous rows
     src, nrm_s, tgt, nrm_t = (np.ascontiguousarray(a.T) for a in (source, nrm_s, target, nrm_t))
     a_reg = 1.0 - 1e-3  # regularized covariance = I - a_reg * n n^T
+    nearest = _NearestTarget(tgt_tree, tgt, p.gicp_corr_dist, src.shape[1])
 
     def matched(t):
         """NN correspondence state at t: Mahalanobis cost plus the pieces
         Gauss-Newton needs, so an accepted line-search probe can be reused
-        as the next iteration's state without re-querying the tree.
+        as the next iteration's state without matching again.
 
         The combined covariance 2I - a(n1 n1^T + n2 n2^T) is inverted in
         closed form through its (n1 +/- n2) eigenbasis, which is much
         cheaper than stacking and inverting 3x3 matrices.
         """
         moved = t.rotation @ src + t.translation[:, None]
-        dists, idx = tgt_tree.query(moved.T, distance_upper_bound=p.gicp_corr_dist)
-        valid = np.isfinite(dists)
+        idx, valid, resid = nearest(moved)
         n_valid = int(np.count_nonzero(valid))
         if n_valid < 10:
             raise PoorFit(f"only {n_valid} GICP correspondences")
         n2 = t.rotation @ nrm_s
         if n_valid < len(valid):
-            moved, n2, idx, dists = moved[:, valid], n2[:, valid], idx[valid], dists[valid]
-        resid = moved - np.take(tgt, idx, axis=1)
+            moved, n2, idx = moved[:, valid], n2[:, valid], idx[valid]
+            # not resid[:, valid]: that copy is column-major, and einsum
+            # rounds the dot products of such rows differently
+            resid = moved - np.take(tgt, idx, axis=1)
         n1 = np.take(nrm_t, idx, axis=1)
         c = _dot(n1, n2)
         n2 *= np.where(c < 0, -1.0, 1.0)  # orient the source normal like n1
@@ -194,13 +250,13 @@ def gicp_register(source, target, t_init: RigidTransform, p: LidarParams, source
         rp = _dot(up, resid)
         rm = _dot(um, resid)
         cost = float((0.5 * _dot(resid, resid) + wp * rp**2 + wm * rm**2).mean())
-        return cost, moved, resid, up, um, wp, wm, rp, rm, dists
+        return cost, moved, resid, up, um, wp, wm, rp, rm
 
     t_cur = t_init
     step_norm = np.inf
     state = matched(t_cur)
     for _ in range(p.gicp_max_iter):
-        cost, ps, resid, up, um, wp, wm, rp, rm, _ = state
+        cost, ps, resid, up, um, wp, wm, rp, rm = state
         # Gauss-Newton for J_i = [I | -skew(p_i)] and M_i = 0.5 I + wp up up^T
         # + wm um um^T. As J_i^T u = [u; p_i x u], the weighted terms are two
         # GEMMs over (6, n) rows; the 0.5 J_i^T J_i term has a closed form.
@@ -247,7 +303,9 @@ def gicp_register(source, target, t_init: RigidTransform, p: LidarParams, source
             break
     if step_norm >= 1e-6:
         raise NotConverged(f"GICP step norm {step_norm:.2e} after {p.gicp_max_iter} iterations")
-    fitness = float((state[-1] ** 2).mean())  # state is matched(t_cur)
+    # state is matched(t_cur); each distance is rounded as the tree rounds it
+    r = state[2]
+    fitness = float((np.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2]) ** 2).mean())
     if fitness >= p.gicp_fitness_eps:
         raise PoorFit(f"fitness {fitness:.3e} >= {p.gicp_fitness_eps:.3e}")
     return t_cur, fitness

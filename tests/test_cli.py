@@ -242,21 +242,44 @@ def test_detect_partial_failure_warns_but_succeeds(ws, tmp_path):
         ("corners_camera*.json", "{not json"),
         ("init_lidar*.json", '{"pose": {"translation": [0, 0, 1]}}'),  # no "euler_xyz_deg"
         ("init_lidar*.json", "[]"),
+        ("init_lidar*.json", '{"pose": {"euler_xyz_deg": [0, 0, 0], "translation": [NaN, 0, 1]}}'),
+        (
+            "init_lidar*.json",
+            '{"pose": {"euler_xyz_deg": [0, Infinity, 0], "translation": [0, 0, 1]}}',
+        ),
+        ("cloud_lidar*.ply", None),  # the path is a directory
     ],
-    ids=["corners-missing-key", "corners-not-json", "init-missing-key", "init-not-an-object"],
+    ids=[
+        "corners-missing-key",
+        "corners-not-json",
+        "init-missing-key",
+        "init-not-an-object",
+        "init-nan-translation",
+        "init-inf-angle",
+        "cloud-is-a-directory",
+    ],
 )
-def test_detect_malformed_input_file_costs_only_its_detection(ws, tmp_path, pattern, content):
+def test_detect_malformed_input_file_costs_only_its_detection(
+    ws, tmp_path, caplog, pattern, content
+):
     data2 = tmp_path / "data"
     shutil.copytree(ws["data"], data2)
     victim = sorted((data2 / "seq_001").glob(pattern))[0]
-    victim.write_text(content)
+    if content is None:
+        victim.unlink()
+        victim.mkdir()
+    else:
+        victim.write_text(content)
     sensor = victim.stem.split("_")[1]
     out = tmp_path / "d.json"
-    rc = cli.main(
-        ["detect", "--config", str(ws["config"]), "--data", str(data2), "--out", str(out)]
-    )
+    with caplog.at_level(logging.WARNING, logger="crosscal"):
+        rc = cli.main(
+            ["detect", "--config", str(ws["config"]), "--data", str(data2), "--out", str(out)]
+        )
     assert rc == 0
     assert json.loads((tmp_path / "d.manifest.json").read_text())["warnings"] == 1
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warned) == 1 and victim.name in warned[0], warned
     keys = [(r.sequence, str(r.sensor)) for r in io_formats.read_detections(ws["det"])]
     assert [(r.sequence, str(r.sensor)) for r in io_formats.read_detections(out)] == [
         k for k in keys if k != (1, sensor)
@@ -543,6 +566,18 @@ def test_calibrate_malformed_detections_exit_2(ws, tmp_path, caplog):
         rc = cli.main(argv + ["--out", str(tmp_path / "r.json")])
     assert rc == 2
     assert "input error" in caplog.text and "euler_xyz_deg" in caplog.text
+
+
+@pytest.mark.parametrize("name", ["nope.json", "a_directory"])
+def test_calibrate_unreadable_detections_exit_2(ws, tmp_path, caplog, name):
+    det = tmp_path / name
+    if name == "a_directory":
+        det.mkdir()
+    argv = ["calibrate", "--config", str(ws["config"]), "--detections", str(det)]
+    with caplog.at_level(logging.ERROR, logger="crosscal"):
+        rc = cli.main(argv + ["--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert "input error" in caplog.text and name in caplog.text
 
 
 def test_calibrate_disconnected_exit_5(ws, tmp_path):

@@ -180,37 +180,66 @@ def test_gicp_too_few_points():
 
 
 def _counting_tree(log):
-    """cKDTree that logs, per query, whether any point found no neighbor
-    within the distance bound."""
+    """cKDTree that logs, per query, whether any point found no nearest
+    neighbor within the distance bound (a two-neighbor query's second
+    neighbor beyond the bound does not count)."""
 
     class CountingTree(cKDTree):
         def query(self, x, *args, **kwargs):
             dists, idx = super().query(x, *args, **kwargs)
-            log.append(bool(np.isinf(dists).any()))
+            log.append(bool(np.isinf(dists if dists.ndim == 1 else dists[:, 0]).any()))
             return dists, idx
 
     return CountingTree
 
 
+def _fresh_query_checked(probes):
+    """`lidar._NearestTarget.__call__` that asserts, at every call, that its
+    matches, valid mask and residuals are those of a query of the whole
+    tree; appends one item to `probes` per call."""
+    call = lidar._NearestTarget.__call__
+
+    def checked(self, moved):
+        idx, valid, resid = call(self, moved)
+        # unbound, so that a counting subclass does not log the check
+        dists, want = cKDTree.query(self.tree, moved.T, distance_upper_bound=self.bound)
+        assert np.array_equal(valid, np.isfinite(dists))
+        assert np.array_equal(idx[valid], want[valid])
+        assert np.array_equal(resid[:, valid], moved[:, valid] - self.target[:, want[valid]])
+        probes.append(1)
+        return idx, valid, resid
+
+    return checked
+
+
 def _check_gicp_against_oracle(cases, p, monkeypatch):
     """Run gicp_register and the oracle from each (filtered cloud, t_init):
     same outcome or error type, poses within 1e-8 m / rad, fitness within
-    1e-9 relative, KD-tree queries within 2. Returns how many runs of
+    1e-9 relative, line-search probes within 2 (each probe after the first
+    takes one `geometry.exp_se3` step), and at every probe of gicp_register
+    the matches of a fresh KD-tree query, so that its fitness is the mean of
+    the tree's own squared distances. Returns how many runs of
     gicp_register had a query leave mask points unmatched."""
     mask, normals = lidar._board_model(SPEC)
-    log = []
+    log, steps, probes = [], [], []
     monkeypatch.setattr(lidar, "cKDTree", _counting_tree(log))
+    monkeypatch.setattr(lidar._NearestTarget, "__call__", _fresh_query_checked(probes))
+    exp_se3 = geometry.exp_se3
+    monkeypatch.setattr(geometry, "exp_se3", lambda xi: steps.append(1) or exp_se3(xi))
     unmatched = 0
     for target, t_init in cases:
         outs = []
         for fn in (gicp_register, gicp_register_oracle):
             log.clear()
+            steps.clear()
+            probes.clear()
             try:
-                outs.append((fn(mask, target, t_init, p, normals), len(log)))
+                outs.append((fn(mask, target, t_init, p, normals), len(steps)))
             except CrosscalError as e:
-                outs.append((e, len(log)))
+                outs.append((e, len(steps)))
             if fn is gicp_register:
                 unmatched += any(log)
+                assert len(probes) == len(steps) + 1  # every probe was checked
         (new, n_new), (old, n_old) = outs
         assert abs(n_new - n_old) <= 2
         if isinstance(old, CrosscalError):
@@ -218,6 +247,9 @@ def _check_gicp_against_oracle(cases, p, monkeypatch):
             continue
         assert not isinstance(new, CrosscalError), new
         (t_new, fit_new), (t_old, fit_old) = new, old
+        moved = t_new.rotation @ mask.T + t_new.translation[:, None]
+        dists, _ = cKDTree(target).query(moved.T, distance_upper_bound=p.gicp_corr_dist)
+        assert fit_new == (dists[np.isfinite(dists)] ** 2).mean()  # to the bit
         assert np.abs(t_new.translation - t_old.translation).max() < 1e-8
         delta = geometry.compose(geometry.invert(t_old), t_new)
         assert geometry.rotation_angle(delta.rotation) < 1e-8
@@ -251,6 +283,66 @@ def test_gicp_matches_oracle_when_mask_points_go_unmatched(monkeypatch):
     # neighbor, so the probes drop them.
     p = LidarParams(gicp_corr_dist=0.05)
     assert _check_gicp_against_oracle(_rig_gicp_cases(0.0, stations=2), p, monkeypatch) > 0
+
+
+# --- nearest-target search --------------------------------------------------
+
+class _PointCountingTree(cKDTree):
+    points = 0  # queried so far
+
+    def query(self, x, *args, **kwargs):
+        self.points += len(x)
+        return super().query(x, *args, **kwargs)
+
+
+def _run_search(target, bound, probes):
+    """Feed the (n, 3) positions of each probe to one `_NearestTarget`,
+    asserting at each call a fresh query's matches and valid mask; returns
+    per call the number of points queried and the valid mask."""
+    target = np.asarray(target, dtype=float)
+    tree = _PointCountingTree(target)
+    search = lidar._NearestTarget(tree, np.ascontiguousarray(target.T), bound, len(probes[0]))
+    out = []
+    for pos in probes:
+        pos = np.asarray(pos, dtype=float)
+        before = tree.points
+        idx, valid, resid = search(np.ascontiguousarray(pos.T))
+        dists, want = cKDTree.query(tree, pos, distance_upper_bound=bound)
+        assert np.array_equal(valid, np.isfinite(dists))
+        assert np.array_equal(idx[valid], want[valid])
+        assert np.array_equal(resid[:, valid], (pos[valid] - target[want[valid]]).T)
+        out.append((tree.points - before, valid.tolist()))
+    return out
+
+
+def test_nearest_target_equidistant_point_gets_the_one_neighbor_match():
+    # Half-step lattice points tie between lattice points; a two-neighbor
+    # query's first neighbor then differs from the one-neighbor query's.
+    grid = np.stack(np.meshgrid(*[np.arange(6.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    target = grid * 0.015
+    pos = np.random.default_rng(0).integers(0, 11, size=(400, 3)) * 0.5 * 0.015
+    tree = cKDTree(target)
+    two = tree.query(pos, k=2, distance_upper_bound=0.5)[1][:, 0]
+    assert (two != tree.query(pos, distance_upper_bound=0.5)[1]).any()
+    shifted = pos + [1e-4, 0.0, 0.0]
+    calls = _run_search(target, 0.5, [pos, pos, shifted, shifted])
+    assert 0 < calls[1][0] < calls[0][0]  # unmoved, only the ties are queried again
+
+
+def test_nearest_target_second_neighbor_beyond_the_bound():
+    # The second point is 0.9 m away, past the 0.3 m bound: the bound caps
+    # how far the match is kept without a query.
+    target = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+    probes = [[[x, 0.0, 0.0]] for x in (0.1, 0.18, 0.12, 0.2)]
+    calls = _run_search(target, 0.3, probes)
+    assert calls == [(1, [True]), (0, [True]), (0, [True]), (1, [True])]
+
+
+def test_nearest_target_point_crossing_the_bound():
+    target = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+    probes = [[[x, 0.0, 0.0]] for x in (0.1, 0.35, 0.36, 0.2)]
+    calls = _run_search(target, 0.3, probes)
+    assert calls == [(1, [True]), (1, [False]), (1, [False]), (1, [True])]
 
 
 # --- ransac -----------------------------------------------------------------

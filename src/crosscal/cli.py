@@ -251,11 +251,12 @@ def cmd_detect(args) -> int:
 
 
 def _parse_reference(cfg, text):
-    """Accept 'S2' display names, 'camera1' / 'lidar0', or config default."""
+    """Accept 'S2' display names, 'camera1' / 'lidar0', or config default.
+    S<n> numbers the configured sensors as the report does."""
     if text is None:
         return cfg.reference
     ids = [s.sensor for s in cfg.sensors]
-    display = [s for s in ids if s.kind == "camera"] + [s for s in ids if s.kind == "lidar"]
+    display = optimizer.display_order(ids)
     if text.upper().startswith("S") and text[1:].isdigit():
         k = int(text[1:]) - 1
         if 0 <= k < len(display):

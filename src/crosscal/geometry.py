@@ -31,6 +31,8 @@ class RigidTransform:
         t = np.asarray(self.translation, dtype=float).reshape(3)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
+        if not (np.isfinite(r).all() and np.isfinite(t).all()):
+            raise ValueError("rotation or translation not finite")
         err = np.abs(r.T @ r - np.eye(3)).max()
         if err > 1e-8 or np.linalg.det(r) < 0:
             raise ValueError(f"rotation not orthonormal (err={err:.2e}, det={np.linalg.det(r):.4f})")

@@ -190,7 +190,8 @@ def pose_to_json(t: RigidTransform) -> dict:
 
 
 def pose_from_json(d: dict) -> RigidTransform:
-    rot = geometry.rotation_from_euler_xyz(*d["euler_xyz_deg"])
+    with np.errstate(invalid="ignore"):  # RigidTransform rejects an infinite angle
+        rot = geometry.rotation_from_euler_xyz(*d["euler_xyz_deg"])
     return RigidTransform(rot, np.asarray(d["translation"], dtype=float))
 
 
@@ -222,10 +223,7 @@ def read_board_init(path) -> RigidTransform:
     """A LiDAR's rough board pose from an `init_lidar*.json` file: {"pose": pose}."""
     doc = _load_json(path)
     try:
-        pose = doc["pose"]
-        if not np.isfinite(np.asarray([pose["translation"], pose["euler_xyz_deg"]], float)).all():
-            raise ParseError(f"non-finite pose in {Path(path).name}")
-        return pose_from_json(pose)
+        return pose_from_json(doc["pose"])
     except KeyError as e:
         raise MissingField(f"{e} in {Path(path).name}") from e
     except (TypeError, ValueError) as e:

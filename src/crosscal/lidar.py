@@ -384,31 +384,17 @@ def ransac_plane(pts: np.ndarray, p: LidarParams, rng=None):
     return plane, inliers
 
 
-def normalize_plane(inliers: np.ndarray, pl: Plane):
-    """Rotate so the plane normal maps to +z; returns (rotated points, R).
-
-    Uses Rx(theta_x) @ Ry(theta_y) when the normal is far from vertical
-    (|c| >= 0.1), otherwise the shortest rotation taking the normal to e_z.
-    Either way R @ (a,b,c) = (0,0,1) to machine precision.
-    """
-    inliers = np.asarray(inliers, dtype=float).reshape(-1, 3)
-    a, b, c = pl.a, pl.b, pl.c
-    if abs(c) >= 0.1:
-        theta_y = -np.arctan2(a, c)
-        theta_x = np.arctan2(b, np.hypot(a, c))
-        rot = geometry.rot_x(theta_x) @ geometry.rot_y(theta_y)
-    else:
-        n = pl.normal()
-        ez = np.array([0.0, 0.0, 1.0])
-        axis = np.cross(n, ez)
-        s = np.linalg.norm(axis)
-        cc = np.clip(float(n @ ez), -1.0, 1.0)
-        if s < 1e-12:
-            rot = np.eye(3) if cc > 0 else geometry.rot_x(np.pi)
-        else:
-            rot = geometry.rotation_exp(axis / s * np.arctan2(s, cc))
-    xform = RigidTransform(rot, np.zeros(3))
-    return inliers @ rot.T, xform
+def normalize_plane(normal: np.ndarray, board_x: np.ndarray) -> np.ndarray:
+    """The board's plane frame: the rotation whose rows are x, n x x and n,
+    n being the unit plane normal and x the unit projection of `board_x`
+    onto the plane. It maps n to +z and that projection to +x, so points of
+    the plane share one z and a board whose x is `board_x` lies along the
+    x and y axes. `board_x` must not be parallel to n."""
+    n = np.asarray(normal, dtype=float)
+    x = np.asarray(board_x, dtype=float)
+    x = x - (x @ n) * n
+    x = x / np.linalg.norm(x)
+    return np.array([x, np.cross(n, x), n])
 
 
 def build_occupancy(flat_pts: np.ndarray, res: float) -> OccupancyGrid:
@@ -524,22 +510,16 @@ def check_circle_geometry(centers_2d, spec: TargetSpec, tol: float = 0.06) -> No
 
 def rough_board_pose(cloud: np.ndarray, p: LidarParams) -> RigidTransform:
     """Fallback board-pose guess when no operator initialization exists:
-    centroid of the filtered cloud plus its PCA plane normal (oriented back
-    toward the sensor). In-plane orientation is arbitrary, so downstream
-    ordering resolution matters more when this path is used."""
+    centroid of the filtered cloud plus its least-squares plane normal
+    (oriented back toward the sensor), with board x horizontal (the
+    sensor's x for a board lying flat). In-plane orientation is arbitrary,
+    so downstream ordering resolution matters more when this path is used."""
     filtered = filter_cloud(cloud, p)
-    centroid = filtered.mean(axis=0)
-    _, _, vt = np.linalg.svd(filtered - centroid, full_matrices=False)
-    z = vt[-1] / np.linalg.norm(vt[-1])
-    if float(z @ centroid) > 0:  # board z should face the sensor
-        z = -z
-    up = np.array([0.0, 0.0, 1.0])
-    x = np.cross(up, z)
-    if np.linalg.norm(x) < 1e-6:
-        x = np.cross(np.array([1.0, 0.0, 0.0]), z)
-    x = x / np.linalg.norm(x)
-    y = np.cross(z, x)
-    return RigidTransform(np.column_stack([x, y, z]), centroid)
+    plane = _fit_plane_lsq(filtered)
+    n = -plane.normal() if plane.d < 0 else plane.normal()  # board z faces the sensor
+    x = np.cross([0.0, 0.0, 1.0], n)
+    frame = normalize_plane(n, x if x.any() else [1.0, 0.0, 0.0])
+    return RigidTransform(frame.T, filtered.mean(axis=0))
 
 
 def detect_target_lidar(
@@ -548,38 +528,35 @@ def detect_target_lidar(
     t_init: RigidTransform,
     p: LidarParams,
 ) -> LidarDetection:
-    """Full board detection: filter -> GICP -> match -> RANSAC -> normalize
-    -> occupancy -> window -> circle refinement -> 3D lift."""
+    """Full board detection: filter -> GICP -> match -> RANSAC -> plane
+    frame -> occupancy -> window -> circle refinement -> 3D lift.
+
+    The plane frame (`normalize_plane`) takes the RANSAC plane's normal as z
+    and the registered board x, projected onto the plane, as x, so the grid
+    lies in the board plane with the design offsets along its axes. The
+    grid centers are lifted back at the inliers' mean height in that frame
+    and snapped onto the plane."""
     mask, mask_normals = _board_model(spec)
     try:
         filtered = filter_cloud(cloud, p)
         t_refined, fitness = gicp_register(mask, filtered, t_init, p, mask_normals)
         matched = match_points(filtered, t_refined.apply(mask), p.nn_delta)
         plane, inliers = ransac_plane(matched, p)
-        # Orient the fitted normal like the estimated board z so the grid
-        # frame keeps the board's handedness.
-        board_z = t_refined.rotation @ np.array([0.0, 0.0, 1.0])
-        if float(plane.normal() @ board_z) < 0:
-            plane = Plane(-plane.a, -plane.b, -plane.c, -plane.d)
-        rotated, r_plane = normalize_plane(inliers, plane)
-        # Undo the in-plane rotation so design offsets are axis-aligned.
-        bx = r_plane.rotation @ (t_refined.rotation @ np.array([1.0, 0.0, 0.0]))
-        yaw = np.arctan2(bx[1], bx[0])
-        r_yaw = geometry.rot_z(-yaw)
-        grid_rot = r_yaw @ r_plane.rotation
-        grid_pts = inliers @ grid_rot.T
+        # Orient the frame's normal like the estimated board z so the grid
+        # keeps the board's handedness, and its x along the board's x so the
+        # design offsets are axis-aligned.
+        board_x, _, board_z = t_refined.rotation.T
+        n = plane.normal()
+        frame = normalize_plane(-n if n @ board_z < 0 else n, board_x)
+        grid_pts = inliers @ frame.T
         grid = build_occupancy(grid_pts, p.grid_res)
         window = find_target_region(grid, spec.board_width)
-        predicted = (t_refined.apply(circle_centers_board(spec))) @ grid_rot.T
-        centers_2d = refine_circles(grid, window, spec, preferred=[c[:2] for c in predicted])
+        predicted = t_refined.apply(circle_centers_board(spec)) @ frame.T
+        centers_2d = refine_circles(grid, window, spec, preferred=predicted[:, :2])
         check_circle_geometry(centers_2d, spec)
     except LidarStageError as e:
         raise type(e)(f"stage '{e.stage}': {e}") from e
-    z0 = float(grid_pts[:, 2].mean())
-    n = plane.normal()
-    centers = []
-    for c2 in centers_2d:
-        pt = grid_rot.T @ np.array([c2[0], c2[1], z0])
-        pt = pt - (float(n @ pt) + plane.d) * n  # snap exactly onto the plane
-        centers.append(pt)
-    return LidarDetection(t_refined, np.asarray(centers), fitness)
+    z0 = np.full(len(centers_2d), grid_pts[:, 2].mean())
+    centers = np.column_stack([centers_2d, z0]) @ frame
+    centers -= np.outer(centers @ n + plane.d, n)  # snap exactly onto the plane
+    return LidarDetection(t_refined, centers, fitness)

@@ -97,6 +97,12 @@ def _check_centers(det, sensor, seq):
         raise DegenerateCenters(f"sensor {sensor} sequence {seq}: collinear centers")
 
 
+def display_order(sensors) -> tuple:
+    """The distinct `sensors` in the order reports number them S1, S2, ...:
+    cameras, then LiDARs, each by index (the order of SensorId)."""
+    return tuple(sorted(set(sensors)))
+
+
 def build_problem(
     detections,
     reference: SensorId,
@@ -115,10 +121,7 @@ def build_problem(
             log.warning("sequence %s has %d detection(s); dropped", seq.sequence, len(seq.observations))
             continue
         kept.append(seq)
-    sensors = sorted({s for seq in kept for s in seq.observations})
-    sensors = tuple(
-        [s for s in sensors if s.kind == "camera"] + [s for s in sensors if s.kind == "lidar"]
-    )
+    sensors = display_order(s for seq in kept for s in seq.observations)
     if reference not in sensors:
         raise NoReferenceObservations(f"reference {reference} has no detections")
     # connectivity over co-detection edges

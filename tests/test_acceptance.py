@@ -300,7 +300,7 @@ def test_algorithm1_unit_suite(request):
     _run_suite(
         request,
         "algorithm1-unit-suite (filter/match/occupancy brute force x100, RANSAC "
-        "20% outliers < 0.5 deg, normalize 1e-9 incl vertical, r=200 grid, "
+        "20% outliers < 0.5 deg, plane frame 1e-12 incl upright, r=200 grid, "
         "exact circle cell shifts)",
         Path(__file__).parent / "test_lidar_pipeline.py",
     )

@@ -518,6 +518,20 @@ def test_calibrate_reference_flag_moves_gauge_only(ws, tmp_path):
             assert np.abs(t1.matrix() - t2.matrix()).max() < 1e-6
 
 
+def test_calibrate_reference_display_name_follows_the_report_not_the_config(ws, tmp_path):
+    """With the config's sensors listed in reverse, `--reference S<n>` still
+    names the sensor that the report calls S<n>."""
+    cfg = io_formats.read_config(ws["config"])
+    cfg_path = tmp_path / "reversed.json"
+    io_formats.write_config(cfg_path, replace(cfg, sensors=tuple(reversed(cfg.sensors))))
+    for k in range(1, len(cfg.sensors) + 1):
+        out = tmp_path / f"report_s{k}.json"
+        argv = ["calibrate", "--config", str(cfg_path), "--detections", str(ws["det"])]
+        assert cli.main(argv + ["--out", str(out), "--reference", f"S{k}"]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["poses"][rep["reference"]]["display"] == f"S{k}"
+
+
 def test_calibrate_pairwise_mode_runs(ws, tmp_path, capsys):
     out2 = tmp_path / "report_pw.json"
     rc = cli.main(
@@ -566,6 +580,23 @@ def test_calibrate_malformed_detections_exit_2(ws, tmp_path, caplog):
         rc = cli.main(argv + ["--out", str(tmp_path / "r.json")])
     assert rc == 2
     assert "input error" in caplog.text and "euler_xyz_deg" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("euler_xyz_deg", [0.0, float("nan"), 0.0]), ("translation", [0.0, float("inf"), 1.0])],
+    ids=["nan-angle", "inf-translation"],
+)
+def test_calibrate_non_finite_pose_in_detections_exit_2(ws, tmp_path, caplog, field, value):
+    doc = json.loads(ws["det"].read_text())
+    doc["records"][0]["pose"][field] = value
+    det = tmp_path / "d.json"
+    det.write_text(json.dumps(doc))  # NaN and Infinity, as Python's json writes them
+    argv = ["calibrate", "--config", str(ws["config"]), "--detections", str(det)]
+    with caplog.at_level(logging.ERROR, logger="crosscal"):
+        rc = cli.main(argv + ["--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert "input error" in caplog.text and "not finite" in caplog.text
 
 
 @pytest.mark.parametrize("name", ["nope.json", "a_directory"])

@@ -81,6 +81,21 @@ def test_rotation_validation_rejects_non_orthonormal():
         RigidTransform(np.eye(3) * 1.1, np.zeros(3))
 
 
+@pytest.mark.parametrize(
+    "rotation, translation",
+    [
+        (np.full((3, 3), np.nan), np.zeros(3)),
+        (np.where(np.eye(3) > 0, 1.0, np.nan), np.zeros(3)),
+        (np.eye(3), [0.0, np.inf, 0.0]),
+        (np.eye(3), [np.nan, 0.0, 0.0]),
+    ],
+    ids=["nan-rotation", "nan-off-diagonal", "inf-translation", "nan-translation"],
+)
+def test_rigid_transform_rejects_non_finite(rotation, translation):
+    with pytest.raises(ValueError, match="not finite"):
+        RigidTransform(rotation, translation)
+
+
 def test_project_principal_axis():
     k = Intrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
     assert np.allclose(geometry.project_many(k, [0.0, 0.0, 3.0]), [320.0, 240.0])

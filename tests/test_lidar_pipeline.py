@@ -439,6 +439,42 @@ def test_ransac_batched_matches_per_hypothesis_oracle():
 
 # --- plane frame ------------------------------------------------------------
 
+def test_normalize_horizontal_plane_is_identity():
+    pts = np.column_stack([np.random.default_rng(9).uniform(-1, 1, (50, 2)), np.full(50, 2.0)])
+    frame = normalize_plane([0.0, 0.0, 1.0], [1.0, 0.0, 0.3])
+    assert np.abs(frame - np.eye(3)).max() < 1e-12
+    assert np.abs(pts @ frame.T - pts).max() < 1e-12
+
+
+def test_normalize_20_degree_tilt_hand_formula():
+    th = np.deg2rad(20.0)
+    n = np.array([0.0, np.sin(th), np.cos(th)])
+    frame = normalize_plane(n, [1.0, 0.0, 0.0])
+    # rows x = e_x, n x x = (0, cos, -sin), n -> R = Rx(20 deg)
+    assert np.abs(frame - geometry.rot_x(th)).max() < 1e-12
+    assert np.abs(frame @ n - [0, 0, 1]).max() < 1e-12
+
+
+def test_normalize_vertical_plane_fallback():
+    n = np.array([1.0, 0.0, 0.0])
+    rng = np.random.default_rng(10)
+    pts = np.column_stack([np.zeros(200), rng.uniform(-1, 1, size=(200, 2))])
+    frame = normalize_plane(n, [0.0, 1.0, 0.0])
+    assert np.abs(frame @ n - [0, 0, 1]).max() < 1e-9
+    assert np.ptp((pts @ frame.T)[:, 2]) < 2 * P.ransac_eps
+
+
+def test_normalize_random_planes_map_normal_to_ez():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        if n[2] < 0:
+            n = -n
+        frame = normalize_plane(n, rng.normal(size=3))
+        assert np.abs(frame @ n - [0, 0, 1]).max() < 1e-9
+
+
 def test_normalize_plane_is_an_orthonormal_frame_mapping_n_to_z_and_board_x_to_x():
     """100 random planes, among them 40 within 5.7 deg of upright (|n_z| <
     0.1) and n = +/-e_z, each with a random board x."""

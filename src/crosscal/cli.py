@@ -216,7 +216,7 @@ def cmd_detect(args) -> int:
                 out = UnknownSensor(f"{sensor} is not in the config")
             else:
                 try:
-                    corner_sets.append(io_formats.read_corners(corner_path))
+                    corner_sets.append(io_formats.read_corners(corner_path, cfg.target))
                     cameras.append(intr[sensor])
                     out = len(corner_sets) - 1
                 except CrosscalError as e:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass, fields
@@ -204,19 +205,38 @@ def _load_json(path):
         raise ParseError(f"{e} in {Path(path).name}") from e
 
 
-def read_corners(path) -> list:
+def _is_integer(v) -> bool:
+    """An integer as JSON Schema has it: an int or an integral float."""
+    return type(v) is int or isinstance(v, float) and v.is_integer()
+
+
+def read_corners(path, spec: TargetSpec) -> list:
     """A camera's checker-corner detections, [CornerObservation], from a
-    `corners_camera*.json` file: {"corners": [{"id": int, "uv": [u, v]}, ...]}."""
+    `corners_camera*.json` file: {"corners": [{"id": int, "uv": [u, v]}, ...]}.
+    The ids are distinct corners of the board `spec`, each uv 2 finite
+    numbers; anything else is a ParseError naming the file."""
     doc = _load_json(path)
+    n_ids = (spec.squares_x - 1) * (spec.squares_y - 1)  # checker_corners_board's ids
+    out, seen = [], set()
     try:
-        return [
-            CornerObservation(int(c["id"]), (float(c["uv"][0]), float(c["uv"][1])))
-            for c in doc["corners"]
-        ]
+        for c in doc["corners"]:
+            cid, uv = c["id"], c["uv"]
+            if not (_is_integer(cid) and 0 <= cid < n_ids):
+                raise ValueError(f"corner id {cid!r} is not an integer in [0, {n_ids})")
+            if cid in seen:
+                raise ValueError(f"corner id {cid!r} repeated")
+            if not (isinstance(uv, list) and len(uv) == 2 and {*map(type, uv)} <= {int, float}):
+                raise ValueError(f"corner {cid} uv {uv!r} is not 2 numbers")
+            u, v = float(uv[0]), float(uv[1])
+            if not (math.isfinite(u) and math.isfinite(v)):
+                raise ValueError(f"corner {cid} uv {uv!r} is not finite")
+            seen.add(cid)
+            out.append(CornerObservation(int(cid), (u, v)))
     except KeyError as e:
         raise MissingField(f"{e} in {Path(path).name}") from e
-    except (TypeError, ValueError, IndexError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"malformed corner in {Path(path).name}: {e}") from e
+    return out
 
 
 def read_board_init(path) -> RigidTransform:
@@ -452,9 +472,9 @@ def config_from_json(doc: dict) -> ConfigFile:
         for key, cls in (("noise", NoiseModel), ("scan", ScanPattern)):
             sim[key] = {**DEFAULT_SIM[key], **sim[key]}
             _dataclass_from(sim[key], cls, f"sim.{key}")  # checks only; `simulate` builds its own
-        for key, low in (("sequences", 1), ("seed", 0)):  # integers as JSON Schema has them
+        for key, low in (("sequences", 1), ("seed", 0)):
             v = sim[key]
-            if not (type(v) is int or isinstance(v, float) and v.is_integer()) or v < low:
+            if not _is_integer(v) or v < low:
                 raise ParseError(f"sim.{key} must be an integer >= {low}, got {v!r}")
         return ConfigFile(tuple(sensors), spec, lp, sp, ref, sim)
     except KeyError as e:
@@ -515,7 +535,7 @@ def report_to_json(result: CalibrationResult, consistency: dict | None = None) -
 def format_report_text(doc: dict) -> str:
     lines = ["Calibration results (reference: %s)" % doc["reference"], ""]
     lines.append("Sensor poses (translation x,y,z [m] / Euler XYZ [deg]):")
-    for name in sorted(doc["poses"], key=lambda n: doc["poses"][n]["display"]):
+    for name in sorted(doc["poses"], key=lambda n: int(doc["poses"][n]["display"][1:])):  # S<n>
         p = doc["poses"][name]
         pose = pose_from_json(p)
         lines.append(f"  {p['display']} {name}: {format_pose_row(pose)}")

@@ -218,21 +218,22 @@ def gicp_register(source, target, t_init: RigidTransform, p: LidarParams, source
     a_reg = 1.0 - 1e-3  # regularized covariance = I - a_reg * n n^T
     nearest = _NearestTarget(tgt_tree, tgt, p.gicp_corr_dist, src.shape[1])
 
-    def matched(t):
-        """NN correspondence state at t: Mahalanobis cost plus the pieces
-        Gauss-Newton needs, so an accepted line-search probe can be reused
-        as the next iteration's state without matching again.
+    def matched(rot, trans):
+        """NN correspondence state at the pose (rot, trans): Mahalanobis
+        cost plus the pieces Gauss-Newton needs, so an accepted line-search
+        probe can be reused as the next iteration's state without matching
+        again.
 
         The combined covariance 2I - a(n1 n1^T + n2 n2^T) is inverted in
         closed form through its (n1 +/- n2) eigenbasis, which is much
         cheaper than stacking and inverting 3x3 matrices.
         """
-        moved = t.rotation @ src + t.translation[:, None]
+        moved = rot @ src + trans[:, None]
         idx, valid, resid = nearest(moved)
         n_valid = int(np.count_nonzero(valid))
         if n_valid < 10:
             raise PoorFit(f"only {n_valid} GICP correspondences")
-        n2 = t.rotation @ nrm_s
+        n2 = rot @ nrm_s
         if n_valid < len(valid):
             moved, n2, idx = moved[:, valid], n2[:, valid], idx[valid]
             # not resid[:, valid]: that copy is column-major, and einsum
@@ -252,9 +253,11 @@ def gicp_register(source, target, t_init: RigidTransform, p: LidarParams, source
         cost = float((0.5 * _dot(resid, resid) + wp * rp**2 + wm * rm**2).mean())
         return cost, moved, resid, up, um, wp, wm, rp, rm
 
-    t_cur = t_init
+    # the pose is stepped as (rotation, translation) arrays, validated once
+    # as a RigidTransform on return
+    pose = (t_init.rotation, t_init.translation)
     step_norm = np.inf
-    state = matched(t_cur)
+    state = matched(*pose)
     for _ in range(p.gicp_max_iter):
         cost, ps, resid, up, um, wp, wm, rp, rm = state
         # Gauss-Newton for J_i = [I | -skew(p_i)] and M_i = 0.5 I + wp up up^T
@@ -275,40 +278,39 @@ def gicp_register(source, target, t_init: RigidTransform, p: LidarParams, source
         # unit Gauss-Newton steps shrink the in-plane error only gradually,
         # so extrapolate (double alpha while the cost keeps dropping); near
         # the optimum backtrack instead so the step can vanish.
-        alpha, step_norm = 1.0, 0.0
-        t1 = geometry.compose(geometry.exp_se3(dx), t_cur)
-        s1 = matched(t1)
+        alpha, step_norm, dx_norm = 1.0, 0.0, np.linalg.norm(dx)
+        p1 = geometry.compose_exp_se3(dx, *pose)
+        s1 = matched(*p1)
         if s1[0] < cost:
-            best = (s1, t1, 1.0)
+            best = (s1, p1, 1.0)
             while alpha < 256:
-                t2 = geometry.compose(geometry.exp_se3(2 * alpha * dx), t_cur)
-                s2 = matched(t2)
+                p2 = geometry.compose_exp_se3(2 * alpha * dx, *pose)
+                s2 = matched(*p2)
                 if s2[0] >= best[0][0]:
                     break
                 alpha *= 2
-                best = (s2, t2, alpha)
-            state, t_cur, alpha = best
-            step_norm = float(alpha * np.linalg.norm(dx))
+                best = (s2, p2, alpha)
+            state, pose, alpha = best
+            step_norm = float(alpha * dx_norm)
         else:
-            while alpha * np.linalg.norm(dx) >= 1e-7:
+            while alpha * dx_norm >= 1e-7:
                 alpha *= 0.5
-                t_try = geometry.compose(geometry.exp_se3(alpha * dx), t_cur)
-                s_try = matched(t_try)
+                p_try = geometry.compose_exp_se3(alpha * dx, *pose)
+                s_try = matched(*p_try)
                 if s_try[0] < cost:
-                    t_cur = t_try
-                    state = s_try
-                    step_norm = float(alpha * np.linalg.norm(dx))
+                    pose, state = p_try, s_try
+                    step_norm = float(alpha * dx_norm)
                     break
         if step_norm < 1e-6:
             break
     if step_norm >= 1e-6:
         raise NotConverged(f"GICP step norm {step_norm:.2e} after {p.gicp_max_iter} iterations")
-    # state is matched(t_cur); each distance is rounded as the tree rounds it
+    # state is matched(*pose); each distance is rounded as the tree rounds it
     r = state[2]
     fitness = float((np.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2]) ** 2).mean())
     if fitness >= p.gicp_fitness_eps:
         raise PoorFit(f"fitness {fitness:.3e} >= {p.gicp_fitness_eps:.3e}")
-    return t_cur, fitness
+    return RigidTransform(*pose), fitness
 
 
 def match_points(cloud: np.ndarray, model: np.ndarray, delta: float) -> np.ndarray:

@@ -258,48 +258,67 @@ def make_scene(
     return Scene(tuple(sensors), intrinsics, tuple(boards), spec, noise, seed, scan)
 
 
+def _board_rays(scene: Scene, t_sw: RigidTransform, t_bw: RigidTransform) -> np.ndarray:
+    """Indices of the rays of `scene.ray_dirs` that can hit the board: those
+    in the cone of its bounding sphere seen from the sensor, or every ray when
+    the sensor is inside that sphere. A ray through a board point p passes
+    within |p - center| of the center, at most the half diagonal; the sphere
+    is 0.1% wider, a margin for rounding."""
+    center = t_sw.rotation.T @ (t_bw.translation - t_sw.translation)  # sensor frame
+    radius = 1.001 * np.hypot(scene.spec.board_width, scene.spec.board_height) / 2
+    dist2 = center @ center
+    if dist2 <= radius**2:
+        return np.arange(len(scene.ray_dirs))
+    return np.flatnonzero(scene.ray_dirs @ center >= np.sqrt(dist2 - radius**2))
+
+
+def _ranges(scene: Scene, t_sw: RigidTransform, t_bw: RigidTransform) -> np.ndarray:
+    """Range of each ray of `scene.ray_dirs` to its nearest hit: the board
+    plane (holes skipped) or the z=0 ground plane, inf where it hits neither.
+    Only the rays pointing down are cast on the ground, and only
+    `_board_rays` on the board: no other ray can hit them."""
+    dirs_w = scene.ray_dirs @ t_sw.rotation.T
+    origin = t_sw.translation
+    ranges = np.full(len(dirs_w), np.inf)
+
+    # ground plane z = 0
+    down = np.flatnonzero(dirs_w[:, 2] < -1e-12)
+    t_g = -origin[2] / dirs_w[down, 2]
+    ranges[down] = np.where(t_g > 0.05, t_g, np.inf)
+
+    # board plane (the board occludes the ground along the same ray)
+    rays = _board_rays(scene, t_sw, t_bw)
+    dirs = dirs_w[rays]
+    n = t_bw.rotation[:, 2]
+    denom = dirs @ n
+    num = float((t_bw.translation - origin) @ n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_hit = np.where(np.abs(denom) > 1e-12, num / denom, np.inf)
+    cand = np.flatnonzero((t_hit > 0.05) & np.isfinite(t_hit))
+    q = geometry.invert(t_bw).apply(origin + t_hit[cand, None] * dirs[cand])
+    inside = (np.abs(q[:, 0]) <= scene.spec.board_width / 2) & (
+        np.abs(q[:, 1]) <= scene.spec.board_height / 2
+    )
+    for ox, oy in scene.spec.circle_offsets:
+        inside &= (q[:, 0] - ox) ** 2 + (q[:, 1] - oy) ** 2 > scene.spec.circle_radius**2
+    hit = cand[inside]
+    idx = rays[hit]
+    ranges[idx] = np.minimum(ranges[idx], t_hit[hit])
+    return ranges
+
+
 def render_lidar(scene: Scene, sensor: SensorId, sequence: int) -> np.ndarray:
     """Ray-cast cloud in the sensor frame: board plane (holes skipped) over
     the z=0 ground plane, nearest hit per ray, range noise applied."""
     if sensor.kind != "lidar":
         raise ValueError(f"{sensor} is not a lidar")
-    t_sw = scene.pose_of(sensor)
-    t_bw = scene.board_poses[sequence]
-    dirs_w = scene.ray_dirs @ t_sw.rotation.T
-    origin = t_sw.translation
-
-    ranges = np.full(len(dirs_w), np.inf)
-
-    # board plane
-    n = t_bw.rotation[:, 2]
-    denom = dirs_w @ n
-    num = float((t_bw.translation - origin) @ n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_hit = np.where(np.abs(denom) > 1e-12, num / denom, np.inf)
-    cand = (t_hit > 0.05) & np.isfinite(t_hit)
-    if cand.any():
-        hits_w = origin + t_hit[cand, None] * dirs_w[cand]
-        q = geometry.invert(t_bw).apply(hits_w)
-        inside = (np.abs(q[:, 0]) <= scene.spec.board_width / 2) & (
-            np.abs(q[:, 1]) <= scene.spec.board_height / 2
-        )
-        for ox, oy in scene.spec.circle_offsets:
-            inside &= (q[:, 0] - ox) ** 2 + (q[:, 1] - oy) ** 2 > scene.spec.circle_radius**2
-        idx = np.where(cand)[0][inside]
-        ranges[idx] = t_hit[idx]
-
-    # ground plane z = 0 (board occludes ground along the same ray)
-    dz = dirs_w[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_g = np.where(dz < -1e-12, -origin[2] / dz, np.inf)
-    ranges = np.minimum(ranges, np.where(t_g > 0.05, t_g, np.inf))
-
-    valid = ranges <= scene.scan.max_range
+    ranges = _ranges(scene, scene.pose_of(sensor), scene.board_poses[sequence])
+    valid = np.flatnonzero(ranges <= scene.scan.max_range)
     r = ranges[valid]
     if scene.noise.lidar_sigma > 0:
         rng = _rng(scene.seed, 1, sequence, sensor.index)
         r = r + rng.normal(0.0, scene.noise.lidar_sigma, size=len(r))
-    return r[:, None] * scene.ray_dirs[valid]
+    return r[:, None] * np.take(scene.ray_dirs, valid, axis=0)
 
 
 def render_camera(scene: Scene, sensor: SensorId, sequence: int):

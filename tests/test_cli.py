@@ -235,11 +235,25 @@ def test_detect_partial_failure_warns_but_succeeds(ws, tmp_path):
     assert not any(r.sequence == 0 and r.sensor == SensorId("lidar", 0) for r in recs)
 
 
+def _corner_edit(key, value, i=0):
+    """Content that sets `key` of corner i of the file to value(corners)."""
+
+    def edit(corners):
+        corners[i][key] = value(corners)
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "pattern, content",
     [
         ("corners_camera*.json", '{"sensor": {"kind": "camera", "index": 0}}'),  # no "corners"
         ("corners_camera*.json", "{not json"),
+        ("corners_camera*.json", _corner_edit("uv", lambda cs: [float("nan"), cs[0]["uv"][1]])),
+        ("corners_camera*.json", _corner_edit("uv", lambda cs: cs[0]["uv"] + [0.0])),
+        ("corners_camera*.json", _corner_edit("id", lambda cs: 1.5)),
+        ("corners_camera*.json", _corner_edit("id", lambda cs: 9999)),
+        ("corners_camera*.json", _corner_edit("id", lambda cs: cs[0]["id"], i=1)),
         ("init_lidar*.json", '{"pose": {"translation": [0, 0, 1]}}'),  # no "euler_xyz_deg"
         ("init_lidar*.json", "[]"),
         ("init_lidar*.json", '{"pose": {"euler_xyz_deg": [0, 0, 0], "translation": [NaN, 0, 1]}}'),
@@ -252,6 +266,11 @@ def test_detect_partial_failure_warns_but_succeeds(ws, tmp_path):
     ids=[
         "corners-missing-key",
         "corners-not-json",
+        "corners-nan-uv",
+        "corners-uv-of-three",
+        "corners-fractional-id",
+        "corners-id-past-the-board",
+        "corners-repeated-id",
         "init-missing-key",
         "init-not-an-object",
         "init-nan-translation",
@@ -268,6 +287,10 @@ def test_detect_malformed_input_file_costs_only_its_detection(
     if content is None:
         victim.unlink()
         victim.mkdir()
+    elif callable(content):
+        doc = json.loads(victim.read_text())
+        content(doc["corners"])
+        victim.write_text(json.dumps(doc))
     else:
         victim.write_text(content)
     sensor = victim.stem.split("_")[1]

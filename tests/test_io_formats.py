@@ -371,6 +371,20 @@ def test_format_pose_row_identity():
     assert row == "(0.0000, 0.0000, 0.0000) / (0.000, 0.000, 0.000)"
 
 
+def test_report_text_lists_poses_by_display_number():
+    # 11 sensors, given in reverse: S10 and S11 come after S9, not after S1
+    names = [f"camera{j}" for j in range(6)] + [f"lidar{i}" for i in range(5)]
+    pose = io_formats.pose_to_json(RigidTransform.identity())
+    doc = {
+        "reference": "camera0",
+        "poses": {n: {"display": f"S{k + 1}", **pose} for k, n in reversed(list(enumerate(names)))},
+        "reprojection_errors": [],
+        "consistency": {},
+    }
+    rows = [line.split()[:2] for line in io_formats.format_report_text(doc).splitlines()[3:14]]
+    assert rows == [[f"S{k + 1}", f"{n}:"] for k, n in enumerate(names)]
+
+
 def test_report_round_trip(tmp_path):
     from conftest import oracle_observations
     from crosscal import optimizer, sim

@@ -217,7 +217,8 @@ def _check_gicp_against_oracle(cases, p, monkeypatch):
     """Run gicp_register and the oracle from each (filtered cloud, t_init):
     same outcome or error type, poses within 1e-8 m / rad, fitness within
     1e-9 relative, line-search probes within 2 (each probe after the first
-    takes one `geometry.exp_se3` step), and at every probe of gicp_register
+    takes one SE(3) step: `geometry.compose_exp_se3` in gicp_register,
+    `geometry.exp_se3` in the oracle), and at every probe of gicp_register
     the matches of a fresh KD-tree query, so that its fitness is the mean of
     the tree's own squared distances. Returns how many runs of
     gicp_register had a query leave mask points unmatched."""
@@ -225,8 +226,9 @@ def _check_gicp_against_oracle(cases, p, monkeypatch):
     log, steps, probes = [], [], []
     monkeypatch.setattr(lidar, "cKDTree", _counting_tree(log))
     monkeypatch.setattr(lidar._NearestTarget, "__call__", _fresh_query_checked(probes))
-    exp_se3 = geometry.exp_se3
-    monkeypatch.setattr(geometry, "exp_se3", lambda xi: steps.append(1) or exp_se3(xi))
+    for name in ("compose_exp_se3", "exp_se3"):
+        step = getattr(geometry, name)
+        monkeypatch.setattr(geometry, name, lambda *a, step=step: steps.append(1) or step(*a))
     unmatched = 0
     for target, t_init in cases:
         outs = []

@@ -168,8 +168,9 @@ def test_lidar_noise_is_along_the_ray():
 # --- ray grid ---------------------------------------------------------------
 
 def _render_lidar_per_call(scene, sensor, sequence):
-    """`render_lidar` with its ray grid built on every call, as it was before
-    the grid was held on the scene: the reference for `Scene.ray_dirs`."""
+    """`render_lidar` with its ray grid built on every call and every ray cast
+    on the board and the ground, as it was before the grid was held on the
+    scene and the rays were culled: the reference for both."""
     scan = scene.scan
     t_sw = scene.pose_of(sensor)
     t_bw = scene.board_poses[sequence]
@@ -214,20 +215,90 @@ CONFIG_SCAN = sim.ScanPattern(el_res_deg=0.2)  # the default config's 271,800-ra
 SPARSE_SCAN = sim.ScanPattern(az_res_deg=30.0, el_res_deg=30.0)  # 24 rays
 
 
-@pytest.mark.parametrize(
-    "scan, sigma",
-    [(CONFIG_SCAN, 0.0), (SPARSE_SCAN, 0.0), (CONFIG_SCAN, 0.005)],
-    ids=["default-scan", "sparse-scan", "noisy"],
-)
-def test_render_with_scene_ray_grid_equals_per_call_grid(scan, sigma):
+def _rig(scan, sigma):
     scene = sim.make_scene(sequences=2, seed=5, scan=scan, noise=sim.NoiseModel(lidar_sigma=sigma))
+    return scene, None
+
+
+def _one_board(board_pos, board_rot, sensor_rot=np.eye(3), scan=CONFIG_SCAN, hit=None):
+    """One LiDAR at (0, 0, 0.5) and one board; `hit` checks the board's
+    points in the sensor frame, to show that the scene is the case named."""
+    scene = sim.Scene(
+        ((L0, RigidTransform(sensor_rot, [0.0, 0.0, 0.5])),),
+        {},
+        (RigidTransform(board_rot, board_pos),),
+        TargetSpec(),
+        sim.NoiseModel(),
+        0,
+        scan,
+    )
+    return scene, hit
+
+
+def _elevation_deg(b):
+    return np.rad2deg(np.arcsin(b[:, 2] / np.linalg.norm(b, axis=1)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _rig(CONFIG_SCAN, 0.0),
+        lambda: _rig(SPARSE_SCAN, 0.0),
+        lambda: _rig(CONFIG_SCAN, 0.005),
+        # straddles azimuth 0, the first and the last rays of the grid
+        lambda: _one_board(
+            [5.0, 0.0, 1.25],
+            sim._BOARD_BASE,
+            hit=lambda b: (b[:, 0] > 0).all() and (b[:, 1] < 0).any() and (b[:, 1] > 0).any(),
+        ),
+        # the board's top edge is at 28 deg elevation, the scan's limit 15 deg
+        lambda: _one_board(
+            [3.0, 0.3, 1.6], sim._BOARD_BASE, hit=lambda b: _elevation_deg(b).max() > 14.9
+        ),
+        # turned 40 deg about the vertical, the board's far edge is past 5.1 m
+        lambda: _one_board(
+            [5.0, 0.0, 1.25],
+            geometry.rot_z(np.deg2rad(40.0)) @ sim._BOARD_BASE,
+            scan=replace(CONFIG_SCAN, max_range=5.1),
+            hit=lambda b: np.linalg.norm(b, axis=1).max() > 5.05,
+        ),
+        # behind a sensor turned 23 deg, facing it
+        lambda: _one_board(
+            [-5.0, 0.3, 1.25],
+            geometry.rot_z(np.pi) @ sim._BOARD_BASE,
+            sensor_rot=geometry.rotation_exp([0.02, -0.03, 0.4]),
+            hit=lambda b: (b[:, 0] < 0).all(),
+        ),
+        # 0.54 m from the board's center, within its 0.71 m half diagonal
+        lambda: _one_board(
+            [0.5, 0.0, 0.7],
+            sim._BOARD_BASE,
+            hit=lambda b: np.linalg.norm(b, axis=1).min() < 0.6,
+        ),
+    ],
+    ids=[
+        "default-scan",
+        "sparse-scan",
+        "noisy",
+        "board-across-azimuth-seam",
+        "board-cut-by-elevation-limit",
+        "board-partly-beyond-max-range",
+        "board-behind-sensor",
+        "sensor-inside-bounding-sphere",
+    ],
+)
+def test_render_with_scene_ray_grid_equals_per_call_grid(make):
+    scene, hit = make()
+    lidars = [s for s in scene.sensor_ids if s.kind == "lidar"]
     for _ in range(2):  # the second pass reads the grid the first one built
-        for seq in range(2):
-            for i in range(2):
-                s = SensorId("lidar", i)
-                assert np.array_equal(
-                    sim.render_lidar(scene, s, seq), _render_lidar_per_call(scene, s, seq)
-                )
+        for seq in range(len(scene.board_poses)):
+            for s in lidars:
+                cloud = sim.render_lidar(scene, s, seq)
+                assert np.array_equal(cloud, _render_lidar_per_call(scene, s, seq))
+    if hit is not None:
+        _, d_board, d_ground = _split_board_ground(scene, L0, 0, cloud)
+        on_board = cloud[(d_board < 1e-6) & (d_ground > 1e-6)]
+        assert len(on_board) > 100 and hit(on_board)
 
 
 def test_ray_grid_is_read_only_and_per_scan():

@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from itertools import repeat
 from pathlib import Path
 
 from . import __version__, io_formats, optimizer, sim
@@ -34,7 +34,7 @@ from .errors import (
     UnknownSensor,
 )
 from .io_formats import DetectionRecord
-from .lidar import detect_target_lidar, rough_board_pose
+from .lidar import board_model, detect_target_lidar, rough_board_pose
 from .optimizer import SensorId
 
 log = logging.getLogger("crosscal")
@@ -169,14 +169,24 @@ def _detect_lidar(cloud_path, init_path, cfg):
 def _detect_lidars(jobs, cfg) -> list:
     """The outcomes of the (cloud path, init path) `jobs`, in their order.
 
-    The detections are independent, so they run on a thread pool sized to
-    the usable CPUs: KD-tree queries and numpy's array loops release the
-    GIL. Each job reads its own cloud, so at most one cloud per worker is
-    alive at once."""
+    The detections are independent and hold the GIL for much of their
+    time, so they run on a pool of processes sized to the usable CPUs. The
+    pool forks, by name since Python 3.14 changes the default: each worker
+    inherits the imported modules and the board model, built here once,
+    where `spawn` or `forkserver` would import numpy and scipy again in
+    every worker. Each job reads its own cloud, so at most one cloud per
+    worker is alive at once. Outcomes and exceptions come back pickled."""
     if not jobs:
         return []
-    with ThreadPoolExecutor(max_workers=min(len(jobs), _usable_cpus())) as pool:
-        return list(pool.map(lambda job: _detect_lidar(*job, cfg), jobs))
+    # imported here, not at start-up, which every command pays: ~15 ms
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    board_model(cfg.target)
+    clouds, inits = zip(*jobs)
+    workers = min(len(jobs), _usable_cpus())
+    with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+        return list(pool.map(_detect_lidar, clouds, inits, repeat(cfg)))
 
 
 def cmd_detect(args) -> int:
@@ -191,7 +201,7 @@ def cmd_detect(args) -> int:
     lidars = {s.sensor for s in cfg.lidars()}
     # (sequence, sensor, detection | CrosscalError | index into lidar_jobs
     # or corner_sets), in the order the records are written; LiDARs are
-    # detected on a thread pool and cameras in one batch
+    # detected on a process pool and cameras in one batch
     slots, lidar_jobs, corner_sets, cameras = [], [], [], []
     for seq_dir in sorted(data.glob("seq_*")):
         seq = int(seq_dir.name.split("_")[1])

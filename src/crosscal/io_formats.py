@@ -210,6 +210,19 @@ def _is_integer(v) -> bool:
     return type(v) is int or isinstance(v, float) and v.is_integer()
 
 
+def _integer(v, what: str) -> int:
+    if not _is_integer(v):
+        raise ParseError(f"{what} {v!r} is not an integer")
+    return int(v)
+
+
+def _finite(v, what: str):
+    """v, a float or an array of floats, if it is all finite."""
+    if not np.isfinite(v).all():
+        raise ParseError(f"{what} is not finite")
+    return v
+
+
 def read_corners(path, spec: TargetSpec) -> list:
     """A camera's checker-corner detections, [CornerObservation], from a
     `corners_camera*.json` file: {"corners": [{"id": int, "uv": [u, v]}, ...]}.
@@ -255,7 +268,7 @@ def sensor_to_json(s: SensorId) -> dict:
 
 
 def sensor_from_json(d: dict) -> SensorId:
-    return SensorId(d["kind"], int(d["index"]))
+    return SensorId(d["kind"], _integer(d["index"], "sensor index"))
 
 
 # --- detection records ------------------------------------------------------
@@ -313,11 +326,12 @@ def _record_from_json(d: dict, strict: bool) -> DetectionRecord:
     centers = np.asarray(d["centers_3d"], dtype=float)
     if centers.shape != (4, 3):
         raise MissingField(f"centers_3d must be 4x3, got {list(centers.shape)}")
+    _finite(centers, "centers_3d")
     pose = pose_from_json(d["pose"])
     if kind == "lidar":
         if "fitness" not in d:
             raise MissingField("fitness")
-        det = LidarDetection(pose, centers, float(d["fitness"]))
+        det = LidarDetection(pose, centers, _finite(float(d["fitness"]), "fitness"))
     elif kind == "camera":
         for key in ("centers_2d", "reprojection_error", "corners_used"):
             if key not in d:
@@ -325,10 +339,17 @@ def _record_from_json(d: dict, strict: bool) -> DetectionRecord:
         c2 = np.asarray(d["centers_2d"], dtype=float)
         if c2.shape != (4, 2):
             raise MissingField(f"centers_2d must be 4x2, got {list(c2.shape)}")
-        det = CameraDetection(pose, centers, c2, float(d["reprojection_error"]), int(d["corners_used"]))
+        _finite(c2, "centers_2d")
+        det = CameraDetection(
+            pose,
+            centers,
+            c2,
+            _finite(float(d["reprojection_error"]), "reprojection_error"),
+            _integer(d["corners_used"], "corners_used"),
+        )
     else:
         raise ParseError(f"unknown record type {kind!r}")
-    return DetectionRecord(int(d["sequence"]), sensor_from_json(d["sensor"]), det)
+    return DetectionRecord(_integer(d["sequence"], "sequence"), sensor_from_json(d["sensor"]), det)
 
 
 def write_detections(path, records):

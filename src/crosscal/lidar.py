@@ -9,7 +9,6 @@ bit-deterministic.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -128,19 +127,9 @@ def _point_normals(pts: np.ndarray, tree: cKDTree, k: int = 20):
     return v[:, :, 0]
 
 
-_board_model_lock = threading.Lock()
-
-
-def _board_model(spec: TargetSpec):
-    """Board mask cloud and its point normals, built once per spec, even
-    when several threads miss the cache at once: `lru_cache` does not
-    serialise misses, so the lookup runs under a lock."""
-    with _board_model_lock:
-        return _build_board_model(spec)
-
-
 @lru_cache(maxsize=8)
-def _build_board_model(spec: TargetSpec):
+def board_model(spec: TargetSpec):
+    """Board mask cloud and its point normals, built once per spec."""
     mask = generate_mask_cloud(spec, _MASK_PITCH)
     normals = _point_normals(mask, cKDTree(mask))
     mask.flags.writeable = normals.flags.writeable = False
@@ -538,7 +527,7 @@ def detect_target_lidar(
     lies in the board plane with the design offsets along its axes. The
     grid centers are lifted back at the inliers' mean height in that frame
     and snapped onto the plane."""
-    mask, mask_normals = _board_model(spec)
+    mask, mask_normals = board_model(spec)
     try:
         filtered = filter_cloud(cloud, p)
         t_refined, fitness = gicp_register(mask, filtered, t_init, p, mask_normals)

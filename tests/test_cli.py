@@ -3,11 +3,12 @@ manifests, determinism, and reference-frame selection."""
 
 import json
 import logging
+import multiprocessing
 import os
+import pickle
 import shutil
 import subprocess
 import sys
-import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import crosscal
-from crosscal import cli, geometry, io_formats, lidar, optimizer
+from crosscal import cli, errors, geometry, io_formats, lidar, optimizer
 from crosscal.camera import CameraDetection
 from crosscal.errors import SolverNotConverged
 from crosscal.geometry import RigidTransform
@@ -66,6 +67,18 @@ def _tree_bytes(root: Path):
     return {
         p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()
     }
+
+
+# Counters that `detect`'s pool workers and the test share: made before the
+# pool forks its workers, they live in memory that the workers inherit.
+_SHARED = multiprocessing.get_context("fork")
+
+
+def _add(counter, n=1):
+    """Add n to a shared counter and return its new value."""
+    with counter.get_lock():
+        counter.value += n
+        return counter.value
 
 
 # --- simulate ---------------------------------------------------------------
@@ -323,9 +336,16 @@ def test_detect_file_of_unlisted_sensor_costs_only_its_detection(
     shutil.copytree(ws["data"], data2)
     for pattern, name in copies.items():
         shutil.copy(sorted((data2 / "seq_001").glob(pattern))[0], data2 / "seq_001" / name)
-    read = []
+    read, read_lidar5 = _SHARED.Value("i", 0), _SHARED.Value("i", 0)
     read_cloud = io_formats.read_cloud
-    monkeypatch.setattr(io_formats, "read_cloud", lambda path: read.append(path) or read_cloud(path))
+
+    def counted_read(path):
+        _add(read)
+        if "lidar5" in str(path):
+            _add(read_lidar5)
+        return read_cloud(path)
+
+    monkeypatch.setattr(io_formats, "read_cloud", counted_read)
     out = tmp_path / "d.json"
     with caplog.at_level(logging.WARNING, logger="crosscal"):
         rc = cli.main(
@@ -335,7 +355,7 @@ def test_detect_file_of_unlisted_sensor_costs_only_its_detection(
     assert json.loads((tmp_path / "d.manifest.json").read_text())["warnings"] == 1
     assert f"{sensor} is not in the config" in caplog.text
     assert out.read_bytes() == ws["det"].read_bytes()
-    assert len(read) == 8 and not any("lidar5" in str(p) for p in read)
+    assert read.value == 8 and not read_lidar5.value
 
 
 def test_detect_and_calibrate_without_init_files(ws, tmp_path):
@@ -379,64 +399,53 @@ def test_detect_on_one_worker_byte_identical_to_pool(ws, tmp_path, monkeypatch):
 
 
 def test_detect_builds_board_model_once_on_more_workers_than_cores(ws, tmp_path, monkeypatch):
-    """Eight workers on eight clouds miss the board model's cache together;
-    a short switch interval makes them interleave as often as they can."""
-    built = []
+    """Eight workers on eight clouds: the board model is built once, before
+    the pool forks them, and every worker uses the copy it inherits."""
+    built = _SHARED.Value("i", 0)
     generate = lidar.generate_mask_cloud
-    monkeypatch.setattr(lidar, "generate_mask_cloud", lambda *a: built.append(a) or generate(*a))
+    monkeypatch.setattr(lidar, "generate_mask_cloud", lambda *a: _add(built) and generate(*a))
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
-    lidar._build_board_model.cache_clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        out = tmp_path / "d8.json"
-        assert _detect(ws, out) == 0
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(built) == 1
+    lidar.board_model.cache_clear()
+    out = tmp_path / "d8.json"
+    assert _detect(ws, out) == 0
+    assert built.value == 1
     assert out.read_bytes() == ws["det"].read_bytes()
 
 
 def test_detect_holds_at_most_one_cloud_per_worker(ws, tmp_path, monkeypatch):
-    lock = threading.Lock()
-    alive = [0]
-    peak = [0]
+    alive = _SHARED.Value("i", 0)
+    peak = _SHARED.Value("i", 0)
     read_cloud, detect = io_formats.read_cloud, cli.detect_target_lidar
 
     def counted_read(path):
         cloud = read_cloud(path)
-        with lock:
-            alive[0] += 1
-            peak[0] = max(peak[0], alive[0])
+        with alive.get_lock():
+            alive.value += 1
+            peak.value = max(peak.value, alive.value)
         return cloud
 
     def counted_detect(*args):
         try:
             return detect(*args)
         finally:
-            with lock:
-                alive[0] -= 1
+            _add(alive, -1)
 
     monkeypatch.setattr(io_formats, "read_cloud", counted_read)
     monkeypatch.setattr(cli, "detect_target_lidar", counted_detect)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
     out = tmp_path / "d.json"
     assert _detect(ws, out) == 0
-    assert alive[0] == 0
-    assert 1 < peak[0] <= 3
+    assert alive.value == 0
+    assert 1 < peak.value <= 3
     assert out.read_bytes() == ws["det"].read_bytes()
 
 
 def test_detect_unexpected_error_in_a_lidar_job_exits_1(ws, tmp_path, monkeypatch, caplog):
-    lock = threading.Lock()
-    calls = [0]
+    calls = _SHARED.Value("i", 0)
     detect = cli.detect_target_lidar
 
     def third_call_fails(*args):
-        with lock:
-            calls[0] += 1
-            n = calls[0]
-        if n == 3:
+        if _add(calls) == 3:
             raise RuntimeError("bug in a detector")
         return detect(*args)
 
@@ -447,6 +456,40 @@ def test_detect_unexpected_error_in_a_lidar_job_exits_1(ws, tmp_path, monkeypatc
     assert "unexpected failure" in caplog.text and "bug in a detector" in caplog.text
     assert "detection failed" not in caplog.text
     assert not out.exists()
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize(
+    "outcome",
+    [
+        *(
+            cls(f"stage '{cls.stage}': no board")
+            for cls in (errors.LidarStageError, *errors.LidarStageError.__subclasses__())
+        ),
+        errors.ParseError("bad value", line=3),
+        errors.IoError("cannot read cloud.ply"),
+        errors.UnsupportedFormat("cloud.xyz: unknown extension"),
+    ],
+    ids=lambda e: type(e).__name__,
+)
+def test_lidar_job_error_survives_the_process_boundary(outcome):
+    back = pickle.loads(pickle.dumps(outcome))
+    assert type(back) is type(outcome) and str(back) == str(outcome)
+    assert getattr(back, "stage", None) == getattr(outcome, "stage", None)
+    assert getattr(back, "line", None) == getattr(outcome, "line", None)
+
+
+def test_lidar_detection_survives_the_process_boundary():
+    rng = np.random.default_rng(3)
+    det = LidarDetection(
+        geometry.exp_se3(rng.normal(size=6)), rng.normal(size=(4, 3)), float(rng.random())
+    )
+    back = pickle.loads(pickle.dumps(det))
+    assert type(back) is LidarDetection
+    for name in ("rotation", "translation"):
+        assert getattr(back.pose, name).tobytes() == getattr(det.pose, name).tobytes()
+    assert back.centers.tobytes() == det.centers.tobytes()
+    assert back.fitness.hex() == det.fitness.hex()
 
 
 def test_detect_repeat_byte_identical(ws, tmp_path):
@@ -464,6 +507,7 @@ def test_detect_repeat_byte_identical(ws, tmp_path):
     )
     assert rc == 0
     assert out2.read_bytes() == ws["det"].read_bytes()
+    assert not multiprocessing.active_children()
 
 
 # --- calibrate --------------------------------------------------------------
@@ -605,21 +649,56 @@ def test_calibrate_malformed_detections_exit_2(ws, tmp_path, caplog):
     assert "input error" in caplog.text and "euler_xyz_deg" in caplog.text
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
 @pytest.mark.parametrize(
-    "field, value",
-    [("euler_xyz_deg", [0.0, float("nan"), 0.0]), ("translation", [0.0, float("inf"), 1.0])],
-    ids=["nan-angle", "inf-translation"],
+    "kind, path, value, message",
+    [
+        ("lidar", ("pose", "euler_xyz_deg"), [0.0, _NAN, 0.0], "not finite"),
+        ("lidar", ("pose", "translation"), [0.0, _INF, 1.0], "not finite"),
+        ("lidar", ("centers_3d", 1, 2), _NAN, "not finite"),
+        ("camera", ("centers_3d", 2, 0), -_INF, "not finite"),
+        ("camera", ("centers_2d", 0, 1), _NAN, "not finite"),
+        ("lidar", ("fitness",), _NAN, "not finite"),
+        ("camera", ("reprojection_error",), _INF, "not finite"),
+        ("lidar", ("sequence",), 1.5, "not an integer"),
+        ("lidar", ("sequence",), True, "not an integer"),
+        ("camera", ("sensor", "index"), 1.5, "not an integer"),
+        ("camera", ("corners_used",), 2.7, "not an integer"),
+    ],
+    ids=[
+        "nan-angle",
+        "inf-translation",
+        "nan-lidar-center",
+        "inf-camera-center",
+        "nan-pixel-center",
+        "nan-fitness",
+        "inf-reprojection-error",
+        "fractional-sequence",
+        "boolean-sequence",
+        "fractional-index",
+        "fractional-corners",
+    ],
 )
-def test_calibrate_non_finite_pose_in_detections_exit_2(ws, tmp_path, caplog, field, value):
+def test_calibrate_non_finite_pose_in_detections_exit_2(
+    ws, tmp_path, caplog, kind, path, value, message
+):
+    """A value that calibrate would misread, set at `path` in the first
+    record of type `kind`, is an input error: exit 2."""
     doc = json.loads(ws["det"].read_text())
-    doc["records"][0]["pose"][field] = value
+    rec = next(r for r in doc["records"] if r["type"] == kind)
+    *outer, key = path
+    for k in outer:
+        rec = rec[k]
+    rec[key] = value
     det = tmp_path / "d.json"
     det.write_text(json.dumps(doc))  # NaN and Infinity, as Python's json writes them
     argv = ["calibrate", "--config", str(ws["config"]), "--detections", str(det)]
     with caplog.at_level(logging.ERROR, logger="crosscal"):
         rc = cli.main(argv + ["--out", str(tmp_path / "r.json")])
     assert rc == 2
-    assert "input error" in caplog.text and "not finite" in caplog.text
+    assert "input error" in caplog.text and message in caplog.text
 
 
 @pytest.mark.parametrize("name", ["nope.json", "a_directory"])

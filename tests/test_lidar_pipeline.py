@@ -222,7 +222,7 @@ def _check_gicp_against_oracle(cases, p, monkeypatch):
     the matches of a fresh KD-tree query, so that its fitness is the mean of
     the tree's own squared distances. Returns how many runs of
     gicp_register had a query leave mask points unmatched."""
-    mask, normals = lidar._board_model(SPEC)
+    mask, normals = lidar.board_model(SPEC)
     log, steps, probes = [], [], []
     monkeypatch.setattr(lidar, "cKDTree", _counting_tree(log))
     monkeypatch.setattr(lidar._NearestTarget, "__call__", _fresh_query_checked(probes))

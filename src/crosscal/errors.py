@@ -126,7 +126,7 @@ class ParseError(CrosscalError):
     """Malformed input file; carries the 1-based line number when known."""
 
     def __init__(self, message, line=None):
-        self.line = line
+        self.reason, self.line = message, line
         super().__init__(message if line is None else f"line {line}: {message}")
 
 

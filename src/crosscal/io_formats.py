@@ -74,18 +74,22 @@ _PLY_FORMATS = {"ascii": None, "binary_little_endian": "<", "binary_big_endian":
 
 
 def write_cloud(path, cloud: np.ndarray):
-    """Binary little-endian float64 PLY; `path` must end in .ply."""
+    """Binary little-endian float32 PLY; `path` must end in .ply.
+
+    float32 is what LiDAR drivers publish. Rounding to nearest moves a
+    coordinate within a 30 m range by at most 0.95 µm, far below the 5 mm
+    occupancy cell and range noise, and halves the file against float64."""
     path = Path(path)
     if path.suffix != ".ply":
         raise UnsupportedFormat(f"unknown cloud extension {path.suffix!r}")
-    cloud = np.asarray(cloud, dtype="<f8").reshape(-1, 3)
+    cloud = np.asarray(cloud, dtype="<f4").reshape(-1, 3)
     header = (
         "ply\n"
         "format binary_little_endian 1.0\n"
         f"element vertex {len(cloud)}\n"
-        "property double x\n"
-        "property double y\n"
-        "property double z\n"
+        "property float x\n"
+        "property float y\n"
+        "property float z\n"
         "end_header\n"
     )
     atomic_write(path, header.encode("ascii") + cloud.tobytes())
@@ -143,11 +147,19 @@ def _read_ply_header(data: bytes):
 
 
 def read_cloud(path) -> np.ndarray:
-    """(n, 3) float64 x, y, z from an ASCII or binary PLY."""
+    """(n, 3) float64 x, y, z from an ASCII or binary PLY of any scalar
+    type. A malformed file, a vertex row of the wrong length or a
+    non-finite coordinate is a ParseError naming the file."""
     path = Path(path)
     if path.suffix != ".ply":
         raise UnsupportedFormat(f"unknown cloud extension {path.suffix!r}")
-    data = _read(path, "rb")
+    try:
+        return _parse_ply(_read(path, "rb"))
+    except ParseError as e:
+        raise ParseError(f"{e.reason} in {path.name}", line=e.line) from e
+
+
+def _parse_ply(data: bytes) -> np.ndarray:
     fmt, n_vertex, props, offset, header_end = _read_ply_header(data)
     endian = _PLY_FORMATS[fmt]
     if endian is not None:
@@ -155,29 +167,36 @@ def read_cloud(path) -> np.ndarray:
         if len(data) - offset < n_vertex * vertex.itemsize:
             raise ParseError("binary PLY body shorter than declared", line=header_end)
         rows = np.frombuffer(data, vertex, count=n_vertex, offset=offset)
-        return np.column_stack([rows[c] for c in ("x", "y", "z")]).astype(np.float64, copy=False)
-
-    cols = [list(props).index(c) for c in ("x", "y", "z")]
-    lines = data[offset:].decode("ascii", "replace").splitlines()
-    if len(lines) < n_vertex:
-        raise ParseError("fewer vertex rows than declared", line=header_end + len(lines))
-    body = lines[:n_vertex]
-    # Whole body parsed at once; any mismatch falls back to the per-line
-    # loop for a precise error location.
-    try:
-        flat = np.array(" ".join(body).split(), dtype=float)
-    except ValueError:
-        flat = np.empty(0)
-    if flat.size == n_vertex * len(props):
-        return flat.reshape(n_vertex, len(props))[:, cols]
-    out = np.zeros((n_vertex, 3))
-    for i, line in enumerate(body):
-        tok = line.split()
+        cloud = np.empty((n_vertex, 3))
+        for i, c in enumerate("xyz"):
+            cloud[:, i] = rows[c]  # widened exactly, once
+    else:
+        lines = data[offset:].decode("ascii", "replace").splitlines()
+        if len(lines) < n_vertex:
+            raise ParseError("fewer vertex rows than declared", line=header_end + len(lines))
+        body = lines[:n_vertex]
+        for i, line in enumerate(body):
+            n_values = len(line.split())
+            if n_values != len(props):
+                raise ParseError(
+                    f"vertex row has {n_values} values, {len(props)} declared",
+                    line=header_end + i + 1,
+                )
         try:
-            out[i] = [float(tok[c]) for c in cols]
-        except (ValueError, IndexError):
-            raise ParseError("malformed vertex row", line=header_end + i + 1)
-    return out
+            values = np.array(" ".join(body).split(), dtype=float)
+        except ValueError:
+            for i, line in enumerate(body):  # locate the row for the message
+                try:
+                    np.array(line.split(), dtype=float)
+                except ValueError:
+                    raise ParseError("malformed vertex row", line=header_end + i + 1) from None
+            raise
+        cloud = values.reshape(n_vertex, len(props))[:, [list(props).index(c) for c in "xyz"]]
+    if not np.isfinite(cloud).all():
+        row = int(np.flatnonzero(~np.isfinite(cloud).all(axis=1))[0])
+        line = header_end + row + 1 if endian is None else None  # binary: no lines
+        raise ParseError(f"vertex {row} has a non-finite coordinate", line=line)
+    return cloud
 
 
 # --- poses / common pieces --------------------------------------------------

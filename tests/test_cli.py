@@ -251,8 +251,21 @@ def test_detect_partial_failure_warns_but_succeeds(ws, tmp_path):
 def _corner_edit(key, value, i=0):
     """Content that sets `key` of corner i of the file to value(corners)."""
 
-    def edit(corners):
-        corners[i][key] = value(corners)
+    def edit(path):
+        doc = json.loads(path.read_text())
+        doc["corners"][i][key] = value(doc["corners"])
+        path.write_text(json.dumps(doc))
+
+    return edit
+
+
+def _cloud_edit(axis, value):
+    """Content that sets coordinate `axis` of the cloud's first point to value."""
+
+    def edit(path):
+        cloud = io_formats.read_cloud(path)
+        cloud[0, axis] = value
+        io_formats.write_cloud(path, cloud)
 
     return edit
 
@@ -275,6 +288,8 @@ def _corner_edit(key, value, i=0):
             '{"pose": {"euler_xyz_deg": [0, Infinity, 0], "translation": [0, 0, 1]}}',
         ),
         ("cloud_lidar*.ply", None),  # the path is a directory
+        ("cloud_lidar*.ply", _cloud_edit(0, float("nan"))),
+        ("cloud_lidar*.ply", _cloud_edit(2, float("inf"))),
     ],
     ids=[
         "corners-missing-key",
@@ -289,6 +304,8 @@ def _corner_edit(key, value, i=0):
         "init-nan-translation",
         "init-inf-angle",
         "cloud-is-a-directory",
+        "cloud-nan-x",
+        "cloud-inf-z",
     ],
 )
 def test_detect_malformed_input_file_costs_only_its_detection(
@@ -301,9 +318,7 @@ def test_detect_malformed_input_file_costs_only_its_detection(
         victim.unlink()
         victim.mkdir()
     elif callable(content):
-        doc = json.loads(victim.read_text())
-        content(doc["corners"])
-        victim.write_text(json.dumps(doc))
+        content(victim)
     else:
         victim.write_text(content)
     sensor = victim.stem.split("_")[1]

@@ -26,19 +26,31 @@ def test_ply_round_trip_1000_points(tmp_path):
     path = tmp_path / "c.ply"
     io_formats.write_cloud(path, cloud)
     back = io_formats.read_cloud(path)
-    assert back.shape == (1000, 3)
-    assert np.array_equal(back, cloud)  # binary float64: bit-exact
+    assert back.shape == (1000, 3) and back.dtype == np.float64
+    # written as float32, rounded once to nearest; read back widened exactly
+    assert np.array_equal(back, cloud.astype(np.float32).astype(np.float64))
 
 
-def test_ply_written_as_binary_little_endian_float64(tmp_path):
+def test_ply_written_as_binary_little_endian_float32(tmp_path):
     cloud = np.array([[1.0, -2.5, 3.25], [0.1, 0.2, 0.3]])
     path = tmp_path / "c.ply"
     io_formats.write_cloud(path, cloud)
     header = (
         b"ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
-        b"property double x\nproperty double y\nproperty double z\nend_header\n"
+        b"property float x\nproperty float y\nproperty float z\nend_header\n"
     )
-    assert path.read_bytes() == header + cloud.astype("<f8").tobytes()
+    assert path.read_bytes() == header + cloud.astype("<f4").tobytes()
+
+
+def test_float64_ply_of_earlier_versions_reads_bit_exact(tmp_path):
+    cloud = np.random.default_rng(1).uniform(-30, 30, size=(1000, 3))
+    path = tmp_path / "c.ply"
+    _write_ply(
+        path,
+        ["format binary_little_endian 1.0", "element vertex 1000", *XYZ_DOUBLE],
+        cloud.astype("<f8").tobytes(),
+    )
+    assert np.array_equal(io_formats.read_cloud(path), cloud)
 
 
 def test_ply_extra_properties_ignored(tmp_path):
@@ -126,6 +138,36 @@ def test_ply_malformed_row_has_line_number(tmp_path):
     with pytest.raises(ParseError) as ei:
         io_formats.read_cloud(path)
     assert ei.value.line == 9
+
+
+def test_ply_ascii_rows_must_hold_the_declared_values(tmp_path):
+    # 6 values for 2 rows of 3, but split 4 + 2: not the points (1,2,3), (4,5,6)
+    path = tmp_path / "c.ply"
+    path.write_text(
+        "ply\nformat ascii 1.0\nelement vertex 2\n"
+        "property double x\nproperty double y\nproperty double z\nend_header\n"
+        "1 2 3 4\n5 6\n"
+    )
+    with pytest.raises(ParseError, match="row has 4 values, 3 declared in c.ply") as ei:
+        io_formats.read_cloud(path)
+    assert ei.value.line == 8
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian", "binary_big_endian"])
+def test_ply_non_finite_coordinate(tmp_path, fmt, value):
+    cloud = np.arange(9, dtype=float).reshape(3, 3)
+    cloud[1, 2] = value
+    path = tmp_path / "c.ply"
+    header = [f"format {fmt} 1.0", "element vertex 3", *XYZ_DOUBLE]
+    if fmt == "ascii":
+        body = "".join(" ".join(map(str, row)) + "\n" for row in cloud).encode()
+    else:
+        body = cloud.astype(("<" if fmt == "binary_little_endian" else ">") + "f8").tobytes()
+    _write_ply(path, header, body)
+    with pytest.raises(ParseError, match="vertex 1 has a non-finite coordinate in c.ply") as ei:
+        io_formats.read_cloud(path)
+    assert ei.value.line == (9 if fmt == "ascii" else None)
 
 
 def test_ply_truncated_body(tmp_path):

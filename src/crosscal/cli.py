@@ -34,7 +34,7 @@ from .errors import (
     UnknownSensor,
 )
 from .io_formats import DetectionRecord
-from .lidar import board_model, detect_target_lidar, rough_board_pose
+from .lidar import detect_target_lidar, rough_board_pose
 from .optimizer import SensorId
 
 log = logging.getLogger("crosscal")
@@ -172,9 +172,8 @@ def _detect_lidars(jobs, cfg) -> list:
     The detections are independent and hold the GIL for much of their
     time, so they run on a pool of processes sized to the usable CPUs. The
     pool forks, by name since Python 3.14 changes the default: each worker
-    inherits the imported modules and the board model, built here once,
-    where `spawn` or `forkserver` would import numpy and scipy again in
-    every worker. Each job reads its own cloud, so at most one cloud per
+    inherits the imported modules, where `spawn` or `forkserver` would
+    import numpy and scipy again in every worker. Each job reads its own cloud, so at most one cloud per
     worker is alive at once. Outcomes and exceptions come back pickled."""
     if not jobs:
         return []
@@ -182,7 +181,6 @@ def _detect_lidars(jobs, cfg) -> list:
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    board_model(cfg.target)
     clouds, inits = zip(*jobs)
     workers = min(len(jobs), _usable_cpus())
     with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:

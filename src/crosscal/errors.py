@@ -27,14 +27,6 @@ class EmptyAfterFilter(LidarStageError):
     stage = "filter"
 
 
-class NotConverged(LidarStageError):
-    stage = "gicp"
-
-
-class PoorFit(LidarStageError):
-    stage = "gicp"
-
-
 class EmptyMatch(LidarStageError):
     stage = "match"
 

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import numpy as np
 
-from crosscal import geometry, lidar, sim
+from crosscal import geometry, sim
 from crosscal.camera import CameraDetection, detect_target_camera
-from crosscal.errors import CrosscalError, NotConverged, PoorFit
+from crosscal.errors import CrosscalError
 from crosscal.lidar import LidarParams, detect_target_lidar
 from crosscal.optimizer import SequenceObservations
 
@@ -134,106 +134,6 @@ def lm_without_reduction_stop(state, residual_fn, jac_fn, plus, max_iter=100, gr
         if converged:
             break
     return state, cost, converged
-
-
-def gicp_register_oracle(source, target, t_init, p, source_normals):
-    """`lidar.gicp_register` as it was with (n, 3) point rows, a compaction
-    on every probe and the normal equations as six 3-operand einsums: the
-    same probe sequence in other rounding. Its trees are built through
-    `lidar.cKDTree`, so a test can count their queries."""
-    tgt_tree = lidar.cKDTree(target)
-    nrm_s = source_normals
-    nrm_t = lidar._point_normals(target, tgt_tree)
-    a_reg = 1.0 - 1e-3
-
-    def matched(t):
-        moved = t.apply(source)
-        dists, idx = tgt_tree.query(moved, distance_upper_bound=p.gicp_corr_dist)
-        valid = np.isfinite(dists)
-        n_valid = int(valid.sum())
-        if n_valid < 10:
-            raise PoorFit(f"only {n_valid} GICP correspondences")
-        ps = moved[valid]
-        resid = ps - target[idx[valid]]
-        n1 = nrm_t[idx[valid]]
-        n2 = nrm_s[valid] @ t.rotation.T
-        n2 = np.where((np.einsum("ni,ni->n", n1, n2) < 0)[:, None], -n2, n2)
-        c = np.einsum("ni,ni->n", n1, n2)
-        up = n1 + n2
-        um = n1 - n2
-        up /= np.maximum(np.linalg.norm(up, axis=1), 1e-12)[:, None]
-        um /= np.maximum(np.linalg.norm(um, axis=1), 1e-12)[:, None]
-        wp = 1.0 / (2.0 - a_reg * (1.0 + c)) - 0.5
-        wm = 1.0 / (2.0 - a_reg * (1.0 - c)) - 0.5
-        rp = np.einsum("ni,ni->n", up, resid)
-        rm = np.einsum("ni,ni->n", um, resid)
-        sq = np.einsum("ni,ni->n", resid, resid)
-        cost = float((0.5 * sq + wp * rp**2 + wm * rm**2).mean())
-        return cost, ps, resid, up, um, wp, wm, n_valid, dists[valid]
-
-    t_cur = t_init
-    step_norm = np.inf
-    state = matched(t_cur)
-    for _ in range(p.gicp_max_iter):
-        cost, ps, resid, up, um, wp, wm, n_valid, _ = state
-        a = np.cross(up, ps)
-        b = np.cross(um, ps)
-        h_tt = (
-            0.5 * n_valid * np.eye(3)
-            + np.einsum("n,ni,nj->ij", wp, up, up)
-            + np.einsum("n,ni,nj->ij", wm, um, um)
-        )
-        h_tw = -(
-            0.5 * geometry.skew(ps.sum(axis=0))
-            + np.einsum("n,ni,nj->ij", wp, up, a)
-            + np.einsum("n,ni,nj->ij", wm, um, b)
-        )
-        h_ww = (
-            0.5 * ((ps**2).sum() * np.eye(3) - ps.T @ ps)
-            + np.einsum("n,ni,nj->ij", wp, a, a)
-            + np.einsum("n,ni,nj->ij", wm, b, b)
-        )
-        hess = np.block([[h_tt, h_tw], [h_tw.T, h_ww]])
-        rp = (up * resid).sum(axis=1)
-        rm = (um * resid).sum(axis=1)
-        mr = 0.5 * resid + (wp * rp)[:, None] * up + (wm * rm)[:, None] * um
-        grad = np.concatenate([mr.sum(axis=0), np.cross(ps, mr).sum(axis=0)])
-        try:
-            dx = np.linalg.solve(hess + 1e-9 * np.eye(6), -grad)
-        except np.linalg.LinAlgError:
-            raise NotConverged("singular GICP normal equations")
-        alpha, step_norm = 1.0, 0.0
-        t1 = geometry.compose(geometry.exp_se3(dx), t_cur)
-        s1 = matched(t1)
-        if s1[0] < cost:
-            best = (s1, t1, 1.0)
-            while alpha < 256:
-                t2 = geometry.compose(geometry.exp_se3(2 * alpha * dx), t_cur)
-                s2 = matched(t2)
-                if s2[0] >= best[0][0]:
-                    break
-                alpha *= 2
-                best = (s2, t2, alpha)
-            state, t_cur, alpha = best
-            step_norm = float(alpha * np.linalg.norm(dx))
-        else:
-            while alpha * np.linalg.norm(dx) >= 1e-7:
-                alpha *= 0.5
-                t_try = geometry.compose(geometry.exp_se3(alpha * dx), t_cur)
-                s_try = matched(t_try)
-                if s_try[0] < cost:
-                    t_cur = t_try
-                    state = s_try
-                    step_norm = float(alpha * np.linalg.norm(dx))
-                    break
-        if step_norm < 1e-6:
-            break
-    if step_norm >= 1e-6:
-        raise NotConverged(f"GICP step norm {step_norm:.2e} after {p.gicp_max_iter} iterations")
-    fitness = float((state[-1] ** 2).mean())
-    if fitness >= p.gicp_fitness_eps:
-        raise PoorFit(f"fitness {fitness:.3e} >= {p.gicp_fitness_eps:.3e}")
-    return t_cur, fitness
 
 
 def oracle_observations(scene):

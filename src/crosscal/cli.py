@@ -173,8 +173,9 @@ def _detect_lidars(jobs, cfg) -> list:
     time, so they run on a pool of processes sized to the usable CPUs. The
     pool forks, by name since Python 3.14 changes the default: each worker
     inherits the imported modules, where `spawn` or `forkserver` would
-    import numpy and scipy again in every worker. Each job reads its own cloud, so at most one cloud per
-    worker is alive at once. Outcomes and exceptions come back pickled."""
+    import numpy and scipy again in every worker. Each job reads its own
+    cloud, so at most one cloud per worker is alive at once. Outcomes and
+    exceptions come back pickled."""
     if not jobs:
         return []
     # imported here, not at start-up, which every command pays: ~15 ms

@@ -354,7 +354,7 @@ def board_outline(flat_pts: np.ndarray):
     xy = np.asarray(flat_pts, dtype=float)[:, :2]
     try:
         hull = xy[ConvexHull(xy).vertices]
-    except (QhullError, ValueError) as e:
+    except QhullError as e:
         raise DegenerateInput(f"no outline: {e}") from e
     edges = np.roll(hull, -1, axis=0) - hull
     angles = np.mod(np.arctan2(edges[:, 1], edges[:, 0]), np.pi / 2)

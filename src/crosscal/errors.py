@@ -39,6 +39,12 @@ class LowInlierRatio(LidarStageError):
     stage = "ransac"
 
 
+class PoorFit(LidarStageError):
+    """The plane's outline is larger than the board: the plane holds more."""
+
+    stage = "outline"
+
+
 class GridTooSmall(LidarStageError):
     stage = "window"
 

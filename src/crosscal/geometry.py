@@ -183,8 +183,9 @@ def rotation_exp(w: np.ndarray) -> np.ndarray:
     return _rotation_exp(np.linalg.norm(w), k, k @ k)
 
 
-def exp_se3(xi: np.ndarray) -> RigidTransform:
-    """SE(3) exponential of a 6-vector (v, w): translation part first."""
+def _exp_se3(xi) -> tuple:
+    """(rotation, translation) arrays of the SE(3) exponential of a 6-vector
+    (v, w): the arithmetic of `exp_se3`, without building a RigidTransform."""
     xi = np.asarray(xi, dtype=float).reshape(6)
     v, w = xi[:3], xi[3:]
     theta = np.linalg.norm(w)
@@ -198,7 +199,19 @@ def exp_se3(xi: np.ndarray) -> RigidTransform:
             + (1.0 - np.cos(theta)) / theta**2 * k
             + (theta - np.sin(theta)) / theta**3 * kk
         )
-    return RigidTransform(_rotation_exp(theta, k, kk), jac @ v)
+    return _rotation_exp(theta, k, kk), jac @ v
+
+
+def exp_se3(xi: np.ndarray) -> RigidTransform:
+    """SE(3) exponential of a 6-vector (v, w): translation part first."""
+    return RigidTransform(*_exp_se3(xi))
+
+
+def compose_exp_se3(xi, rotation: np.ndarray, translation: np.ndarray) -> tuple:
+    """(rotation, translation) arrays of `compose(exp_se3(xi), t)` for the
+    pose t given as arrays, to the bit; nothing is validated on the way."""
+    r, t = _exp_se3(xi)
+    return r @ rotation, r @ translation + t
 
 
 def exp_se3_matrix(xi: np.ndarray) -> np.ndarray:

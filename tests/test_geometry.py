@@ -190,6 +190,24 @@ def test_exp_log_round_trip_1000():
     assert worst < 1e-9
 
 
+def test_compose_exp_se3_equals_compose_of_exp_se3_to_the_bit():
+    # the three branches of the exponential: rotation angles below 1e-10
+    # (both series), in [1e-10, 1e-8) (Rodrigues, series Jacobian), above 1 rad
+    rng = np.random.default_rng(21)
+    angles = [(1e-14, 1e-10), (1e-10, 1e-8), (1.0, 3.1)]
+    for i in range(1000):
+        lo, hi = angles[i % 3]
+        axis = rng.normal(size=3)
+        w = axis / np.linalg.norm(axis) * np.exp(rng.uniform(np.log(lo), np.log(hi)))
+        assert lo <= np.linalg.norm(w) < hi
+        xi = np.concatenate([rng.normal(size=3), w])
+        t = random_rigid(rng)
+        rot, trans = geometry.compose_exp_se3(xi, t.rotation, t.translation)
+        want = geometry.compose(geometry.exp_se3(xi), t)
+        assert rot.tobytes() == want.rotation.tobytes()
+        assert trans.tobytes() == want.translation.tobytes()
+
+
 def test_rotation_angle_and_orthonormalize():
     rng = np.random.default_rng(9)
     for _ in range(50):

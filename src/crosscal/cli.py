@@ -47,7 +47,7 @@ EXIT_DISCONNECTED = 5
 EXIT_NOT_CONVERGED = 6
 
 # a config, or calibrate's detections, that cannot be read or used: exit 2
-_INPUT_ERRORS = (ParseError, MissingField, SchemaVersionMismatch, IoError, ValueError)
+_INPUT_ERRORS = (ParseError, MissingField, SchemaVersionMismatch, IoError)
 
 
 def _manifest_path(out: Path) -> Path:
@@ -101,7 +101,6 @@ def cmd_simulate(args) -> int:
         return EXIT_INFEASIBLE
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     outputs = []
     gt_doc = {
         "sensors": {str(s): io_formats.pose_to_json(t) for s, t in scene.sensors},
@@ -113,7 +112,6 @@ def cmd_simulate(args) -> int:
 
     for seq in range(len(scene.board_poses)):
         seq_dir = out / f"seq_{seq:03d}"
-        seq_dir.mkdir(exist_ok=True)
         for sensor in scene.sensor_ids:
             if not sim.sensor_sees_board(scene, sensor, seq):
                 continue
@@ -249,7 +247,6 @@ def cmd_detect(args) -> int:
         log.error("no detections succeeded under %s", data)
         return EXIT_NO_DETECTIONS
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     io_formats.write_detections(out, records)
     _write_manifest(_manifest_path(out), args.config, None, inputs, [out], warnings)
     _summary(
@@ -331,7 +328,6 @@ def cmd_calibrate(args) -> int:
         file=sys.stderr,
     )
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     io_formats.write_report(result, out, consistency)
     _write_manifest(_manifest_path(out), args.config, None, [args.config, args.detections], [out])
     _summary(
@@ -396,6 +392,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except IoError as e:  # an output that cannot be written
+        log.error("output error: %s", e)
+        return EXIT_CONFIG
     except Exception:  # panic guard: exit 1 is reserved for unexpected errors
         log.exception("unexpected failure")
         return 1

@@ -160,13 +160,6 @@ def skew(v: np.ndarray) -> np.ndarray:
     return np.stack([o, -z, y, z, o, -x, -y, x, o], axis=-1).reshape(x.shape + (3, 3))
 
 
-def _skew3(w) -> np.ndarray:
-    """`skew` of one 3-vector, built directly (the same bits, without
-    `moveaxis`/`stack`)."""
-    x, y, z = w
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
 def _rotation_exp(theta, k, kk) -> np.ndarray:
     """Rodrigues' formula for angle theta, skew k and k @ k."""
     if theta < 1e-10:
@@ -179,17 +172,16 @@ def _rotation_exp(theta, k, kk) -> np.ndarray:
 def rotation_exp(w: np.ndarray) -> np.ndarray:
     """SO(3) exponential (Rodrigues) of an axis-angle vector."""
     w = np.asarray(w, dtype=float)
-    k = _skew3(w)
+    k = skew(w)
     return _rotation_exp(np.linalg.norm(w), k, k @ k)
 
 
-def _exp_se3(xi) -> tuple:
-    """(rotation, translation) arrays of the SE(3) exponential of a 6-vector
-    (v, w): the arithmetic of `exp_se3`, without building a RigidTransform."""
+def exp_se3(xi: np.ndarray) -> RigidTransform:
+    """SE(3) exponential of a 6-vector (v, w): translation part first."""
     xi = np.asarray(xi, dtype=float).reshape(6)
     v, w = xi[:3], xi[3:]
     theta = np.linalg.norm(w)
-    k = _skew3(w)
+    k = skew(w)
     kk = k @ k
     if theta < 1e-8:
         jac = np.eye(3) + 0.5 * k + kk / 6.0
@@ -199,26 +191,16 @@ def _exp_se3(xi) -> tuple:
             + (1.0 - np.cos(theta)) / theta**2 * k
             + (theta - np.sin(theta)) / theta**3 * kk
         )
-    return _rotation_exp(theta, k, kk), jac @ v
-
-
-def exp_se3(xi: np.ndarray) -> RigidTransform:
-    """SE(3) exponential of a 6-vector (v, w): translation part first."""
-    return RigidTransform(*_exp_se3(xi))
-
-
-def compose_exp_se3(xi, rotation: np.ndarray, translation: np.ndarray) -> tuple:
-    """(rotation, translation) arrays of `compose(exp_se3(xi), t)` for the
-    pose t given as arrays, to the bit; nothing is validated on the way."""
-    r, t = _exp_se3(xi)
-    return r @ rotation, r @ translation + t
+    return RigidTransform(_rotation_exp(theta, k, kk), jac @ v)
 
 
 def exp_se3_matrix(xi: np.ndarray) -> np.ndarray:
     """SE(3) exponentials, as (..., 4, 4) homogeneous matrices, of 6-vectors
     (..., 6) (v, w): the batched `exp_se3`. Its rounding differs from the
     scalar `exp_se3` and `rotation_exp` (`theta**2` of a scalar goes through
-    libm's pow), which stay as they are so that simulated data keep their bits."""
+    libm's pow), which stay as they are so that simulated data keep their bits,
+    and because the PnP stop test (`test_noisy_pnp_lm_stops_at_the_cost_rounding_floor`)
+    passes only with the scalar rounding in its retraction."""
     xi = np.asarray(xi, dtype=float)
     v, w = xi[..., :3], xi[..., 3:]
     theta = np.linalg.norm(w, axis=-1)[..., None, None]

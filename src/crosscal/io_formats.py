@@ -37,9 +37,10 @@ def canonical_json(obj) -> str:
 
 def atomic_write(path, data: str | bytes):
     """Write text or bytes via temp file + rename so readers never see
-    partial output."""
+    partial output; missing parent directories are created."""
     path = Path(path)
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as f:
             f.write(data)
@@ -392,7 +393,7 @@ def read_detections(path, strict: bool = False):
             out.append(_record_from_json(d, strict))
         except KeyError as e:
             raise MissingField(f"{e} in record {n}") from e
-        except TypeError as e:
+        except (TypeError, ValueError) as e:
             raise ParseError(f"malformed record {n}: {e}") from e
     return out
 
@@ -519,7 +520,7 @@ def config_from_json(doc: dict) -> ConfigFile:
         return ConfigFile(tuple(sensors), spec, lp, sp, ref, sim)
     except KeyError as e:
         raise MissingField(str(e)) from e
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise ParseError(str(e)) from e
 
 

@@ -10,7 +10,6 @@ bit-deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -130,65 +129,6 @@ def match_points(cloud: np.ndarray, model: np.ndarray, delta: float) -> np.ndarr
     if len(out) < 50:
         raise EmptyMatch(f"{len(out)} matched points")
     return out
-
-
-# The detector queries no moving points since the outline replaced GICP;
-# this search is kept, unused, until its tests go with it (ROADMAP).
-_dot = partial(np.einsum, "in,in->n")  # dot products of the columns of (3, n) arrays
-
-# m; a distance between points within a few km of the sensor is rounded by
-# far less, so a nearest-neighbour certificate this far from failing holds
-_NN_MARGIN = 1e-9
-
-
-class _NearestTarget:
-    """Nearest target point of each of n moving points, and whether it lies
-    within `bound`: exactly what `tree.query(moved.T, distance_upper_bound=
-    bound)` returns, with the tree queried only for the points whose match
-    could have changed since their last query.
-
-    A point last queried at `a` had its nearest point j at d1 and every other
-    point at least c = min(d2, bound) away, d2 its second-nearest distance.
-    Moved to `m`, at e = |m - t_j| and delta = |m - a|, every other point
-    is still at least c - delta away, so j is still its unique nearest point
-    within the bound while e + delta < c (triangle inequality). The test
-    keeps `_NN_MARGIN` from its edge. A point that had no neighbour, or
-    whose d1 came within the margin of c, is queried again at every call; a
-    d1 within the margin takes its match from a one-neighbour query, as the
-    tree breaks a tie differently when asked for two."""
-
-    def __init__(self, tree: cKDTree, target: np.ndarray, bound: float, n: int):
-        self.tree, self.target, self.bound = tree, target, bound
-        self.anchor = np.zeros((3, n))
-        self.cap = np.full(n, -np.inf)  # c - margin; -inf: query again
-        self.idx = np.zeros(n, dtype=np.intp)  # 0 where not valid
-        self.valid = np.zeros(n, dtype=bool)
-
-    def __call__(self, moved: np.ndarray):
-        """(idx, valid, resid) for the (3, n) positions `moved`, resid being
-        moved minus the matched target points (meaningless where not valid).
-        idx and valid are this object's own, overwritten by the next call."""
-        d = moved - self.anchor
-        resid = moved - np.take(self.target, self.idx, axis=1)
-        stale = np.sqrt(_dot(d, d)) + np.sqrt(_dot(resid, resid)) >= self.cap
-        if stale.any():
-            rows = np.flatnonzero(stale)
-            pts = np.take(moved, rows, axis=1)
-            dists, idx = self.tree.query(pts.T, k=2, distance_upper_bound=self.bound)
-            d1, idx = dists[:, 0], idx[:, 0]
-            cap = np.minimum(dists[:, 1], self.bound)
-            near = np.isfinite(d1) & (cap - d1 <= _NN_MARGIN)
-            if near.any():
-                d1[near], idx[near] = self.tree.query(
-                    pts[:, near].T, distance_upper_bound=self.bound
-                )
-            valid = np.isfinite(d1)
-            np.copyto(self.anchor, moved, where=stale)
-            self.cap[rows] = np.where(valid & ~near, cap - _NN_MARGIN, -np.inf)
-            self.idx[rows] = np.where(valid, idx, 0)
-            self.valid[rows] = valid
-            resid = moved - np.take(self.target, self.idx, axis=1)
-        return self.idx, self.valid, resid
 
 
 def _orient(n, d):

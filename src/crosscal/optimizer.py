@@ -366,10 +366,7 @@ def solve(p: CalibrationProblem) -> CalibrationResult:
     def plus(poses, dx):
         out = dict(poses)
         for k, s in enumerate(free):
-            step = geometry.compose_exp_se3(
-                dx[6 * k : 6 * k + 6], poses[s].rotation, poses[s].translation
-            )
-            out[s] = RigidTransform(*step)
+            out[s] = geometry.compose(geometry.exp_se3(dx[6 * k : 6 * k + 6]), poses[s])
         return out
 
     j0 = jacobian(p, poses0, table)

@@ -764,6 +764,37 @@ def test_calibrate_unreadable_detections_exit_2(ws, tmp_path, caplog, name):
     assert "input error" in caplog.text and name in caplog.text
 
 
+@pytest.mark.parametrize("command", ["simulate", "detect", "calibrate"])
+def test_output_under_a_regular_file_exit_2(ws, tmp_path, caplog, command):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "sub" / "out.json"
+    inputs = {
+        "simulate": [],
+        "detect": ["--data", str(ws["data"])],
+        "calibrate": ["--detections", str(ws["det"])],
+    }[command]
+    with caplog.at_level(logging.ERROR, logger="crosscal"):
+        rc = cli.main([command, "--config", str(ws["config"]), *inputs, "--out", str(out)])
+    assert rc == 2
+    assert str(blocker) in caplog.text
+    assert "unexpected failure" not in caplog.text
+
+
+def test_value_error_inside_simulation_exit_1(ws, tmp_path, monkeypatch, caplog):
+    """Only the reading of the config maps a ValueError to exit 2; one raised
+    by a bug inside the simulator is an unexpected failure."""
+
+    def broken(**kwargs):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(cli.sim, "make_scene", broken)
+    argv = ["simulate", "--config", str(ws["config"]), "--out", str(tmp_path / "o")]
+    with caplog.at_level(logging.ERROR, logger="crosscal"):
+        assert cli.main(argv) == 1
+    assert "unexpected failure" in caplog.text and "config error" not in caplog.text
+
+
 def test_calibrate_disconnected_exit_5(ws, tmp_path):
     square = np.array(
         [[-0.38, 0.38, 0.0], [0.38, 0.38, 0.0], [0.38, -0.38, 0.0], [-0.38, -0.38, 0.0]]

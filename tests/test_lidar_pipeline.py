@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 from crosscal import cli, geometry, io_formats, lidar, sim
 from crosscal.errors import (
@@ -115,66 +114,6 @@ def test_match_brute_force_oracle():
 def test_match_empty_model_degenerate():
     with pytest.raises(DegenerateInput):
         match_points(np.zeros((100, 3)), np.zeros((0, 3)), 0.1)
-
-
-# --- nearest-target search --------------------------------------------------
-
-class _PointCountingTree(cKDTree):
-    points = 0  # queried so far
-
-    def query(self, x, *args, **kwargs):
-        self.points += len(x)
-        return super().query(x, *args, **kwargs)
-
-
-def _run_search(target, bound, probes):
-    """Feed the (n, 3) positions of each probe to one `_NearestTarget`,
-    asserting at each call a fresh query's matches and valid mask; returns
-    per call the number of points queried and the valid mask."""
-    target = np.asarray(target, dtype=float)
-    tree = _PointCountingTree(target)
-    search = lidar._NearestTarget(tree, np.ascontiguousarray(target.T), bound, len(probes[0]))
-    out = []
-    for pos in probes:
-        pos = np.asarray(pos, dtype=float)
-        before = tree.points
-        idx, valid, resid = search(np.ascontiguousarray(pos.T))
-        dists, want = cKDTree.query(tree, pos, distance_upper_bound=bound)
-        assert np.array_equal(valid, np.isfinite(dists))
-        assert np.array_equal(idx[valid], want[valid])
-        assert np.array_equal(resid[:, valid], (pos[valid] - target[want[valid]]).T)
-        out.append((tree.points - before, valid.tolist()))
-    return out
-
-
-def test_nearest_target_equidistant_point_gets_the_one_neighbor_match():
-    # Half-step lattice points tie between lattice points; a two-neighbor
-    # query's first neighbor then differs from the one-neighbor query's.
-    grid = np.stack(np.meshgrid(*[np.arange(6.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
-    target = grid * 0.015
-    pos = np.random.default_rng(0).integers(0, 11, size=(400, 3)) * 0.5 * 0.015
-    tree = cKDTree(target)
-    two = tree.query(pos, k=2, distance_upper_bound=0.5)[1][:, 0]
-    assert (two != tree.query(pos, distance_upper_bound=0.5)[1]).any()
-    shifted = pos + [1e-4, 0.0, 0.0]
-    calls = _run_search(target, 0.5, [pos, pos, shifted, shifted])
-    assert 0 < calls[1][0] < calls[0][0]  # unmoved, only the ties are queried again
-
-
-def test_nearest_target_second_neighbor_beyond_the_bound():
-    # The second point is 0.9 m away, past the 0.3 m bound: the bound caps
-    # how far the match is kept without a query.
-    target = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
-    probes = [[[x, 0.0, 0.0]] for x in (0.1, 0.18, 0.12, 0.2)]
-    calls = _run_search(target, 0.3, probes)
-    assert calls == [(1, [True]), (0, [True]), (0, [True]), (1, [True])]
-
-
-def test_nearest_target_point_crossing_the_bound():
-    target = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
-    probes = [[[x, 0.0, 0.0]] for x in (0.1, 0.35, 0.36, 0.2)]
-    calls = _run_search(target, 0.3, probes)
-    assert calls == [(1, [True]), (1, [False]), (1, [False]), (1, [True])]
 
 
 # --- ransac -----------------------------------------------------------------

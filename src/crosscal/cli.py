@@ -79,7 +79,7 @@ def _scene_from_config(cfg, seed):
     return sim.make_scene(
         n_lidars=len(cfg.lidars()),
         m_cameras=len(cfg.cameras()),
-        sequences=int(s["sequences"]),
+        sequences=s["sequences"],
         spec=cfg.target,
         noise=sim.NoiseModel(**s["noise"]),
         seed=seed,
@@ -91,7 +91,7 @@ def _scene_from_config(cfg, seed):
 def cmd_simulate(args) -> int:
     try:
         cfg = io_formats.read_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.sim.get("seed", 0))
+        seed = args.seed if args.seed is not None else cfg.sim["seed"]
         scene = _scene_from_config(cfg, seed)
     except _INPUT_ERRORS as e:
         log.error("config error: %s", e)

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 import os
 import tempfile
+import typing
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -158,6 +159,8 @@ def read_cloud(path) -> np.ndarray:
         return _parse_ply(_read(path, "rb"))
     except ParseError as e:
         raise ParseError(f"{e.reason} in {path.name}", line=e.line) from e
+    except UnsupportedFormat as e:
+        raise UnsupportedFormat(f"{e} in {path.name}") from e
 
 
 def _parse_ply(data: bytes) -> np.ndarray:
@@ -211,76 +214,86 @@ def pose_to_json(t: RigidTransform) -> dict:
 
 
 def pose_from_json(d: dict) -> RigidTransform:
-    with np.errstate(invalid="ignore"):  # RigidTransform rejects an infinite angle
-        rot = geometry.rotation_from_euler_xyz(*d["euler_xyz_deg"])
-    return RigidTransform(rot, np.asarray(d["translation"], dtype=float))
+    rot = geometry.rotation_from_euler_xyz(*_finite(d["euler_xyz_deg"], "euler_xyz_deg", (3,)))
+    return RigidTransform(rot, _finite(d["translation"], "translation", (3,)))
 
 
-def _load_json(path):
+@contextmanager
+def _decoding(where: str):
+    """Type the errors of decoding `where`, naming it in each: a KeyError is
+    a MissingField, and a TypeError, ValueError or OverflowError a
+    ParseError. Nested uses name the innermost part first ("'pose' in
+    record 3 in detections.json")."""
     try:
-        return json.loads(_read(path, "r"))
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{e.msg} in {Path(path).name}", line=e.lineno) from e
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{e} in {Path(path).name}") from e
+        yield
+    except KeyError as e:
+        raise MissingField(f"{e} in {where}") from e
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ParseError(f"{e} in {where}") from e
+    except (MissingField, ParseError, SchemaVersionMismatch) as e:  # raised by the decoder
+        raise type(e)(f"{e} in {where}") from e
 
 
-def _is_integer(v) -> bool:
-    """An integer as JSON Schema has it: an int or an integral float."""
-    return type(v) is int or isinstance(v, float) and v.is_integer()
+def _read_json(path, decode, *args):
+    """decode(doc, *args) of the JSON file `path`, its errors typed by
+    `_decoding` and naming the file; a file that cannot be read is an IoError."""
+    with _decoding(Path(path).name):
+        return decode(json.loads(_read(path, "r")), *args)
 
 
-def _integer(v, what: str) -> int:
-    if not _is_integer(v):
-        raise ParseError(f"{what} {v!r} is not an integer")
+def _integer(v, what: str, minimum=None) -> int:
+    """v, an integer as JSON Schema has it (an int or an integral float, not
+    a bool), as an int; at least `minimum` if one is given."""
+    if not (type(v) is int or type(v) is float and v.is_integer()):
+        raise ValueError(f"{what} {v!r} is not an integer")
+    if minimum is not None and v < minimum:
+        raise ValueError(f"{what} {v!r} is below {minimum}")
     return int(v)
 
 
-def _finite(v, what: str):
-    """v, a float or an array of floats, if it is all finite."""
-    if not np.isfinite(v).all():
-        raise ParseError(f"{what} is not finite")
-    return v
+def _finite(v, what: str, shape=(), minimum=None):
+    """v, a number (shape ()) or nested lists of numbers of `shape`, as a
+    float or a float array, if every number is finite and, if `minimum` is
+    given, at least it. A bool is not a number. Nested lists of another
+    shape lack or add a value: MissingField."""
+    a = np.array(v, dtype=object)
+    if shape and a.shape != shape:
+        raise MissingField(f"{what} must be {'x'.join(map(str, shape))}, got {list(a.shape)}")
+    if a.shape != shape or any(type(x) not in (int, float) for x in a.flat):
+        raise ValueError(f"{what} {v!r} is not a number")
+    a = a.astype(float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} is not finite")
+    if minimum is not None and (a < minimum).any():
+        raise ValueError(f"{what} is below {minimum}")
+    return a if shape else float(a)
+
+
+def _corners_from_json(doc, n_ids: int) -> list:
+    out, seen = [], set()
+    for c in doc["corners"]:
+        cid = _integer(c["id"], "corner id")
+        if not 0 <= cid < n_ids:
+            raise ValueError(f"corner id {cid} is not in [0, {n_ids})")
+        if cid in seen:
+            raise ValueError(f"corner id {cid} repeated")
+        seen.add(cid)
+        uv = _finite(c["uv"], f"corner {cid} uv", (2,))
+        out.append(CornerObservation(cid, (float(uv[0]), float(uv[1]))))
+    return out
 
 
 def read_corners(path, spec: TargetSpec) -> list:
     """A camera's checker-corner detections, [CornerObservation], from a
     `corners_camera*.json` file: {"corners": [{"id": int, "uv": [u, v]}, ...]}.
     The ids are distinct corners of the board `spec`, each uv 2 finite
-    numbers; anything else is a ParseError naming the file."""
-    doc = _load_json(path)
-    n_ids = (spec.squares_x - 1) * (spec.squares_y - 1)  # checker_corners_board's ids
-    out, seen = [], set()
-    try:
-        for c in doc["corners"]:
-            cid, uv = c["id"], c["uv"]
-            if not (_is_integer(cid) and 0 <= cid < n_ids):
-                raise ValueError(f"corner id {cid!r} is not an integer in [0, {n_ids})")
-            if cid in seen:
-                raise ValueError(f"corner id {cid!r} repeated")
-            if not (isinstance(uv, list) and len(uv) == 2 and {*map(type, uv)} <= {int, float}):
-                raise ValueError(f"corner {cid} uv {uv!r} is not 2 numbers")
-            u, v = float(uv[0]), float(uv[1])
-            if not (math.isfinite(u) and math.isfinite(v)):
-                raise ValueError(f"corner {cid} uv {uv!r} is not finite")
-            seen.add(cid)
-            out.append(CornerObservation(int(cid), (u, v)))
-    except KeyError as e:
-        raise MissingField(f"{e} in {Path(path).name}") from e
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ParseError(f"malformed corner in {Path(path).name}: {e}") from e
-    return out
+    numbers; anything else is a ParseError or MissingField naming the file."""
+    return _read_json(path, _corners_from_json, (spec.squares_x - 1) * (spec.squares_y - 1))
 
 
 def read_board_init(path) -> RigidTransform:
     """A LiDAR's rough board pose from an `init_lidar*.json` file: {"pose": pose}."""
-    doc = _load_json(path)
-    try:
-        return pose_from_json(doc["pose"])
-    except KeyError as e:
-        raise MissingField(f"{e} in {Path(path).name}") from e
-    except (TypeError, ValueError) as e:
-        raise ParseError(f"malformed pose in {Path(path).name}: {e}") from e
+    return _read_json(path, lambda doc: pose_from_json(doc["pose"]))
 
 
 def sensor_to_json(s: SensorId) -> dict:
@@ -288,7 +301,7 @@ def sensor_to_json(s: SensorId) -> dict:
 
 
 def sensor_from_json(d: dict) -> SensorId:
-    return SensorId(d["kind"], _integer(d["index"], "sensor index"))
+    return SensorId(d["kind"], _integer(d["index"], "sensor index", minimum=0))
 
 
 # --- detection records ------------------------------------------------------
@@ -334,42 +347,40 @@ def _record_to_json(rec: DetectionRecord) -> dict:
 
 
 def _record_from_json(d: dict, strict: bool) -> DetectionRecord:
-    for key in ("type", "sequence", "sensor", "pose", "centers_3d"):
-        if key not in d:
-            raise MissingField(key)
     kind = d["type"]
-    allowed = _LIDAR_FIELDS if kind == "lidar" else _CAMERA_FIELDS
     if strict:
-        unknown = set(d) - allowed
+        unknown = set(d) - (_LIDAR_FIELDS if kind == "lidar" else _CAMERA_FIELDS)
         if unknown:
-            raise ParseError(f"unknown fields in strict mode: {sorted(unknown)}")
-    centers = np.asarray(d["centers_3d"], dtype=float)
-    if centers.shape != (4, 3):
-        raise MissingField(f"centers_3d must be 4x3, got {list(centers.shape)}")
-    _finite(centers, "centers_3d")
+            raise ValueError(f"unknown fields in strict mode: {sorted(unknown)}")
+    centers = _finite(d["centers_3d"], "centers_3d", (4, 3))
     pose = pose_from_json(d["pose"])
     if kind == "lidar":
-        if "fitness" not in d:
-            raise MissingField("fitness")
-        det = LidarDetection(pose, centers, _finite(float(d["fitness"]), "fitness"))
+        det = LidarDetection(pose, centers, _finite(d["fitness"], "fitness", minimum=0))
     elif kind == "camera":
-        for key in ("centers_2d", "reprojection_error", "corners_used"):
-            if key not in d:
-                raise MissingField(key)
-        c2 = np.asarray(d["centers_2d"], dtype=float)
-        if c2.shape != (4, 2):
-            raise MissingField(f"centers_2d must be 4x2, got {list(c2.shape)}")
-        _finite(c2, "centers_2d")
         det = CameraDetection(
             pose,
             centers,
-            c2,
-            _finite(float(d["reprojection_error"]), "reprojection_error"),
-            _integer(d["corners_used"], "corners_used"),
+            _finite(d["centers_2d"], "centers_2d", (4, 2)),
+            _finite(d["reprojection_error"], "reprojection_error", minimum=0),
+            _integer(d["corners_used"], "corners_used", minimum=4),
         )
     else:
-        raise ParseError(f"unknown record type {kind!r}")
-    return DetectionRecord(_integer(d["sequence"], "sequence"), sensor_from_json(d["sensor"]), det)
+        raise ValueError(f"unknown record type {kind!r}")
+    sequence = _integer(d["sequence"], "sequence", minimum=0)
+    return DetectionRecord(sequence, sensor_from_json(d["sensor"]), det)
+
+
+def _detections_from_json(doc, strict: bool) -> list:
+    if doc["version"] != SCHEMA_VERSION:
+        raise SchemaVersionMismatch(f"expected {SCHEMA_VERSION!r}, got {doc['version']!r}")
+    records = doc["records"]
+    if not isinstance(records, list):
+        raise TypeError(f"records must be a list, got {type(records).__name__}")
+    out = []
+    for n, d in enumerate(records):
+        with _decoding(f"record {n}"):
+            out.append(_record_from_json(d, strict))
+    return out
 
 
 def write_detections(path, records):
@@ -378,24 +389,7 @@ def write_detections(path, records):
 
 
 def read_detections(path, strict: bool = False):
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise ParseError(f"detections document must be an object, got {type(doc).__name__}")
-    if doc.get("version") != SCHEMA_VERSION:
-        raise SchemaVersionMismatch(f"expected {SCHEMA_VERSION!r}, got {doc.get('version')!r}")
-    if "records" not in doc:
-        raise MissingField("records")
-    if not isinstance(doc["records"], list):
-        raise ParseError(f"records must be a list, got {type(doc['records']).__name__}")
-    out = []
-    for n, d in enumerate(doc["records"]):
-        try:
-            out.append(_record_from_json(d, strict))
-        except KeyError as e:
-            raise MissingField(f"{e} in record {n}") from e
-        except (TypeError, ValueError) as e:
-            raise ParseError(f"malformed record {n}: {e}") from e
-    return out
+    return _read_json(path, _detections_from_json, strict)
 
 
 # --- config -----------------------------------------------------------------
@@ -485,47 +479,51 @@ def config_to_json(cfg: ConfigFile) -> dict:
 def _reject_unknown(d: dict, names, what: str):
     unknown = set(d) - set(names)
     if unknown:
-        raise ParseError(f"unknown {what} fields: {sorted(unknown)}")
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+
+
+_FIELD_DECODERS = {int: _integer, float: _finite}
 
 
 def _dataclass_from(d: dict, cls, what: str):
-    _reject_unknown(d, [f.name for f in fields(cls)], what)
-    return cls(**d)
+    """cls(**d), each int field an integer (2.0 is 2) and each float field a
+    finite number, neither a bool; cls checks the ranges."""
+    types = typing.get_type_hints(cls)
+    _reject_unknown(d, types, what)
+    out = {}
+    for k in d:  # d[k], not d.items(): a list of names is a TypeError too
+        decode = _FIELD_DECODERS.get(types[k])
+        out[k] = decode(d[k], f"{what}.{k}") if decode else d[k]
+    return cls(**out)
 
 
 def config_from_json(doc: dict) -> ConfigFile:
-    try:
+    with _decoding("config"):
         _reject_unknown(doc, [f.name for f in fields(ConfigFile)], "config")
         sensors = []
         for d in doc["sensors"]:
             _reject_unknown(d, ("kind", "index", "intrinsics"), "sensor")
             intr = _dataclass_from(d["intrinsics"], Intrinsics, "intrinsics") if "intrinsics" in d else None
-            sensors.append(SensorConfig(SensorId(d["kind"], int(d["index"])), intr))
-        d2 = doc.get("target", {})
-        if "circle_offsets" in d2:
-            d2 = {**d2, "circle_offsets": tuple(map(tuple, d2["circle_offsets"]))}
-        spec = _dataclass_from(d2, TargetSpec, "target")
-        lp = _dataclass_from(doc.get("lidar_params", {}), LidarParams, "lidar_params")
-        sp = _dataclass_from(doc.get("solve_params", {}), SolveParams, "solve_params")
+            sensors.append(SensorConfig(sensor_from_json(d), intr))
+        target = doc["target"]
+        if "circle_offsets" in target:
+            offsets = _finite(target["circle_offsets"], "target.circle_offsets", (4, 2))
+            target = {**target, "circle_offsets": offsets}
+        spec = _dataclass_from(target, TargetSpec, "target")
+        lp = _dataclass_from(doc["lidar_params"], LidarParams, "lidar_params")
+        sp = _dataclass_from(doc["solve_params"], SolveParams, "solve_params")
         ref = sensor_from_json(doc["reference"])
-        sim = {**DEFAULT_SIM, **doc.get("sim", {})}
+        sim = {**DEFAULT_SIM, **doc["sim"]}
         _reject_unknown(sim, DEFAULT_SIM, "sim")
         for key, cls in (("noise", NoiseModel), ("scan", ScanPattern)):
-            sim[key] = {**DEFAULT_SIM[key], **sim[key]}
-            _dataclass_from(sim[key], cls, f"sim.{key}")  # checks only; `simulate` builds its own
+            sim[key] = asdict(_dataclass_from({**DEFAULT_SIM[key], **sim[key]}, cls, f"sim.{key}"))
         for key, low in (("sequences", 1), ("seed", 0)):
-            v = sim[key]
-            if not _is_integer(v) or v < low:
-                raise ParseError(f"sim.{key} must be an integer >= {low}, got {v!r}")
+            sim[key] = _integer(sim[key], f"sim.{key}", low)
         return ConfigFile(tuple(sensors), spec, lp, sp, ref, sim)
-    except KeyError as e:
-        raise MissingField(str(e)) from e
-    except (TypeError, ValueError) as e:
-        raise ParseError(str(e)) from e
 
 
 def read_config(path) -> ConfigFile:
-    return config_from_json(_load_json(path))
+    return _read_json(path, config_from_json)
 
 
 def write_config(path, cfg: ConfigFile):

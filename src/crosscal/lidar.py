@@ -65,12 +65,12 @@ class LidarParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if min(self.h_min + 1.0, self.d_min, self.d_max, self.ransac_eps) <= 0:
-            raise ValueError("distances must be positive")
+        if self.d_min < 0 or min(self.d_max, self.ransac_eps) <= 0:
+            raise ValueError("d_min must be >= 0, d_max and ransac_eps > 0")
         if self.d_min >= self.d_max:
             raise ValueError("d_min must be < d_max")
-        if self.grid_res < 1:
-            raise ValueError("grid_res must be >= 1")
+        if self.ransac_iters < 1 or self.grid_res < 2 or self.rng_seed < 0:
+            raise ValueError("ransac_iters must be >= 1, grid_res >= 2 and rng_seed >= 0")
 
 
 @dataclass(frozen=True)
@@ -159,20 +159,19 @@ def _draw_triplets(rng, n: int, count: int) -> np.ndarray:
     return np.column_stack([i, j, k])
 
 
-def ransac_plane(pts: np.ndarray, p: LidarParams, rng=None):
+def ransac_plane(pts: np.ndarray, p: LidarParams):
     """RANSAC plane segmentation; consensus plane is least-squares refit to
     its inliers and inliers recomputed against the refit plane.
 
-    All triplets are drawn at once (`_draw_triplets`); the hypothesis with
-    the first maximal inlier count wins, and its consensus set is taken from
-    its plane computed for that triplet alone."""
+    All triplets are drawn at once (`_draw_triplets`) from a generator
+    seeded by `p.rng_seed`; the hypothesis with the first maximal inlier
+    count wins, and its consensus set is taken from its plane computed for
+    that triplet alone."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
     if len(pts) < 3:
         raise DegenerateInput(f"{len(pts)} points, need >= 3")
-    if rng is None:
-        rng = np.random.default_rng(p.rng_seed)
     n_pts = len(pts)
-    tri = _draw_triplets(rng, n_pts, p.ransac_iters)
+    tri = _draw_triplets(np.random.default_rng(p.rng_seed), n_pts, p.ransac_iters)
     normals = np.cross(pts[tri[:, 1]] - pts[tri[:, 0]], pts[tri[:, 2]] - pts[tri[:, 0]])
     norms = np.linalg.norm(normals, axis=1)
     ok = norms >= 1e-12
@@ -319,11 +318,12 @@ def refine_circles(g: OccupancyGrid, window, spec: TargetSpec, preferred=None):
     return centers
 
 
-def check_circle_geometry(centers_2d, spec: TargetSpec, tol: float = 0.06) -> None:
+def check_circle_geometry(centers_2d, spec: TargetSpec) -> None:
     """Reject refined centers whose pairwise distances deviate from the design
     pattern by more than tol. A center that latched onto the wrong void (e.g. a
     spurious occupancy gap near the board edge) lands 2+ circle radii off and
     would silently poison the global solve."""
+    tol = 0.06  # m
     est = np.asarray(centers_2d, dtype=float)[:, :2]
     design = circle_centers_board(spec)[:, :2]
     for i in range(len(design)):

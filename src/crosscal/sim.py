@@ -7,8 +7,7 @@ derived from (seed, sequence, sensor) so renders are order-independent.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,13 +20,6 @@ from .optimizer import SensorId
 from .target import TargetSpec, checker_corners_board, circle_centers_board
 
 
-def _require_numbers(obj):
-    for f in fields(obj):
-        v = getattr(obj, f.name)
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise ValueError(f"{f.name} must be a number, got {v!r}")
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     lidar_sigma: float = 0.0  # range noise along the ray, meters
@@ -35,7 +27,6 @@ class NoiseModel:
     dropout: float = 0.0  # corner dropout probability
 
     def __post_init__(self):
-        _require_numbers(self)
         if min(self.lidar_sigma, self.pixel_sigma, self.dropout) < 0 or self.dropout > 1:
             raise ValueError("noise sigmas must be >= 0 and dropout in [0, 1]")
 
@@ -51,7 +42,6 @@ class ScanPattern:
     max_range: float = 30.0
 
     def __post_init__(self):
-        _require_numbers(self)
         if min(self.az_res_deg, self.el_res_deg, self.max_range) <= 0:
             raise ValueError("scan resolutions and max_range must be positive")
 
@@ -352,12 +342,11 @@ def ground_truth(scene: Scene) -> GroundTruth:
     return GroundTruth({s: t for s, t in scene.sensors}, scene.board_poses, scene.spec)
 
 
-def perturbed_board_init(
-    scene: Scene, sensor: SensorId, sequence: int, trans_sigma=0.08, rot_sigma_deg=4.0
-) -> RigidTransform:
+def perturbed_board_init(scene: Scene, sensor: SensorId, sequence: int) -> RigidTransform:
     """Rough board->sensor initial pose: ground truth with a seeded
     perturbation, mimicking an operator-provided guess."""
     gt = ground_truth(scene).board_in_sensor(sensor, sequence)
+    trans_sigma, rot_sigma_deg = 0.08, 4.0  # per axis
     rng = _rng(scene.seed, 3, sequence, sensor.index)
     dw = rng.normal(0.0, np.deg2rad(rot_sigma_deg), size=3)
     dt = rng.normal(0.0, trans_sigma, size=3)

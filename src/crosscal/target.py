@@ -28,8 +28,10 @@ class TargetSpec:
     circle_radius: float = 0.06
 
     def __post_init__(self):
-        if self.circle_radius <= 0:
-            raise ValueError("circle_radius must be positive")
+        if min(self.squares_x, self.squares_y) < 2:
+            raise ValueError("squares_x and squares_y must be >= 2")
+        if min(self.square_size, self.circle_radius) <= 0:
+            raise ValueError("square_size and circle_radius must be positive")
         offsets = tuple((float(x), float(y)) for x, y in self.circle_offsets)
         if len(offsets) != 4 or len(set(offsets)) != 4:
             raise ValueError("need 4 distinct circle offsets")

@@ -17,7 +17,8 @@ import json
 import logging
 import os
 import sys
-from itertools import repeat
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 from . import __version__, io_formats, optimizer, sim
@@ -110,23 +111,15 @@ def cmd_simulate(args) -> int:
     io_formats.atomic_write(gt_path, io_formats.canonical_json(gt_doc))
     outputs.append(gt_path)
 
-    for seq in range(len(scene.board_poses)):
-        seq_dir = out / f"seq_{seq:03d}"
-        for sensor in scene.sensor_ids:
-            if not sim.sensor_sees_board(scene, sensor, seq):
-                continue
-            if sensor.kind == "lidar":
-                cloud = sim.render_lidar(scene, sensor, seq)
-                cloud_path = seq_dir / f"cloud_{sensor}.ply"
-                io_formats.write_cloud(cloud_path, cloud)
-                init = sim.perturbed_board_init(scene, sensor, seq)
-                init_path = seq_dir / f"init_{sensor}.json"
-                io_formats.atomic_write(
-                    init_path,
-                    io_formats.canonical_json({"pose": io_formats.pose_to_json(init)}),
-                )
-                outputs += [cloud_path, init_path]
-            else:
+    # each LiDAR is one job on the pool; this process writes the cameras' files
+    lidars = [(s,) for s in scene.sensor_ids if s.kind == "lidar"]
+    cameras = [s for s in scene.sensor_ids if s.kind == "camera"]
+    scene.ray_dirs  # built before the fork, so that every worker inherits it
+    with _forked(partial(_simulate_lidar, scene, out), lidars) as lidar_outputs:
+        for seq in range(len(scene.board_poses)):
+            for sensor in cameras:
+                if not sim.sensor_sees_board(scene, sensor, seq):
+                    continue
                 corners = sim.render_camera(scene, sensor, seq)
                 doc = {
                     "sensor": io_formats.sensor_to_json(sensor),
@@ -134,12 +127,35 @@ def cmd_simulate(args) -> int:
                         {"id": c.corner_id, "uv": [c.pixel[0], c.pixel[1]]} for c in corners
                     ],
                 }
-                path = seq_dir / f"corners_{sensor}.json"
+                path = out / f"seq_{seq:03d}" / f"corners_{sensor}.json"
                 io_formats.atomic_write(path, io_formats.canonical_json(doc))
                 outputs.append(path)
+        for paths in lidar_outputs:
+            outputs += paths
     _write_manifest(out / "manifest.json", args.config, seed, [args.config], outputs)
     _summary(args, {"command": "simulate", "sequences": len(scene.board_poses), "out": str(out)})
     return EXIT_OK
+
+
+def _simulate_lidar(scene, out: Path, sensor) -> list:
+    """Write the cloud and the rough board pose of each station that the
+    LiDAR `sensor` sees, under `out`; -> the paths written. The sensor's rays
+    are cast once for all its stations."""
+    cast = sim.LidarCast(scene, sensor)
+    paths = []
+    for seq in range(len(scene.board_poses)):
+        if not sim.sensor_sees_board(scene, sensor, seq):
+            continue
+        seq_dir = out / f"seq_{seq:03d}"
+        cloud_path = seq_dir / f"cloud_{sensor}.ply"
+        io_formats.write_cloud(cloud_path, cast.render(seq))
+        init = sim.perturbed_board_init(scene, sensor, seq)
+        init_path = seq_dir / f"init_{sensor}.json"
+        io_formats.atomic_write(
+            init_path, io_formats.canonical_json({"pose": io_formats.pose_to_json(init)})
+        )
+        paths += [cloud_path, init_path]
+    return paths
 
 
 def _usable_cpus() -> int:
@@ -147,6 +163,44 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+_inherited = None  # in a worker of `_forked`, the function that its jobs call
+
+
+def _inherit(fn):
+    global _inherited
+    _inherited = fn
+
+
+def _call_inherited(job):
+    return _inherited(*job)
+
+
+@contextmanager
+def _forked(fn, jobs):
+    """Run fn(*job) for each of `jobs` on a pool of processes sized to the
+    usable CPUs; yields an iterator over the outcomes, in job order, while
+    the caller goes on working.
+
+    The pool forks, by name since Python 3.14 changes the default: each
+    worker inherits the imported modules, where `spawn` or `forkserver`
+    would import numpy and scipy again in every worker. `fn` is inherited
+    too, not pickled, so it may hold large state such as a scene's ray
+    directions. A job's arguments and its outcome or exception are pickled.
+    Leaving the block waits for every job, also when it raises."""
+    if not jobs:
+        yield iter(())
+        return
+    # imported here, not at start-up, which every command pays: ~15 ms
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    workers = min(len(jobs), _usable_cpus())
+    with ProcessPoolExecutor(
+        workers, mp_context=get_context("fork"), initializer=_inherit, initargs=(fn,)
+    ) as pool:
+        yield pool.map(_call_inherited, jobs)
 
 
 def _detect_lidar(cloud_path, init_path, cfg):
@@ -164,26 +218,11 @@ def _detect_lidar(cloud_path, init_path, cfg):
         return e
 
 
-def _detect_lidars(jobs, cfg) -> list:
-    """The outcomes of the (cloud path, init path) `jobs`, in their order.
-
-    The detections are independent and hold the GIL for much of their
-    time, so they run on a pool of processes sized to the usable CPUs. The
-    pool forks, by name since Python 3.14 changes the default: each worker
-    inherits the imported modules, where `spawn` or `forkserver` would
-    import numpy and scipy again in every worker. Each job reads its own
-    cloud, so at most one cloud per worker is alive at once. Outcomes and
-    exceptions come back pickled."""
-    if not jobs:
-        return []
-    # imported here, not at start-up, which every command pays: ~15 ms
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    clouds, inits = zip(*jobs)
-    workers = min(len(jobs), _usable_cpus())
-    with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-        return list(pool.map(_detect_lidar, clouds, inits, repeat(cfg)))
+def _name_index(name: str, prefix: str):
+    """The index that a dataset name gives after `prefix`, as `seq_003` or
+    `cloud_lidar1` do; None when the rest of the name is not decimal digits."""
+    digits = name[len(prefix) :]
+    return int(digits) if digits.isascii() and digits.isdigit() else None
 
 
 def cmd_detect(args) -> int:
@@ -198,13 +237,23 @@ def cmd_detect(args) -> int:
     lidars = {s.sensor for s in cfg.lidars()}
     # (sequence, sensor, detection | CrosscalError | index into lidar_jobs
     # or corner_sets), in the order the records are written; LiDARs are
-    # detected on a process pool and cameras in one batch
+    # detected on a process pool and cameras in one batch. A file whose name
+    # gives no sensor index stands in for its sensor, with an error.
     slots, lidar_jobs, corner_sets, cameras = [], [], [], []
+    warnings = 0
     for seq_dir in sorted(data.glob("seq_*")):
-        seq = int(seq_dir.name.split("_")[1])
+        seq = _name_index(seq_dir.name, "seq_")
+        if seq is None:
+            log.warning("%s: no station index in the name; skipped", seq_dir)
+            warnings += 1
+            continue
         for cloud_path in sorted(seq_dir.glob("cloud_lidar*.ply")):
-            sensor = SensorId("lidar", int(cloud_path.stem.replace("cloud_lidar", "")))
             inputs.append(cloud_path)
+            index = _name_index(cloud_path.stem, "cloud_lidar")
+            if index is None:
+                slots.append((seq, cloud_path.name, UnknownSensor("no LiDAR index in the name")))
+                continue
+            sensor = SensorId("lidar", index)
             if sensor in lidars:
                 init_path = seq_dir / f"init_{sensor}.json"
                 if init_path.exists():
@@ -217,8 +266,12 @@ def cmd_detect(args) -> int:
                 out = UnknownSensor(f"{sensor} is not in the config")
             slots.append((seq, sensor, out))
         for corner_path in sorted(seq_dir.glob("corners_camera*.json")):
-            sensor = SensorId("camera", int(corner_path.stem.replace("corners_camera", "")))
             inputs.append(corner_path)
+            index = _name_index(corner_path.stem, "corners_camera")
+            if index is None:
+                slots.append((seq, corner_path.name, UnknownSensor("no camera index in the name")))
+                continue
+            sensor = SensorId("camera", index)
             if sensor not in intr:
                 out = UnknownSensor(f"{sensor} is not in the config")
             else:
@@ -229,12 +282,14 @@ def cmd_detect(args) -> int:
                 except CrosscalError as e:
                     out = e
             slots.append((seq, sensor, out))
-    detected = {
-        "lidar": _detect_lidars(lidar_jobs, cfg),
-        "camera": detect_target_camera(corner_sets, cfg.target, cameras),
-    }
+    # the detections are independent and hold the GIL for much of their
+    # time; each job reads its own cloud, so a worker holds one at a time
+    with _forked(partial(_detect_lidar, cfg=cfg), lidar_jobs) as lidar_outcomes:
+        detected = {
+            "camera": detect_target_camera(corner_sets, cfg.target, cameras),
+            "lidar": list(lidar_outcomes),
+        }
     records = []
-    warnings = 0
     for seq, sensor, out in slots:
         if isinstance(out, int):
             out = detected[sensor.kind][out]

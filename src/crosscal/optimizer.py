@@ -116,9 +116,13 @@ def build_problem(
     """Assemble sequences into a connected co-visibility problem.
 
     Sequences with fewer than two detecting sensors are dropped with a
-    warning; a disconnected sensor graph or an unobserved reference is an
-    error.
+    warning; a camera without intrinsics, a disconnected sensor graph or an
+    unobserved reference is an error.
     """
+    cameras = {s for seq in detections for s in seq.observations if s.kind == "camera"}
+    unknown = sorted(cameras - set(intrinsics))
+    if unknown:
+        raise UnknownSensor(f"no intrinsics for the detections of {', '.join(map(str, unknown))}")
     kept = []
     for seq in detections:
         if len(seq.observations) < 2:

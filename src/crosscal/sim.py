@@ -262,53 +262,69 @@ def _board_rays(scene: Scene, t_sw: RigidTransform, t_bw: RigidTransform) -> np.
     return np.flatnonzero(scene.ray_dirs @ center >= np.sqrt(dist2 - radius**2))
 
 
-def _ranges(scene: Scene, t_sw: RigidTransform, t_bw: RigidTransform) -> np.ndarray:
-    """Range of each ray of `scene.ray_dirs` to its nearest hit: the board
-    plane (holes skipped) or the z=0 ground plane, inf where it hits neither.
-    Only the rays pointing down are cast on the ground, and only
-    `_board_rays` on the board: no other ray can hit them."""
-    dirs_w = scene.ray_dirs @ t_sw.rotation.T
-    origin = t_sw.translation
-    ranges = np.full(len(dirs_w), np.inf)
+class LidarCast:
+    """One LiDAR's scan of the scene without the board: its rays in the world
+    frame and their ranges to the z=0 ground plane, inf where they miss it.
+    Both depend on the sensor alone, so they are cast once, and `render`
+    adds the board of each station to them."""
 
-    # ground plane z = 0
-    down = np.flatnonzero(dirs_w[:, 2] < -1e-12)
-    t_g = -origin[2] / dirs_w[down, 2]
-    ranges[down] = np.where(t_g > 0.05, t_g, np.inf)
+    def __init__(self, scene: Scene, sensor: SensorId):
+        if sensor.kind != "lidar":
+            raise ValueError(f"{sensor} is not a lidar")
+        self.scene, self.sensor = scene, sensor
+        self.pose = scene.pose_of(sensor)
+        # the full product, sliced per board: slicing the rows before the
+        # product can change the last bit of a direction
+        self.dirs_w = scene.ray_dirs @ self.pose.rotation.T
+        # only the rays pointing down can hit the ground
+        self.ground = np.full(len(self.dirs_w), np.inf)
+        down = np.flatnonzero(self.dirs_w[:, 2] < -1e-12)
+        t_g = -self.pose.translation[2] / self.dirs_w[down, 2]
+        self.ground[down] = np.where(t_g > 0.05, t_g, np.inf)
 
-    # board plane (the board occludes the ground along the same ray)
-    rays = _board_rays(scene, t_sw, t_bw)
-    dirs = dirs_w[rays]
-    n = t_bw.rotation[:, 2]
-    denom = dirs @ n
-    num = float((t_bw.translation - origin) @ n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_hit = np.where(np.abs(denom) > 1e-12, num / denom, np.inf)
-    cand = np.flatnonzero((t_hit > 0.05) & np.isfinite(t_hit))
-    q = geometry.invert(t_bw).apply(origin + t_hit[cand, None] * dirs[cand])
-    inside = (np.abs(q[:, 0]) <= scene.spec.board_width / 2) & (
-        np.abs(q[:, 1]) <= scene.spec.board_height / 2
-    )
-    for ox, oy in scene.spec.circle_offsets:
-        inside &= (q[:, 0] - ox) ** 2 + (q[:, 1] - oy) ** 2 > scene.spec.circle_radius**2
-    hit = cand[inside]
-    idx = rays[hit]
-    ranges[idx] = np.minimum(ranges[idx], t_hit[hit])
-    return ranges
+    def _ranges(self, t_bw: RigidTransform) -> np.ndarray:
+        """Range of each ray to its nearest hit: the board plane (holes
+        skipped) or the ground. Only `_board_rays` are cast on the board: no
+        other ray can hit it."""
+        scene, origin = self.scene, self.pose.translation
+        ranges = self.ground.copy()
+        rays = _board_rays(scene, self.pose, t_bw)
+        dirs = self.dirs_w[rays]
+        n = t_bw.rotation[:, 2]
+        denom = dirs @ n
+        num = float((t_bw.translation - origin) @ n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_hit = np.where(np.abs(denom) > 1e-12, num / denom, np.inf)
+        cand = np.flatnonzero((t_hit > 0.05) & np.isfinite(t_hit))
+        q = geometry.invert(t_bw).apply(origin + t_hit[cand, None] * dirs[cand])
+        inside = (np.abs(q[:, 0]) <= scene.spec.board_width / 2) & (
+            np.abs(q[:, 1]) <= scene.spec.board_height / 2
+        )
+        for ox, oy in scene.spec.circle_offsets:
+            inside &= (q[:, 0] - ox) ** 2 + (q[:, 1] - oy) ** 2 > scene.spec.circle_radius**2
+        hit = cand[inside]
+        idx = rays[hit]
+        # the board occludes the ground along the same ray
+        ranges[idx] = np.minimum(ranges[idx], t_hit[hit])
+        return ranges
+
+    def render(self, sequence: int) -> np.ndarray:
+        """Ray-cast cloud of station `sequence` in the sensor frame: board
+        plane (holes skipped) over the ground plane, nearest hit per ray,
+        range noise applied."""
+        scene = self.scene
+        ranges = self._ranges(scene.board_poses[sequence])
+        valid = np.flatnonzero(ranges <= scene.scan.max_range)
+        r = ranges[valid]
+        if scene.noise.lidar_sigma > 0:
+            rng = _rng(scene.seed, 1, sequence, self.sensor.index)
+            r = r + rng.normal(0.0, scene.noise.lidar_sigma, size=len(r))
+        return r[:, None] * np.take(scene.ray_dirs, valid, axis=0)
 
 
 def render_lidar(scene: Scene, sensor: SensorId, sequence: int) -> np.ndarray:
-    """Ray-cast cloud in the sensor frame: board plane (holes skipped) over
-    the z=0 ground plane, nearest hit per ray, range noise applied."""
-    if sensor.kind != "lidar":
-        raise ValueError(f"{sensor} is not a lidar")
-    ranges = _ranges(scene, scene.pose_of(sensor), scene.board_poses[sequence])
-    valid = np.flatnonzero(ranges <= scene.scan.max_range)
-    r = ranges[valid]
-    if scene.noise.lidar_sigma > 0:
-        rng = _rng(scene.seed, 1, sequence, sensor.index)
-        r = r + rng.normal(0.0, scene.noise.lidar_sigma, size=len(r))
-    return r[:, None] * np.take(scene.ray_dirs, valid, axis=0)
+    """The cloud of one station; a LiDAR's stations share one `LidarCast`."""
+    return LidarCast(scene, sensor).render(sequence)
 
 
 def render_camera(scene: Scene, sensor: SensorId, sequence: int):

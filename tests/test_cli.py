@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import crosscal
-from crosscal import cli, errors, geometry, io_formats, optimizer
+from crosscal import cli, errors, geometry, io_formats, optimizer, sim
 from crosscal.camera import CameraDetection
 from crosscal.errors import SolverNotConverged
 from crosscal.geometry import RigidTransform
@@ -131,6 +131,73 @@ def test_simulate_tree_moves_with_its_config(tmp_path):
     man = json.loads(trees[0][Path("data/manifest.json")])
     assert man["inputs"] == ["../config.json"]
     assert "ground_truth.json" in man["outputs"]
+
+
+def _simulate(config, out):
+    return cli.main(["simulate", "--config", str(config), "--out", str(out)])
+
+
+def test_simulate_on_one_worker_byte_identical_to_pool(ws, tmp_path, monkeypatch):
+    """Each LiDAR's files are written by one job on the pool: with the
+    default pool and with one worker the trees are the same, manifest
+    included, and those of the serial writer that the fixture's tree was
+    checked against."""
+    assert _simulate(ws["config"], tmp_path / "pool" / "data") == 0
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert _simulate(ws["config"], tmp_path / "one" / "data") == 0
+    pool = _tree_bytes(tmp_path / "pool" / "data")
+    assert pool == _tree_bytes(tmp_path / "one" / "data")
+    fixture = _tree_bytes(ws["data"])
+    assert {k: v for k, v in pool.items() if k.name != "manifest.json"} == {
+        k: v for k, v in fixture.items() if k.name != "manifest.json"
+    }
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize(
+    "error, code, logged",
+    [
+        (errors.IoError("cannot write cloud_lidar1.ply"), 2, "output error"),
+        (RuntimeError("bug in a cast"), 1, "unexpected failure"),
+    ],
+    ids=["IoError", "RuntimeError"],
+)
+def test_simulate_error_in_a_lidar_job(ws, tmp_path, monkeypatch, caplog, error, code, logged):
+    """A typed output error in a LiDAR's job exits 2 and any other exception
+    exits 1, as in this process; no manifest is written and no worker is
+    left behind."""
+
+    class FailingCast(sim.LidarCast):
+        def render(self, sequence):
+            if self.sensor.index == 1 and sequence == 2:
+                raise error
+            return super().render(sequence)
+
+    monkeypatch.setattr(cli.sim, "LidarCast", FailingCast)
+    out = tmp_path / "data"
+    with caplog.at_level(logging.ERROR, logger="crosscal"):
+        assert _simulate(ws["config"], out) == code
+    assert logged in caplog.text and str(error) in caplog.text
+    assert not (out / "manifest.json").exists()
+    assert (out / "seq_003" / "cloud_lidar0.ply").exists()  # the other job ran to its end
+    assert not multiprocessing.active_children()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """Every command pays for the modules that `crosscal.cli` imports; the
+    process pool's load only when a command starts a pool."""
+    src = str(REPO / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    code = (
+        "import sys, crosscal.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_simulate_bad_config_exit_2(tmp_path):
@@ -793,6 +860,23 @@ def test_value_error_inside_simulation_exit_1(ws, tmp_path, monkeypatch, caplog)
     with caplog.at_level(logging.ERROR, logger="crosscal"):
         assert cli.main(argv) == 1
     assert "unexpected failure" in caplog.text and "config error" not in caplog.text
+
+
+def test_calibrate_detections_of_a_camera_not_in_the_config_exit_2(ws, tmp_path, caplog):
+    cams = sorted({r.sensor for r in io_formats.read_detections(ws["det"]) if r.sensor.kind == "camera"})
+    cfg = io_formats.read_config(ws["config"])
+    assert len(cams) > 1 and cfg.reference != cams[-1]
+    cfg_path = tmp_path / "config.json"
+    io_formats.write_config(
+        cfg_path, replace(cfg, sensors=tuple(s for s in cfg.sensors if s.sensor != cams[-1]))
+    )
+    report = tmp_path / "r.json"
+    argv = ["calibrate", "--config", str(cfg_path), "--detections", str(ws["det"]), "--out", str(report)]
+    with caplog.at_level(logging.ERROR, logger="crosscal"):
+        assert cli.main(argv) == 2
+    assert f"no intrinsics for the detections of {cams[-1]}" in caplog.text
+    assert "unexpected failure" not in caplog.text
+    assert not report.exists()
 
 
 def test_calibrate_disconnected_exit_5(ws, tmp_path):

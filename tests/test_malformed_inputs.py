@@ -7,13 +7,14 @@ of the wrong type, a bool, NaN, inf, an array of the wrong length, a value
 out of the range the format allows, or an integral float for an integer.
 The fields and their ranges come from `schemas/` for the config and the
 detections, and from the formats that README gives for corner and init
-files. Other cases give a path that is missing or a directory, or break a
-PLY header or body.
+files. Other cases give a path that is missing or a directory, break a
+PLY header or body, or copy a dataset file or station directory to a name
+that gives no index.
 
 No case may exit 1. A command that reads the config or the detections
 exits 2, naming the file, or exits 0 with the outputs of the unmutated run.
 A bad dataset file costs its own detection: `detect` exits 0 with exactly
-one warning, naming the file. For the config and the detections,
+one warning, naming the file. A misnamed copy costs only itself. For the config and the detections,
 `jsonschema` rejects a file exactly when the reader does, but for the
 cases named in `_READER_ONLY` and for NaN and inf, which the schemas accept
 as numbers.
@@ -217,6 +218,17 @@ _PLY = {
 
 _VICTIMS = {"corners": "corners_camera*.json", "init": "init_lidar*.json", "cloud": "cloud_lidar*.ply"}
 
+# Names that give no station or sensor index -> the glob of the dataset
+# file or directory that is copied to that name
+_NAMES = {
+    "seq_000/cloud_lidarX.ply": "seq_000/cloud_lidar*.ply",
+    "seq_000/cloud_lidar.ply": "seq_000/cloud_lidar*.ply",
+    "seq_000/corners_cameraX.json": "seq_000/corners_camera*.json",
+    "seq_000/corners_camera-1.json": "seq_000/corners_camera*.json",
+    "seq_x": "seq_000",
+    "seq_000.json": "ground_truth.json",
+}
+
 
 def _cases():
     cases = []
@@ -226,6 +238,7 @@ def _cases():
             cases.append(pytest.param(kind, edit, id=f"{kind}-{'.'.join(map(str, path))}-{name}"))
     cases += [pytest.param("config", edit, id=k) for k, edit in _CROSS_FIELD.items()]
     cases += [pytest.param("cloud", edit, id=f"cloud-{k}") for k, edit in _PLY.items()]
+    cases += [pytest.param("name", name, id=f"name-{name}") for name in _NAMES]
     for kind in ("config", "detections", "corners", "init", "cloud"):
         cases.append(pytest.param(kind, "directory", id=f"{kind}-path-is-a-directory"))
     for kind in ("config", "detections"):  # a dataset file that is missing was not observed
@@ -344,6 +357,17 @@ def test_malformed_input(base, tmp_path, caplog, request, kind, edit):
         else:
             assert (tmp_path / "r.json").read_bytes() == base["outputs"]["calibrate"]
         _check_schema_agreement(kind, case_id, doc, rc == 2)
+    elif kind == "name":
+        data = tmp_path / "data"
+        shutil.copytree(out / "data", data)
+        source = sorted(data.glob(_NAMES[edit]))[0]
+        (shutil.copytree if source.is_dir() else shutil.copy)(source, data / edit)
+        argv = _commands(base["config"], data, out / "d.json", tmp_path)["detect"]
+        rc, logged = _run(argv, caplog)
+        messages = [r.getMessage() for r in logged]
+        assert rc == 0, messages
+        assert len(messages) == 1 and Path(edit).name in messages[0], messages
+        assert (tmp_path / "d.json").read_bytes() == base["outputs"]["detect"]
     else:
         data = tmp_path / "data"
         shutil.copytree(out / "data", data)

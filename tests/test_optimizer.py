@@ -101,6 +101,12 @@ def test_build_problem_no_reference_observations():
         build_problem(seqs, SensorId("lidar", 9), {})
 
 
+def test_build_problem_camera_without_intrinsics():
+    scene = _scene(sequences=3)
+    with pytest.raises(UnknownSensor, match="detections of camera1, camera2$"):
+        build_problem(oracle_observations(scene), CAM0, {CAM0: scene.intrinsics[CAM0]})
+
+
 def test_display_names_cameras_then_lidars():
     scene = _scene()
     p = _problem(scene)

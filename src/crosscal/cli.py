@@ -185,7 +185,7 @@ def _forked(fn, jobs):
 
     The pool forks, by name since Python 3.14 changes the default: each
     worker inherits the imported modules, where `spawn` or `forkserver`
-    would import numpy and scipy again in every worker. `fn` is inherited
+    would import numpy and crosscal again in every worker. `fn` is inherited
     too, not pickled, so it may hold large state such as a scene's ray
     directions. A job's arguments and its outcome or exception are pickled.
     Leaving the block waits for every job, also when it raises."""

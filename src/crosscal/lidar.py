@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import (
     DegenerateInput,
@@ -28,12 +27,23 @@ from .errors import (
 from .geometry import RigidTransform
 from .target import TargetSpec, circle_centers_board
 
-# Read only by bench/spans.py, whose tracer wraps both names here and raises
-# on a missing one; nothing in the program calls either. They go when that
-# tracer stops naming them.
+# Read only by bench/spans.py, whose tracer wraps these three names here and
+# raises on a missing one; nothing in the program calls any of them. They go
+# when that tracer stops naming them.
 from .target import generate_mask_cloud  # noqa: F401
 
 gicp_register = None
+
+
+def __getattr__(name):
+    # `cKDTree` imports scipy, a dev extra, only when the tracer asks for it,
+    # so that the program itself never loads scipy.
+    if name == "cKDTree":
+        from scipy.spatial import cKDTree
+
+        return cKDTree
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Hypotheses x points scored per array pass in ransac_plane: 512 KB of
 # float64, small enough to stay in cache.
@@ -124,7 +134,7 @@ def match_points(cloud: np.ndarray, model: np.ndarray, delta: float) -> np.ndarr
     model = np.asarray(model, dtype=float).reshape(-1, 3)
     if len(model) == 0:
         raise DegenerateInput("empty model cloud")
-    d, _ = cKDTree(model).query(cloud)
+    d = np.min([np.linalg.norm(cloud - m, axis=1) for m in model], axis=0)
     out = cloud[d < delta]
     if len(out) < 50:
         raise EmptyMatch(f"{len(out)} matched points")
@@ -351,6 +361,42 @@ def rough_board_pose(cloud: np.ndarray, p: LidarParams) -> RigidTransform:
     return RigidTransform(frame.T, filtered.mean(axis=0))
 
 
+def _convex_hull(xy: np.ndarray) -> np.ndarray:
+    """The convex hull's vertices among the points `xy` (n, 2), counter-
+    clockwise, with no collinear ones: Andrew's monotone chain (A. M. Andrew,
+    IPL 1979) over the points sorted by x, then y.
+
+    First the Akl-Toussaint filter drops the points strictly inside the
+    octagon of the extreme points along x, y, x + y and x - y: those lie
+    strictly inside the hull, and for a board's plane they are most of it."""
+    if len(xy) > 8:
+        x, y = xy.T
+        octagon = xy[
+            [
+                np.argmin(y), np.argmax(x - y), np.argmax(x), np.argmax(x + y),
+                np.argmax(y), np.argmin(x - y), np.argmin(x), np.argmin(x + y),
+            ]
+        ]  # counter-clockwise; one point may be extreme along several
+        octagon = octagon[(octagon != np.roll(octagon, 1, axis=0)).any(axis=1)]
+        if len(octagon) >= 3:
+            ex, ey = (np.roll(octagon, -1, axis=0) - octagon).T
+            rx, ry = x[:, None] - octagon[:, 0], y[:, None] - octagon[:, 1]
+            xy = xy[~(ex * ry > ey * rx).all(axis=1)]  # left of every edge: inside
+    pts = np.unique(xy, axis=0).tolist()  # sorted by x, then y
+    hull = []
+    for chain in (pts, pts[::-1]):  # the lower chain, then the upper one
+        start = len(hull)
+        for p in chain:
+            while len(hull) >= start + 2:
+                (ox, oy), (ax, ay) = hull[-2], hull[-1]
+                if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) > 0:
+                    break
+                hull.pop()  # not a left turn: inside the hull, or on its edge
+            hull.append(p)
+        hull.pop()  # the chain's last point starts the next one
+    return np.array(hull).reshape(-1, 2)
+
+
 def board_outline(flat_pts: np.ndarray, max_size=None):
     """The minimum-area rectangle around the xy of `flat_pts`: (center (2,),
     unit axis (2,)), the axis being the one of the rectangle's four axes
@@ -358,11 +404,9 @@ def board_outline(flat_pts: np.ndarray, max_size=None):
     edge of the convex hull, so only the hull's edge angles, mod 90 deg, are
     tried. PoorFit if a side, along the axis and across it, is longer than
     `max_size` (2,)."""
-    xy = np.asarray(flat_pts, dtype=float)[:, :2]
-    try:
-        hull = xy[ConvexHull(xy).vertices]
-    except QhullError as e:
-        raise DegenerateInput(f"no outline: {e}") from e
+    hull = _convex_hull(np.asarray(flat_pts, dtype=float)[:, :2])
+    if len(hull) < 3:
+        raise DegenerateInput(f"no outline: {len(hull)} hull vertices")
     edges = np.roll(hull, -1, axis=0) - hull
     angles = np.mod(np.arctan2(edges[:, 1], edges[:, 0]), np.pi / 2)
     cos, sin = np.cos(angles), np.sin(angles)

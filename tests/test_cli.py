@@ -185,13 +185,15 @@ def test_simulate_error_in_a_lidar_job(ws, tmp_path, monkeypatch, caplog, error,
 
 def test_importing_the_cli_loads_no_process_pool():
     """Every command pays for the modules that `crosscal.cli` imports; the
-    process pool's load only when a command starts a pool."""
+    process pool's load only when a command starts a pool, and scipy, which
+    only the benchmark's tracer uses, never."""
     src = str(REPO / "src")
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
     code = (
         "import sys, crosscal.cli; "
-        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process', 'scipy') "
+        "if m in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60

@@ -547,9 +547,42 @@ def test_outline_longer_than_max_size_is_poor_fit():
 
 
 def test_outline_of_collinear_points_is_degenerate():
-    line = np.column_stack([np.linspace(0, 1, 50), np.linspace(0, 2, 50), np.zeros(50)])
-    with pytest.raises(DegenerateInput):
-        board_outline(line)
+    grid = np.repeat(np.arange(-10, 11) * 0.05, 3)  # a 0.05 grid, each point thrice
+    for xy in (
+        np.column_stack([np.linspace(0, 1, 50), np.linspace(0, 2, 50)]),
+        np.tile([0.3, -1.2], (50, 1)),  # all equal
+        np.array([[0.0, 0.0], [1.0, 0.5]]),
+        np.column_stack([grid, grid]),
+    ):
+        with pytest.raises(DegenerateInput, match="no outline"):
+            board_outline(np.column_stack([xy, np.zeros(len(xy))]))
+
+
+def test_hull_is_strictly_convex_counter_clockwise_and_holds_every_point():
+    rng = np.random.default_rng(19)
+    for trial in range(200):
+        n = int(rng.integers(3, 2000))
+        kind = trial % 4
+        if kind == 0:
+            xy = rng.uniform(-1, 1, size=(n, 2))
+        elif kind == 1:
+            xy = rng.normal(size=(n, 2))
+        elif kind == 2:  # a plane's inliers: a turned board with range noise
+            xy = _rectangle_points(rng, (0.0, 0.0), rng.uniform(0, np.pi), (1.0, 0.7), n)
+            xy = xy + rng.normal(scale=0.005, size=xy.shape)
+        else:  # on a 0.05 grid, with duplicates
+            xy = np.round(rng.uniform(-1, 1, size=(n, 2)) / 0.05) * 0.05
+        hull = lidar._convex_hull(xy)
+        assert len(hull) >= 3
+        assert (hull[:, None] == xy).all(axis=2).any(axis=1).all()  # input points
+        edges = np.roll(hull, -1, axis=0) - hull
+        after = np.roll(edges, -1, axis=0)
+        turns = edges[:, 0] * after[:, 1] - edges[:, 1] * after[:, 0]
+        assert (turns > 0).all()  # counter-clockwise, no collinear vertex
+        # strictly left turns adding up to one turn, not a star's two or more
+        assert np.arctan2(turns, (edges * after).sum(axis=1)).sum() == pytest.approx(2 * np.pi)
+        rel = xy[:, None] - hull  # every point on or left of every edge
+        assert (edges[:, 0] * rel[..., 1] - edges[:, 1] * rel[..., 0] >= -1e-12).all()
 
 
 # --- end-to-end -------------------------------------------------------------

@@ -235,11 +235,11 @@ def cmd_detect(args) -> int:
     inputs = [args.config]
     intr = cfg.intrinsics_map()
     lidars = {s.sensor for s in cfg.lidars()}
-    # (sequence, sensor, detection | CrosscalError | index into lidar_jobs
-    # or corner_sets), in the order the records are written; LiDARs are
+    # (sequence, sensor, CrosscalError | index into lidar_jobs or
+    # camera_jobs), in the order the records are written; LiDARs are
     # detected on a process pool and cameras in one batch. A file whose name
     # gives no sensor index stands in for its sensor, with an error.
-    slots, lidar_jobs, corner_sets, cameras = [], [], [], []
+    slots, lidar_jobs, camera_jobs = [], [], []
     warnings = 0
     for seq_dir in sorted(data.glob("seq_*")):
         seq = _name_index(seq_dir.name, "seq_")
@@ -275,20 +275,26 @@ def cmd_detect(args) -> int:
             if sensor not in intr:
                 out = UnknownSensor(f"{sensor} is not in the config")
             else:
-                try:
-                    corner_sets.append(io_formats.read_corners(corner_path, cfg.target))
-                    cameras.append(intr[sensor])
-                    out = len(corner_sets) - 1
-                except CrosscalError as e:
-                    out = e
+                camera_jobs.append((corner_path, intr[sensor]))
+                out = len(camera_jobs) - 1
             slots.append((seq, sensor, out))
     # the detections are independent and hold the GIL for much of their
-    # time; each job reads its own cloud, so a worker holds one at a time
+    # time; each job reads its own cloud, so a worker holds one at a time,
+    # and this process reads the corner files while the workers run
     with _forked(partial(_detect_lidar, cfg=cfg), lidar_jobs) as lidar_outcomes:
-        detected = {
-            "camera": detect_target_camera(corner_sets, cfg.target, cameras),
-            "lidar": list(lidar_outcomes),
-        }
+        camera_outcomes = []  # corner sets, then their detections
+        for corner_path, _ in camera_jobs:
+            try:
+                camera_outcomes.append(io_formats.read_corners(corner_path, cfg.target))
+            except CrosscalError as e:
+                camera_outcomes.append(e)
+        read = [k for k, c in enumerate(camera_outcomes) if not isinstance(c, CrosscalError)]
+        found = detect_target_camera(
+            [camera_outcomes[k] for k in read], cfg.target, [camera_jobs[k][1] for k in read]
+        )
+        for k, d in zip(read, found):
+            camera_outcomes[k] = d
+        detected = {"camera": camera_outcomes, "lidar": list(lidar_outcomes)}
     records = []
     for seq, sensor, out in slots:
         if isinstance(out, int):

@@ -84,7 +84,7 @@ def write_cloud(path, cloud: np.ndarray):
     path = Path(path)
     if path.suffix != ".ply":
         raise UnsupportedFormat(f"unknown cloud extension {path.suffix!r}")
-    cloud = np.asarray(cloud, dtype="<f4").reshape(-1, 3)
+    cloud = np.ascontiguousarray(cloud, dtype="<f4").reshape(-1, 3)
     header = (
         "ply\n"
         "format binary_little_endian 1.0\n"
@@ -94,7 +94,7 @@ def write_cloud(path, cloud: np.ndarray):
         "property float z\n"
         "end_header\n"
     )
-    atomic_write(path, header.encode("ascii") + cloud.tobytes())
+    atomic_write(path, b"".join((header.encode("ascii"), memoryview(cloud))))  # one body copy
 
 
 def _read_ply_header(data: bytes):

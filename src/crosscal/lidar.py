@@ -55,6 +55,13 @@ _CROP_MARGIN = 0.3
 
 # cells refine_circles may shift each hole by, along each grid axis
 _SHIFT = 10
+# every (di, dj) shift within _SHIFT, by increasing displacement, then (di, dj)
+_SHIFTS = np.array(
+    sorted(
+        ((si, sj) for si in range(-_SHIFT, _SHIFT + 1) for sj in range(-_SHIFT, _SHIFT + 1)),
+        key=lambda s: (s[0] * s[0] + s[1] * s[1], s),
+    )
+)
 
 # The plane's outline may exceed the board's sides by this factor; a larger
 # one holds more than the board (a wall, the ground), so its center is not
@@ -120,9 +127,9 @@ class LidarDetection:
 def filter_cloud(cloud: np.ndarray, p: LidarParams) -> np.ndarray:
     """Ground / range gate: keep z >= h_min and d_min < ||p_xy|| <= d_max."""
     cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
-    rho = np.hypot(cloud[:, 0], cloud[:, 1])
-    keep = (cloud[:, 2] >= p.h_min) & (rho > p.d_min) & (rho <= p.d_max)
-    out = cloud[keep]
+    high = cloud[cloud[:, 2] >= p.h_min]  # the ground, most of a scan, goes first
+    rho = np.hypot(high[:, 0], high[:, 1])
+    out = high[(rho > p.d_min) & (rho <= p.d_max)]
     if len(out) < 100:
         raise EmptyAfterFilter(f"{len(out)} points after filtering")
     return out
@@ -192,8 +199,10 @@ def ransac_plane(pts: np.ndarray, p: LidarParams):
     step = max(_CHUNK_ELEMENTS // n_pts, 1)
     for lo in range(0, len(tri), step):
         chunk = slice(lo, lo + step)
-        inside = np.abs(normals[chunk] @ pts.T + offsets[chunk, None]) < p.ransac_eps
-        counts[chunk] = np.where(ok[chunk], inside.sum(axis=1), -1)
+        dist = normals[chunk] @ pts.T
+        dist += offsets[chunk, None]
+        np.abs(dist, out=dist)
+        counts[chunk] = np.where(ok[chunk], np.count_nonzero(dist < p.ransac_eps, axis=1), -1)
     if not (counts >= 0).any():
         raise DegenerateInput("all sampled triplets collinear")
     i, j, k = tri[np.argmax(counts)]  # first maximal count, as a sequential scan keeps
@@ -294,29 +303,31 @@ def refine_circles(g: OccupancyGrid, window, spec: TargetSpec, preferred=None):
     di, dj = _disc_stencil(radius_cells)
     mask_area = len(di)
     nx, ny = g.occupied.shape
-    shifts = np.array(
-        sorted(
-            ((si, sj) for si in range(-_SHIFT, _SHIFT + 1) for sj in range(-_SHIFT, _SHIFT + 1)),
-            key=lambda s: (s[0] * s[0] + s[1] * s[1], s),
-        )
-    )
     cells = np.floor((np.array(initial_centers) - g.origin) * g.res).astype(int)
     # Off-grid cells count as occupied: pad the grid with occupied cells out to
-    # the farthest shifted stencil cell, then count every shift of a hole with
-    # one gather of (shift, stencil cell) flat indices.
+    # the farthest shifted stencil cell. The stencil lists the disc row by
+    # row, each row di one run of cells along j, so a shift's count is the sum
+    # over the rows of the row's prefix sums differenced at the run's two
+    # ends: two gathers of (shift, row) flat indices, not one of every
+    # (shift, stencil cell), and the same integers.
     reach = _SHIFT + int(np.abs(np.concatenate([di, dj])).max())
     pad = max(0, reach - int(cells.min()), reach + 1 + int((cells - [nx, ny]).max()))
     padded = np.pad(g.occupied, pad, constant_values=True)
-    stride = padded.shape[1]
-    offsets = (shifts[:, 0] * stride + shifts[:, 1])[:, None] + (di * stride + dj)
-    flat = padded.ravel()
+    prefix = np.zeros((padded.shape[0], padded.shape[1] + 1), dtype=np.int32)
+    np.cumsum(padded, axis=1, out=prefix[:, 1:])
+    stride = prefix.shape[1]
+    rows, start, length = np.unique(di, return_index=True, return_counts=True)
+    starts = (_SHIFTS[:, 0] * stride + _SHIFTS[:, 1])[:, None] + rows * stride + dj[start]
+    ends = starts + length
+    flat = prefix.ravel()
     centers = []
     for k, (c0, cell) in enumerate(zip(initial_centers, cells)):
-        counts = flat[(cell[0] + pad) * stride + cell[1] + pad + offsets].sum(axis=1)
+        at = (cell[0] + pad) * stride + cell[1] + pad
+        counts = (flat[at + ends] - flat[at + starts]).sum(axis=1)
         best_count = int(counts.min())
         if best_count > 0.5 * mask_area:
             raise NoVoidFound(f"best mask occupancy {best_count}/{mask_area}")
-        ties = shifts[counts == best_count]  # by increasing displacement
+        ties = _SHIFTS[counts == best_count]  # by increasing displacement
         if preferred is None:
             centers.append(np.asarray(c0, dtype=float) + ties[0] * g.cell)
             continue
@@ -382,7 +393,10 @@ def _convex_hull(xy: np.ndarray) -> np.ndarray:
             ex, ey = (np.roll(octagon, -1, axis=0) - octagon).T
             rx, ry = x[:, None] - octagon[:, 0], y[:, None] - octagon[:, 1]
             xy = xy[~(ex * ry > ey * rx).all(axis=1)]  # left of every edge: inside
-    pts = np.unique(xy, axis=0).tolist()  # sorted by x, then y
+    # sorted by x, then y, without duplicates; np.unique(axis=0) would do it
+    # too, but it imports numpy.ma on first use, 11-15 ms in each fresh process
+    xy = xy[np.lexsort((xy[:, 1], xy[:, 0]))]
+    pts = xy[np.r_[True, (xy[1:] != xy[:-1]).any(axis=1)]].tolist()
     hull = []
     for chain in (pts, pts[::-1]):  # the lower chain, then the upper one
         start = len(hull)

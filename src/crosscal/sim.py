@@ -263,10 +263,12 @@ def _board_rays(scene: Scene, t_sw: RigidTransform, t_bw: RigidTransform) -> np.
 
 
 class LidarCast:
-    """One LiDAR's scan of the scene without the board: its rays in the world
-    frame and their ranges to the z=0 ground plane, inf where they miss it.
-    Both depend on the sensor alone, so they are cast once, and `render`
-    adds the board of each station to them."""
+    """One LiDAR's scan of the scene without the board. `ground` holds the
+    range of each ray to the z=0 ground plane, inf where it misses it; the
+    rays that return from the ground within `max_range` are kept in ray
+    order with their ranges and sensor-frame directions. All of it depends
+    on the sensor alone, so it is cast once, and `render` splices the board
+    hits of each station into the ground returns."""
 
     def __init__(self, scene: Scene, sensor: SensorId):
         if sensor.kind != "lidar":
@@ -281,13 +283,15 @@ class LidarCast:
         down = np.flatnonzero(self.dirs_w[:, 2] < -1e-12)
         t_g = -self.pose.translation[2] / self.dirs_w[down, 2]
         self.ground[down] = np.where(t_g > 0.05, t_g, np.inf)
+        self._rays = np.flatnonzero(self.ground <= scene.scan.max_range)
+        self._ranges = self.ground[self._rays]
+        self._dirs = np.take(scene.ray_dirs, self._rays, axis=0)
 
-    def _ranges(self, t_bw: RigidTransform) -> np.ndarray:
-        """Range of each ray to its nearest hit: the board plane (holes
-        skipped) or the ground. Only `_board_rays` are cast on the board: no
+    def _board_hits(self, t_bw: RigidTransform):
+        """(ray indices, ranges) of the rays that hit the board plane (holes
+        skipped), in ray order. Only `_board_rays` are cast on the board: no
         other ray can hit it."""
         scene, origin = self.scene, self.pose.translation
-        ranges = self.ground.copy()
         rays = _board_rays(scene, self.pose, t_bw)
         dirs = self.dirs_w[rays]
         n = t_bw.rotation[:, 2]
@@ -303,23 +307,33 @@ class LidarCast:
         for ox, oy in scene.spec.circle_offsets:
             inside &= (q[:, 0] - ox) ** 2 + (q[:, 1] - oy) ** 2 > scene.spec.circle_radius**2
         hit = cand[inside]
-        idx = rays[hit]
-        # the board occludes the ground along the same ray
-        ranges[idx] = np.minimum(ranges[idx], t_hit[hit])
-        return ranges
+        return rays[hit], t_hit[hit]
 
     def render(self, sequence: int) -> np.ndarray:
         """Ray-cast cloud of station `sequence` in the sensor frame: board
-        plane (holes skipped) over the ground plane, nearest hit per ray,
-        range noise applied."""
+        plane (holes skipped) over the ground plane, nearest hit per ray
+        within `max_range`, in ray order, range noise applied."""
         scene = self.scene
-        ranges = self._ranges(scene.board_poses[sequence])
-        valid = np.flatnonzero(ranges <= scene.scan.max_range)
-        r = ranges[valid]
+        idx, t = self._board_hits(scene.board_poses[sequence])
+        pos = np.searchsorted(self._rays, idx)  # ground returns before each hit
+        on_ground = np.searchsorted(self._rays, idx, side="right") > pos
+        # a ray with no ground return in range returns from the board if that
+        # is in range; the board occludes the ground along the same ray
+        alone = ~on_ground & (t <= scene.scan.max_range)
+        r = np.insert(self._ranges, pos[alone], t[alone])
+        at = pos[on_ground] + np.searchsorted(pos[alone], pos[on_ground], side="right")
+        r[at] = np.minimum(r[at], t[on_ground])
         if scene.noise.lidar_sigma > 0:
             rng = _rng(scene.seed, 1, sequence, self.sensor.index)
-            r = r + rng.normal(0.0, scene.noise.lidar_sigma, size=len(r))
-        return r[:, None] * np.take(scene.ray_dirs, valid, axis=0)
+            r += rng.normal(0.0, scene.noise.lidar_sigma, size=len(r))
+        # each direction moves as one 24-byte item: np.insert along axis 0 of
+        # an (n, 3) array takes ~6x as long
+        row = np.dtype((np.void, self._dirs.strides[0]))
+        new = scene.ray_dirs[idx[alone]]
+        cloud = np.insert(self._dirs.view(row).ravel(), pos[alone], new.view(row).ravel())
+        cloud = cloud.view(float).reshape(-1, 3)
+        cloud *= r[:, None]
+        return cloud
 
 
 def render_lidar(scene: Scene, sensor: SensorId, sequence: int) -> np.ndarray:

@@ -202,6 +202,30 @@ def test_importing_the_cli_loads_no_process_pool():
     assert out.stdout.strip() == "[]"
 
 
+def test_lidar_detection_loads_no_numpy_ma():
+    """`numpy.ma` costs 11-15 ms to import, which each fork worker of `detect`
+    would pay on every run: a LiDAR detection, the board's outline
+    included, must not load it (`np.unique` with `axis=` does)."""
+    src = str(REPO / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    code = (
+        "import sys, crosscal.cli as c\n"
+        "from crosscal.lidar import LidarParams\n"
+        "s = c.sim.make_scene(2, 0, 1, seed=3, scan=c.sim.ScanPattern(el_res_deg=0.2))\n"
+        "l = c.SensorId('lidar', 0)\n"
+        "cloud = c.sim.render_lidar(s, l, 0)\n"
+        "t_init = c.sim.perturbed_board_init(s, l, 0)\n"
+        "d = c.detect_target_lidar(cloud, s.spec, t_init, LidarParams())\n"
+        "print(len(d.centers), 'numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "4 False"
+
+
 def test_simulate_bad_config_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -34,12 +34,14 @@ def test_ply_round_trip_1000_points(tmp_path):
 def test_ply_written_as_binary_little_endian_float32(tmp_path):
     cloud = np.array([[1.0, -2.5, 3.25], [0.1, 0.2, 0.3]])
     path = tmp_path / "c.ply"
-    io_formats.write_cloud(path, cloud)
-    header = (
-        b"ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
-        b"property float x\nproperty float y\nproperty float z\nend_header\n"
-    )
-    assert path.read_bytes() == header + cloud.astype("<f4").tobytes()
+    # float64, a strided view, big-endian float32 and no points at all
+    for given in (cloud, np.repeat(cloud, 2, axis=0)[::2], cloud.astype(">f4"), cloud[:0]):
+        io_formats.write_cloud(path, given)
+        header = (
+            f"ply\nformat binary_little_endian 1.0\nelement vertex {len(given)}\n"
+            "property float x\nproperty float y\nproperty float z\nend_header\n"
+        ).encode()
+        assert path.read_bytes() == header + given.astype("<f4").tobytes()
 
 
 def test_float64_ply_of_earlier_versions_reads_bit_exact(tmp_path):

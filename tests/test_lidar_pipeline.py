@@ -558,11 +558,28 @@ def test_outline_of_collinear_points_is_degenerate():
             board_outline(np.column_stack([xy, np.zeros(len(xy))]))
 
 
+def _hull_reference(xy):
+    """Andrew's monotone chain over np.unique(xy, axis=0), with no filter."""
+    pts = np.unique(xy, axis=0).tolist()
+    hull = []
+    for chain in (pts, pts[::-1]):
+        start = len(hull)
+        for p in chain:
+            while len(hull) >= start + 2:
+                (ox, oy), (ax, ay) = hull[-2], hull[-1]
+                if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) > 0:
+                    break
+                hull.pop()
+            hull.append(p)
+        hull.pop()
+    return np.array(hull).reshape(-1, 2)
+
+
 def test_hull_is_strictly_convex_counter_clockwise_and_holds_every_point():
     rng = np.random.default_rng(19)
-    for trial in range(200):
+    for trial in range(260):
         n = int(rng.integers(3, 2000))
-        kind = trial % 4
+        kind = trial % 4 if trial < 200 else 4 + trial % 2
         if kind == 0:
             xy = rng.uniform(-1, 1, size=(n, 2))
         elif kind == 1:
@@ -570,9 +587,16 @@ def test_hull_is_strictly_convex_counter_clockwise_and_holds_every_point():
         elif kind == 2:  # a plane's inliers: a turned board with range noise
             xy = _rectangle_points(rng, (0.0, 0.0), rng.uniform(0, np.pi), (1.0, 0.7), n)
             xy = xy + rng.normal(scale=0.005, size=xy.shape)
-        else:  # on a 0.05 grid, with duplicates
+        elif kind == 3:  # on a 0.05 grid, with duplicates
             xy = np.round(rng.uniform(-1, 1, size=(n, 2)) / 0.05) * 0.05
+        elif kind == 4:  # each point up to 4 times, shuffled
+            xy = rng.normal(size=(n // 3 + 3, 2))
+            xy = rng.permutation(np.repeat(xy, rng.integers(1, 5, len(xy)), axis=0))
+        else:  # a few columns of shared x, the extreme ones included
+            xy = np.column_stack([rng.integers(-3, 4, n) * 0.1, rng.uniform(-1, 1, n)])
+            xy[:2] = [[-0.3, 2.0], [-0.3, -2.0]]
         hull = lidar._convex_hull(xy)
+        assert np.array_equal(hull, _hull_reference(xy))
         assert len(hull) >= 3
         assert (hull[:, None] == xy).all(axis=2).any(axis=1).all()  # input points
         edges = np.roll(hull, -1, axis=0) - hull
@@ -583,6 +607,9 @@ def test_hull_is_strictly_convex_counter_clockwise_and_holds_every_point():
         assert np.arctan2(turns, (edges * after).sum(axis=1)).sum() == pytest.approx(2 * np.pi)
         rel = xy[:, None] - hull  # every point on or left of every edge
         assert (edges[:, 0] * rel[..., 1] - edges[:, 1] * rel[..., 0] >= -1e-12).all()
+    # fewer than 3 distinct points, each repeated
+    for xy in (np.tile([0.3, -1.2], (5, 1)), np.repeat([[0.0, 0.0], [1.0, 0.5]], 3, axis=0)):
+        assert np.array_equal(lidar._convex_hull(xy), _hull_reference(xy))
 
 
 # --- end-to-end -------------------------------------------------------------

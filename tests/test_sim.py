@@ -275,6 +275,8 @@ def _elevation_deg(b):
             sim._BOARD_BASE,
             hit=lambda b: np.linalg.norm(b, axis=1).min() < 0.6,
         ),
+        # the board's lower half hides the ground from rays pointing down
+        lambda: _one_board([3.0, 0.0, 0.45], sim._BOARD_BASE, hit=lambda b: (b[:, 2] < 0).any()),
     ],
     ids=[
         "default-scan",
@@ -285,6 +287,7 @@ def _elevation_deg(b):
         "board-partly-beyond-max-range",
         "board-behind-sensor",
         "sensor-inside-bounding-sphere",
+        "board-occludes-ground",
     ],
 )
 def test_render_with_scene_ray_grid_equals_per_call_grid(make):

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from .errors import BehindCamera, DegenerateConfiguration, InsufficientCorners
+from .errors import BehindCamera, DegenerateConfiguration, InsufficientCorners, NonPositiveDepth
 from .geometry import Intrinsics, RigidTransform
 from .lm import levenberg_marquardt
 from .target import TargetSpec, checker_corners_board, circle_centers_board
@@ -257,6 +257,10 @@ def detect_target_camera(corner_sets, spec: TargetSpec, intrinsics) -> list:
     out = list(errors)
     for s in np.flatnonzero(ok):
         pose = RigidTransform(poses[s, :3, :3], poses[s, :3, 3])
-        pts3, pts2 = derive_circle_centers(pose, spec, intrinsics[s])
+        try:
+            pts3, pts2 = derive_circle_centers(pose, spec, intrinsics[s])
+        except NonPositiveDepth:
+            out[s] = BehindCamera("a circle center lies at or behind the camera")
+            continue
         out[s] = CameraDetection(pose, pts3, pts2, float(err[s]), int(c.used[s].sum()))
     return out

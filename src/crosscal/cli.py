@@ -225,6 +225,14 @@ def _name_index(name: str, prefix: str):
     return int(digits) if digits.isascii() and digits.isdigit() else None
 
 
+# (sensor kind, file name prefix, suffix, the kind's name in messages) of
+# the files that `detect` reads in a station directory, in record order
+_DATASET_FILES = (
+    ("lidar", "cloud_lidar", ".ply", "LiDAR"),
+    ("camera", "corners_camera", ".json", "camera"),
+)
+
+
 def cmd_detect(args) -> int:
     try:
         cfg = io_formats.read_config(args.config)
@@ -233,13 +241,12 @@ def cmd_detect(args) -> int:
         return EXIT_CONFIG
     data = Path(args.data)
     inputs = [args.config]
-    intr = cfg.intrinsics_map()
-    lidars = {s.sensor for s in cfg.lidars()}
-    # (sequence, sensor, CrosscalError | index into lidar_jobs or
-    # camera_jobs), in the order the records are written; LiDARs are
-    # detected on a process pool and cameras in one batch. A file whose name
-    # gives no sensor index stands in for its sensor, with an error.
-    slots, lidar_jobs, camera_jobs = [], [], []
+    configured = {s.sensor: s.intrinsics for s in cfg.sensors}
+    # (sequence, sensor, CrosscalError | index into jobs[sensor kind]), in
+    # the order the records are written; LiDARs are detected on a process
+    # pool and cameras in one batch. A file whose name gives no sensor index
+    # stands in for its sensor, with an error.
+    slots, jobs = [], {"lidar": [], "camera": []}
     warnings = 0
     for seq_dir in sorted(data.glob("seq_*")):
         seq = _name_index(seq_dir.name, "seq_")
@@ -247,50 +254,37 @@ def cmd_detect(args) -> int:
             log.warning("%s: no station index in the name; skipped", seq_dir)
             warnings += 1
             continue
-        for cloud_path in sorted(seq_dir.glob("cloud_lidar*.ply")):
-            inputs.append(cloud_path)
-            index = _name_index(cloud_path.stem, "cloud_lidar")
-            if index is None:
-                slots.append((seq, cloud_path.name, UnknownSensor("no LiDAR index in the name")))
-                continue
-            sensor = SensorId("lidar", index)
-            if sensor in lidars:
+        for kind, prefix, suffix, name in _DATASET_FILES:
+            for path in sorted(seq_dir.glob(f"{prefix}*{suffix}")):
+                inputs.append(path)
+                index = _name_index(path.stem, prefix)
+                if index is None:
+                    slots.append((seq, path.name, UnknownSensor(f"no {name} index in the name")))
+                    continue
+                sensor = SensorId(kind, index)
+                if sensor not in configured:
+                    slots.append((seq, sensor, UnknownSensor(f"{sensor} is not in the config")))
+                    continue
+                job = (path, configured[sensor])  # a camera's intrinsics; None for a LiDAR
                 init_path = seq_dir / f"init_{sensor}.json"
-                if init_path.exists():
+                if kind == "lidar" and init_path.exists():
                     inputs.append(init_path)
-                else:
-                    init_path = None
-                lidar_jobs.append((cloud_path, init_path))
-                out = len(lidar_jobs) - 1
-            else:
-                out = UnknownSensor(f"{sensor} is not in the config")
-            slots.append((seq, sensor, out))
-        for corner_path in sorted(seq_dir.glob("corners_camera*.json")):
-            inputs.append(corner_path)
-            index = _name_index(corner_path.stem, "corners_camera")
-            if index is None:
-                slots.append((seq, corner_path.name, UnknownSensor("no camera index in the name")))
-                continue
-            sensor = SensorId("camera", index)
-            if sensor not in intr:
-                out = UnknownSensor(f"{sensor} is not in the config")
-            else:
-                camera_jobs.append((corner_path, intr[sensor]))
-                out = len(camera_jobs) - 1
-            slots.append((seq, sensor, out))
+                    job = (path, init_path)
+                jobs[kind].append(job)
+                slots.append((seq, sensor, len(jobs[kind]) - 1))
     # the detections are independent and hold the GIL for much of their
     # time; each job reads its own cloud, so a worker holds one at a time,
     # and this process reads the corner files while the workers run
-    with _forked(partial(_detect_lidar, cfg=cfg), lidar_jobs) as lidar_outcomes:
+    with _forked(partial(_detect_lidar, cfg=cfg), jobs["lidar"]) as lidar_outcomes:
         camera_outcomes = []  # corner sets, then their detections
-        for corner_path, _ in camera_jobs:
+        for corner_path, _ in jobs["camera"]:
             try:
                 camera_outcomes.append(io_formats.read_corners(corner_path, cfg.target))
             except CrosscalError as e:
                 camera_outcomes.append(e)
         read = [k for k, c in enumerate(camera_outcomes) if not isinstance(c, CrosscalError)]
         found = detect_target_camera(
-            [camera_outcomes[k] for k in read], cfg.target, [camera_jobs[k][1] for k in read]
+            [camera_outcomes[k] for k in read], cfg.target, [jobs["camera"][k][1] for k in read]
         )
         for k, d in zip(read, found):
             camera_outcomes[k] = d

@@ -24,7 +24,7 @@ from .errors import IoError, MissingField, ParseError, SchemaVersionMismatch, Un
 from .geometry import Intrinsics, RigidTransform
 from .lidar import LidarDetection, LidarParams
 from .optimizer import CalibrationResult, SensorId, SolveParams, reprojection_report
-from .sim import NoiseModel, ScanPattern
+from .sim import NoiseModel, ScanPattern, default_intrinsics
 from .target import TargetSpec
 
 SCHEMA_VERSION = "v1"
@@ -416,6 +416,8 @@ class ConfigFile:
         for s in self.sensors:
             if (s.sensor.kind == "camera") != (s.intrinsics is not None):
                 raise ParseError(f"intrinsics must be present iff camera ({s.sensor})")
+        if len(ids) < 2:
+            raise ParseError(f"{len(ids)} sensors in config, need >= 2")
 
     def cameras(self):
         return [s for s in self.sensors if s.sensor.kind == "camera"]
@@ -442,15 +444,10 @@ DEFAULT_SIM = {
 
 
 def default_config(n_lidars: int = 2, m_cameras: int = 3) -> ConfigFile:
-    sensors = []
-    for j in range(m_cameras):
-        sensors.append(
-            SensorConfig(SensorId("camera", j), Intrinsics(700.0, 700.0, 639.5, 359.5, 1280, 720))
-        )
-    for i in range(n_lidars):
-        sensors.append(SensorConfig(SensorId("lidar", i)))
+    cameras = [SensorConfig(SensorId("camera", j), default_intrinsics()) for j in range(m_cameras)]
+    lidars = [SensorConfig(SensorId("lidar", i)) for i in range(n_lidars)]
     return ConfigFile(
-        tuple(sensors),
+        tuple(cameras + lidars),
         TargetSpec(),
         LidarParams(),
         SolveParams(),

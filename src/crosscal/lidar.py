@@ -92,7 +92,7 @@ class LidarParams:
 
 @dataclass(frozen=True)
 class Plane:
-    """ax + by + cz + d = 0 with unit (a, b, c)."""
+    """ax + by + cz + d = 0 with unit (a, b, c), of either sign."""
 
     a: float
     b: float
@@ -135,24 +135,13 @@ def filter_cloud(cloud: np.ndarray, p: LidarParams) -> np.ndarray:
     return out
 
 
-def match_points(cloud: np.ndarray, model: np.ndarray, delta: float) -> np.ndarray:
-    """Points of `cloud` with a model neighbor strictly closer than delta."""
+def match_points(cloud: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """Points of `cloud` strictly closer than `radius` to `center` (3,)."""
     cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
-    model = np.asarray(model, dtype=float).reshape(-1, 3)
-    if len(model) == 0:
-        raise DegenerateInput("empty model cloud")
-    d = np.min([np.linalg.norm(cloud - m, axis=1) for m in model], axis=0)
-    out = cloud[d < delta]
+    out = cloud[np.linalg.norm(cloud - center, axis=1) < radius]
     if len(out) < 50:
         raise EmptyMatch(f"{len(out)} matched points")
     return out
-
-
-def _orient(n, d):
-    """Canonical normal sign: c >= 0, ties broken by b >= 0 then a >= 0."""
-    a, b, c = n
-    flip = c < 0 or (c == 0 and (b < 0 or (b == 0 and a < 0)))
-    return (-n, -d) if flip else (n, d)
 
 
 def _fit_plane_lsq(pts):
@@ -161,7 +150,6 @@ def _fit_plane_lsq(pts):
     n = vt[-1]
     n = n / np.linalg.norm(n)
     d = -float(n @ centroid)
-    n, d = _orient(n, d)
     return Plane(float(n[0]), float(n[1]), float(n[2]), float(d))
 
 
@@ -464,7 +452,7 @@ def detect_target_lidar(
     radius = np.hypot(spec.board_width, spec.board_height) / 2 + _CROP_MARGIN
     try:
         filtered = filter_cloud(cloud, p)
-        crop = match_points(filtered, t_init.translation[None], radius)
+        crop = match_points(filtered, t_init.translation, radius)
         plane, inliers = ransac_plane(crop, p)
         n = plane.normal()
         n_board = -n if n @ prior_z < 0 else n

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CrosscalError
-
 LAMBDA_INIT = 1e-3  # starting damping
 STEP_TOL = 1e-14  # an accepted step shorter than this ends the solve
 
@@ -60,9 +58,8 @@ def levenberg_marquardt(
     jac_fn(states, rows) -> (len(rows), m, n) and plus(states, dx (len(rows), n))
     -> states, where rows are the indices of `states` in the batch.
 
-    A trial whose cost is not finite is rejected and its damping increased;
-    residual_fn may also raise a CrosscalError (e.g. a point behind the
-    camera), which rejects every trial of that call. Any other exception
+    A trial whose cost is not finite (e.g. a point behind the camera) is
+    rejected and its damping increased; an exception from a callback
     propagates.
 
     Stops when the gradient norm drops below gradient_tol, an accepted step
@@ -155,10 +152,7 @@ def _solve(state, residual_fn, jac_fn, plus, max_iter, gradient_tol):
             better = np.zeros(len(tried), dtype=bool)
             if tried.size:
                 trial = plus(state[tried], step)
-                try:
-                    r_trial = residual_fn(trial, tried)
-                except CrosscalError:
-                    r_trial = np.full((len(tried), r.shape[1]), np.inf)
+                r_trial = residual_fn(trial, tried)
                 cost_trial = _half_squares(r_trial)
                 better = cost_trial < cost[tried]  # False for a non-finite cost
                 won = tried[better]

@@ -263,12 +263,11 @@ def _board_rays(scene: Scene, t_sw: RigidTransform, t_bw: RigidTransform) -> np.
 
 
 class LidarCast:
-    """One LiDAR's scan of the scene without the board. `ground` holds the
-    range of each ray to the z=0 ground plane, inf where it misses it; the
-    rays that return from the ground within `max_range` are kept in ray
-    order with their ranges and sensor-frame directions. All of it depends
-    on the sensor alone, so it is cast once, and `render` splices the board
-    hits of each station into the ground returns."""
+    """One LiDAR's scan of the scene without the board: the rays that return
+    from the z=0 ground plane within `max_range`, kept in ray order with
+    their ranges and sensor-frame directions. All of it depends on the
+    sensor alone, so it is cast once, and `render` splices the board hits of
+    each station into the ground returns."""
 
     def __init__(self, scene: Scene, sensor: SensorId):
         if sensor.kind != "lidar":
@@ -279,12 +278,12 @@ class LidarCast:
         # product can change the last bit of a direction
         self.dirs_w = scene.ray_dirs @ self.pose.rotation.T
         # only the rays pointing down can hit the ground
-        self.ground = np.full(len(self.dirs_w), np.inf)
+        ground = np.full(len(self.dirs_w), np.inf)
         down = np.flatnonzero(self.dirs_w[:, 2] < -1e-12)
         t_g = -self.pose.translation[2] / self.dirs_w[down, 2]
-        self.ground[down] = np.where(t_g > 0.05, t_g, np.inf)
-        self._rays = np.flatnonzero(self.ground <= scene.scan.max_range)
-        self._ranges = self.ground[self._rays]
+        ground[down] = np.where(t_g > 0.05, t_g, np.inf)
+        self._rays = np.flatnonzero(ground <= scene.scan.max_range)
+        self._ranges = ground[self._rays]
         self._dirs = np.take(scene.ray_dirs, self._rays, axis=0)
 
     def _board_hits(self, t_bw: RigidTransform):

@@ -13,6 +13,13 @@ from crosscal.optimizer import SequenceObservations
 
 ACCEPTANCE_LINES = []
 
+# Board -> camera: a board 0.35 m away turned 80 deg about y, facing the
+# camera. Its corners lie 0.055 m or more in front of the camera, two of its
+# circle centers 0.024 m behind it.
+CIRCLE_BEHIND_CAMERA = geometry.RigidTransform(
+    geometry.rot_y(np.deg2rad(80.0)) @ geometry.rot_x(np.pi), np.array([0.0, 0.0, 0.35])
+)
+
 
 def record_acceptance(name, ok, detail=""):
     line = f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'}"

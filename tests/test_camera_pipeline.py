@@ -4,7 +4,7 @@ center derivation, simulator round-trip."""
 import numpy as np
 import pytest
 
-from conftest import lm_without_reduction_stop, solve_pnp
+from conftest import CIRCLE_BEHIND_CAMERA, lm_without_reduction_stop, solve_pnp
 from crosscal import geometry, sim
 from crosscal.camera import (
     CornerObservation,
@@ -12,7 +12,7 @@ from crosscal.camera import (
     detect_target_camera,
     pnp_jacobian,
 )
-from crosscal.errors import DegenerateConfiguration, InsufficientCorners, NonPositiveDepth
+from crosscal.errors import BehindCamera, DegenerateConfiguration, InsufficientCorners
 from crosscal.geometry import Intrinsics, RigidTransform
 from crosscal.lm import levenberg_marquardt
 from crosscal.optimizer import SensorId
@@ -147,9 +147,8 @@ def test_batched_lm_matches_problems_solved_one_at_a_time():
     pose within 1e-6, the same stop verdicts and the same total iterations.
     The batch mixes a problem that starts at its optimum (gradient 0), noisy
     boards at 2-6 m, and boards at 0.4-1 m from far-off starts: some of these
-    try steps that put corners behind the camera, which the batch rejects
-    through an infinite residual and the unbatched call through
-    NonPositiveDepth, and some run to max_iter."""
+    try steps that put corners behind the camera, which both reject through
+    an infinite residual, and some run to max_iter."""
     rng = np.random.default_rng(1)
     starts, uv = [], []
     for n in range(48):
@@ -178,15 +177,13 @@ def test_batched_lm_matches_problems_solved_one_at_a_time():
 
     options = {"max_iter": 10, "gradient_tol": 1e-10}
     batch = levenberg_marquardt(starts.copy(), residual, jacobian, plus, batched=True, **options)
-    singles, raised = [], 0
+    singles, behind = [], 0
     for k, start in enumerate(starts):
 
         def residual_one(state):
-            nonlocal raised
+            nonlocal behind
             r = residual(state[None], [k])
-            if not np.isfinite(r).all():
-                raised += 1
-                raise NonPositiveDepth("trial corner behind the camera")
+            behind += not np.isfinite(r).all()
             return r[0]
 
         singles.append(
@@ -206,7 +203,7 @@ def test_batched_lm_matches_problems_solved_one_at_a_time():
     assert [len(h) for h in batch.cost_history] == [len(r.cost_history) for r in singles]
     # the mixture the batch was built for
     assert singles[0].iterations == 1 and singles[0].converged and singles[0].cost == 0.0
-    assert raised > 0
+    assert behind > 0
     assert any(r.iterations == options["max_iter"] and not r.converged for r in singles)
     assert sum(r.converged for r in singles) > len(singles) // 2
 
@@ -223,11 +220,13 @@ def test_detect_batch_matches_sets_detected_alone():
         sets.append(synth_corners(truth, ids=ids, noise=0.5, rng=rng))
     sets.insert(3, synth_corners(board_pose(), ids=[0, 1, 2]))
     sets.insert(6, synth_corners(board_pose(), ids=list(range(7))))  # one board row
+    sets.insert(8, synth_corners(CIRCLE_BEHIND_CAMERA))  # every corner in front of the camera
     k2 = Intrinsics(900.0, 880.0, 640.0, 360.0, 1280, 720)
     cams = [K if n % 3 else k2 for n in range(len(sets))]
     together = detect_target_camera(sets, SPEC, cams)
     assert isinstance(together[3], InsufficientCorners)
     assert isinstance(together[6], DegenerateConfiguration)
+    assert isinstance(together[8], BehindCamera)
     for corners, k, det in zip(sets, cams, together):
         (alone,) = detect_target_camera([corners], SPEC, [k])
         if isinstance(alone, Exception):

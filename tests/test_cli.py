@@ -16,13 +16,14 @@ import numpy as np
 import pytest
 
 import crosscal
+from conftest import CIRCLE_BEHIND_CAMERA
 from crosscal import cli, errors, geometry, io_formats, optimizer, sim
 from crosscal.camera import CameraDetection
 from crosscal.errors import SolverNotConverged
 from crosscal.geometry import RigidTransform
 from crosscal.lidar import LidarDetection
 from crosscal.optimizer import SensorId
-from crosscal.target import circle_centers_board
+from crosscal.target import TargetSpec, checker_corners_board, circle_centers_board
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -297,8 +298,12 @@ def test_simulate_malformed_sim_section_exit_2(tmp_path, caplog, section, edit):
 
 
 def test_simulate_infeasible_exit_3(tmp_path):
-    cfg = io_formats.default_config(n_lidars=1, m_cameras=0)
-    cfg = replace(cfg, reference=SensorId("lidar", 0))
+    """A readable config that no board layout fits: 2 LiDARs, no camera, and
+    a scan within 1 deg of the horizon, which no board reaches."""
+    cfg = io_formats.default_config(n_lidars=2, m_cameras=0)
+    scan = {**io_formats.DEFAULT_SIM["scan"], "el_min_deg": -1.0, "el_max_deg": 1.0}
+    sim_section = {**io_formats.DEFAULT_SIM, "scan": scan}
+    cfg = replace(cfg, reference=SensorId("lidar", 0), sim=sim_section)
     path = tmp_path / "cfg.json"
     io_formats.write_config(path, cfg)
     assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
@@ -343,20 +348,38 @@ def test_detect_empty_dataset_exit_4(ws, tmp_path):
 
 
 def test_detect_partial_failure_warns_but_succeeds(ws, tmp_path):
-    data2 = tmp_path / "data"
-    shutil.copytree(ws["data"], data2)
-    # corrupt one cloud: the lidar stage fails, the rest still detects
-    victim = data2 / "seq_000" / "cloud_lidar0.ply"
-    victim.write_text("ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\nproperty double y\nproperty double z\nend_header\n1 oops 3\n")
-    out = tmp_path / "d.json"
-    rc = cli.main(
-        ["detect", "--config", str(ws["config"]), "--data", str(data2), "--out", str(out)]
-    )
-    assert rc == 0
-    man = json.loads((tmp_path / "d.manifest.json").read_text())
-    assert man["warnings"] == 1
-    recs = io_formats.read_detections(out)
-    assert not any(r.sequence == 0 and r.sensor == SensorId("lidar", 0) for r in recs)
+    """A cloud that cannot be read, or corners whose pose puts a circle
+    center behind the camera, costs its own detection: the rest still
+    detects, with one warning."""
+    intr = sim.default_intrinsics()
+    corners = [
+        {"id": cid, "uv": geometry.project_many(intr, CIRCLE_BEHIND_CAMERA.apply(p))[0].tolist()}
+        for cid, p in checker_corners_board(TargetSpec())
+    ]
+    victims = [
+        (
+            "cloud_lidar0.ply",
+            "ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n"
+            "property double y\nproperty double z\nend_header\n1 oops 3\n",
+        ),
+        ("corners_camera0.json", json.dumps({"corners": corners})),
+    ]
+    everything = [(r.sequence, r.sensor) for r in io_formats.read_detections(ws["det"])]
+    for k, (name, content) in enumerate(victims):
+        data2 = tmp_path / f"data{k}"
+        shutil.copytree(ws["data"], data2)
+        assert (data2 / "seq_000" / name).exists()
+        (data2 / "seq_000" / name).write_text(content)
+        out = tmp_path / f"d{k}.json"
+        rc = cli.main(
+            ["detect", "--config", str(ws["config"]), "--data", str(data2), "--out", str(out)]
+        )
+        assert rc == 0
+        man = json.loads((tmp_path / f"d{k}.manifest.json").read_text())
+        assert man["warnings"] == 1
+        lost = (0, SensorId("lidar" if name.endswith(".ply") else "camera", 0))
+        recs = io_formats.read_detections(out)
+        assert [(r.sequence, r.sensor) for r in recs] == [r for r in everything if r != lost]
 
 
 def _corner_edit(key, value, i=0):

@@ -339,7 +339,7 @@ def test_config_sim_integers_as_json_schema_has_them():
 
 def test_config_duplicate_sensor_ids():
     s = io_formats.SensorConfig(SensorId("lidar", 0))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="duplicate sensor ids"):
         io_formats.ConfigFile(
             (s, s),
             io_formats.TargetSpec(),
@@ -351,28 +351,21 @@ def test_config_duplicate_sensor_ids():
 
 
 def test_config_intrinsics_iff_camera():
+    lidar = io_formats.SensorConfig(SensorId("lidar", 1))  # a valid second sensor
     cam_no_intr = io_formats.SensorConfig(SensorId("camera", 0))
-    with pytest.raises(ParseError):
-        io_formats.ConfigFile(
-            (cam_no_intr,),
-            io_formats.TargetSpec(),
-            io_formats.LidarParams(),
-            io_formats.SolveParams(),
-            SensorId("camera", 0),
-            dict(io_formats.DEFAULT_SIM),
-        )
     lidar_with_intr = io_formats.SensorConfig(
         SensorId("lidar", 0), Intrinsics(700.0, 700.0, 639.5, 359.5, 1280, 720)
     )
-    with pytest.raises(ParseError):
-        io_formats.ConfigFile(
-            (lidar_with_intr,),
-            io_formats.TargetSpec(),
-            io_formats.LidarParams(),
-            io_formats.SolveParams(),
-            SensorId("lidar", 0),
-            dict(io_formats.DEFAULT_SIM),
-        )
+    for bad in (cam_no_intr, lidar_with_intr):
+        with pytest.raises(ParseError, match="intrinsics must be present iff camera"):
+            io_formats.ConfigFile(
+                (bad, lidar),
+                io_formats.TargetSpec(),
+                io_formats.LidarParams(),
+                io_formats.SolveParams(),
+                bad.sensor,
+                dict(io_formats.DEFAULT_SIM),
+            )
 
 
 def test_config_unknown_field_rejected(tmp_path):

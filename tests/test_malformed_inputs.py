@@ -109,6 +109,8 @@ def _mutations(node):
         for name, x in (("bool", True), ("nan", _NAN), ("inf", _INF)):
             out.append((name, lambda v, x=x: _with_first_number(v, x)))
         out.append(("short", lambda v: v[:-1]))
+    elif "minItems" in node:  # an array of objects: one object too few
+        out.append(("short", lambda v, m=node["minItems"]: v[: m - 1]))
     elif "enum" in node or "const" in node:
         out.append(("bool", lambda v: True))
     return out

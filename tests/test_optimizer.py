@@ -449,13 +449,11 @@ def _lm_on_identity_residual(residual_fn, trials):
     return levenberg_marquardt(np.array([3.0]), residual_fn, lambda x: np.eye(1), plus)
 
 
-def test_lm_trial_raising_crosscal_error_is_rejected_with_more_damping():
+def test_lm_trial_with_an_infinite_cost_is_rejected_with_more_damping():
     trials = []
 
     def residual(x):
-        if len(trials) == 1:
-            raise NonPositiveDepth("trial point behind the camera")
-        return x
+        return np.full(1, np.inf) if len(trials) == 1 else x  # e.g. a point behind the camera
 
     res = _lm_on_identity_residual(residual, trials)
     (x1, dx1), (x2, dx2) = trials[:2]
@@ -467,15 +465,18 @@ def test_lm_trial_raising_crosscal_error_is_rejected_with_more_damping():
 
 
 def test_lm_other_exception_from_residual_propagates():
-    trials = []
+    """Any exception from the residual propagates, a CrosscalError too: only
+    a non-finite cost rejects a trial."""
+    for error in (RuntimeError("bug in the residual"), NonPositiveDepth("behind the camera")):
+        trials = []
 
-    def residual(x):
-        if trials:
-            raise RuntimeError("bug in the residual")
-        return x
+        def residual(x):
+            if trials:
+                raise error
+            return x
 
-    with pytest.raises(RuntimeError, match="bug in the residual"):
-        _lm_on_identity_residual(residual, trials)
+        with pytest.raises(type(error), match=str(error)):
+            _lm_on_identity_residual(residual, trials)
 
 
 def test_lm_identity_residual_still_converges_by_gradient():

@@ -308,16 +308,18 @@ def test_render_with_scene_ray_grid_equals_per_call_grid(make):
 def test_one_cast_renders_every_station_as_render_lidar_does(sigma):
     """One `LidarCast` per sensor, reused over the stations in reverse
     order, gives each station's cloud to the bit, as a fresh cast per
-    station (`render_lidar`) and the per-call reference do."""
+    station (`render_lidar`) and the per-call reference do; renders leave
+    the cast's arrays as they were."""
     scene = sim.make_scene(sequences=4, seed=6, noise=sim.NoiseModel(lidar_sigma=sigma))
     for sensor in (s for s in scene.sensor_ids if s.kind == "lidar"):
         cast = sim.LidarCast(scene, sensor)
-        ground = cast.ground.copy()
+        kept = [a.copy() for a in (cast._rays, cast._ranges, cast._dirs, cast.dirs_w)]
         for seq in reversed(range(len(scene.board_poses))):
             cloud = cast.render(seq)
             assert cloud.tobytes() == sim.render_lidar(scene, sensor, seq).tobytes()
             assert cloud.tobytes() == _render_lidar_per_call(scene, sensor, seq).tobytes()
-        assert cast.ground.tobytes() == ground.tobytes()
+        for a, b in zip((cast._rays, cast._ranges, cast._dirs, cast.dirs_w), kept):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_ray_grid_is_read_only_and_per_scan():

@@ -78,14 +78,12 @@ def _write_manifest(path, config_path, seed, inputs, outputs, warnings=0):
 def _scene_from_config(cfg, seed):
     s = cfg.sim
     return sim.make_scene(
-        n_lidars=len(cfg.lidars()),
-        m_cameras=len(cfg.cameras()),
+        cfg.sensors,
         sequences=s["sequences"],
         spec=cfg.target,
         noise=sim.NoiseModel(**s["noise"]),
         seed=seed,
         scan=sim.ScanPattern(**s["scan"]),
-        camera_intrinsics=[c.intrinsics for c in cfg.cameras()],
     )
 
 
@@ -104,7 +102,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     outputs = []
     gt_doc = {
-        "sensors": {str(s): io_formats.pose_to_json(t) for s, t in scene.sensors},
+        "sensors": {str(s): io_formats.pose_to_json(t) for s, t in scene.sensors.items()},
         "boards": [io_formats.pose_to_json(t) for t in scene.board_poses],
     }
     gt_path = out / "ground_truth.json"
@@ -241,7 +239,6 @@ def cmd_detect(args) -> int:
         return EXIT_CONFIG
     data = Path(args.data)
     inputs = [args.config]
-    configured = {s.sensor: s.intrinsics for s in cfg.sensors}
     # (sequence, sensor, CrosscalError | index into jobs[sensor kind]), in
     # the order the records are written; LiDARs are detected on a process
     # pool and cameras in one batch. A file whose name gives no sensor index
@@ -262,10 +259,10 @@ def cmd_detect(args) -> int:
                     slots.append((seq, path.name, UnknownSensor(f"no {name} index in the name")))
                     continue
                 sensor = SensorId(kind, index)
-                if sensor not in configured:
+                if sensor not in cfg.sensors:
                     slots.append((seq, sensor, UnknownSensor(f"{sensor} is not in the config")))
                     continue
-                job = (path, configured[sensor])  # a camera's intrinsics; None for a LiDAR
+                job = (path, cfg.sensors[sensor])  # a camera's intrinsics; None for a LiDAR
                 init_path = seq_dir / f"init_{sensor}.json"
                 if kind == "lidar" and init_path.exists():
                     inputs.append(init_path)
@@ -316,13 +313,12 @@ def _parse_reference(cfg, text):
     S<n> numbers the configured sensors as the report does."""
     if text is None:
         return cfg.reference
-    ids = [s.sensor for s in cfg.sensors]
-    display = optimizer.display_order(ids)
+    display = optimizer.display_order(cfg.sensors)
     if text.upper().startswith("S") and text[1:].isdigit():
         k = int(text[1:]) - 1
         if 0 <= k < len(display):
             return display[k]
-    for s in ids:
+    for s in cfg.sensors:
         if str(s) == text:
             return s
     raise ParseError(f"unknown reference sensor {text!r}")
@@ -344,7 +340,7 @@ def cmd_calibrate(args) -> int:
     ]
     try:
         problem = optimizer.build_problem(
-            detections, reference, cfg.intrinsics_map(), cfg.solve_params
+            detections, reference, cfg.sensors, cfg.solve_params
         )
         result = optimizer.solve(problem)
     except DisconnectedGraph as e:

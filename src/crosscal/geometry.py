@@ -1,9 +1,10 @@
 """SE(3)/SO(3) arithmetic, Euler conversions and the pinhole projection.
 
-Rigid transforms are stored as an explicit rotation matrix plus translation
-vector; that is the one canonical representation used across the whole
-toolkit. Euler angles only appear at the file-format boundary (intrinsic
-XYZ, degrees).
+A `RigidTransform` holds an explicit rotation matrix plus translation
+vector. The batched solvers use other forms: PnP works on (P, 4, 4)
+homogeneous matrices, and the global solve on stacked rotation and
+translation arrays. Euler angles only appear at the file-format boundary
+(intrinsic XYZ, degrees).
 """
 
 from __future__ import annotations
@@ -42,12 +43,6 @@ class RigidTransform:
     @staticmethod
     def identity() -> "RigidTransform":
         return RigidTransform(np.eye(3), np.zeros(3))
-
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
 
     def apply(self, pts: np.ndarray) -> np.ndarray:
         """Transform a single point (3,) or an array of points (N, 3)."""
@@ -110,7 +105,6 @@ class EulerXYZ(NamedTuple):
     rx: float
     ry: float
     rz: float
-    gimbal_lock: bool = False
 
 
 def rot_x(a):
@@ -137,8 +131,7 @@ def rotation_from_euler_xyz(rx: float, ry: float, rz: float) -> np.ndarray:
 def euler_xyz_from_rotation(r: np.ndarray) -> EulerXYZ:
     """Rotation matrix to intrinsic XYZ Euler angles in degrees.
 
-    Near gimbal lock (|cos(ry)| < 1e-9) rz is fixed to 0 and the
-    gimbal_lock flag is set.
+    Near gimbal lock (|cos(ry)| < 1e-9) rz is fixed to 0.
     """
     r = np.asarray(r, dtype=float)
     sy = np.clip(r[0, 2], -1.0, 1.0)
@@ -147,10 +140,10 @@ def euler_xyz_from_rotation(r: np.ndarray) -> EulerXYZ:
     if cy < _EPS:
         # r[2,1] = sa, r[1,1] = ca when rz = 0
         rx = np.arctan2(r[2, 1], r[1, 1])
-        return EulerXYZ(np.rad2deg(rx), np.rad2deg(ry), 0.0, True)
+        return EulerXYZ(np.rad2deg(rx), np.rad2deg(ry), 0.0)
     rx = np.arctan2(-r[1, 2], r[2, 2])
     rz = np.arctan2(-r[0, 1], r[0, 0])
-    return EulerXYZ(np.rad2deg(rx), np.rad2deg(ry), np.rad2deg(rz), False)
+    return EulerXYZ(np.rad2deg(rx), np.rad2deg(ry), np.rad2deg(rz))
 
 
 def skew(v: np.ndarray) -> np.ndarray:

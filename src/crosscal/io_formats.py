@@ -395,14 +395,8 @@ def read_detections(path, strict: bool = False):
 # --- config -----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SensorConfig:
-    sensor: SensorId
-    intrinsics: Intrinsics | None = None
-
-
-@dataclass(frozen=True)
 class ConfigFile:
-    sensors: tuple  # of SensorConfig
+    sensors: dict  # SensorId -> Intrinsics of a camera, None for a LiDAR; file order
     target: TargetSpec
     lidar_params: LidarParams
     solve_params: SolveParams
@@ -410,23 +404,11 @@ class ConfigFile:
     sim: dict  # simulate-only knobs: sequences, noise, scan, seed
 
     def __post_init__(self):
-        ids = [s.sensor for s in self.sensors]
-        if len(set(ids)) != len(ids):
-            raise ParseError("duplicate sensor ids in config")
-        for s in self.sensors:
-            if (s.sensor.kind == "camera") != (s.intrinsics is not None):
-                raise ParseError(f"intrinsics must be present iff camera ({s.sensor})")
-        if len(ids) < 2:
-            raise ParseError(f"{len(ids)} sensors in config, need >= 2")
-
-    def cameras(self):
-        return [s for s in self.sensors if s.sensor.kind == "camera"]
-
-    def lidars(self):
-        return [s for s in self.sensors if s.sensor.kind == "lidar"]
-
-    def intrinsics_map(self):
-        return {s.sensor: s.intrinsics for s in self.cameras()}
+        for s, intr in self.sensors.items():
+            if (s.kind == "camera") != (intr is not None):
+                raise ParseError(f"intrinsics must be present iff camera ({s})")
+        if len(self.sensors) < 2:
+            raise ParseError(f"{len(self.sensors)} sensors in config, need >= 2")
 
 
 DEFAULT_SIM = {
@@ -444,10 +426,10 @@ DEFAULT_SIM = {
 
 
 def default_config(n_lidars: int = 2, m_cameras: int = 3) -> ConfigFile:
-    cameras = [SensorConfig(SensorId("camera", j), default_intrinsics()) for j in range(m_cameras)]
-    lidars = [SensorConfig(SensorId("lidar", i)) for i in range(n_lidars)]
+    sensors = {SensorId("camera", j): default_intrinsics() for j in range(m_cameras)}
+    sensors.update({SensorId("lidar", i): None for i in range(n_lidars)})
     return ConfigFile(
-        tuple(cameras + lidars),
+        sensors,
         TargetSpec(),
         LidarParams(),
         SolveParams(),
@@ -458,10 +440,10 @@ def default_config(n_lidars: int = 2, m_cameras: int = 3) -> ConfigFile:
 
 def config_to_json(cfg: ConfigFile) -> dict:
     sensors = []
-    for s in cfg.sensors:
-        d = {"kind": s.sensor.kind, "index": s.sensor.index}
-        if s.intrinsics is not None:
-            d["intrinsics"] = asdict(s.intrinsics)
+    for s, intr in cfg.sensors.items():
+        d = sensor_to_json(s)
+        if intr is not None:
+            d["intrinsics"] = asdict(intr)
         sensors.append(d)
     return {
         "sensors": sensors,
@@ -497,11 +479,14 @@ def _dataclass_from(d: dict, cls, what: str):
 def config_from_json(doc: dict) -> ConfigFile:
     with _decoding("config"):
         _reject_unknown(doc, [f.name for f in fields(ConfigFile)], "config")
-        sensors = []
+        sensors = {}
         for d in doc["sensors"]:
             _reject_unknown(d, ("kind", "index", "intrinsics"), "sensor")
+            sensor = sensor_from_json(d)
+            if sensor in sensors:
+                raise ValueError(f"duplicate sensor ids in config: {sensor}")
             intr = _dataclass_from(d["intrinsics"], Intrinsics, "intrinsics") if "intrinsics" in d else None
-            sensors.append(SensorConfig(sensor_from_json(d), intr))
+            sensors[sensor] = intr
         target = doc["target"]
         if "circle_offsets" in target:
             offsets = _finite(target["circle_offsets"], "target.circle_offsets", (4, 2))
@@ -516,7 +501,7 @@ def config_from_json(doc: dict) -> ConfigFile:
             sim[key] = asdict(_dataclass_from({**DEFAULT_SIM[key], **sim[key]}, cls, f"sim.{key}"))
         for key, low in (("sequences", 1), ("seed", 0)):
             sim[key] = _integer(sim[key], f"sim.{key}", low)
-        return ConfigFile(tuple(sensors), spec, lp, sp, ref, sim)
+        return ConfigFile(sensors, spec, lp, sp, ref, sim)
 
 
 def read_config(path) -> ConfigFile:

@@ -236,8 +236,9 @@ def build_occupancy(flat_pts: np.ndarray, res: float) -> OccupancyGrid:
     return OccupancyGrid(occ, lo, float(res))
 
 
-def find_target_region(g: OccupancyGrid, board_size: float):
-    """Top-left index (i*, j*) of the densest board-sized window.
+def find_target_region(g: OccupancyGrid, spec: TargetSpec):
+    """Top-left index (i*, j*) of the densest board-sized window, the board's
+    width along the grid's x and its height along y.
 
     A board's points can span up to a scan spacing less than the board, so
     a grid short of the window is padded with empty cells, evenly on both
@@ -245,18 +246,18 @@ def find_target_region(g: OccupancyGrid, board_size: float):
     index. A grid more than 2 * _SHIFT cells short is GridTooSmall: were the
     board cut off on one side, the window's center would lie more than the
     _SHIFT cells that refine_circles searches from the board's center."""
-    s = max(int(round(board_size * g.res)), 1)
+    sx, sy = (max(int(round(size * g.res)), 1) for size in (spec.board_width, spec.board_height))
     nx, ny = g.occupied.shape
-    short = np.maximum(s - np.array([nx, ny]), 0)
+    short = np.maximum([sx - nx, sy - ny], 0)
     if short.max() > 2 * _SHIFT:
         raise GridTooSmall(
-            f"grid {nx}x{ny} more than {2 * _SHIFT} cells short of the {s}-cell window"
+            f"grid {nx}x{ny} more than {2 * _SHIFT} cells short of the {sx}x{sy}-cell window"
         )
     before = short // 2
     occ = np.pad(g.occupied, list(zip(before, short - before)))
     c = np.zeros((occ.shape[0] + 1, occ.shape[1] + 1), dtype=np.int64)
     c[1:, 1:] = np.cumsum(np.cumsum(occ, axis=0), axis=1)
-    sums = c[s:, s:] - c[:-s, s:] - c[s:, :-s] + c[:-s, :-s]
+    sums = c[sx:, sy:] - c[:-sx, sy:] - c[sx:, :-sy] + c[:-sx, :-sy]
     flat = int(np.argmax(sums))  # row-major: first max = smallest (i, j)
     return flat // sums.shape[1] - int(before[0]), flat % sums.shape[1] - int(before[1])
 
@@ -284,7 +285,7 @@ def refine_circles(g: OccupancyGrid, window, spec: TargetSpec, preferred=None):
     preferred point is returned unchanged so its sub-cell precision is kept.
     """
     i0, j0 = window
-    s_cells = spec.board_width * g.res
+    s_cells = np.array([spec.board_width, spec.board_height]) * g.res
     win_center = g.origin + (np.array([i0, j0], dtype=float) + s_cells / 2.0) * g.cell
     initial_centers = [win_center + np.array(o) for o in spec.circle_offsets]
     radius_cells = spec.circle_radius * g.res
@@ -463,7 +464,7 @@ def detect_target_lidar(
         frame = normalize_plane(n_board, axis @ frame[:2])
         grid_pts = inliers @ frame.T
         grid = build_occupancy(grid_pts, p.grid_res)
-        window = find_target_region(grid, spec.board_width)
+        window = find_target_region(grid, spec)
         center = (frame @ center)[:2]
         preferred = center + np.array(spec.circle_offsets)
         centers_2d = refine_circles(grid, window, spec, preferred=preferred)

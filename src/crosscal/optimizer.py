@@ -67,7 +67,7 @@ class CalibrationProblem:
     sequences: tuple  # of SequenceObservations
     reference: SensorId
     sensors: tuple  # all SensorIds, display order (cameras then lidars)
-    intrinsics: dict  # SensorId -> Intrinsics for cameras
+    intrinsics: dict  # SensorId -> Intrinsics of each camera; other entries unread
     params: SolveParams = SolveParams()
 
     def display_name(self, sensor: SensorId) -> str:
@@ -415,18 +415,25 @@ def solve(p: CalibrationProblem) -> CalibrationResult:
     return result
 
 
+def _loop_deviation(chain, pairwise):
+    """Compose pairwise(a, b), the a->b transform, around the closed sensor
+    loop `chain`; returns the (rotation deg, translation m) deviation of the
+    loop from identity."""
+    loop = RigidTransform.identity()
+    for a, b in zip(chain, chain[1:] + [chain[0]]):
+        loop = geometry.compose(pairwise(a, b), loop)
+    rot = np.rad2deg(geometry.rotation_angle(loop.rotation))
+    return float(rot), float(np.linalg.norm(loop.translation))
+
+
 def consistency_check(result: CalibrationResult, chain):
-    """Compose pairwise transforms around a closed sensor loop; returns the
-    (rotation deg, translation m) deviation from identity."""
+    """The loop deviation of the solved poses around the sensor loop `chain`."""
     for s in chain:
         if s not in result.poses:
             raise UnknownSensor(str(s))
-    loop = RigidTransform.identity()
-    for a, b in zip(chain, chain[1:] + [chain[0]]):
-        t_ab = geometry.compose(geometry.invert(result.poses[b]), result.poses[a])
-        loop = geometry.compose(t_ab, loop)
-    rot = np.rad2deg(geometry.rotation_angle(loop.rotation))
-    return float(rot), float(np.linalg.norm(loop.translation))
+    return _loop_deviation(
+        chain, lambda a, b: geometry.compose(geometry.invert(result.poses[b]), result.poses[a])
+    )
 
 
 def _pairwise_or_via(p: CalibrationProblem, a: SensorId, b: SensorId) -> RigidTransform:
@@ -449,11 +456,7 @@ def _pairwise_or_via(p: CalibrationProblem, a: SensorId, b: SensorId) -> RigidTr
 def consistency_check_pairwise(p: CalibrationProblem, chain):
     """Same loop but over independently estimated pairwise transforms, so
     the deviation is finite on noisy data."""
-    loop = RigidTransform.identity()
-    for a, b in zip(chain, chain[1:] + [chain[0]]):
-        loop = geometry.compose(_pairwise_or_via(p, a, b), loop)
-    rot = np.rad2deg(geometry.rotation_angle(loop.rotation))
-    return float(rot), float(np.linalg.norm(loop.translation))
+    return _loop_deviation(chain, lambda a, b: _pairwise_or_via(p, a, b))
 
 
 def reprojection_report(result: CalibrationResult):

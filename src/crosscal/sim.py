@@ -48,7 +48,7 @@ class ScanPattern:
 
 @dataclass(frozen=True)
 class Scene:
-    sensors: tuple  # ((SensorId, sensor->world pose), ...)
+    sensors: dict  # SensorId -> sensor->world pose, cameras then LiDARs, by index
     intrinsics: dict  # SensorId -> Intrinsics (cameras only)
     board_poses: tuple  # board->world pose per sequence
     spec: TargetSpec
@@ -56,15 +56,9 @@ class Scene:
     seed: int
     scan: ScanPattern = ScanPattern()
 
-    def pose_of(self, sensor: SensorId) -> RigidTransform:
-        for s, t in self.sensors:
-            if s == sensor:
-                return t
-        raise KeyError(str(sensor))
-
     @property
     def sensor_ids(self):
-        return [s for s, _ in self.sensors]
+        return list(self.sensors)
 
     @cached_property
     def ray_dirs(self) -> np.ndarray:
@@ -85,10 +79,6 @@ class GroundTruth:
     sensor_poses: dict  # SensorId -> sensor->world
     board_poses: tuple
     spec: TargetSpec
-
-    def relative(self, a: SensorId, b: SensorId) -> RigidTransform:
-        """Exact a->b transform."""
-        return geometry.compose(geometry.invert(self.sensor_poses[b]), self.sensor_poses[a])
 
     def centers_in_sensor(self, sensor: SensorId, sequence: int) -> np.ndarray:
         world = self.board_poses[sequence].apply(circle_centers_board(self.spec))
@@ -120,7 +110,7 @@ def default_intrinsics() -> Intrinsics:
 
 def sensor_sees_board(scene: Scene, sensor: SensorId, sequence: int) -> bool:
     return _visible(
-        scene.pose_of(sensor),
+        scene.sensors[sensor],
         sensor,
         scene.board_poses[sequence],
         scene.spec,
@@ -159,49 +149,44 @@ def _visible(t_sw, sensor, t_bw, spec, intr, scan):
 
 
 def make_scene(
-    n_lidars: int = 2,
-    m_cameras: int = 3,
+    sensors: dict,
     sequences: int = 20,
     spec: TargetSpec | None = None,
     noise: NoiseModel | None = None,
     seed: int = 0,
     scan: ScanPattern | None = None,
     board_range=(5.5, 6.8),
-    camera_intrinsics=None,
 ) -> Scene:
-    """Deterministic scene: sensors near the origin, cameras fanned over the
-    bearing arc the boards are sampled from. Spreading the boards over a wide
+    """Deterministic scene of the rig `sensors`, {SensorId: Intrinsics of a
+    camera, None for a LiDAR}: sensors near the origin, cameras fanned over
+    the bearing arc the boards are sampled from. Each kind's sensors are
+    placed by their rank in index order. Spreading the boards over a wide
     arc is what makes sensor rotations observable; a narrow cone lets a
     rotation error trade against translation along the viewing direction.
     Every sequence is visible to every LiDAR, to at least one camera when
     there are cameras, and to at least two sensors, or InfeasibleLayout is
     raised."""
-    if n_lidars + m_cameras < 2:
+    if len(sensors) < 2:
         raise InfeasibleLayout("need at least two sensors")
     spec = spec or TargetSpec()
     noise = noise or NoiseModel()
     scan = scan or ScanPattern()
     rng = _rng(seed, 0)
 
-    sensors = []
-    intrinsics = {}
-    for j in range(m_cameras):
-        y = (j - (m_cameras - 1) / 2.0) * 0.8
-        if m_cameras > 1:
-            yaw = np.deg2rad((j / (m_cameras - 1) - 0.5) * 2 * 0.5 * _BOARD_BEARING_DEG)
-        else:
-            yaw = 0.0
+    cameras = sorted(s for s in sensors if s.kind == "camera")
+    lidars = sorted(s for s in sensors if s.kind == "lidar")
+    poses = {}
+    m = len(cameras)
+    for j, sid in enumerate(cameras):
+        y = (j - (m - 1) / 2.0) * 0.8
+        yaw = np.deg2rad((j / (m - 1) - 0.5) * 2 * 0.5 * _BOARD_BEARING_DEG) if m > 1 else 0.0
         rot = geometry.rot_z(yaw) @ _CAMERA_AXES
-        sid = SensorId("camera", j)
-        sensors.append((sid, RigidTransform(rot, np.array([0.0, y, 1.2]))))
-        if camera_intrinsics is not None:
-            intrinsics[sid] = camera_intrinsics[j]
-        else:
-            intrinsics[sid] = default_intrinsics()
-    for i in range(n_lidars):
-        y = (i - (n_lidars - 1) / 2.0) * 1.0
+        poses[sid] = RigidTransform(rot, np.array([0.0, y, 1.2]))
+    for i, sid in enumerate(lidars):
+        y = (i - (len(lidars) - 1) / 2.0) * 1.0
         rot = geometry.rot_z(np.deg2rad(rng.uniform(-3, 3)))
-        sensors.append((SensorId("lidar", i), RigidTransform(rot, np.array([0.2, y, 0.5]))))
+        poses[sid] = RigidTransform(rot, np.array([0.2, y, 0.5]))
+    intrinsics = {sid: sensors[sid] for sid in cameras}
 
     boards = []
     for s in range(sequences):
@@ -228,7 +213,7 @@ def make_scene(
             t_bw = RigidTransform(facing @ perturb, pos)
             seen = [
                 sid
-                for sid, t_sw in sensors
+                for sid, t_sw in poses.items()
                 if _visible(t_sw, sid, t_bw, spec, intrinsics.get(sid), scan)
             ]
             lidars_seen = sum(1 for sid in seen if sid.kind == "lidar")
@@ -237,15 +222,15 @@ def make_scene(
             # no azimuth limit) and at least one camera must anchor it.
             if (
                 len(seen) >= 2
-                and lidars_seen == n_lidars
-                and (cams_seen >= 1 or m_cameras == 0)
+                and lidars_seen == len(lidars)
+                and (cams_seen >= 1 or m == 0)
             ):
                 ok = t_bw
                 break
         if ok is None:
             raise InfeasibleLayout(f"could not place a visible board for sequence {s}")
         boards.append(ok)
-    return Scene(tuple(sensors), intrinsics, tuple(boards), spec, noise, seed, scan)
+    return Scene(poses, intrinsics, tuple(boards), spec, noise, seed, scan)
 
 
 def _board_rays(scene: Scene, t_sw: RigidTransform, t_bw: RigidTransform) -> np.ndarray:
@@ -273,7 +258,7 @@ class LidarCast:
         if sensor.kind != "lidar":
             raise ValueError(f"{sensor} is not a lidar")
         self.scene, self.sensor = scene, sensor
-        self.pose = scene.pose_of(sensor)
+        self.pose = scene.sensors[sensor]
         # the full product, sliced per board: slicing the rows before the
         # product can change the last bit of a direction
         self.dirs_w = scene.ray_dirs @ self.pose.rotation.T
@@ -347,7 +332,7 @@ def render_camera(scene: Scene, sensor: SensorId, sequence: int):
         raise ValueError(f"{sensor} is not a camera")
     intr = scene.intrinsics[sensor]
     t_bc = geometry.compose(
-        geometry.invert(scene.pose_of(sensor)), scene.board_poses[sequence]
+        geometry.invert(scene.sensors[sensor]), scene.board_poses[sequence]
     )
     rng = _rng(scene.seed, 2, sequence, sensor.index)
     corners = checker_corners_board(scene.spec)
@@ -368,7 +353,7 @@ def render_camera(scene: Scene, sensor: SensorId, sequence: int):
 
 
 def ground_truth(scene: Scene) -> GroundTruth:
-    return GroundTruth({s: t for s, t in scene.sensors}, scene.board_poses, scene.spec)
+    return GroundTruth(scene.sensors, scene.board_poses, scene.spec)
 
 
 def perturbed_board_init(scene: Scene, sensor: SensorId, sequence: int) -> RigidTransform:

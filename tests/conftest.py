@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from crosscal import geometry, sim
+from crosscal import geometry, io_formats, sim
 from crosscal.camera import CameraDetection, detect_target_camera
 from crosscal.errors import CrosscalError
 from crosscal.lidar import LidarParams, detect_target_lidar
@@ -19,6 +19,25 @@ ACCEPTANCE_LINES = []
 CIRCLE_BEHIND_CAMERA = geometry.RigidTransform(
     geometry.rot_y(np.deg2rad(80.0)) @ geometry.rot_x(np.pi), np.array([0.0, 0.0, 0.35])
 )
+
+
+def rig(n_lidars=2, m_cameras=3) -> dict:
+    """The sensor table of the default config's rig: `m_cameras` cameras
+    with the default intrinsics, then `n_lidars` LiDARs."""
+    return io_formats.default_config(n_lidars, m_cameras).sensors
+
+
+def matrix(t) -> np.ndarray:
+    """The 4x4 homogeneous matrix of the rigid transform `t`."""
+    m = np.eye(4)
+    m[:3, :3] = t.rotation
+    m[:3, 3] = t.translation
+    return m
+
+
+def relative(gt, a, b):
+    """The exact a->b transform of the ground truth `gt`."""
+    return geometry.compose(geometry.invert(gt.sensor_poses[b]), gt.sensor_poses[a])
 
 
 def record_acceptance(name, ok, detail=""):
@@ -218,7 +237,7 @@ def pose_errors(result, scene):
     ref = result.problem.reference
     errs = {}
     for s, t in result.poses.items():
-        t_gt = gt.relative(s, ref)
+        t_gt = relative(gt, s, ref)
         delta = geometry.compose(geometry.invert(t_gt), t)
         errs[s] = (
             float(np.linalg.norm(t.translation - t_gt.translation)),

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import detect_observations, pose_errors, record_acceptance
+from conftest import detect_observations, pose_errors, record_acceptance, rig
 from crosscal import cli, geometry, io_formats, optimizer, sim
 from crosscal.optimizer import SensorId
 from crosscal.target import circle_centers_board
@@ -170,6 +170,7 @@ def noisy_runs():
     runs = []
     for k in range(10):
         scene = sim.make_scene(
+            rig(),
             sequences=20,
             seed=100 + k,
             noise=noise,

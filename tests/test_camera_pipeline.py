@@ -4,7 +4,7 @@ center derivation, simulator round-trip."""
 import numpy as np
 import pytest
 
-from conftest import CIRCLE_BEHIND_CAMERA, lm_without_reduction_stop, solve_pnp
+from conftest import CIRCLE_BEHIND_CAMERA, lm_without_reduction_stop, matrix, rig, solve_pnp
 from crosscal import geometry, sim
 from crosscal.camera import (
     CornerObservation,
@@ -232,7 +232,7 @@ def test_detect_batch_matches_sets_detected_alone():
         if isinstance(alone, Exception):
             assert type(det) is type(alone)
             continue
-        assert np.abs(det.pose.matrix() - alone.pose.matrix()).max() < 1e-9
+        assert np.abs(matrix(det.pose) - matrix(alone.pose)).max() < 1e-9
         assert det.corners_used == alone.corners_used == len(corners)
         assert det.reprojection_error == pytest.approx(alone.reprojection_error, rel=1e-9)
         assert np.allclose(det.centers_2d, alone.centers_2d, rtol=0, atol=1e-6)
@@ -302,7 +302,7 @@ def test_intrinsics_scale_invariance():
     k2 = Intrinsics(K.fx * s, K.fy * s, K.cx * s, K.cy * s, int(K.width * s), int(K.height * s))
     scaled = [CornerObservation(c.corner_id, (c.pixel[0] * s, c.pixel[1] * s)) for c in corners]
     pose2 = solve_pnp(scaled, SPEC, k2)
-    assert np.abs(pose1.matrix() - pose2.matrix()).max() < 1e-9
+    assert np.abs(matrix(pose1) - matrix(pose2)).max() < 1e-9
 
 
 def test_partial_occlusion_60_percent():
@@ -343,7 +343,7 @@ def test_detection_reports_error_and_count():
 
 
 def test_simulator_round_trip_noise_free():
-    scene = sim.make_scene(n_lidars=1, m_cameras=1, sequences=3, seed=11)
+    scene = sim.make_scene(rig(1, 1), sequences=3, seed=11)
     gt = sim.ground_truth(scene)
     cam = SensorId("camera", 0)
     for seq in range(3):

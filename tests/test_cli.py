@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import crosscal
-from conftest import CIRCLE_BEHIND_CAMERA
+from conftest import CIRCLE_BEHIND_CAMERA, matrix
 from crosscal import cli, errors, geometry, io_formats, optimizer, sim
 from crosscal.camera import CameraDetection
 from crosscal.errors import SolverNotConverged
@@ -213,7 +213,8 @@ def test_lidar_detection_loads_no_numpy_ma():
     code = (
         "import sys, crosscal.cli as c\n"
         "from crosscal.lidar import LidarParams\n"
-        "s = c.sim.make_scene(2, 0, 1, seed=3, scan=c.sim.ScanPattern(el_res_deg=0.2))\n"
+        "r = c.io_formats.default_config(2, 0).sensors\n"
+        "s = c.sim.make_scene(r, 1, seed=3, scan=c.sim.ScanPattern(el_res_deg=0.2))\n"
         "l = c.SensorId('lidar', 0)\n"
         "cloud = c.sim.render_lidar(s, l, 0)\n"
         "t_init = c.sim.perturbed_board_init(s, l, 0)\n"
@@ -683,7 +684,7 @@ def test_calibrate_report_reference_identity(ws):
     rep = json.loads(ws["report"].read_text())
     assert rep["reference"] == "camera0"
     ref_pose = io_formats.pose_from_json(rep["poses"]["camera0"])
-    assert np.abs(ref_pose.matrix() - np.eye(4)).max() < 1e-12
+    assert np.abs(matrix(ref_pose) - np.eye(4)).max() < 1e-12
     assert rep["consistency"]["mode"] == "solved"
     assert rep["consistency"]["rotation_deviation_deg"] < 1e-9
     assert rep["consistency"]["translation_deviation_m"] < 1e-9
@@ -703,6 +704,72 @@ def test_calibrate_close_to_simulated_ground_truth(ws):
         d = geometry.compose(geometry.invert(truth), est)
         assert np.linalg.norm(d.translation) < 0.02
         assert geometry.rotation_angle(d.rotation) < np.deg2rad(0.5)
+
+
+def _run_pipeline(sensors, tmp_path, caplog):
+    """simulate, detect and calibrate of the default config with the sensor
+    table `sensors` over 8 noise-free stations; -> (detection records, the
+    (translation m, rotation deg) error of each reported pose against the
+    ground truth)."""
+    base = io_formats.default_config()
+    config = tmp_path / "config.json"
+    io_formats.write_config(config, replace(base, sensors=sensors, sim={**base.sim, "sequences": 8}))
+    data, det, report = tmp_path / "data", tmp_path / "d.json", tmp_path / "r.json"
+    args = ["--config", str(config)]
+    with caplog.at_level(logging.WARNING, logger="crosscal"):
+        assert cli.main(["simulate", *args, "--out", str(data)]) == 0
+        assert cli.main(["detect", *args, "--data", str(data), "--out", str(det)]) == 0
+        assert cli.main(["calibrate", *args, "--detections", str(det), "--out", str(report)]) == 0
+    gt = json.loads((data / "ground_truth.json").read_text())
+    ref_w = io_formats.pose_from_json(gt["sensors"]["camera0"])
+    pose_errors = {}
+    for name, doc in json.loads(report.read_text())["poses"].items():
+        truth = geometry.compose(
+            geometry.invert(ref_w), io_formats.pose_from_json(gt["sensors"][name])
+        )
+        d = geometry.compose(geometry.invert(truth), io_formats.pose_from_json(doc))
+        pose_errors[name] = (
+            np.linalg.norm(d.translation), np.rad2deg(geometry.rotation_angle(d.rotation))
+        )
+    return io_formats.read_detections(det), pose_errors
+
+
+def test_config_listing_camera1_before_camera0_recovers_every_pose(tmp_path, caplog):
+    """Each camera is simulated with its own intrinsics, whatever the order of
+    the config's sensor list: camera1 (fx 900) listed before camera0 (fx 700)
+    calibrates within default_rig's bounds, 8 mm and 0.1 deg."""
+    k700 = sim.default_intrinsics()
+    k900 = replace(k700, fx=900.0, fy=900.0)
+    sensors = {
+        SensorId("camera", 1): k900,
+        SensorId("camera", 0): k700,
+        SensorId("lidar", 0): None,
+        SensorId("lidar", 1): None,
+    }
+    records, pose_errors = _run_pipeline(sensors, tmp_path, caplog)
+    assert sorted(pose_errors) == ["camera0", "camera1", "lidar0", "lidar1"]
+    for name, (trans, rot) in pose_errors.items():
+        assert trans < 0.008 and rot < 0.1, (name, trans, rot)
+    assert "detection failed" not in caplog.text
+
+
+def test_config_of_camera0_and_camera2_simulates_camera2(tmp_path, caplog):
+    """A rig whose camera indices skip 1 gets corner files for camera0 and
+    camera2, each detected under its own id."""
+    k = sim.default_intrinsics()
+    sensors = {
+        SensorId("camera", 0): k,
+        SensorId("camera", 2): k,
+        SensorId("lidar", 0): None,
+        SensorId("lidar", 1): None,
+    }
+    records, pose_errors = _run_pipeline(sensors, tmp_path, caplog)
+    cameras = {str(r.sensor) for r in records if r.sensor.kind == "camera"}
+    assert cameras == {"camera0", "camera2"}
+    assert "not in the config" not in caplog.text
+    assert sorted(pose_errors) == ["camera0", "camera2", "lidar0", "lidar1"]
+    for name, (trans, rot) in pose_errors.items():
+        assert trans < 0.008 and rot < 0.1, (name, trans, rot)
 
 
 def test_calibrate_repeat_byte_identical(ws, tmp_path):
@@ -749,7 +816,7 @@ def test_calibrate_reference_flag_moves_gauge_only(ws, tmp_path):
             t1 = geometry.compose(geometry.invert(p1[b]), p1[a])
             t2 = geometry.compose(geometry.invert(p2[b]), p2[a])
             # on real detections the optimum shifts by the solver tolerance
-            assert np.abs(t1.matrix() - t2.matrix()).max() < 1e-6
+            assert np.abs(matrix(t1) - matrix(t2)).max() < 1e-6
 
 
 def test_calibrate_reference_display_name_follows_the_report_not_the_config(ws, tmp_path):
@@ -757,7 +824,7 @@ def test_calibrate_reference_display_name_follows_the_report_not_the_config(ws, 
     names the sensor that the report calls S<n>."""
     cfg = io_formats.read_config(ws["config"])
     cfg_path = tmp_path / "reversed.json"
-    io_formats.write_config(cfg_path, replace(cfg, sensors=tuple(reversed(cfg.sensors))))
+    io_formats.write_config(cfg_path, replace(cfg, sensors=dict(reversed(cfg.sensors.items()))))
     for k in range(1, len(cfg.sensors) + 1):
         out = tmp_path / f"report_s{k}.json"
         argv = ["calibrate", "--config", str(cfg_path), "--detections", str(ws["det"])]
@@ -901,7 +968,7 @@ def test_value_error_inside_simulation_exit_1(ws, tmp_path, monkeypatch, caplog)
     """Only the reading of the config maps a ValueError to exit 2; one raised
     by a bug inside the simulator is an unexpected failure."""
 
-    def broken(**kwargs):
+    def broken(*args, **kwargs):
         raise ValueError("bug")
 
     monkeypatch.setattr(cli.sim, "make_scene", broken)
@@ -917,7 +984,7 @@ def test_calibrate_detections_of_a_camera_not_in_the_config_exit_2(ws, tmp_path,
     assert len(cams) > 1 and cfg.reference != cams[-1]
     cfg_path = tmp_path / "config.json"
     io_formats.write_config(
-        cfg_path, replace(cfg, sensors=tuple(s for s in cfg.sensors if s.sensor != cams[-1]))
+        cfg_path, replace(cfg, sensors={s: k for s, k in cfg.sensors.items() if s != cams[-1]})
     )
     report = tmp_path / "r.json"
     argv = ["calibrate", "--config", str(cfg_path), "--detections", str(ws["det"]), "--out", str(report)]

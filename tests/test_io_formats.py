@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import matrix, rig
 from crosscal import geometry, io_formats
 from crosscal.camera import CameraDetection
 from crosscal.errors import (
@@ -205,7 +206,7 @@ def test_pose_json_round_trip():
 
         t = random_rigid(rng)
         back = io_formats.pose_from_json(io_formats.pose_to_json(t))
-        assert np.abs(back.matrix() - t.matrix()).max() < 1e-9
+        assert np.abs(matrix(back) - matrix(t)).max() < 1e-9
 
 
 def test_detections_round_trip_byte_equal(tmp_path):
@@ -338,32 +339,25 @@ def test_config_sim_integers_as_json_schema_has_them():
 
 
 def test_config_duplicate_sensor_ids():
-    s = io_formats.SensorConfig(SensorId("lidar", 0))
-    with pytest.raises(ParseError, match="duplicate sensor ids"):
-        io_formats.ConfigFile(
-            (s, s),
-            io_formats.TargetSpec(),
-            io_formats.LidarParams(),
-            io_formats.SolveParams(),
-            SensorId("lidar", 0),
-            dict(io_formats.DEFAULT_SIM),
-        )
+    # the decoder builds the sensor table, so it is the one to see a repeat
+    doc = io_formats.config_to_json(io_formats.default_config(n_lidars=2, m_cameras=0))
+    doc["sensors"].append(dict(doc["sensors"][0]))
+    with pytest.raises(ParseError, match="duplicate sensor ids in config: lidar0"):
+        io_formats.config_from_json(doc)
 
 
 def test_config_intrinsics_iff_camera():
-    lidar = io_formats.SensorConfig(SensorId("lidar", 1))  # a valid second sensor
-    cam_no_intr = io_formats.SensorConfig(SensorId("camera", 0))
-    lidar_with_intr = io_formats.SensorConfig(
-        SensorId("lidar", 0), Intrinsics(700.0, 700.0, 639.5, 359.5, 1280, 720)
-    )
+    lidar = {SensorId("lidar", 1): None}  # a valid second sensor
+    cam_no_intr = {SensorId("camera", 0): None}
+    lidar_with_intr = {SensorId("lidar", 0): Intrinsics(700.0, 700.0, 639.5, 359.5, 1280, 720)}
     for bad in (cam_no_intr, lidar_with_intr):
         with pytest.raises(ParseError, match="intrinsics must be present iff camera"):
             io_formats.ConfigFile(
-                (bad, lidar),
+                {**bad, **lidar},
                 io_formats.TargetSpec(),
                 io_formats.LidarParams(),
                 io_formats.SolveParams(),
-                bad.sensor,
+                next(iter(bad)),
                 dict(io_formats.DEFAULT_SIM),
             )
 
@@ -426,7 +420,7 @@ def test_report_round_trip(tmp_path):
     from conftest import oracle_observations
     from crosscal import optimizer, sim
 
-    scene = sim.make_scene(n_lidars=1, m_cameras=1, sequences=4, seed=3)
+    scene = sim.make_scene(rig(1, 1), sequences=4, seed=3)
     problem = optimizer.build_problem(
         oracle_observations(scene), SensorId("camera", 0), scene.intrinsics
     )

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import matrix, rig
 from crosscal import cli, geometry, io_formats, lidar, sim
 from crosscal.errors import (
     DegenerateInput,
@@ -324,7 +325,7 @@ def test_window_single_dense_block():
     occ = np.zeros((60, 60), dtype=bool)
     occ[17:37, 23:43] = True
     g = OccupancyGrid(occ, np.zeros(2), 20.0)  # board 1 m -> 20 cells
-    assert find_target_region(g, 1.0) == (17, 23)
+    assert find_target_region(g, SPEC) == (17, 23)
 
 
 def test_window_picks_denser_block():
@@ -337,7 +338,7 @@ def test_window_picks_denser_block():
     occ[5:15, 5:15] = a
     occ[40:50, 40:50] = b
     g = OccupancyGrid(occ, np.zeros(2), 10.0)
-    assert find_target_region(g, 1.0) == (40, 40)
+    assert find_target_region(g, SPEC) == (40, 40)
 
 
 def test_window_matches_exhaustive_scan():
@@ -352,22 +353,22 @@ def test_window_matches_exhaustive_scan():
                 c = int(occ[i : i + s, j : j + s].sum())
                 if c > best[0]:
                     best = (c, (i, j))
-        assert find_target_region(g, 1.0) == best[1]
+        assert find_target_region(g, SPEC) == best[1]
 
 
 def test_window_grid_too_small():
     g = OccupancyGrid(np.zeros((5, 5), dtype=bool), np.zeros(2), 200.0)
     with pytest.raises(GridTooSmall):
-        find_target_region(g, 1.0)
+        find_target_region(g, SPEC)
 
 
 def test_window_pads_a_grid_up_to_twenty_cells_short_evenly():
     rng = np.random.default_rng(16)
     for nx, ny, want in ((180, 200, (-10, 0)), (197, 200, (-1, 0)), (200, 199, (0, 0))):
         occ = rng.random((nx, ny)) < 0.5
-        assert find_target_region(OccupancyGrid(occ, np.zeros(2), 200.0), 1.0) == want
+        assert find_target_region(OccupancyGrid(occ, np.zeros(2), 200.0), SPEC) == want
     with pytest.raises(GridTooSmall, match="179x200"):
-        find_target_region(OccupancyGrid(np.ones((179, 200), dtype=bool), np.zeros(2), 200.0), 1.0)
+        find_target_region(OccupancyGrid(np.ones((179, 200), dtype=bool), np.zeros(2), 200.0), SPEC)
 
 
 def test_board_on_a_199_by_203_grid_finds_its_holes():
@@ -383,7 +384,7 @@ def test_board_on_a_199_by_203_grid_finds_its_holes():
         occ &= np.hypot(centers[..., 0] - ox, centers[..., 1] - oy) >= SPEC.circle_radius
     g = OccupancyGrid(occ, origin, 200.0)
     assert g.occupied.shape == (199, 203)
-    window = find_target_region(g, SPEC.board_width)
+    window = find_target_region(g, SPEC)
     for c, (ox, oy) in zip(refine_circles(g, window, SPEC), SPEC.circle_offsets):
         assert np.abs(np.asarray(c) - [ox, oy]).max() <= g.cell + 1e-12
 
@@ -393,7 +394,7 @@ def test_board_on_a_199_by_203_grid_finds_its_holes():
 def _mask_grid(spec, res=200):
     pts = generate_mask_cloud(spec, 0.002)
     g = build_occupancy(pts, res)
-    window = find_target_region(g, spec.board_width)
+    window = find_target_region(g, spec)
     return g, window
 
 
@@ -610,8 +611,7 @@ def test_hull_is_strictly_convex_counter_clockwise_and_holds_every_point():
 
 def _lidar_scene(noise=None, sequences=2, seed=7, scan=FINE_SCAN, board_range=(5.5, 6.8)):
     return sim.make_scene(
-        n_lidars=2,
-        m_cameras=0,
+        rig(2, 0),
         sequences=sequences,
         noise=noise,
         seed=seed,
@@ -657,7 +657,7 @@ def test_detect_deterministic():
     det1 = detect_target_lidar(cloud, scene.spec, t_init, P)
     det2 = detect_target_lidar(cloud, scene.spec, t_init, P)
     assert np.array_equal(det1.centers, det2.centers)
-    assert np.array_equal(det1.pose.matrix(), det2.pose.matrix())
+    assert np.array_equal(matrix(det1.pose), matrix(det2.pose))
     assert det1.fitness == det2.fitness
 
 
@@ -703,6 +703,25 @@ def test_detect_upright_board_meets_zero_noise_bounds():
             local = geometry.invert(t_bs).apply(det.centers)
             assert np.abs(local[:, 2]).max() <= 1e-5
             in_plane = np.linalg.norm(local[:, :2] - circle_centers_board(scene.spec)[:, :2], axis=1)
+            assert in_plane.max() <= 2 / P.grid_res
+
+
+def test_detect_non_square_board_meets_the_in_plane_bound():
+    """A 1.0 x 0.8 m board: the window spans the board's width along the
+    grid's x and its height along y, so every noise-free station is
+    detected, each center within 2 grid cells of the truth in the plane."""
+    spec = TargetSpec(
+        board_height=0.8, circle_offsets=((-0.38, 0.28), (0.38, 0.28), (0.38, -0.28), (-0.38, -0.28))
+    )
+    scene = sim.make_scene(rig(2, 0), sequences=4, spec=spec, seed=7, scan=FINE_SCAN)
+    gt = sim.ground_truth(scene)
+    for seq in range(len(scene.board_poses)):
+        for s in scene.sensor_ids:
+            det = detect_target_lidar(
+                sim.render_lidar(scene, s, seq), spec, sim.perturbed_board_init(scene, s, seq), P
+            )
+            local = geometry.invert(gt.board_in_sensor(s, seq)).apply(det.centers)
+            in_plane = np.linalg.norm(local[:, :2] - circle_centers_board(spec)[:, :2], axis=1)
             assert in_plane.max() <= 2 / P.grid_res
 
 

@@ -1,6 +1,7 @@
 """The library keeps no helper that only tests call: every module-level
-private name in `src/crosscal` is used by the library itself, and every
-public function or class by the library or by the benchmark in `bench/`."""
+private name in `src/crosscal` is used by the library itself, every public
+function or class by the library or by the benchmark in `bench/`, and every
+method, property or class-body field by one of them."""
 
 import ast
 import re
@@ -80,3 +81,33 @@ def test_every_public_function_and_class_is_used_by_the_library_or_the_bench():
     assert public
     unused = _unused(public, uses, _bench_names())
     assert not unused, f"public functions and classes that only tests use: {unused}"
+
+
+def _members() -> list:
+    """(module, class, name) of each method, property and class-body field
+    that the classes of `src/crosscal` define, dunder methods apart."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [stmt.name]
+                else:
+                    names = _defined_names(stmt) if isinstance(stmt, (ast.Assign, ast.AnnAssign)) else []
+                out += [(path.name, cls.name, n) for n in names if not n.startswith("__")]
+    return out
+
+
+def test_every_method_property_and_field_is_read_by_the_library_or_the_bench():
+    members = _members()
+    assert members
+    read = _bench_names() | {
+        n.attr
+        for path in SRC.glob("*.py")
+        for n in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(n, ast.Attribute)
+    }
+    unread = [f"{module}: {cls}.{name}" for module, cls, name in members if name not in read]
+    assert not unread, f"members that only tests read: {unread}"

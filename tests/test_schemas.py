@@ -8,7 +8,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from conftest import oracle_observations
+from conftest import oracle_observations, rig
 from crosscal import io_formats, optimizer, sim
 from crosscal.geometry import Intrinsics
 from crosscal.lidar import LidarParams
@@ -51,7 +51,7 @@ def test_config_schema_sections_list_their_dataclass_fields(section, cls):
 
 
 def test_detections_and_report_schemas(tmp_path):
-    scene = sim.make_scene(n_lidars=1, m_cameras=1, sequences=4, seed=3)
+    scene = sim.make_scene(rig(1, 1), sequences=4, seed=3)
     obs = oracle_observations(scene)
     records = [
         io_formats.DetectionRecord(seq.sequence, s, det)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import solve_pnp
+from conftest import matrix, relative, rig, solve_pnp
 from crosscal import geometry, sim
 from crosscal.errors import InfeasibleLayout
 from crosscal.geometry import RigidTransform
@@ -22,7 +22,7 @@ COARSE = sim.ScanPattern(az_res_deg=3.0, el_res_deg=3.0)
 # --- scene construction -----------------------------------------------------
 
 def test_default_scene_shape():
-    scene = sim.make_scene()
+    scene = sim.make_scene(rig())
     assert len(scene.sensors) == 5
     assert len(scene.board_poses) == 20
     assert set(scene.intrinsics) == {SensorId("camera", j) for j in range(3)}
@@ -31,14 +31,14 @@ def test_default_scene_shape():
 
 
 def test_minimal_scene_and_infeasible_layouts():
-    scene = sim.make_scene(n_lidars=1, m_cameras=1, sequences=2, seed=1)
+    scene = sim.make_scene(rig(1, 1), sequences=2, seed=1)
     assert len(scene.sensors) == 2
     with pytest.raises(InfeasibleLayout):
-        sim.make_scene(n_lidars=1, m_cameras=0, sequences=1)
+        sim.make_scene({L0: None}, sequences=1)
 
 
 def test_every_board_meets_visibility_contract():
-    scene = sim.make_scene(sequences=8, seed=2)
+    scene = sim.make_scene(rig(), sequences=8, seed=2)
     for seq in range(8):
         seen = [s for s in scene.sensor_ids if sim.sensor_sees_board(scene, s, seq)]
         lidars = [s for s in seen if s.kind == "lidar"]
@@ -51,8 +51,8 @@ def test_every_board_meets_visibility_contract():
 
 def test_renders_bit_identical_across_scene_rebuilds():
     noise = sim.NoiseModel(lidar_sigma=0.005, pixel_sigma=0.5, dropout=0.1)
-    a = sim.make_scene(sequences=2, seed=3, noise=noise)
-    b = sim.make_scene(sequences=2, seed=3, noise=noise)
+    a = sim.make_scene(rig(), sequences=2, seed=3, noise=noise)
+    b = sim.make_scene(rig(), sequences=2, seed=3, noise=noise)
     for seq in range(2):
         for i in range(2):
             ca = sim.render_lidar(a, SensorId("lidar", i), seq)
@@ -65,7 +65,7 @@ def test_renders_bit_identical_across_scene_rebuilds():
 
 
 def test_render_order_independent():
-    scene = sim.make_scene(sequences=3, seed=4, noise=sim.NoiseModel(lidar_sigma=0.01))
+    scene = sim.make_scene(rig(), sequences=3, seed=4, noise=sim.NoiseModel(lidar_sigma=0.01))
     first = sim.render_lidar(scene, L0, 2)
     sim.render_lidar(scene, SensorId("lidar", 1), 0)  # interleave other renders
     sim.render_lidar(scene, L0, 0)
@@ -76,7 +76,7 @@ def test_render_order_independent():
 
 def _split_board_ground(scene, sensor, seq, cloud):
     """Classify world-frame points by distance to board plane vs ground."""
-    world = scene.pose_of(sensor).apply(cloud)
+    world = scene.sensors[sensor].apply(cloud)
     t_bw = scene.board_poses[seq]
     n = t_bw.rotation[:, 2]
     d_board = np.abs((world - t_bw.translation) @ n)
@@ -85,7 +85,7 @@ def _split_board_ground(scene, sensor, seq, cloud):
 
 
 def test_noise_free_points_lie_on_board_or_ground():
-    scene = sim.make_scene(sequences=2, seed=5, scan=COARSE)
+    scene = sim.make_scene(rig(), sequences=2, seed=5, scan=COARSE)
     for seq in range(2):
         cloud = sim.render_lidar(scene, L0, seq)
         assert len(cloud) > 100
@@ -94,7 +94,7 @@ def test_noise_free_points_lie_on_board_or_ground():
 
 
 def test_board_points_avoid_holes_and_stay_inside():
-    scene = sim.make_scene(sequences=2, seed=6, scan=sim.ScanPattern(el_res_deg=0.3))
+    scene = sim.make_scene(rig(), sequences=2, seed=6, scan=sim.ScanPattern(el_res_deg=0.3))
     spec = scene.spec
     for seq in range(2):
         cloud = sim.render_lidar(scene, L0, seq)
@@ -112,7 +112,7 @@ def test_board_points_avoid_holes_and_stay_inside():
 def _oracle_cloud(scene, sensor, seq):
     """Independent per-ray re-implementation of the render geometry."""
     scan = scene.scan
-    t_sw = scene.pose_of(sensor)
+    t_sw = scene.sensors[sensor]
     t_bw = scene.board_poses[seq]
     spec = scene.spec
     origin = t_sw.translation
@@ -144,7 +144,7 @@ def _oracle_cloud(scene, sensor, seq):
 
 
 def test_render_matches_independent_ray_oracle():
-    scene = sim.make_scene(sequences=1, seed=7, scan=COARSE)
+    scene = sim.make_scene(rig(), sequences=1, seed=7, scan=COARSE)
     cloud = sim.render_lidar(scene, L0, 0)
     oracle = _oracle_cloud(scene, L0, 0)
     assert cloud.shape == oracle.shape
@@ -152,7 +152,7 @@ def test_render_matches_independent_ray_oracle():
 
 
 def test_lidar_noise_is_along_the_ray():
-    quiet = sim.make_scene(sequences=1, seed=8, scan=COARSE)
+    quiet = sim.make_scene(rig(), sequences=1, seed=8, scan=COARSE)
     noisy = replace(quiet, noise=sim.NoiseModel(lidar_sigma=0.01))
     c0 = sim.render_lidar(quiet, L0, 0)
     c1 = sim.render_lidar(noisy, L0, 0)
@@ -172,7 +172,7 @@ def _render_lidar_per_call(scene, sensor, sequence):
     on the board and the ground, as it was before the grid was held on the
     scene and the rays were culled: the reference for both."""
     scan = scene.scan
-    t_sw = scene.pose_of(sensor)
+    t_sw = scene.sensors[sensor]
     t_bw = scene.board_poses[sequence]
     az = np.deg2rad(np.arange(0.0, 360.0, scan.az_res_deg))
     el = np.deg2rad(np.arange(scan.el_min_deg, scan.el_max_deg + 1e-9, scan.el_res_deg))
@@ -216,7 +216,7 @@ SPARSE_SCAN = sim.ScanPattern(az_res_deg=30.0, el_res_deg=30.0)  # 24 rays
 
 
 def _rig(scan, sigma):
-    scene = sim.make_scene(sequences=2, seed=5, scan=scan, noise=sim.NoiseModel(lidar_sigma=sigma))
+    scene = sim.make_scene(rig(), sequences=2, seed=5, scan=scan, noise=sim.NoiseModel(lidar_sigma=sigma))
     return scene, None
 
 
@@ -224,7 +224,7 @@ def _one_board(board_pos, board_rot, sensor_rot=np.eye(3), scan=CONFIG_SCAN, hit
     """One LiDAR at (0, 0, 0.5) and one board; `hit` checks the board's
     points in the sensor frame, to show that the scene is the case named."""
     scene = sim.Scene(
-        ((L0, RigidTransform(sensor_rot, [0.0, 0.0, 0.5])),),
+        {L0: RigidTransform(sensor_rot, [0.0, 0.0, 0.5])},
         {},
         (RigidTransform(board_rot, board_pos),),
         TargetSpec(),
@@ -310,7 +310,7 @@ def test_one_cast_renders_every_station_as_render_lidar_does(sigma):
     order, gives each station's cloud to the bit, as a fresh cast per
     station (`render_lidar`) and the per-call reference do; renders leave
     the cast's arrays as they were."""
-    scene = sim.make_scene(sequences=4, seed=6, noise=sim.NoiseModel(lidar_sigma=sigma))
+    scene = sim.make_scene(rig(), sequences=4, seed=6, noise=sim.NoiseModel(lidar_sigma=sigma))
     for sensor in (s for s in scene.sensor_ids if s.kind == "lidar"):
         cast = sim.LidarCast(scene, sensor)
         kept = [a.copy() for a in (cast._rays, cast._ranges, cast._dirs, cast.dirs_w)]
@@ -323,7 +323,7 @@ def test_one_cast_renders_every_station_as_render_lidar_does(sigma):
 
 
 def test_ray_grid_is_read_only_and_per_scan():
-    scene = sim.make_scene(sequences=1, seed=5, scan=CONFIG_SCAN)
+    scene = sim.make_scene(rig(), sequences=1, seed=5, scan=CONFIG_SCAN)
     dirs = scene.ray_dirs
     assert dirs.shape == (1800 * 151, 3) and scene.ray_dirs is dirs
     assert not dirs.flags.writeable
@@ -338,7 +338,7 @@ def test_ray_grid_is_read_only_and_per_scan():
 # --- camera rendering -------------------------------------------------------
 
 def test_camera_render_full_corner_set_and_pnp_round_trip():
-    scene = sim.make_scene(sequences=3, seed=9)
+    scene = sim.make_scene(rig(), sequences=3, seed=9)
     gt = sim.ground_truth(scene)
     checked = 0
     for seq in range(3):
@@ -361,7 +361,7 @@ def test_board_behind_camera_renders_nothing():
     pose = RigidTransform(sim._CAMERA_AXES, np.array([0.0, 0.0, 1.2]))
     board = RigidTransform(sim._BOARD_BASE, np.array([-5.0, 0.0, 1.2]))
     scene = sim.Scene(
-        ((CAM0, pose),),
+        {CAM0: pose},
         {CAM0: sim.default_intrinsics()},
         (board,),
         TargetSpec(),
@@ -372,7 +372,7 @@ def test_board_behind_camera_renders_nothing():
 
 
 def test_dropout_statistic():
-    base = sim.make_scene(sequences=10, seed=10)
+    base = sim.make_scene(rig(), sequences=10, seed=10)
     dropped = replace(base, noise=sim.NoiseModel(dropout=0.3))
     total = kept = 0
     for seq in range(10):
@@ -386,7 +386,7 @@ def test_dropout_statistic():
 
 
 def test_wrong_sensor_kind_rejected():
-    scene = sim.make_scene(sequences=1, seed=11)
+    scene = sim.make_scene(rig(), sequences=1, seed=11)
     with pytest.raises(ValueError):
         sim.render_lidar(scene, CAM0, 0)
     with pytest.raises(ValueError):
@@ -396,43 +396,43 @@ def test_wrong_sensor_kind_rejected():
 # --- ground truth algebra ---------------------------------------------------
 
 def test_ground_truth_relative_inverse_and_loop():
-    scene = sim.make_scene(sequences=2, seed=12)
+    scene = sim.make_scene(rig(), sequences=2, seed=12)
     gt = sim.ground_truth(scene)
     ids = scene.sensor_ids
     for a in ids:
         for b in ids:
-            m = geometry.compose(gt.relative(a, b), gt.relative(b, a)).matrix()
+            m = matrix(geometry.compose(relative(gt, a, b), relative(gt, b, a)))
             assert np.abs(m - np.eye(4)).max() < 1e-12
     loop = RigidTransform.identity()
     for a, b in zip(ids, ids[1:] + [ids[0]]):
-        loop = geometry.compose(gt.relative(a, b), loop)
+        loop = geometry.compose(relative(gt, a, b), loop)
     # chain of relatives around a loop telescopes only pairwise; verify the
     # composed chain equals the direct first-to-first relative (identity)
     chain = RigidTransform.identity()
     for a, b in zip(ids, ids[1:]):
-        chain = geometry.compose(chain, gt.relative(b, a))
-    chain = geometry.compose(chain, gt.relative(ids[0], ids[-1]))
-    assert np.abs(chain.matrix() - np.eye(4)).max() < 1e-12
+        chain = geometry.compose(chain, relative(gt, b, a))
+    chain = geometry.compose(chain, relative(gt, ids[0], ids[-1]))
+    assert np.abs(matrix(chain) - np.eye(4)).max() < 1e-12
 
 
 def test_centers_in_sensor_oracle():
-    scene = sim.make_scene(sequences=2, seed=13)
+    scene = sim.make_scene(rig(), sequences=2, seed=13)
     gt = sim.ground_truth(scene)
     for seq in range(2):
         for s in scene.sensor_ids:
             world = scene.board_poses[seq].apply(circle_centers_board(scene.spec))
-            expect = geometry.invert(scene.pose_of(s)).apply(world)
+            expect = geometry.invert(scene.sensors[s]).apply(world)
             assert np.abs(gt.centers_in_sensor(s, seq) - expect).max() < 1e-12
             bp = gt.board_in_sensor(s, seq)
             assert np.abs(bp.apply(circle_centers_board(scene.spec)) - expect).max() < 1e-9
 
 
 def test_perturbed_board_init_is_rough_but_deterministic():
-    scene = sim.make_scene(sequences=2, seed=14)
+    scene = sim.make_scene(rig(), sequences=2, seed=14)
     gt = sim.ground_truth(scene)
     t1 = sim.perturbed_board_init(scene, L0, 0)
     t2 = sim.perturbed_board_init(scene, L0, 0)
-    assert np.array_equal(t1.matrix(), t2.matrix())
+    assert np.array_equal(matrix(t1), matrix(t2))
     truth = gt.board_in_sensor(L0, 0)
     d = geometry.compose(geometry.invert(truth), t1)
     dt = np.linalg.norm(t1.translation - truth.translation)

@@ -1,12 +1,15 @@
 """Board pose from 2D checker-corner detections (PnP) and circle-center lift.
 
 Corner identity is taken from the upstream detection files; nothing here
-touches pixels beyond the (id, u, v) observations. All corner sets of a run
-are solved together: each set's pose is initialized by a normalized-DLT
+touches pixels beyond the (id, u, v) observations: a camera's corner set is
+an (ids, uv) pair of arrays, (n,) ints and (n, 2) pixels. All corner sets of
+a run are solved together: each set's pose is initialized by a normalized-DLT
 homography decomposition, both planar-ambiguity candidates of every set are
 refined in one batched Levenberg-Marquardt call, and per set the
 lower-reprojection candidate wins. Sets are padded to the largest corner
-count; padded corners carry zero residual and zero Jacobian rows.
+count; padded corners carry zero residual and zero Jacobian rows. The
+detections are built from the batch too: one reprojection pass over the
+solved sets, and their circle centers from one stacked product.
 """
 
 from __future__ import annotations
@@ -17,16 +20,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from .errors import BehindCamera, DegenerateConfiguration, InsufficientCorners, NonPositiveDepth
-from .geometry import Intrinsics, RigidTransform
+from .errors import BehindCamera, DegenerateConfiguration, InsufficientCorners
+from .geometry import RigidTransform
 from .lm import levenberg_marquardt
 from .target import TargetSpec, checker_corners_board, circle_centers_board
-
-
-@dataclass(frozen=True)
-class CornerObservation:
-    corner_id: int
-    pixel: tuple  # (u, v)
 
 
 @dataclass(frozen=True)
@@ -54,16 +51,14 @@ class _CornerSets(NamedTuple):
 
 def _corner_sets(corner_sets, spec: TargetSpec, intrinsics) -> _CornerSets:
     """Board points and pixels of the corners whose ids the board has."""
-    lut = dict(checker_corners_board(spec))
-    known = [[c for c in cs if c.corner_id in lut] for cs in corner_sets]
-    n = max(map(len, known), default=0)
+    board = np.array([p for _, p in checker_corners_board(spec)])  # id order
+    known = [(ids >= 0) & (ids < len(board)) for ids, _ in corner_sets]
+    n = max((k.sum() for k in known), default=0)
     obj, uv = np.zeros((len(known), n, 3)), np.zeros((len(known), n, 2))
     used = np.zeros((len(known), n), dtype=bool)
-    for s, cs in enumerate(known):
-        if cs:
-            obj[s, : len(cs)] = [lut[c.corner_id] for c in cs]
-            uv[s, : len(cs)] = [c.pixel for c in cs]
-            used[s, : len(cs)] = True
+    for s, ((ids, pixels), keep) in enumerate(zip(corner_sets, known)):
+        m = keep.sum()
+        obj[s, :m], uv[s, :m], used[s, :m] = board[ids[keep]], pixels[keep], True
     k = np.array([[k.fx, k.fy, k.cx, k.cy] for k in intrinsics], dtype=float).reshape(-1, 4)
     return _CornerSets(obj, uv, used, k)
 
@@ -78,13 +73,8 @@ def _camera_points(poses, c: _CornerSets):
 def _reprojection(poses, c: _CornerSets):
     """(P, N, 2) pixel residuals, 0 on padding, and (P,) whether any corner
     is at or behind the camera (depth <= MIN_DEPTH)."""
-    pts = _camera_points(poses, c)
-    fx, fy, cx, cy = c.k.T[..., None]
-    bad = pts[..., 2] <= geometry.MIN_DEPTH
-    z = np.where(bad, 1.0, pts[..., 2])
-    r = np.stack([fx * pts[..., 0] / z + cx, fy * pts[..., 1] / z + cy], axis=-1) - c.uv
-    r[~c.used] = 0.0
-    return r, bad.any(axis=1)
+    uv, behind = geometry.project(_camera_points(poses, c), *c.k.T[..., None])
+    return np.where(c.used[..., None], uv - c.uv, 0.0), behind.any(axis=1)
 
 
 def pnp_jacobian(pts, fx, fy):
@@ -226,41 +216,32 @@ def _solve(c: _CornerSets):
     facing = cand[:, 2, 2] < 0  # board front toward the camera: ties go to it
     mirror = (cost[p:] < cost[:p]) | ((cost[p:] == cost[:p]) & facing[p:] & ~facing[:p])
     poses[sets] = np.where(mirror[:, None, None], cand[p:], cand[:p])
-    behind = _reprojection(poses[sets], sub)[1]
+    # LM rejects every trial that puts a corner at or behind the camera, so
+    # a set with a live candidate ends with all its corners in front
     for k, s in enumerate(sets):
         if np.isinf(cost[k]) and np.isinf(cost[k + p]):
             errors[s] = BehindCamera("no pose candidate with all-positive corner depth")
-        elif behind[k]:
-            errors[s] = BehindCamera("refined pose leaves corners behind the camera")
     return poses, errors
-
-
-def derive_circle_centers(t_board_cam: RigidTransform, spec: TargetSpec, k: Intrinsics):
-    """(4,3) camera-frame circle centers and their (4,2) projections."""
-    pts3 = t_board_cam.apply(circle_centers_board(spec))
-    pts2 = geometry.project_many(k, pts3)
-    return pts3, pts2
 
 
 def detect_target_camera(corner_sets, spec: TargetSpec, intrinsics) -> list:
     """Detections of all corner sets of a run, one PnP batch: for each set
-    (a list of CornerObservation, seen by the camera with the matching entry
-    of `intrinsics`) its CameraDetection, or the InsufficientCorners,
+    (an (ids, uv) pair, seen by the camera with the matching entry of
+    `intrinsics`) its CameraDetection, or the InsufficientCorners,
     DegenerateConfiguration or BehindCamera error that stopped it."""
     c = _corner_sets(corner_sets, spec, intrinsics)
     poses, errors = _solve(c)
-    ok = np.array([e is None for e in errors], dtype=bool)
-    err = np.zeros(len(errors))
-    if ok.any():
-        r = np.linalg.norm(_reprojection(poses[ok], c.take(ok))[0], axis=2)
-        err[ok] = r.sum(axis=1) / c.used[ok].sum(axis=1)  # padded residuals are 0
     out = list(errors)
-    for s in np.flatnonzero(ok):
-        pose = RigidTransform(poses[s, :3, :3], poses[s, :3, 3])
-        try:
-            pts3, pts2 = derive_circle_centers(pose, spec, intrinsics[s])
-        except NonPositiveDepth:
+    ok = np.flatnonzero([e is None for e in errors])
+    sub, solved = c.take(ok), poses[ok]
+    r = np.linalg.norm(_reprojection(solved, sub)[0], axis=2)
+    err = r.sum(axis=1) / sub.used.sum(axis=1)  # padded residuals are 0
+    pts3 = circle_centers_board(spec) @ solved[:, :3, :3].transpose(0, 2, 1) + solved[:, None, :3, 3]
+    pts2, behind = geometry.project(pts3, *sub.k.T[..., None])
+    for k, s in enumerate(ok):
+        if behind[k].any():
             out[s] = BehindCamera("a circle center lies at or behind the camera")
             continue
-        out[s] = CameraDetection(pose, pts3, pts2, float(err[s]), int(c.used[s].sum()))
+        pose = RigidTransform(solved[k, :3, :3], solved[k, :3, 3])
+        out[s] = CameraDetection(pose, pts3[k], pts2[k], float(err[k]), int(sub.used[k].sum()))
     return out

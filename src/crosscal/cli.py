@@ -118,12 +118,10 @@ def cmd_simulate(args) -> int:
             for sensor in cameras:
                 if not sim.sensor_sees_board(scene, sensor, seq):
                     continue
-                corners = sim.render_camera(scene, sensor, seq)
+                ids, uv = sim.render_camera(scene, sensor, seq)
                 doc = {
                     "sensor": io_formats.sensor_to_json(sensor),
-                    "corners": [
-                        {"id": c.corner_id, "uv": [c.pixel[0], c.pixel[1]]} for c in corners
-                    ],
+                    "corners": [{"id": int(i), "uv": p.tolist()} for i, p in zip(ids, uv)],
                 }
                 path = out / f"seq_{seq:03d}" / f"corners_{sensor}.json"
                 io_formats.atomic_write(path, io_formats.canonical_json(doc))

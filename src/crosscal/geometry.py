@@ -1,5 +1,9 @@
 """SE(3)/SO(3) arithmetic, Euler conversions and the pinhole projection.
 
+`project` is the camera model: the one pinhole formula and the one
+behind-camera test (depth <= MIN_DEPTH) that simulation, PnP, detection and
+the global solve share.
+
 A `RigidTransform` holds an explicit rotation matrix plus translation
 vector. The batched solvers use other forms: PnP works on (P, 4, 4)
 homogeneous matrices, and the global solve on stacked rotation and
@@ -78,13 +82,24 @@ def invert(t: RigidTransform) -> RigidTransform:
     return RigidTransform(rt, -rt @ t.translation)
 
 
+def project(q: np.ndarray, fx, fy, cx, cy):
+    """Pinhole pixels (..., 2) of camera-frame points q (..., 3), and (...,)
+    whether each point is at or behind the camera (depth <= MIN_DEPTH). A
+    flagged point is projected at depth 1, so its pixel is finite but
+    meaningless. fx, fy, cx and cy broadcast against q[..., 0]."""
+    q = np.asarray(q, dtype=float)
+    behind = q[..., 2] <= MIN_DEPTH
+    z = np.where(behind, 1.0, q[..., 2])
+    return np.stack([fx * q[..., 0] / z + cx, fy * q[..., 1] / z + cy], axis=-1), behind
+
+
 def project_many(k: Intrinsics, pts: np.ndarray) -> np.ndarray:
-    """Vectorized projection; raises if any depth is non-positive."""
-    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-    z = pts[:, 2]
-    if np.any(z <= MIN_DEPTH):
+    """(N, 2) pixels of points (N, 3) in the camera `k`; raises if any
+    depth is non-positive."""
+    uv, behind = project(np.reshape(pts, (-1, 3)), k.fx, k.fy, k.cx, k.cy)
+    if behind.any():
         raise NonPositiveDepth("at least one point at non-positive depth")
-    return np.stack([k.fx * pts[:, 0] / z + k.cx, k.fy * pts[:, 1] / z + k.cy], axis=1)
+    return uv
 
 
 def project_jacobian(q: np.ndarray, fx, fy) -> np.ndarray:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
-from .camera import CameraDetection, CornerObservation
+from .camera import CameraDetection
 from .errors import IoError, MissingField, ParseError, SchemaVersionMismatch, UnsupportedFormat
 from .geometry import Intrinsics, RigidTransform
 from .lidar import LidarDetection, LidarParams
@@ -269,25 +269,25 @@ def _finite(v, what: str, shape=(), minimum=None):
     return a if shape else float(a)
 
 
-def _corners_from_json(doc, n_ids: int) -> list:
-    out, seen = [], set()
+def _corners_from_json(doc, n_ids: int):
+    ids, uv = [], []
     for c in doc["corners"]:
         cid = _integer(c["id"], "corner id")
         if not 0 <= cid < n_ids:
             raise ValueError(f"corner id {cid} is not in [0, {n_ids})")
-        if cid in seen:
+        if cid in ids:
             raise ValueError(f"corner id {cid} repeated")
-        seen.add(cid)
-        uv = _finite(c["uv"], f"corner {cid} uv", (2,))
-        out.append(CornerObservation(cid, (float(uv[0]), float(uv[1]))))
-    return out
+        ids.append(cid)
+        uv.append(_finite(c["uv"], f"corner {cid} uv", (2,)))
+    return np.array(ids, dtype=int), np.reshape(uv, (-1, 2))
 
 
-def read_corners(path, spec: TargetSpec) -> list:
-    """A camera's checker-corner detections, [CornerObservation], from a
-    `corners_camera*.json` file: {"corners": [{"id": int, "uv": [u, v]}, ...]}.
-    The ids are distinct corners of the board `spec`, each uv 2 finite
-    numbers; anything else is a ParseError or MissingField naming the file."""
+def read_corners(path, spec: TargetSpec):
+    """A camera's checker-corner detections (ids, uv), (n,) ints and (n, 2)
+    pixels, from a `corners_camera*.json` file:
+    {"corners": [{"id": int, "uv": [u, v]}, ...]}. The ids are distinct
+    corners of the board `spec`, each uv 2 finite numbers; anything else is
+    a ParseError or MissingField naming the file."""
     return _read_json(path, _corners_from_json, (spec.squares_x - 1) * (spec.squares_y - 1))
 
 
@@ -414,14 +414,8 @@ class ConfigFile:
 DEFAULT_SIM = {
     "sequences": 20,
     "seed": 0,
-    "noise": {"lidar_sigma": 0.0, "pixel_sigma": 0.0, "dropout": 0.0},
-    "scan": {
-        "az_res_deg": 0.2,
-        "el_min_deg": -15.0,
-        "el_max_deg": 15.0,
-        "el_res_deg": 0.2,
-        "max_range": 30.0,
-    },
+    "noise": asdict(NoiseModel()),
+    "scan": asdict(ScanPattern()),
 }
 
 

@@ -67,11 +67,13 @@ class CalibrationProblem:
     sequences: tuple  # of SequenceObservations
     reference: SensorId
     sensors: tuple  # all SensorIds, display order (cameras then lidars)
-    intrinsics: dict  # SensorId -> Intrinsics of each camera; other entries unread
+    intrinsics: dict  # SensorId -> Intrinsics of each camera, None for a configured LiDAR
     params: SolveParams = SolveParams()
 
     def display_name(self, sensor: SensorId) -> str:
-        return f"S{self.sensors.index(sensor) + 1}"
+        """S<n>, numbering the configured sensors (the keys of `intrinsics`)
+        and the detected ones together, as `cli` reads `--reference S<n>`."""
+        return f"S{display_order([*self.intrinsics, *self.sensors]).index(sensor) + 1}"
 
 
 @dataclass
@@ -270,10 +272,9 @@ def _camera_blocks(tab: _TermTable, t: _Terms, rot, trans, jac: bool):
     (None unless jac) and the number of centers behind camera j."""
     y = tab.centers[t.a] @ rot[t.i].transpose(0, 2, 1) + trans[t.i, None]  # centers in B
     q = (y - trans[t.j, None]) @ rot[t.j]  # centers in camera j
-    behind = q[..., 2] <= geometry.MIN_DEPTH
-    q[behind] = 1.0  # any depth > 0: these rows are capped and their derivatives zeroed
     w, fx, fy, cx, cy, cap = tab.sensor[t.j, :, None].transpose(1, 0, 2)
-    uv = np.stack([fx * q[..., 0] / q[..., 2] + cx, fy * q[..., 1] / q[..., 2] + cy], axis=-1)
+    uv, behind = geometry.project(q, fx, fy, cx, cy)
+    q[behind] = 1.0  # any depth > 0: these rows are capped and their derivatives zeroed
     block = np.where(behind[..., None], cap[:, None], w[:, None] * (uv - tab.pixels[t.b])).reshape(-1, 8)
     if not jac:
         return block, None, None, int(behind.sum())

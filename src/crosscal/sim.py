@@ -13,7 +13,6 @@ from functools import cached_property
 import numpy as np
 
 from . import geometry
-from .camera import CornerObservation
 from .errors import InfeasibleLayout
 from .geometry import Intrinsics, RigidTransform
 from .optimizer import SensorId
@@ -38,7 +37,7 @@ class ScanPattern:
     az_res_deg: float = 0.2
     el_min_deg: float = -15.0
     el_max_deg: float = 15.0
-    el_res_deg: float = 1.0
+    el_res_deg: float = 0.2
     max_range: float = 30.0
 
     def __post_init__(self):
@@ -326,8 +325,9 @@ def render_lidar(scene: Scene, sensor: SensorId, sequence: int) -> np.ndarray:
 
 
 def render_camera(scene: Scene, sensor: SensorId, sequence: int):
-    """Noisy checker-corner observations; corners outside the image or hit
-    by dropout are omitted, ids preserved."""
+    """Noisy checker-corner observations (ids, uv), (n,) ints and (n, 2)
+    pixels; corners outside the image or hit by dropout are omitted, ids
+    preserved. Each corner draws its pixel noise, then its dropout."""
     if sensor.kind != "camera":
         raise ValueError(f"{sensor} is not a camera")
     intr = scene.intrinsics[sensor]
@@ -338,18 +338,15 @@ def render_camera(scene: Scene, sensor: SensorId, sequence: int):
     corners = checker_corners_board(scene.spec)
     pts = np.array([t_bc.apply(pt) for _, pt in corners])
     front = pts[:, 2] > 1e-3
-    ids = [cid for (cid, _), ok in zip(corners, front) if ok]
-    out = []
-    for cid, uv in zip(ids, geometry.project_many(intr, pts[front])):
+    ids = np.array([cid for cid, _ in corners])[front]
+    uv = geometry.project_many(intr, pts[front])
+    keep = np.ones(len(ids), dtype=bool)
+    for n in range(len(ids)):
         if scene.noise.pixel_sigma > 0:
-            uv = uv + rng.normal(0.0, scene.noise.pixel_sigma, size=2)
-        dropped = scene.noise.dropout > 0 and rng.random() < scene.noise.dropout
-        if dropped:
-            continue
-        if not (0 <= uv[0] < intr.width and 0 <= uv[1] < intr.height):
-            continue
-        out.append(CornerObservation(cid, (float(uv[0]), float(uv[1]))))
-    return out
+            uv[n] += rng.normal(0.0, scene.noise.pixel_sigma, size=2)
+        keep[n] = not (scene.noise.dropout > 0 and rng.random() < scene.noise.dropout)
+    keep &= (0 <= uv[:, 0]) & (uv[:, 0] < intr.width) & (0 <= uv[:, 1]) & (uv[:, 1] < intr.height)
+    return ids[keep], uv[keep]
 
 
 def ground_truth(scene: Scene) -> GroundTruth:

@@ -174,7 +174,6 @@ def noisy_runs():
             sequences=20,
             seed=100 + k,
             noise=noise,
-            scan=sim.ScanPattern(el_res_deg=0.2),
         )
         obs = detect_observations(scene)
         problem = optimizer.build_problem(

@@ -6,12 +6,7 @@ import pytest
 
 from conftest import CIRCLE_BEHIND_CAMERA, lm_without_reduction_stop, matrix, rig, solve_pnp
 from crosscal import geometry, sim
-from crosscal.camera import (
-    CornerObservation,
-    derive_circle_centers,
-    detect_target_camera,
-    pnp_jacobian,
-)
+from crosscal.camera import detect_target_camera, pnp_jacobian
 from crosscal.errors import BehindCamera, DegenerateConfiguration, InsufficientCorners
 from crosscal.geometry import Intrinsics, RigidTransform
 from crosscal.lm import levenberg_marquardt
@@ -34,16 +29,20 @@ def board_pose(rng=None, dist=3.0):
     return RigidTransform(tilt @ _FACING, t)
 
 
-def synth_corners(pose, ids=None, noise=0.0, rng=None, k=K, spec=SPEC):
-    out = []
-    for cid, pt in checker_corners_board(spec):
-        if ids is not None and cid not in ids:
-            continue
-        (uv,) = geometry.project_many(k, pose.apply(pt))
-        if noise > 0:
-            uv = uv + rng.normal(0.0, noise, size=2)
-        out.append(CornerObservation(cid, (float(uv[0]), float(uv[1]))))
-    return out
+def synth_corners(pose, ids=None, noise=0.0, rng=None):
+    """Corner set (ids, uv) of the board at `pose` in camera K: the corners
+    `ids` (all by default) in id order, with `noise` px of pixel noise."""
+    ids = np.arange(len(OBJ)) if ids is None else np.unique(ids)
+    uv = geometry.project_many(K, pose.apply(OBJ[ids]))
+    if noise > 0:
+        uv = uv + rng.normal(0.0, noise, size=uv.shape)
+    return ids, uv
+
+
+def detect_one(pose):
+    """The detection of the full corner set of the board at `pose`."""
+    (det,) = detect_target_camera([synth_corners(pose)], SPEC, [K])
+    return det
 
 
 def pose_delta(a, b):
@@ -60,8 +59,6 @@ def test_exact_recovery_16_corners():
         dt, dr = pose_delta(truth, pose)
         assert dt < 1e-6 and dr < 1e-6
         # reprojection residual below 1e-8 px
-        for c in synth_corners(pose, ids=ids):
-            pass
         obj = dict(checker_corners_board(SPEC))
         errs = [
             np.linalg.norm(
@@ -106,7 +103,7 @@ def test_noisy_pnp_lm_stops_at_the_cost_rounding_floor():
     old_tails = []
     for _ in range(12):
         truth = board_pose(rng, dist=5.0)
-        uv = np.array([c.pixel for c in synth_corners(truth, noise=0.5, rng=rng)])
+        uv = synth_corners(truth, noise=0.5, rng=rng)[1]
         start = geometry.compose(geometry.exp_se3(rng.normal(0.0, 0.02, 6)), truth)
         costs = []
 
@@ -233,7 +230,7 @@ def test_detect_batch_matches_sets_detected_alone():
             assert type(det) is type(alone)
             continue
         assert np.abs(matrix(det.pose) - matrix(alone.pose)).max() < 1e-9
-        assert det.corners_used == alone.corners_used == len(corners)
+        assert det.corners_used == alone.corners_used == len(corners[0])
         assert det.reprojection_error == pytest.approx(alone.reprojection_error, rel=1e-9)
         assert np.allclose(det.centers_2d, alone.centers_2d, rtol=0, atol=1e-6)
 
@@ -242,9 +239,10 @@ def test_too_few_corners():
     truth = board_pose()
     with pytest.raises(InsufficientCorners):
         solve_pnp(synth_corners(truth, ids=[0, 1, 2]), SPEC, K)
+    empty = (np.zeros(0, dtype=int), np.zeros((0, 2)))
     with pytest.raises(InsufficientCorners):
-        solve_pnp([], SPEC, K)
-    assert isinstance(detect_target_camera([[]], SPEC, [K])[0], InsufficientCorners)
+        solve_pnp(empty, SPEC, K)
+    assert isinstance(detect_target_camera([empty], SPEC, [K])[0], InsufficientCorners)
 
 
 def test_collinear_corners_degenerate():
@@ -255,8 +253,8 @@ def test_collinear_corners_degenerate():
 
 def test_unknown_corner_ids_ignored():
     truth = board_pose()
-    corners = synth_corners(truth, ids=list(range(10)))
-    corners.append(CornerObservation(999, (10.0, 10.0)))
+    ids, uv = synth_corners(truth, ids=list(range(10)))
+    corners = (np.append(ids, [999, -1]), np.vstack([uv, [[10.0, 10.0], [20.0, 20.0]]]))
     pose = solve_pnp(corners, SPEC, K)
     dt, dr = pose_delta(truth, pose)
     assert dt < 1e-6 and dr < 1e-6
@@ -300,7 +298,7 @@ def test_intrinsics_scale_invariance():
     pose1 = solve_pnp(corners, SPEC, K)
     s = 2.0
     k2 = Intrinsics(K.fx * s, K.fy * s, K.cx * s, K.cy * s, int(K.width * s), int(K.height * s))
-    scaled = [CornerObservation(c.corner_id, (c.pixel[0] * s, c.pixel[1] * s)) for c in corners]
+    scaled = (corners[0], corners[1] * s)
     pose2 = solve_pnp(scaled, SPEC, k2)
     assert np.abs(matrix(pose1) - matrix(pose2)).max() < 1e-9
 
@@ -314,21 +312,25 @@ def test_partial_occlusion_60_percent():
     assert dt < 1e-6 and dr < 1e-6
 
 
-def test_derive_circle_centers_trivial_shift():
-    pose = RigidTransform(np.eye(3), np.array([0.0, 0.0, 2.0]))
-    pts3, pts2 = derive_circle_centers(pose, SPEC, K)
-    assert np.allclose(pts3, circle_centers_board(SPEC) + [0.0, 0.0, 2.0])
-    assert np.allclose(pts2, geometry.project_many(K, pts3))
+def _assert_centers_of_pose(det):
+    """The detection's circle centers are those of its own pose, bit for bit:
+    the board-frame centers mapped by the pose, and their projections."""
+    assert np.array_equal(det.centers_3d, det.pose.apply(circle_centers_board(SPEC)))
+    assert np.array_equal(det.centers_2d, geometry.project_many(K, det.centers_3d))
 
 
-def test_derive_circle_centers_random_pose_oracle():
+def test_detection_centers_trivial_shift():
+    det = detect_one(RigidTransform(_FACING, np.array([0.0, 0.0, 2.0])))
+    _assert_centers_of_pose(det)
+    flipped = circle_centers_board(SPEC) * [1.0, -1.0, 0.0] + [0.0, 0.0, 2.0]
+    assert np.allclose(det.centers_3d, flipped, rtol=0, atol=1e-9)
+
+
+def test_detection_centers_random_pose_oracle():
     rng = np.random.default_rng(6)
     for _ in range(20):
-        pose = board_pose(rng)
-        pts3, pts2 = derive_circle_centers(pose, SPEC, K)
-        for k, c in enumerate(circle_centers_board(SPEC)):
-            assert np.allclose(pts3[k], pose.apply(c), atol=1e-12)
-            assert np.allclose(pts2[k], geometry.project_many(K, pts3[k]), atol=1e-12)
+        det = detect_one(board_pose(rng))
+        _assert_centers_of_pose(det)
 
 
 def test_detection_reports_error_and_count():

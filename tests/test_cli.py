@@ -214,7 +214,7 @@ def test_lidar_detection_loads_no_numpy_ma():
         "import sys, crosscal.cli as c\n"
         "from crosscal.lidar import LidarParams\n"
         "r = c.io_formats.default_config(2, 0).sensors\n"
-        "s = c.sim.make_scene(r, 1, seed=3, scan=c.sim.ScanPattern(el_res_deg=0.2))\n"
+        "s = c.sim.make_scene(r, 1, seed=3)\n"
         "l = c.SensorId('lidar', 0)\n"
         "cloud = c.sim.render_lidar(s, l, 0)\n"
         "t_init = c.sim.perturbed_board_init(s, l, 0)\n"
@@ -831,6 +831,29 @@ def test_calibrate_reference_display_name_follows_the_report_not_the_config(ws, 
         assert cli.main(argv + ["--out", str(out), "--reference", f"S{k}"]) == 0
         rep = json.loads(out.read_text())
         assert rep["poses"][rep["reference"]]["display"] == f"S{k}"
+
+
+def test_calibrate_numbers_the_configured_sensors_when_one_has_no_detections(ws, tmp_path, caplog):
+    """With camera1's records removed from the detections, the report and
+    `--reference S<n>` still number the configured sensors alike: the report
+    calls camera2 S3, `--reference S3` names camera2, and `--reference S2`
+    names camera1, which has no detections (exit 2)."""
+    doc = json.loads(ws["det"].read_text())
+    doc["records"] = [r for r in doc["records"] if r["sensor"] != {"kind": "camera", "index": 1}]
+    det = tmp_path / "detections.json"
+    det.write_text(json.dumps(doc))
+    argv = ["calibrate", "--config", str(ws["config"]), "--detections", str(det), "--out"]
+    assert cli.main(argv + [str(tmp_path / "report.json")]) == 0
+    rep = json.loads((tmp_path / "report.json").read_text())
+    display = {name: pose["display"] for name, pose in rep["poses"].items()}
+    assert display == {"camera0": "S1", "camera2": "S3", "lidar0": "S4", "lidar1": "S5"}
+    text = (tmp_path / "report.txt").read_text()
+    assert "  S3 camera2: " in text and "  S4 lidar0: " in text
+    assert cli.main(argv + [str(tmp_path / "report_s3.json"), "--reference", "S3"]) == 0
+    assert json.loads((tmp_path / "report_s3.json").read_text())["reference"] == "camera2"
+    with caplog.at_level(logging.ERROR, logger="crosscal"):
+        assert cli.main(argv + [str(tmp_path / "report_s2.json"), "--reference", "S2"]) == 2
+    assert "reference camera1 has no detections" in caplog.text
 
 
 def test_calibrate_pairwise_mode_runs(ws, tmp_path, capsys):

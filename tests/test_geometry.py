@@ -115,6 +115,29 @@ def test_project_zero_depth_raises():
         geometry.project_many(k, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
 
 
+def test_project_matches_project_many_and_flags_depth_at_or_below_min_depth():
+    """In front of the camera `project` gives `project_many`'s pixels, bit
+    for bit, and flags nothing; a depth of exactly MIN_DEPTH, 0 or below is
+    flagged and still projects to a finite pixel. The intrinsics broadcast
+    against the points: one camera per row of a stack."""
+    k = Intrinsics(700.0, 650.0, 320.0, 240.0, 640, 480)
+    rng = np.random.default_rng(8)
+    front = rng.normal(size=(50, 3)) + [0.0, 0.0, 4.0]
+    front[:, 2] = np.abs(front[:, 2]) + 2 * geometry.MIN_DEPTH
+    uv, behind = geometry.project(front, k.fx, k.fy, k.cx, k.cy)
+    assert np.array_equal(uv, geometry.project_many(k, front)) and not behind.any()
+    depths = np.array([2.0, 1.0, 0.5, 0.0, -1.0, -3e9]) * geometry.MIN_DEPTH
+    near = np.column_stack([rng.normal(size=(6, 2)), depths])
+    uv, behind = geometry.project(near, k.fx, k.fy, k.cx, k.cy)
+    assert behind.tolist() == [False, True, True, True, True, True]
+    assert np.isfinite(uv).all()
+    cams = [k, Intrinsics(900.0, 880.0, 330.0, 250.0, 640, 480)]
+    fx, fy, cx, cy = (np.array([[getattr(c, a)] for c in cams]) for a in ("fx", "fy", "cx", "cy"))
+    uv, behind = geometry.project(np.stack([front, front]), fx, fy, cx, cy)
+    assert behind.shape == (2, 50) and not behind.any()
+    assert np.array_equal(uv, [geometry.project_many(c, front) for c in cams])
+
+
 def test_project_after_transform_matches_homogeneous_oracle():
     k = Intrinsics(700.0, 650.0, 320.0, 240.0, 640, 480)
     rng = np.random.default_rng(6)

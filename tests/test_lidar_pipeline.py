@@ -38,7 +38,7 @@ from crosscal.target import TargetSpec, circle_centers_board, generate_mask_clou
 
 P = LidarParams()
 SPEC = TargetSpec()
-FINE_SCAN = sim.ScanPattern(el_res_deg=0.2)
+FINE_SCAN = sim.ScanPattern()
 
 
 # --- filter -----------------------------------------------------------------

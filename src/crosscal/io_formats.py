@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import tempfile
 import typing
@@ -270,16 +271,24 @@ def _finite(v, what: str, shape=(), minimum=None):
 
 
 def _corners_from_json(doc, n_ids: int):
-    ids, uv = [], []
+    ids, seen, uv = [], set(), []
     for c in doc["corners"]:
         cid = _integer(c["id"], "corner id")
         if not 0 <= cid < n_ids:
             raise ValueError(f"corner id {cid} is not in [0, {n_ids})")
-        if cid in ids:
+        if cid in seen:
             raise ValueError(f"corner id {cid} repeated")
+        seen.add(cid)
         ids.append(cid)
-        uv.append(_finite(c["uv"], f"corner {cid} uv", (2,)))
-    return np.array(ids, dtype=int), np.reshape(uv, (-1, 2))
+        p = c["uv"]
+        if not (
+            type(p) is list
+            and len(p) == 2
+            and all(type(x) in (int, float) and math.isfinite(x) for x in p)
+        ):
+            p = _finite(p, f"corner {cid} uv", (2,))  # raises the error of this uv
+        uv.append(p)
+    return np.array(ids, dtype=int), np.array(uv, dtype=float).reshape(-1, 2)
 
 
 def read_corners(path, spec: TargetSpec):

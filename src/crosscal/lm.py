@@ -138,6 +138,7 @@ def _solve(state, residual_fn, jac_fn, plus, max_iter, gradient_tol):
             converged[active[done]] = True
             active, jac, grad = active[~done], jac[~done], grad[~done]
         hess = jac.transpose(0, 2, 1) @ jac
+        del jac  # freed before jac_fn builds the next one
         accepted = np.zeros(len(active), dtype=bool)
         damping = np.arange(len(active))  # positions in `active` still looking for a step
         for _ in range(30):

@@ -369,8 +369,8 @@ def solve(p: CalibrationProblem) -> CalibrationResult:
     def res_fn(poses):
         return residuals(p, poses, table)[0]
 
-    def jac_fn(poses):  # LM's first Jacobian is the j0 checked below
-        return j0 if poses is poses0 else jacobian(p, poses, table)
+    def jac_fn(poses):  # LM's first Jacobian is the one checked below, handed over once
+        return checked.pop() if checked else jacobian(p, poses, table)
 
     def plus(poses, dx):
         out = dict(poses)
@@ -378,13 +378,14 @@ def solve(p: CalibrationProblem) -> CalibrationResult:
             out[s] = geometry.compose(geometry.exp_se3(dx[6 * k : 6 * k + 6]), poses[s])
         return out
 
-    j0 = jacobian(p, poses0, table)
-    h0 = j0.T @ j0
+    checked = [jacobian(p, poses0, table)]
+    h0 = checked[0].T @ checked[0]
     eig = np.linalg.eigvalsh(h0)
     if eig[0] < 1e-12 * max(eig[-1], 1.0):
         diag = np.diag(h0).reshape(-1, 6).sum(axis=1)
         suspects = [str(free[k]) for k in np.where(diag < 1e-9 * diag.max())[0]]
         raise SingularNormalEquations(suspects or [str(s) for s in free])
+    del h0
 
     res = levenberg_marquardt(
         poses0,
@@ -464,13 +465,13 @@ def reprojection_report(result: CalibrationResult):
     """Per-sequence, per-pair Euclidean distances of the 4 centers mapped
     into the reference frame; rows (sequence, name_i, name_j, [4 floats])."""
     p = result.problem
+    name = {s: p.display_name(s) for s in p.sensors}
     rows = []
     for seq in p.sequences:
         present = [s for s in p.sensors if s in seq.observations]
-        for a_idx, i in enumerate(present):
-            for j in present[a_idx + 1 :]:
-                ci = result.poses[i].apply(detection_centers(seq.observations[i]))
-                cj = result.poses[j].apply(detection_centers(seq.observations[j]))
+        centers = [result.poses[s].apply(detection_centers(seq.observations[s])) for s in present]
+        for a, (i, ci) in enumerate(zip(present, centers)):
+            for j, cj in zip(present[a + 1 :], centers[a + 1 :]):
                 dist = np.linalg.norm(ci - cj, axis=1)
-                rows.append((seq.sequence, p.display_name(i), p.display_name(j), dist.tolist()))
+                rows.append((seq.sequence, name[i], name[j], dist.tolist()))
     return rows

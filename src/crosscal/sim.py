@@ -61,14 +61,19 @@ class Scene:
 
     @cached_property
     def ray_dirs(self) -> np.ndarray:
-        """Read-only (n, 3) ray directions of `scan` in the sensor frame, built once."""
+        """Read-only (n, 3) ray directions of `scan` in the sensor frame,
+        azimuth-major, built once and in place: the build allocates little
+        beyond the result."""
         scan = self.scan
         az = np.deg2rad(np.arange(0.0, 360.0, scan.az_res_deg))
         el = np.deg2rad(np.arange(scan.el_min_deg, scan.el_max_deg + 1e-9, scan.el_res_deg))
-        azg, elg = np.meshgrid(az, el, indexing="ij")
-        dirs = np.stack(
-            [np.cos(elg) * np.cos(azg), np.cos(elg) * np.sin(azg), np.sin(elg)], axis=-1
-        ).reshape(-1, 3)
+        cos_el = np.cos(el)
+        dirs = np.empty((az.size, el.size, 3))
+        # einsum's outer products, as a broadcast multiply would allocate ufunc buffers
+        np.einsum("i,j->ij", np.cos(az), cos_el, out=dirs[..., 0])
+        np.einsum("i,j->ij", np.sin(az), cos_el, out=dirs[..., 1])
+        dirs[..., 2] = np.sin(el)
+        dirs = dirs.reshape(-1, 3)
         dirs.flags.writeable = False
         return dirs
 

@@ -1,6 +1,7 @@
 """Shared helpers: random transforms, oracle/real detection builders, and
 the acceptance-line recorder printed in the terminal summary."""
 
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,20 @@ def lm_without_reduction_stop(state, residual_fn, jac_fn, plus, max_iter=100, gr
         if converged:
             break
     return state, cost, converged
+
+
+def watch_jacobians(jac_fn, calls: list):
+    """An LM jac_fn that calls `jac_fn`, appends a weak reference to each
+    Jacobian it returns to `calls`, and fails if the one it returned last is
+    still alive when the next one is requested."""
+
+    def watched(*args):
+        assert not calls or calls[-1]() is None, "the previous Jacobian is still alive"
+        jac = jac_fn(*args)
+        calls.append(weakref.ref(jac))
+        return jac
+
+    return watched
 
 
 def oracle_observations(scene):

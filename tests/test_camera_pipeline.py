@@ -4,8 +4,15 @@ center derivation, simulator round-trip."""
 import numpy as np
 import pytest
 
-from conftest import CIRCLE_BEHIND_CAMERA, lm_without_reduction_stop, matrix, rig, solve_pnp
-from crosscal import geometry, sim
+from conftest import (
+    CIRCLE_BEHIND_CAMERA,
+    lm_without_reduction_stop,
+    matrix,
+    rig,
+    solve_pnp,
+    watch_jacobians,
+)
+from crosscal import camera, geometry, sim
 from crosscal.camera import detect_target_camera, pnp_jacobian
 from crosscal.errors import BehindCamera, DegenerateConfiguration, InsufficientCorners
 from crosscal.geometry import Intrinsics, RigidTransform
@@ -203,6 +210,24 @@ def test_batched_lm_matches_problems_solved_one_at_a_time():
     assert behind > 0
     assert any(r.iterations == options["max_iter"] and not r.converged for r in singles)
     assert sum(r.converged for r in singles) > len(singles) // 2
+
+
+def test_pnp_batch_holds_one_jacobian_at_a_time(monkeypatch):
+    """detect_target_camera's batched LM frees each round's Jacobian before
+    it builds the next."""
+    calls = []
+    lm = camera.levenberg_marquardt
+
+    def watched_lm(state, residual_fn, jac_fn, plus, **kw):
+        return lm(state, residual_fn, watch_jacobians(jac_fn, calls), plus, **kw)
+
+    monkeypatch.setattr(camera, "levenberg_marquardt", watched_lm)
+    rng = np.random.default_rng(5)
+    poses = [board_pose(rng, dist=rng.uniform(1.5, 6.0)) for _ in range(6)]
+    sets = [synth_corners(pose, noise=0.5, rng=rng) for pose in poses]
+    dets = detect_target_camera(sets, SPEC, [K] * len(sets))
+    assert all(isinstance(d, camera.CameraDetection) for d in dets)
+    assert len(calls) > 1
 
 
 def test_detect_batch_matches_sets_detected_alone():

@@ -15,6 +15,7 @@ from conftest import (
     random_rigid,
     relative,
     rig,
+    watch_jacobians,
 )
 from crosscal import geometry, optimizer, sim
 from crosscal.camera import CameraDetection
@@ -488,6 +489,50 @@ def test_lm_other_exception_from_residual_propagates():
 def test_lm_identity_residual_still_converges_by_gradient():
     res = _lm_on_identity_residual(lambda x: x, [])
     assert res.converged and res.gradient_norm < 1e-10
+
+
+def test_lm_holds_one_jacobian_at_a_time():
+    """Rosenbrock's residual from (-1.2, 1): each iteration's Jacobian is
+    freed before the next one is built."""
+    calls = []
+    res = levenberg_marquardt(
+        np.array([-1.2, 1.0]),
+        lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
+        watch_jacobians(lambda x: np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]), calls),
+        lambda x, dx: x + dx,
+    )
+    assert res.converged and np.allclose(res.state, 1.0)
+    assert len(calls) == res.iterations > 5
+
+
+def test_solve_hands_over_the_checked_jacobian_and_holds_one_at_a_time(monkeypatch):
+    """solve gives LM the Jacobian of its singularity check as the first one
+    and keeps no reference to it: every Jacobian is freed before the next is
+    built, and there is one Jacobian evaluation per LM iteration."""
+    calls, built = [], []
+    lm, jacobian = optimizer.levenberg_marquardt, optimizer.jacobian
+
+    def watched_lm(state, residual_fn, jac_fn, plus, **kw):
+        return lm(state, residual_fn, watch_jacobians(jac_fn, calls), plus, **kw)
+
+    monkeypatch.setattr(optimizer, "levenberg_marquardt", watched_lm)
+    monkeypatch.setattr(optimizer, "jacobian", lambda *a: built.append(a) or jacobian(*a))
+    rng = np.random.default_rng(3)
+    scene = _scene()
+    obs = [
+        SequenceObservations(
+            seq.sequence,
+            {
+                s: replace(det, centers=det.centers + rng.normal(0, 0.004, (4, 3)))
+                if s.kind == "lidar"
+                else det
+                for s, det in seq.observations.items()
+            },
+        )
+        for seq in oracle_observations(scene)
+    ]
+    result = solve(build_problem(obs, CAM0, scene.intrinsics))
+    assert len(calls) == len(built) == result.iterations > 1
 
 
 @pytest.mark.parametrize("floor, converged", [(1e3, True), (1e6, False)])

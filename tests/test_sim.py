@@ -1,6 +1,7 @@
 """Simulator: scene construction, determinism, ray-cast geometry against an
 independent oracle, camera rendering, noise models, ground truth algebra."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -336,6 +337,29 @@ def test_ray_grid_is_read_only_and_per_scan():
     assert sparse.ray_dirs.shape == (24, 3)
     assert scene.ray_dirs is dirs and scene.ray_dirs.shape == (1800 * 151, 3)
     assert np.array_equal(replace(sparse, scan=CONFIG_SCAN).ray_dirs, dirs)
+
+
+@pytest.mark.parametrize("scan", [CONFIG_SCAN, SPARSE_SCAN], ids=["config-scan", "sparse-scan"])
+def test_ray_grid_is_the_meshgrid_formula_built_in_place(scan):
+    """The grid has the bits of the meshgrid/stack formula, and its build
+    allocates little beyond the result itself."""
+    scene = sim.make_scene(rig(), sequences=1, seed=5, scan=scan)
+    tracemalloc.start()
+    try:
+        dirs = scene.ray_dirs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    az = np.deg2rad(np.arange(0.0, 360.0, scan.az_res_deg))
+    el = np.deg2rad(np.arange(scan.el_min_deg, scan.el_max_deg + 1e-9, scan.el_res_deg))
+    azg, elg = np.meshgrid(az, el, indexing="ij")
+    expected = np.stack(
+        [np.cos(elg) * np.cos(azg), np.cos(elg) * np.sin(azg), np.sin(elg)], axis=-1
+    ).reshape(-1, 3)
+    assert dirs.dtype == expected.dtype and dirs.shape == expected.shape
+    assert dirs.tobytes() == expected.tobytes()
+    assert not dirs.flags.writeable
+    assert peak <= dirs.nbytes + 64 * 1024
 
 
 # --- camera rendering -------------------------------------------------------

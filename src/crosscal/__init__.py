@@ -1,6 +1,3 @@
 """crosscal: target-based multi-LiDAR multi-camera extrinsic calibration."""
 
 __version__ = "1.0.0"
-
-from .geometry import Intrinsics, RigidTransform  # noqa: F401
-from .target import TargetSpec  # noqa: F401

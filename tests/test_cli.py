@@ -64,6 +64,18 @@ def ws(tmp_path_factory):
     return {"root": root, "config": cfg_path, "data": data, "det": det, "report": report}
 
 
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _source_env(**extra):
+    """The environment of a subprocess that imports crosscal from this
+    source tree, without the BLAS thread variables, plus `extra`."""
+    src = str(REPO / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    return {**env, "PYTHONPATH": src + os.pathsep + path if path else src, **extra}
+
+
 def _tree_bytes(root: Path):
     return {
         p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()
@@ -188,9 +200,7 @@ def test_importing_the_cli_loads_no_process_pool():
     """Every command pays for the modules that `crosscal.cli` imports; the
     process pool's load only when a command starts a pool, and scipy, which
     only the benchmark's tracer uses, never."""
-    src = str(REPO / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    env = _source_env()
     code = (
         "import sys, crosscal.cli; "
         "print([m for m in ('multiprocessing', 'concurrent.futures.process', 'scipy') "
@@ -207,9 +217,7 @@ def test_lidar_detection_loads_no_numpy_ma():
     """`numpy.ma` costs 11-15 ms to import, which each fork worker of `detect`
     would pay on every run: a LiDAR detection, the board's outline
     included, must not load it (`np.unique` with `axis=` does)."""
-    src = str(REPO / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    env = _source_env()
     code = (
         "import sys, crosscal.cli as c\n"
         "from crosscal.lidar import LidarParams\n"
@@ -1129,20 +1137,158 @@ def test_console_script_version():
     except ModuleNotFoundError:  # Python < 3.11
         tomllib = pytest.importorskip("tomli")
     project = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]
-    assert project["scripts"] == {"crosscal": "crosscal.cli:main"}
+    assert project["scripts"] == {"crosscal": "crosscal.__main__:main"}
     script = shutil.which("crosscal")
     if script:
         cmd, env = [script], None
     else:
-        src = str(REPO / "src")
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
-        cmd = [sys.executable, "-m", "crosscal.cli"]
+        env = _source_env()
+        cmd = [sys.executable, "-m", "crosscal"]
     out = subprocess.run(
         cmd + ["--version"], capture_output=True, text=True, env=env, timeout=60
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == project["version"] == crosscal.__version__
+
+
+def test_importing_crosscal_loads_no_numpy_and_pins_no_blas():
+    """Only the command pins BLAS: the package loads no numpy, and a program
+    that imports the commands keeps its environment."""
+    code = (
+        "import os, sys, crosscal; print('numpy' in sys.modules); import crosscal.cli; "
+        f"print([v for v in {_BLAS_VARS!r} if v in os.environ])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_source_env(), timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n") == ["False", "[]", ""]
+
+
+def test_command_pins_blas_only_where_the_environment_does_not(monkeypatch):
+    from crosscal import __main__ as command
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.setattr(cli, "main", lambda: 0)
+    assert command.main() == 0
+    assert [os.environ[v] for v in _BLAS_VARS] == ["3", "1", "1"]
+
+
+def _canonical(text: str) -> str:
+    return json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_every_json_output_is_compact_and_sorted_through_the_c_encoder(tmp_path, monkeypatch):
+    """Every JSON file of the three commands is in the one canonical form,
+    written by json's C encoder: the pure-Python one would raise."""
+
+    def python_encoder(*args, **kwargs):
+        raise AssertionError("canonical_json ran json's pure-Python encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
+    cfg = replace(io_formats.default_config(), sim={**io_formats.DEFAULT_SIM, "sequences": 2})
+    config = tmp_path / "config.json"
+    io_formats.write_config(config, cfg)
+    data, det, report = tmp_path / "data", tmp_path / "d.json", tmp_path / "r.json"
+    args = ["--config", str(config)]
+    assert cli.main(["simulate", *args, "--out", str(data)]) == 0
+    assert cli.main(["detect", *args, "--data", str(data), "--out", str(det)]) == 0
+    assert cli.main(["calibrate", *args, "--detections", str(det), "--out", str(report)]) == 0
+    outputs = sorted(tmp_path.rglob("*.json"))
+    kinds = {"config", "ground_truth", "manifest", "init_lidar0", "corners_camera0", "d", "r"}
+    assert kinds | {"d.manifest", "r.manifest"} <= {p.stem for p in outputs}
+    for path in outputs:
+        text = path.read_text()
+        assert text == _canonical(text), path
+
+
+def test_indented_inputs_give_the_bytes_of_compact_ones(ws, tmp_path):
+    """Datasets and detections written with a 2-space indent still read, and
+    `detect` and `calibrate` write the same bytes from them."""
+
+    def indent(path):
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=2, sort_keys=True) + "\n")
+
+    data = tmp_path / "data"
+    shutil.copytree(ws["data"], data)
+    config = tmp_path / "config.json"
+    shutil.copy(ws["config"], config)
+    inputs = [config, *data.glob("seq_*/corners_*.json"), *data.glob("seq_*/init_*.json")]
+    assert len(inputs) > 8
+    for path in inputs:
+        indent(path)
+    det = tmp_path / "detections.json"
+    args = ["--config", str(config)]
+    assert cli.main(["detect", *args, "--data", str(data), "--out", str(det)]) == 0
+    assert det.read_bytes() == ws["det"].read_bytes()
+    indent(det)
+    report = tmp_path / "report.json"
+    assert cli.main(["calibrate", *args, "--detections", str(det), "--out", str(report)]) == 0
+    assert report.read_bytes() == ws["report"].read_bytes()
+    assert report.with_suffix(".txt").read_bytes() == ws["report"].with_suffix(".txt").read_bytes()
+
+
+def _lidar_truth_records(data: Path, cfg) -> list:
+    """An exact LiDAR record per cloud that `simulate` wrote into `data`:
+    the ground-truth circle centers in the sensor frame."""
+    gt = json.loads((data / "ground_truth.json").read_text())
+    records = []
+    for cloud in sorted(data.glob("seq_*/cloud_lidar*.ply")):
+        seq = int(cloud.parent.name.split("_")[1])
+        sensor = SensorId("lidar", int(cloud.stem[len("cloud_lidar") :]))
+        sensor_w = io_formats.pose_from_json(gt["sensors"][str(sensor)])
+        board = geometry.compose(
+            geometry.invert(sensor_w), io_formats.pose_from_json(gt["boards"][seq])
+        )
+        records.append(
+            {
+                "type": "lidar",
+                "sequence": seq,
+                "sensor": io_formats.sensor_to_json(sensor),
+                "pose": io_formats.pose_to_json(board),
+                "centers_3d": board.apply(circle_centers_board(cfg.target)).tolist(),
+                "fitness": 0.0,
+            }
+        )
+    return records
+
+
+def test_calibrate_command_report_is_the_same_on_any_blas_thread_count(tmp_path):
+    """A rig of 4 LiDARs and 6 cameras over 40 stations, whose global solve
+    is large enough for BLAS to split its products over threads: the
+    command writes the same report whether or not the environment pins BLAS
+    to one thread."""
+    base = io_formats.default_config(4, 6)
+    noise = {**base.sim["noise"], "pixel_sigma": 0.5}
+    scan = {**base.sim["scan"], "az_res_deg": 30.0, "el_res_deg": 30.0}
+    cfg = replace(base, sim={**base.sim, "sequences": 40, "noise": noise, "scan": scan})
+    config = tmp_path / "config.json"
+    io_formats.write_config(config, cfg)
+    data, det = tmp_path / "data", tmp_path / "detections.json"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(data)]) == 0
+    lidar = _lidar_truth_records(data, cfg)
+    for cloud in data.glob("seq_*/cloud_*.ply"):
+        cloud.unlink()
+    assert cli.main(["detect", "--config", str(config), "--data", str(data), "--out", str(det)]) == 0
+    doc = json.loads(det.read_text())
+    records = sorted(
+        doc["records"] + lidar,
+        key=lambda r: (r["sequence"], r["type"] != "lidar", r["sensor"]["index"]),
+    )
+    det.write_text(io_formats.canonical_json({**doc, "records": records}))
+    reports = []
+    for name, extra in (("unset", {}), ("one", dict.fromkeys(_BLAS_VARS, "1"))):
+        report = tmp_path / f"report_{name}.json"
+        cmd = [sys.executable, "-m", "crosscal", "calibrate", "--config", str(config)]
+        cmd += ["--detections", str(det), "--out", str(report)]
+        out = subprocess.run(
+            cmd, capture_output=True, text=True, env=_source_env(**extra), timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_strict_schema_flag_rejects_extra_fields(ws, tmp_path):

@@ -447,7 +447,3 @@ def main(argv=None) -> int:
     except Exception:  # panic guard: exit 1 is reserved for unexpected errors
         log.exception("unexpected failure")
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1169,8 +1169,10 @@ def test_command_pins_blas_only_where_the_environment_does_not(monkeypatch):
     from crosscal import __main__ as command
 
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        # setenv first, so that teardown also removes what main() sets
+        monkeypatch.setenv(var, "x")
+        monkeypatch.delenv(var)
     monkeypatch.setattr(cli, "main", lambda: 0)
     assert command.main() == 0
     assert [os.environ[v] for v in _BLAS_VARS] == ["3", "1", "1"]

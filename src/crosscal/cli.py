@@ -341,6 +341,13 @@ def cmd_calibrate(args) -> int:
             detections, reference, cfg.sensors, cfg.solve_params
         )
         result = optimizer.solve(problem)
+        chain = list(result.problem.sensors)
+        if args.pairwise_mode:
+            rot_dev, trans_dev = optimizer.consistency_check_pairwise(result.problem, chain)
+            mode = "pairwise"
+        else:
+            rot_dev, trans_dev = optimizer.consistency_check(result, chain)
+            mode = "solved"
     except DisconnectedGraph as e:
         log.error("co-visibility graph disconnected: %s", e)
         return EXIT_DISCONNECTED
@@ -357,13 +364,6 @@ def cmd_calibrate(args) -> int:
         log.error("calibration failed: %s", e)
         return EXIT_CONFIG
 
-    chain = list(result.problem.sensors)
-    if args.pairwise_mode:
-        rot_dev, trans_dev = optimizer.consistency_check_pairwise(result.problem, chain)
-        mode = "pairwise"
-    else:
-        rot_dev, trans_dev = optimizer.consistency_check(result, chain)
-        mode = "solved"
     chain_str = "->".join(result.problem.display_name(s) for s in chain + [chain[0]])
     consistency = {
         "chain": chain_str,

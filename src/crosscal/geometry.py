@@ -7,7 +7,8 @@ the global solve share.
 A `RigidTransform` holds an explicit rotation matrix plus translation
 vector. The batched solvers use other forms: PnP works on (P, 4, 4)
 homogeneous matrices, and the global solve on stacked rotation and
-translation arrays. Euler angles only appear at the file-format boundary
+translation arrays. Both step with one SE(3) exponential, the batched
+`exp_se3_matrix`. Euler angles only appear at the file-format boundary
 (intrinsic XYZ, degrees).
 """
 
@@ -168,8 +169,12 @@ def skew(v: np.ndarray) -> np.ndarray:
     return np.stack([o, -z, y, z, o, -x, -y, x, o], axis=-1).reshape(x.shape + (3, 3))
 
 
-def _rotation_exp(theta, k, kk) -> np.ndarray:
-    """Rodrigues' formula for angle theta, skew k and k @ k."""
+def rotation_exp(w: np.ndarray) -> np.ndarray:
+    """SO(3) exponential (Rodrigues) of an axis-angle vector."""
+    w = np.asarray(w, dtype=float)
+    theta = np.linalg.norm(w)
+    k = skew(w)
+    kk = k @ k
     if theta < 1e-10:
         return np.eye(3) + k + 0.5 * kk
     a = np.sin(theta) / theta
@@ -177,38 +182,12 @@ def _rotation_exp(theta, k, kk) -> np.ndarray:
     return np.eye(3) + a * k + b * kk
 
 
-def rotation_exp(w: np.ndarray) -> np.ndarray:
-    """SO(3) exponential (Rodrigues) of an axis-angle vector."""
-    w = np.asarray(w, dtype=float)
-    k = skew(w)
-    return _rotation_exp(np.linalg.norm(w), k, k @ k)
-
-
-def exp_se3(xi: np.ndarray) -> RigidTransform:
-    """SE(3) exponential of a 6-vector (v, w): translation part first."""
-    xi = np.asarray(xi, dtype=float).reshape(6)
-    v, w = xi[:3], xi[3:]
-    theta = np.linalg.norm(w)
-    k = skew(w)
-    kk = k @ k
-    if theta < 1e-8:
-        jac = np.eye(3) + 0.5 * k + kk / 6.0
-    else:
-        jac = (
-            np.eye(3)
-            + (1.0 - np.cos(theta)) / theta**2 * k
-            + (theta - np.sin(theta)) / theta**3 * kk
-        )
-    return RigidTransform(_rotation_exp(theta, k, kk), jac @ v)
-
-
 def exp_se3_matrix(xi: np.ndarray) -> np.ndarray:
     """SE(3) exponentials, as (..., 4, 4) homogeneous matrices, of 6-vectors
-    (..., 6) (v, w): the batched `exp_se3`. Its rounding differs from the
-    scalar `exp_se3` and `rotation_exp` (`theta**2` of a scalar goes through
-    libm's pow), which stay as they are so that simulated data keep their bits,
-    and because the PnP stop test (`test_noisy_pnp_lm_stops_at_the_cost_rounding_floor`)
-    passes only with the scalar rounding in its retraction."""
+    (..., 6) (v, w), translation part first: the retraction of both solvers,
+    PnP and the global solve. Its rotation block is `rotation_exp`'s to
+    rounding; `rotation_exp` keeps its own scalar formula so that simulated
+    data keep their bits."""
     xi = np.asarray(xi, dtype=float)
     v, w = xi[..., :3], xi[..., 3:]
     theta = np.linalg.norm(w, axis=-1)[..., None, None]

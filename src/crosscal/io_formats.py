@@ -388,10 +388,14 @@ def _detections_from_json(doc, strict: bool) -> list:
     records = doc["records"]
     if not isinstance(records, list):
         raise TypeError(f"records must be a list, got {type(records).__name__}")
-    out = []
+    out, first = [], {}
     for n, d in enumerate(records):
         with _decoding(f"record {n}"):
-            out.append(_record_from_json(d, strict))
+            rec = _record_from_json(d, strict)
+            m = first.setdefault((rec.sequence, rec.sensor), n)
+            if m != n:
+                raise ValueError(f"sequence {rec.sequence} {rec.sensor} repeats record {m}")
+        out.append(rec)
     return out
 
 

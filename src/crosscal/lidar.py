@@ -35,14 +35,8 @@ from .target import generate_mask_cloud  # noqa: F401
 gicp_register = None
 
 
-def __getattr__(name):
-    # `cKDTree` imports scipy, a dev extra, only when the tracer asks for it,
-    # so that the program itself never loads scipy.
-    if name == "cKDTree":
-        from scipy.spatial import cKDTree
-
-        return cKDTree
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+class cKDTree:  # noqa: N801
+    """Placeholder for the tracer to subclass; the program builds no KD-tree."""
 
 
 # Hypotheses x points scored per array pass in ransac_plane: 512 KB of

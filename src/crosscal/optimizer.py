@@ -1,11 +1,13 @@
 """Global estimation of all sensor poses from per-sequence circle centers.
 
 Every sensor pair that co-detects the board in a sequence contributes
-residual terms: camera pairs compare projected 3D centers against the
-other camera's 2D centers, LiDAR-camera pairs project the LiDAR centers,
-and LiDAR pairs compare 3D centers directly. The reference sensor is
-pinned to identity (gauge) and the rest solved by Levenberg-Marquardt on
-the SE(3) tangent space with an analytic Jacobian.
+residual terms, all of one form: one sensor's centers are mapped through its
+pose and the other sensor's inverse pose into the other sensor's frame,
+where a camera projects them and compares pixels and a LiDAR compares them
+with its own 3D centers. One block function evaluates both kinds. The
+reference sensor is pinned to identity (gauge) and the rest solved by
+Levenberg-Marquardt on the SE(3) tangent space with an analytic Jacobian,
+stepping every pose with one batched `geometry.exp_se3_matrix`.
 """
 
 from __future__ import annotations
@@ -208,8 +210,8 @@ def initial_guess(p: CalibrationProblem) -> dict:
 
 class _Terms(NamedTuple):
     """Residual terms of one kind: in term n, pose i[n] maps the centers of
-    record a[n] into B, where they meet record b[n] of sensor j[n]: its
-    pixels (camera terms) or its own centers mapped by pose j (LiDAR pairs)."""
+    record a[n] into B and pose j[n] on into sensor j[n]'s frame, where they
+    meet record b[n]: its pixels (camera terms) or its centers (LiDAR pairs)."""
 
     i: np.ndarray  # (T,) sensor indices into p.sensors
     j: np.ndarray
@@ -267,34 +269,35 @@ def _pose_arrays(p: CalibrationProblem, poses: dict):
     return rot, np.array([poses[s].translation for s in p.sensors])
 
 
-def _camera_blocks(tab: _TermTable, t: _Terms, rot, trans, jac: bool):
-    """(T, 8) residual blocks, their (T, 8, 6) derivatives by poses i and j
-    (None unless jac) and the number of centers behind camera j."""
+def _blocks(tab: _TermTable, t: _Terms, rot, trans, jac: bool):
+    """(T, 8 | 12) residual blocks of terms t, their (T, 8 | 12, 6)
+    derivatives by poses i and j (None unless jac) and the number of centers
+    behind camera j. Every term maps record a's centers through pose i into
+    B and on into sensor j's frame, q = R_j^T (y - t_j). A camera j projects
+    q and compares pixels with record b's; a LiDAR j (12-row terms) compares q
+    with record b's centers. With D the weighted derivative of that comparison
+    by q, the derivative by pose i is D R_j^T [I | -skew(y)], by pose j its
+    negative."""
     y = tab.centers[t.a] @ rot[t.i].transpose(0, 2, 1) + trans[t.i, None]  # centers in B
-    q = (y - trans[t.j, None]) @ rot[t.j]  # centers in camera j
+    q = (y - trans[t.j, None]) @ rot[t.j]  # centers in sensor j
     w, fx, fy, cx, cy, cap = tab.sensor[t.j, :, None].transpose(1, 0, 2)
-    uv, behind = geometry.project(q, fx, fy, cx, cy)
-    q[behind] = 1.0  # any depth > 0: these rows are capped and their derivatives zeroed
-    block = np.where(behind[..., None], cap[:, None], w[:, None] * (uv - tab.pixels[t.b])).reshape(-1, 8)
+    width = t.rows.shape[1]
+    if width == 12:
+        behind = np.zeros(q.shape[:2], dtype=bool)
+        block = w[:, None] * (q - tab.centers[t.b])
+        d = w[..., None, None] * np.eye(3)
+    else:
+        uv, behind = geometry.project(q, fx, fy, cx, cy)
+        q[behind] = 1.0  # any depth > 0: these rows are capped and their derivatives zeroed
+        block = np.where(behind[..., None], cap[:, None], w[:, None] * (uv - tab.pixels[t.b]))
+        d = w[..., None, None] * geometry.project_jacobian(q, fx, fy) if jac else None
+    block = block.reshape(-1, width)
     if not jac:
         return block, None, None, int(behind.sum())
-    rjt = rot[t.j, None].transpose(0, 1, 3, 2)
-    core = (w[..., None, None] * geometry.project_jacobian(q, fx, fy)) @ rjt @ geometry.point_jacobian(y)
+    core = d @ rot[t.j, None].transpose(0, 1, 3, 2) @ geometry.point_jacobian(y)
     core[behind] = 0.0  # capped rows
-    return block, core.reshape(-1, 8, 6), -core.reshape(-1, 8, 6), int(behind.sum())
-
-
-def _lidar_blocks(tab: _TermTable, t: _Terms, rot, trans, jac: bool):
-    """(T, 12) residual blocks and their (T, 12, 6) derivatives by poses i and j."""
-    yi = tab.centers[t.a] @ rot[t.i].transpose(0, 2, 1) + trans[t.i, None]
-    yj = tab.centers[t.b] @ rot[t.j].transpose(0, 2, 1) + trans[t.j, None]
-    w = tab.sensor[t.j, 0, None, None]
-    block = (w * (yi - yj)).reshape(-1, 12)
-    if not jac:
-        return block, None, None, 0
-    di = w[..., None] * geometry.point_jacobian(yi)
-    dj = -w[..., None] * geometry.point_jacobian(yj)
-    return block, di.reshape(-1, 12, 6), dj.reshape(-1, 12, 6), 0
+    core = core.reshape(-1, width, 6)
+    return block, core, -core, int(behind.sum())
 
 
 def residuals(p: CalibrationProblem, poses: dict, table: _TermTable | None = None):
@@ -304,8 +307,8 @@ def residuals(p: CalibrationProblem, poses: dict, table: _TermTable | None = Non
     rot, trans = _pose_arrays(p, poses)
     r = np.empty(tab.cam.rows.size + tab.lidar.rows.size)
     flags = 0
-    for blocks, t in ((_camera_blocks, tab.cam), (_lidar_blocks, tab.lidar)):
-        block, _, _, n = blocks(tab, t, rot, trans, jac=False)
+    for t in (tab.cam, tab.lidar):
+        block, _, _, n = _blocks(tab, t, rot, trans, jac=False)
         r[t.rows] = block
         flags += n
     return r, flags
@@ -319,8 +322,8 @@ def jacobian(p: CalibrationProblem, poses: dict, table: _TermTable | None = None
     free = np.array([s != p.reference for s in p.sensors])
     col = np.where(free, 6 * np.cumsum(free) - 6, -1)  # first column of each free pose
     jac = np.zeros((tab.cam.rows.size + tab.lidar.rows.size, 6 * free.sum()))
-    for blocks, t in ((_camera_blocks, tab.cam), (_lidar_blocks, tab.lidar)):
-        _, di, dj, _ = blocks(tab, t, rot, trans, jac=True)
+    for t in (tab.cam, tab.lidar):
+        _, di, dj, _ = _blocks(tab, t, rot, trans, jac=True)
         for sensor, d in ((t.i, di), (t.j, dj)):
             keep = col[sensor] >= 0
             jac[t.rows[keep, :, None], col[sensor[keep], None, None] + np.arange(6)] = d[keep]
@@ -374,8 +377,8 @@ def solve(p: CalibrationProblem) -> CalibrationResult:
 
     def plus(poses, dx):
         out = dict(poses)
-        for k, s in enumerate(free):
-            out[s] = geometry.compose(geometry.exp_se3(dx[6 * k : 6 * k + 6]), poses[s])
+        for m, s in zip(geometry.exp_se3_matrix(dx.reshape(-1, 6)), free):
+            out[s] = geometry.compose(RigidTransform(m[:3, :3], m[:3, 3]), poses[s])
         return out
 
     checked = [jacobian(p, poses0, table)]
@@ -438,27 +441,39 @@ def consistency_check(result: CalibrationResult, chain):
     )
 
 
-def _pairwise_or_via(p: CalibrationProblem, a: SensorId, b: SensorId) -> RigidTransform:
-    """Direct pairwise estimate, or composed through one shared sensor when a
-    and b never co-detect (sparse datasets)."""
-    try:
-        return estimate_pairwise(p, a, b)
-    except UnknownSensor:
-        pass
-    for c in p.sensors:
-        if c in (a, b):
-            continue
-        try:
-            return geometry.compose(estimate_pairwise(p, c, b), estimate_pairwise(p, a, c))
-        except UnknownSensor:
-            continue
-    raise UnknownSensor(f"sensors {a} and {b} share no co-detections, even indirectly")
+def _pairwise_path(p: CalibrationProblem, a: SensorId, b: SensorId) -> RigidTransform:
+    """The a->b transform composed from pairwise estimates along the fewest
+    co-detection hops (breadth-first, neighbours in p.sensors order).
+    `build_problem`'s connectivity check guarantees a path between its
+    sensors."""
+    linked = {s: set() for s in p.sensors}
+    for seq in p.sequences:
+        for s in seq.observations:
+            linked[s].update(seq.observations)
+    came_from, frontier = {a: None}, [a]
+    while frontier and b not in came_from:
+        reached = []
+        for s in frontier:
+            for n in p.sensors:
+                if n in linked.get(s, ()) and n not in came_from:
+                    came_from[n] = s
+                    reached.append(n)
+        frontier = reached
+    if b not in came_from:
+        raise UnknownSensor(f"sensors {a} and {b} share no co-detections, even indirectly")
+    path = [b]
+    while path[-1] != a:
+        path.append(came_from[path[-1]])
+    t = RigidTransform.identity()
+    for u, v in zip(path[::-1], path[-2::-1]):
+        t = geometry.compose(estimate_pairwise(p, u, v), t)
+    return t
 
 
 def consistency_check_pairwise(p: CalibrationProblem, chain):
     """Same loop but over independently estimated pairwise transforms, so
     the deviation is finite on noisy data."""
-    return _loop_deviation(chain, lambda a, b: _pairwise_or_via(p, a, b))
+    return _loop_deviation(chain, lambda a, b: _pairwise_path(p, a, b))
 
 
 def reprojection_report(result: CalibrationResult):

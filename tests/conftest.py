@@ -104,9 +104,42 @@ def random_rigid(rng, max_angle=np.pi - 0.1, max_trans=2.0):
     )
 
 
+def exp_rigid(xi):
+    """`geometry.exp_se3_matrix` of one 6-vector (v, w) as a RigidTransform."""
+    m = geometry.exp_se3_matrix(xi)
+    return geometry.RigidTransform(m[:3, :3], m[:3, 3])
+
+
+def exp_se3_scalar(xi):
+    """The scalar SE(3) exponential the solvers stepped with before both
+    moved to `geometry.exp_se3_matrix`, kept to its rounding: the retraction
+    of `test_noisy_pnp_lm_stops_at_the_cost_rounding_floor`, which passes
+    only with this rounding (CHANGES.md, ROADMAP item 9)."""
+    xi = np.asarray(xi, dtype=float).reshape(6)
+    v, w = xi[:3], xi[3:]
+    theta = np.linalg.norm(w)
+    k = geometry.skew(w)
+    kk = k @ k
+    if theta < 1e-8:
+        jac = np.eye(3) + 0.5 * k + kk / 6.0
+    else:
+        jac = (
+            np.eye(3)
+            + (1.0 - np.cos(theta)) / theta**2 * k
+            + (theta - np.sin(theta)) / theta**3 * kk
+        )
+    if theta < 1e-10:
+        rot = np.eye(3) + k + 0.5 * kk
+    else:
+        a = np.sin(theta) / theta
+        b = (1.0 - np.cos(theta)) / theta**2
+        rot = np.eye(3) + a * k + b * kk
+    return geometry.RigidTransform(rot, jac @ v)
+
+
 def log_se3(t):
-    """Inverse of `geometry.exp_se3` for rotation angles below pi: the
-    6-vector (v, w), translation part first."""
+    """Inverse of `geometry.exp_se3_matrix` for rotation angles below pi: the
+    6-vector (v, w), translation part first, of the RigidTransform t."""
     r = t.rotation
     theta = np.arccos(np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0))
     axis = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])

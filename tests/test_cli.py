@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import crosscal
-from conftest import CIRCLE_BEHIND_CAMERA, matrix
+from conftest import CIRCLE_BEHIND_CAMERA, exp_rigid, matrix, oracle_observations
 from crosscal import cli, errors, geometry, io_formats, optimizer, sim
 from crosscal.camera import CameraDetection
 from crosscal.errors import SolverNotConverged
@@ -658,7 +658,7 @@ def test_lidar_job_error_survives_the_process_boundary(outcome):
 def test_lidar_detection_survives_the_process_boundary():
     rng = np.random.default_rng(3)
     det = LidarDetection(
-        geometry.exp_se3(rng.normal(size=6)), rng.normal(size=(4, 3)), float(rng.random())
+        exp_rigid(rng.normal(size=6)), rng.normal(size=(4, 3)), float(rng.random())
     )
     back = pickle.loads(pickle.dumps(det))
     assert type(back) is LidarDetection
@@ -883,6 +883,34 @@ def test_calibrate_pairwise_mode_runs(ws, tmp_path, capsys):
     assert rep["consistency"]["mode"] == "pairwise"
     assert np.isfinite(rep["consistency"]["rotation_deviation_deg"])
     assert np.isfinite(rep["consistency"]["translation_deviation_m"])
+
+
+def test_calibrate_pairwise_mode_composes_along_a_path_of_cameras(tmp_path):
+    """Four cameras whose records co-detect only along the path camera0 -
+    camera1 - camera2 - camera3: the pairwise loop composes camera3 -> camera0
+    over three hops, and both modes exit 0."""
+    cfg = io_formats.default_config(0, 4)
+    config = tmp_path / "config.json"
+    io_formats.write_config(config, cfg)
+    scene = sim.make_scene(cfg.sensors, sequences=24, seed=1)
+    records, hops = [], set()
+    for seq in oracle_observations(scene):
+        seen = {s.index for s in seq.observations}
+        for k in ((seq.sequence + n) % 3 for n in range(3)):
+            if {k, k + 1} <= seen:
+                hops.add(k)
+                for s in (SensorId("camera", k), SensorId("camera", k + 1)):
+                    records.append(io_formats.DetectionRecord(seq.sequence, s, seq.observations[s]))
+                break
+    assert hops == {0, 1, 2}
+    det = tmp_path / "detections.json"
+    io_formats.write_detections(det, records)
+    argv = ["calibrate", "--config", str(config), "--detections", str(det), "--out"]
+    assert cli.main(argv + [str(tmp_path / "report.json")]) == 0
+    assert cli.main(argv + [str(tmp_path / "report_pw.json"), "--pairwise-mode"]) == 0
+    rep = json.loads((tmp_path / "report_pw.json").read_text())
+    assert rep["consistency"]["mode"] == "pairwise"
+    assert rep["consistency"]["translation_deviation_m"] < 1e-9
 
 
 def test_calibrate_unknown_reference_exit_2(ws, tmp_path):

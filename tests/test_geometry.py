@@ -4,7 +4,7 @@ Euler conversions, pinhole projection."""
 import numpy as np
 import pytest
 
-from conftest import log_se3, matrix, random_rigid, random_rotation
+from conftest import exp_rigid, log_se3, matrix, random_rigid, random_rotation
 from crosscal import geometry
 from crosscal.errors import NonPositiveDepth
 from crosscal.geometry import Intrinsics, RigidTransform
@@ -187,14 +187,13 @@ def test_euler_gimbal_lock_rz_zero():
 
 
 def test_exp_zero_is_identity():
-    t = geometry.exp_se3(np.zeros(6))
-    assert np.allclose(matrix(t), np.eye(4), atol=1e-15)
+    assert np.allclose(geometry.exp_se3_matrix(np.zeros(6)), np.eye(4), atol=1e-15)
 
 
 def test_exp_quarter_turn_about_x():
-    t = geometry.exp_se3([0.0, 0.0, 0.0, np.pi / 2, 0.0, 0.0])
-    assert np.abs(t.rotation - geometry.rot_x(np.pi / 2)).max() < 1e-12
-    assert np.allclose(t.translation, 0.0)
+    m = geometry.exp_se3_matrix([0.0, 0.0, 0.0, np.pi / 2, 0.0, 0.0])
+    assert np.abs(m[:3, :3] - geometry.rot_x(np.pi / 2)).max() < 1e-12
+    assert np.allclose(m[:3, 3], 0.0)
 
 
 def test_exp_log_round_trip_1000():
@@ -204,9 +203,23 @@ def test_exp_log_round_trip_1000():
         w = rng.normal(size=3)
         w = w / np.linalg.norm(w) * rng.uniform(1e-4, np.pi - 0.01)
         xi = np.concatenate([rng.uniform(-2, 2, size=3), w])
-        back = log_se3(geometry.exp_se3(xi))
+        back = log_se3(exp_rigid(xi))
         worst = max(worst, float(np.abs(back - xi).max()))
     assert worst < 1e-9
+
+
+def test_exp_se3_matrix_rotation_is_rotation_exp():
+    """The batched exponential's rotation block against the scalar Rodrigues
+    formula, also at angles between 1e-10 and 1e-8 rad, where rotation_exp
+    already uses the closed form and exp_se3_matrix still its series."""
+    rng = np.random.default_rng(10)
+    axes = rng.normal(size=(100, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = np.concatenate([10.0 ** rng.uniform(-10.0, -8.0, 20), rng.uniform(0.0, np.pi, 80)])
+    w = axes * angles[:, None]
+    rot = geometry.exp_se3_matrix(np.concatenate([np.zeros_like(w), w], axis=1))[:, :3, :3]
+    for wi, r in zip(w, rot):
+        assert np.abs(r - geometry.rotation_exp(wi)).max() <= 1e-15
 
 
 def test_rotation_angle_and_orthonormalize():

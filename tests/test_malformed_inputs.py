@@ -177,9 +177,18 @@ def _lidar_with_intrinsics(doc):
     return doc
 
 
+def _repeated_record(doc):
+    """Record 0 again right after itself, its centers moved by 0.3 m."""
+    doc = copy.deepcopy(doc)
+    again = copy.deepcopy(doc["records"][0])
+    again["centers_3d"] = [[x + 0.3 for x in c] for c in again["centers_3d"]]
+    doc["records"].insert(1, again)
+    return doc
+
+
 _CAMERA = ("sensors", "camera")
-# Config cases that the schema accepts and the reader rejects: each breaks
-# a rule between fields, which JSON Schema cannot express.
+# Cases that the schema accepts and the reader rejects: each breaks a rule
+# between fields or records, which JSON Schema cannot express.
 _READER_ONLY = {
     "config-sensors.camera.intrinsics-deleted": "intrinsics iff camera",
     "config-lidar-with-intrinsics": "intrinsics iff camera",
@@ -188,6 +197,7 @@ _READER_ONLY = {
     "config-board-smaller-than-the-checker": "board at least the checker extent",
     "config-d_min-not-below-d_max": "d_min < d_max",
     "config-duplicate-sensor-ids": "duplicate sensor ids",
+    "detections-repeated-record": "one record per station and sensor",
 }
 _CROSS_FIELD = {
     "config-lidar-with-intrinsics": _lidar_with_intrinsics,
@@ -198,6 +208,7 @@ _CROSS_FIELD = {
     "config-duplicate-sensor-ids": lambda doc: _mutated(
         doc, ("sensors", 1, "index"), lambda v: _node(doc, ("sensors", 0, "index"))
     ),
+    "detections-repeated-record": _repeated_record,
 }
 
 # PLY edits: (bytes of the cloud -> bytes), each of which the reader rejects
@@ -238,7 +249,7 @@ def _cases():
         for path, name, mutate in _fields(kind):
             edit = lambda doc, p=path, m=mutate: _mutated(doc, p, m)  # noqa: E731
             cases.append(pytest.param(kind, edit, id=f"{kind}-{'.'.join(map(str, path))}-{name}"))
-    cases += [pytest.param("config", edit, id=k) for k, edit in _CROSS_FIELD.items()]
+    cases += [pytest.param(k.split("-")[0], edit, id=k) for k, edit in _CROSS_FIELD.items()]
     cases += [pytest.param("cloud", edit, id=f"cloud-{k}") for k, edit in _PLY.items()]
     cases += [pytest.param("name", name, id=f"name-{name}") for name in _NAMES]
     for kind in ("config", "detections", "corners", "init", "cloud"):
@@ -356,6 +367,8 @@ def test_malformed_input(base, tmp_path, caplog, request, kind, edit):
         assert rc in (0, 2), [r.getMessage() for r in logged]
         if rc == 2:
             assert det.name in caplog.text, caplog.text
+            if case_id == "detections-repeated-record":
+                assert "repeats record 0 in record 1" in caplog.text, caplog.text
         else:
             assert (tmp_path / "r.json").read_bytes() == base["outputs"]["calibrate"]
         _check_schema_agreement(kind, case_id, doc, rc == 2)

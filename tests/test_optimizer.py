@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    exp_rigid,
     lm_without_reduction_stop,
     matrix,
     oracle_observations,
@@ -209,6 +210,13 @@ def test_residuals_eq6_hand_case():
     r, _ = residuals(p, poses)
     assert r.shape == (12,)
     assert np.allclose(r.reshape(4, 3), np.tile([-0.1, 0.0, 0.0], (4, 1)), atol=1e-12)  # LiDAR weight 1
+    # a LiDAR pair is compared in the second LiDAR's frame: R1^T (y0 - y1),
+    # the B-frame difference rotated, so of the same norm
+    poses[L1] = RigidTransform(geometry.rot_z(np.deg2rad(30.0)), [0.1, 0.0, 0.0])
+    diff = poses[L0].apply(SQUARE) - poses[L1].apply(SQUARE)
+    r, _ = residuals(p, poses)
+    assert np.abs(r.reshape(4, 3) - diff @ poses[L1].rotation).max() < 1e-15
+    assert abs(r @ r - (diff**2).sum()) < 1e-15
 
 
 def test_residual_length_matches_enumeration_formula():
@@ -235,9 +243,9 @@ def _central_differences(p, poses, eps=1e-6):
             dx = np.zeros(6)
             dx[a] = eps
             up = dict(poses)
-            up[s] = geometry.compose(geometry.exp_se3(dx), poses[s])
+            up[s] = geometry.compose(exp_rigid(dx), poses[s])
             dn = dict(poses)
-            dn[s] = geometry.compose(geometry.exp_se3(-dx), poses[s])
+            dn[s] = geometry.compose(exp_rigid(-dx), poses[s])
             num[:, 6 * k + a] = (residuals(p, up)[0] - residuals(p, dn)[0]) / (2 * eps)
     return num
 
@@ -250,7 +258,7 @@ def test_jacobian_matches_central_differences_100_states():
     for _ in range(100):
         poses = {
             s: geometry.compose(
-                geometry.exp_se3(np.concatenate([rng.normal(0, 0.05, 3), rng.normal(0, 0.02, 3)])),
+                exp_rigid(np.concatenate([rng.normal(0, 0.05, 3), rng.normal(0, 0.02, 3)])),
                 t,
             )
             for s, t in gt.items()
@@ -377,6 +385,39 @@ def test_resolve_circle_ordering_all_lidar_records_rolled():
     first = {qi: min(q.observations) for qi, q in enumerate(p.sequences)}
     rolled = _roll_lidar_records(p, lambda qi, s: s != first[qi], rng)
     _assert_same_centers(p, resolve_circle_ordering(rolled, _gt_poses(scene, L0)))
+
+
+def test_solve_undoes_shifted_orders_on_a_large_rig():
+    """4 LiDARs and 6 cameras over 40 stations, LiDAR centers with 2 mm noise:
+    with every LiDAR record, or a quarter of them, rolled by a cyclic shift,
+    solve returns the poses of the unshifted records."""
+    rng = np.random.default_rng(12)
+    scene = _scene(n_lidars=4, m_cameras=6, sequences=40, seed=0)
+    noisy = [
+        replace(
+            seq,
+            observations={
+                s: replace(d, centers=d.centers + rng.normal(0.0, 0.002, (4, 3))) if s.kind == "lidar" else d
+                for s, d in seq.observations.items()
+            },
+        )
+        for seq in oracle_observations(scene)
+    ]
+    p = build_problem(noisy, CAM0, scene.intrinsics)
+    truth = solve(p).poses
+    for share in (1.0, 0.25):
+        rolled = _roll_lidar_records(p, lambda qi, s: rng.random() < share, rng)
+        assert any(
+            not np.array_equal(a.observations[s].centers, b.observations[s].centers)
+            for a, b in zip(p.sequences, rolled.sequences)
+            for s in a.observations
+            if s.kind == "lidar"
+        )
+        poses = solve(rolled).poses
+        for s, t in truth.items():
+            delta = geometry.compose(geometry.invert(t), poses[s])
+            assert np.linalg.norm(poses[s].translation - t.translation) < 1e-8, (share, str(s))
+            assert geometry.rotation_angle(delta.rotation) < 1e-8, (share, str(s))
 
 
 def test_resolve_keeps_correct_order_unchanged():

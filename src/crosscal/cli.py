@@ -112,20 +112,19 @@ def cmd_simulate(args) -> int:
     # each LiDAR is one job on the pool; this process writes the cameras' files
     lidars = [(s,) for s in scene.sensor_ids if s.kind == "lidar"]
     cameras = [s for s in scene.sensor_ids if s.kind == "camera"]
-    scene.ray_dirs  # built before the fork, so that every worker inherits it
+    scene.ray_dirs, scene.visibility  # built before the fork, so that every worker inherits them
     with _forked(partial(_simulate_lidar, scene, out), lidars) as lidar_outputs:
-        for seq in range(len(scene.board_poses)):
-            for sensor in cameras:
-                if not sim.sensor_sees_board(scene, sensor, seq):
-                    continue
-                ids, uv = sim.render_camera(scene, sensor, seq)
-                doc = {
-                    "sensor": io_formats.sensor_to_json(sensor),
-                    "corners": [{"id": int(i), "uv": p.tolist()} for i, p in zip(ids, uv)],
-                }
-                path = out / f"seq_{seq:03d}" / f"corners_{sensor}.json"
-                io_formats.atomic_write(path, io_formats.canonical_json(doc))
-                outputs.append(path)
+        seen = [
+            (sensor, seq)
+            for seq in range(len(scene.board_poses))
+            for sensor in cameras
+            if sim.sensor_sees_board(scene, sensor, seq)
+        ]
+        for (sensor, seq), (ids, uv) in zip(seen, sim.render_camera(scene, seen)):
+            path = out / f"seq_{seq:03d}" / f"corners_{sensor}.json"
+            doc = {"ids": ids.tolist(), "uv": uv.tolist()}
+            io_formats.atomic_write(path, io_formats.canonical_json(doc))
+            outputs.append(path)
         for paths in lidar_outputs:
             outputs += paths
     _write_manifest(out / "manifest.json", args.config, seed, [args.config], outputs)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 import os
 import tempfile
 import typing
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -274,32 +274,47 @@ def _finite(v, what: str, shape=(), minimum=None):
 
 
 def _corners_from_json(doc, n_ids: int):
-    ids, seen, uv = [], set(), []
-    for c in doc["corners"]:
-        cid = _integer(c["id"], "corner id")
-        if not 0 <= cid < n_ids:
-            raise ValueError(f"corner id {cid} is not in [0, {n_ids})")
-        if cid in seen:
-            raise ValueError(f"corner id {cid} repeated")
-        seen.add(cid)
-        ids.append(cid)
-        p = c["uv"]
-        if not (
-            type(p) is list
-            and len(p) == 2
-            and all(type(x) in (int, float) and math.isfinite(x) for x in p)
-        ):
-            p = _finite(p, f"corner {cid} uv", (2,))  # raises the error of this uv
-        uv.append(p)
-    return np.array(ids, dtype=int), np.array(uv, dtype=float).reshape(-1, 2)
+    """The columns `ids` and `uv`, each checked as a whole; the first corner
+    that fails a check is named in its error."""
+    ids, uv = doc["ids"], doc["uv"]
+    for name, column in (("ids", ids), ("uv", uv)):
+        if type(column) is not list:
+            raise TypeError(f"{name} must be a list, got {type(column).__name__}")
+    if len(ids) != len(uv):
+        raise ValueError(f"{len(ids)} ids but {len(uv)} uv pairs")
+    if not set(map(type, ids)) <= {int, float}:
+        _integer(next(v for v in ids if type(v) not in (int, float)), "corner id")
+    a = np.array(ids, dtype=float)
+    bad = np.flatnonzero(~((a == np.floor(a)) & (a >= 0) & (a < n_ids)))  # NaN is bad
+    if bad.size:
+        cid = _integer(ids[bad[0]], "corner id")
+        raise ValueError(f"corner id {cid} is not in [0, {n_ids})")
+    ids = a.astype(int)
+    distinct = ids.tolist()
+    if len(set(distinct)) < len(ids):  # a set: np.unique imports numpy.ma
+        cid = next(c for n, c in enumerate(distinct) if c in distinct[:n])
+        raise ValueError(f"corner id {cid} repeated")
+    pairs = set(map(type, uv)) <= {list} and set(map(len, uv)) <= {2}
+    if not (pairs and set(map(type, chain.from_iterable(uv))) <= {int, float}):
+        k = next(
+            k for k, p in enumerate(uv)
+            if type(p) is not list or len(p) != 2 or not {type(x) for x in p} <= {int, float}
+        )
+        _finite(uv[k], f"uv of corner {ids[k]}", (2,))  # raises the error of this pair
+    pixels = np.array(uv, dtype=float).reshape(-1, 2)
+    bad = np.flatnonzero(~np.isfinite(pixels).all(axis=1))
+    if bad.size:
+        raise ValueError(f"uv of corner {ids[bad[0]]} is not finite")
+    return ids, pixels
 
 
 def read_corners(path, spec: TargetSpec):
     """A camera's checker-corner detections (ids, uv), (n,) ints and (n, 2)
-    pixels, from a `corners_camera*.json` file:
-    {"corners": [{"id": int, "uv": [u, v]}, ...]}. The ids are distinct
-    corners of the board `spec`, each uv 2 finite numbers; anything else is
-    a ParseError or MissingField naming the file."""
+    pixels, from a `corners_camera*.json` file: {"ids": [id, ...], "uv":
+    [[u, v], ...]}, two columns of equal length, row k corner k. The ids are
+    distinct integers in [0, n) for the n inner corners of the board `spec`,
+    each uv 2 finite numbers; anything else, the per-corner objects of older
+    files included, is a ParseError or MissingField naming the file."""
     return _read_json(path, _corners_from_json, (spec.squares_x - 1) * (spec.squares_y - 1))
 
 

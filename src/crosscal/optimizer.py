@@ -222,6 +222,7 @@ class _Terms(NamedTuple):
 
 class _TermTable(NamedTuple):
     records: list  # (sequence position, SensorId) of each detection record
+    owner: np.ndarray  # (N,) position in p.sensors of each record's sensor
     centers: np.ndarray  # (N, 4, 3) record centers in the sensor frame
     pixels: np.ndarray  # (N, 4, 2) camera records' pixel centers, 0 for LiDARs
     sensor: np.ndarray  # (S, 6) weight, fx, fy, cx, cy, behind-camera residual
@@ -240,6 +241,7 @@ def _term_table(p: CalibrationProblem) -> _TermTable:
             k = p.intrinsics[s]
             w = 1.0 / k.fx
             sensor[n] = w, k.fx, k.fy, k.cx, k.cy, w * np.hypot(k.width, k.height) / np.sqrt(2.0)
+    position = {s: n for n, s in enumerate(p.sensors)}
     records, terms, row = [], ([], []), 0
     for q, seq in enumerate(p.sequences):
         present = [s for s in p.sensors if s in seq.observations]
@@ -247,15 +249,16 @@ def _term_table(p: CalibrationProblem) -> _TermTable:
         rec = {s: len(records) + n for n, s in enumerate(present)}
         records += [(q, s) for s in present]
         # a camera's own centers project exactly onto its own pixels: no self terms
-        pairs = [(i, j, 0) for j in present if j not in lids for i in present if i != j]
+        pairs = [(i, j, 0) for j in present if j.kind == "camera" for i in present if i is not j]
         pairs += [(i, j, 1) for n, i in enumerate(lids) for j in lids[n + 1 :]]
         for i, j, kind in pairs:
-            terms[kind].append((p.sensors.index(i), p.sensors.index(j), rec[i], rec[j], row))
+            terms[kind].append((position[i], position[j], rec[i], rec[j], row))
             row += (8, 12)[kind]
     dets = [p.sequences[q].observations[s] for q, s in records]
     cam, lidar = (np.array(t, dtype=int).reshape(-1, 5).T for t in terms)
     return _TermTable(
         records,
+        np.array([position[s] for _, s in records], dtype=int),
         np.array([detection_centers(d) for d in dets]),
         np.array([getattr(d, "centers_2d", np.zeros((4, 2))) for d in dets]),
         sensor,
@@ -340,9 +343,8 @@ def resolve_circle_ordering(p: CalibrationProblem, poses: dict) -> CalibrationPr
     tab = _term_table(p)
     centers = tab.centers.copy()
     shift = np.zeros(len(centers), dtype=int)
-    owner = np.array([p.sensors.index(s) for _, s in tab.records])
     for k in np.flatnonzero([s.kind == "lidar" for s in p.sensors]):
-        recs = np.flatnonzero(owner == k)
+        recs = np.flatnonzero(tab.owner == k)
         cost = np.zeros((4, len(centers)))
         for s in range(4):
             trial = centers.copy()

@@ -7,7 +7,7 @@ derived from (seed, sequence, sensor) so renders are order-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -77,6 +77,13 @@ class Scene:
         dirs.flags.writeable = False
         return dirs
 
+    @cached_property
+    def visibility(self) -> dict:
+        """{SensorId: (B,) bool}, whether the sensor sees each station's
+        board; one `_visibility` table over every sensor and station."""
+        table = _visibility(self.sensors, self.intrinsics, self.board_poses, self.spec, self.scan)
+        return dict(zip(self.sensors, table))
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -113,17 +120,17 @@ def default_intrinsics() -> Intrinsics:
 
 
 def sensor_sees_board(scene: Scene, sensor: SensorId, sequence: int) -> bool:
-    return _visible(
-        scene.sensors[sensor],
-        sensor,
-        scene.board_poses[sequence],
-        scene.spec,
-        scene.intrinsics.get(sensor),
-        scene.scan,
-    )
+    return bool(scene.visibility[sensor][sequence])
 
 
-def _visible(t_sw, sensor, t_bw, spec, intr, scan):
+def _visibility(poses: dict, intrinsics: dict, boards, spec: TargetSpec, scan: ScanPattern):
+    """(S, B) whether each sensor of `poses`, {SensorId: sensor->world}, in
+    its order, sees each board->world pose of `boards`, judged by the board's
+    corners and center: a camera sees them 5 px inside its image and over
+    0.1 m in front; a LiDAR in range, inside the detector's 7.9 m d_max gate,
+    0.5 deg inside its elevation span and above the h_min ground cut. One
+    array pass over every pair, each point moved by the same products as
+    `RigidTransform.apply` on the board's points."""
     corners = np.array(
         [
             [sx * spec.board_width / 2, sy * spec.board_height / 2, 0.0]
@@ -132,24 +139,33 @@ def _visible(t_sw, sensor, t_bw, spec, intr, scan):
         ]
         + [[0.0, 0.0, 0.0]]
     )
-    pts_s = geometry.invert(t_sw).apply(t_bw.apply(corners))
-    if sensor.kind == "camera":
-        if np.any(pts_s[:, 2] <= 0.1):
-            return False
-        uv = geometry.project_many(intr, pts_s)
-        return bool(
-            np.all((uv[:, 0] >= 5) & (uv[:, 0] < intr.width - 5))
-            and np.all((uv[:, 1] >= 5) & (uv[:, 1] < intr.height - 5))
-        )
-    rng_d = np.linalg.norm(pts_s, axis=1)
-    el = np.rad2deg(np.arcsin(pts_s[:, 2] / np.maximum(rng_d, 1e-9)))
-    return bool(
-        np.all(rng_d < scan.max_range)
-        and np.all(np.hypot(pts_s[:, 0], pts_s[:, 1]) < 7.9)  # inside the d_max gate
-        and np.all(el > scan.el_min_deg + 0.5)
-        and np.all(el < scan.el_max_deg - 0.5)
-        and np.all(pts_s[:, 2] > 0.09)  # clears the h_min ground cut
+    rot_b = np.array([t.rotation for t in boards])
+    world = corners @ rot_b.transpose(0, 2, 1) + np.array([t.translation for t in boards])[:, None]
+    rot_s = np.array([t.rotation for t in poses.values()])
+    trans_s = np.array([geometry.invert(t).translation for t in poses.values()])
+    pts = world[:, None] @ rot_s + trans_s[:, None]  # (B, S, 5, 3) in each sensor's frame
+    cams = [s.kind == "camera" for s in poses]
+    # each camera's fx, fy, cx, cy, width, height; a LiDAR's row is never read
+    k = np.array([astuple(intrinsics[s]) if s.kind == "camera" else (1.0,) * 6 for s in poses])
+    fx, fy, cx, cy, width, height = k.T[:, :, None]
+    uv = geometry.project(pts, fx, fy, cx, cy)[0]
+    camera = (
+        (pts[..., 2] > 0.1)
+        & (uv[..., 0] >= 5)
+        & (uv[..., 0] < width - 5)
+        & (uv[..., 1] >= 5)
+        & (uv[..., 1] < height - 5)
     )
+    rng_d = np.linalg.norm(pts, axis=-1)
+    el = np.rad2deg(np.arcsin(pts[..., 2] / np.maximum(rng_d, 1e-9)))
+    lidar = (
+        (rng_d < scan.max_range)
+        & (np.hypot(pts[..., 0], pts[..., 1]) < 7.9)  # inside the d_max gate
+        & (el > scan.el_min_deg + 0.5)
+        & (el < scan.el_max_deg - 0.5)
+        & (pts[..., 2] > 0.09)  # clears the h_min ground cut
+    )
+    return np.where(cams, camera.all(axis=-1), lidar.all(axis=-1)).T
 
 
 def make_scene(
@@ -215,11 +231,8 @@ def make_scene(
             )
             facing = geometry.rot_z(bearing) @ _BOARD_BASE  # face back at the rig
             t_bw = RigidTransform(facing @ perturb, pos)
-            seen = [
-                sid
-                for sid, t_sw in poses.items()
-                if _visible(t_sw, sid, t_bw, spec, intrinsics.get(sid), scan)
-            ]
+            visible = _visibility(poses, intrinsics, [t_bw], spec, scan)[:, 0]
+            seen = [sid for sid, v in zip(poses, visible) if v]
             lidars_seen = sum(1 for sid in seen if sid.kind == "lidar")
             cams_seen = len(seen) - lidars_seen
             # Every LiDAR should capture every board (spinning scanners have
@@ -329,29 +342,45 @@ def render_lidar(scene: Scene, sensor: SensorId, sequence: int) -> np.ndarray:
     return LidarCast(scene, sensor).render(sequence)
 
 
-def render_camera(scene: Scene, sensor: SensorId, sequence: int):
+def render_camera(scene: Scene, pairs) -> list:
     """Noisy checker-corner observations (ids, uv), (n,) ints and (n, 2)
-    pixels; corners outside the image or hit by dropout are omitted, ids
-    preserved. Each corner draws its pixel noise, then its dropout."""
-    if sensor.kind != "camera":
-        raise ValueError(f"{sensor} is not a camera")
-    intr = scene.intrinsics[sensor]
-    t_bc = geometry.compose(
-        geometry.invert(scene.sensors[sensor]), scene.board_poses[sequence]
-    )
-    rng = _rng(scene.seed, 2, sequence, sensor.index)
+    pixels, of each (camera, sequence) of `pairs`, in one array pass;
+    corners behind the camera, outside the image or hit by dropout are
+    omitted, ids preserved. Each pair draws from its own generator the pixel
+    noise of every corner, then their dropout. A corner moves as
+    `RigidTransform.apply` moves one point, so its pixels keep their bits."""
+    for sensor, _ in pairs:
+        if sensor.kind != "camera":
+            raise ValueError(f"{sensor} is not a camera")
+    if not pairs:
+        return []
     corners = checker_corners_board(scene.spec)
-    pts = np.array([t_bc.apply(pt) for _, pt in corners])
-    front = pts[:, 2] > 1e-3
-    ids = np.array([cid for cid, _ in corners])[front]
-    uv = geometry.project_many(intr, pts[front])
-    keep = np.ones(len(ids), dtype=bool)
-    for n in range(len(ids)):
-        if scene.noise.pixel_sigma > 0:
-            uv[n] += rng.normal(0.0, scene.noise.pixel_sigma, size=2)
-        keep[n] = not (scene.noise.dropout > 0 and rng.random() < scene.noise.dropout)
-    keep &= (0 <= uv[:, 0]) & (uv[:, 0] < intr.width) & (0 <= uv[:, 1]) & (uv[:, 1] < intr.height)
-    return ids[keep], uv[keep]
+    ids = np.array([cid for cid, _ in corners])
+    sensors = [scene.sensors[s] for s, _ in pairs]
+    boards = [scene.board_poses[q] for _, q in pairs]
+    # board->camera of each pair, as geometry.compose(geometry.invert(t_sw), t_bw)
+    rot_s = np.array([t.rotation for t in sensors]).transpose(0, 2, 1)
+    rot = rot_s @ np.array([t.rotation for t in boards])
+    trans = (rot_s @ np.array([t.translation for t in boards])[..., None])[..., 0]
+    trans += [geometry.invert(t).translation for t in sensors]
+    # (n, 1, 3) corners: one vector-matrix product each, where one (n, 3) @
+    # (3, 3) product can round differently in the last bit
+    pts = np.array([pt for _, pt in corners])[:, None]
+    pts = (pts @ rot[:, None].transpose(0, 1, 3, 2))[:, :, 0] + trans[:, None]  # (P, n, 3)
+    k = np.array([astuple(scene.intrinsics[s]) for s, _ in pairs]).T[:, :, None]
+    uv = geometry.project(pts, *k[:4])[0]
+    keep = pts[..., 2] > 1e-3
+    noise = scene.noise
+    if noise.pixel_sigma > 0 or noise.dropout > 0:
+        for row, (sensor, sequence) in enumerate(pairs):
+            rng = _rng(scene.seed, 2, sequence, sensor.index)
+            front = np.flatnonzero(keep[row])
+            if noise.pixel_sigma > 0:
+                uv[row, front] += rng.normal(0.0, noise.pixel_sigma, size=(len(front), 2))
+            if noise.dropout > 0:
+                keep[row, front] = rng.random(len(front)) >= noise.dropout
+    keep &= (0 <= uv[..., 0]) & (uv[..., 0] < k[4]) & (0 <= uv[..., 1]) & (uv[..., 1] < k[5])
+    return [(ids[m], p[m]) for m, p in zip(keep, uv)]
 
 
 def ground_truth(scene: Scene) -> GroundTruth:

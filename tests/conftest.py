@@ -259,7 +259,7 @@ def detect_observations(scene, lp=None):
         zip(
             cams,
             detect_target_camera(
-                [sim.render_camera(scene, s, seq) for seq, s in cams],
+                sim.render_camera(scene, [(s, seq) for seq, s in cams]),
                 scene.spec,
                 [scene.intrinsics[s] for _, s in cams],
             ),

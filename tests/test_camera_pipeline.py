@@ -378,7 +378,7 @@ def test_simulator_round_trip_noise_free():
     for seq in range(3):
         if not sim.sensor_sees_board(scene, cam, seq):
             continue
-        corners = sim.render_camera(scene, cam, seq)
+        (corners,) = sim.render_camera(scene, [(cam, seq)])
         (det,) = detect_target_camera([corners], scene.spec, [scene.intrinsics[cam]])
         truth = gt.board_in_sensor(cam, seq)
         dt, dr = pose_delta(truth, det.pose)

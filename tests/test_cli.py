@@ -236,6 +236,34 @@ def test_lidar_detection_loads_no_numpy_ma():
     assert out.stdout.strip() == "4 False"
 
 
+def test_simulate_and_detect_load_no_numpy_ma(tmp_path):
+    """The parent process of `simulate` and `detect` renders, writes and
+    reads every corner file, and would pay `numpy.ma`'s import on each run:
+    none of it may load it (`np.unique` does, even without `axis=`)."""
+    cfg = replace(io_formats.default_config(1, 2), sim={**io_formats.DEFAULT_SIM, "sequences": 2})
+    config = tmp_path / "config.json"
+    io_formats.write_config(config, cfg)
+    code = (
+        "import sys\n"
+        "from crosscal import cli\n"
+        "c, d = sys.argv[1:]\n"
+        "assert cli.main(['simulate', '--config', c, '--out', d + '/data']) == 0\n"
+        "argv = ['detect', '--config', c, '--data', d + '/data', '--out', d + '/d.json']\n"
+        "assert cli.main(argv) == 0\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(config), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=_source_env(),
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+    assert len(list(tmp_path.glob("data/seq_*/corners_camera*.json"))) >= 2
+
+
 def test_simulate_bad_config_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -361,17 +389,16 @@ def test_detect_partial_failure_warns_but_succeeds(ws, tmp_path):
     center behind the camera, costs its own detection: the rest still
     detects, with one warning."""
     intr = sim.default_intrinsics()
-    corners = [
-        {"id": cid, "uv": geometry.project_many(intr, CIRCLE_BEHIND_CAMERA.apply(p))[0].tolist()}
-        for cid, p in checker_corners_board(TargetSpec())
-    ]
+    board = checker_corners_board(TargetSpec())
+    pixels = geometry.project_many(intr, CIRCLE_BEHIND_CAMERA.apply([p for _, p in board]))
+    corners = {"ids": [cid for cid, _ in board], "uv": pixels.tolist()}
     victims = [
         (
             "cloud_lidar0.ply",
             "ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n"
             "property double y\nproperty double z\nend_header\n1 oops 3\n",
         ),
-        ("corners_camera0.json", json.dumps({"corners": corners})),
+        ("corners_camera0.json", json.dumps(corners)),
     ]
     everything = [(r.sequence, r.sensor) for r in io_formats.read_detections(ws["det"])]
     for k, (name, content) in enumerate(victims):
@@ -391,12 +418,12 @@ def test_detect_partial_failure_warns_but_succeeds(ws, tmp_path):
         assert [(r.sequence, r.sensor) for r in recs] == [r for r in everything if r != lost]
 
 
-def _corner_edit(key, value, i=0):
-    """Content that sets `key` of corner i of the file to value(corners)."""
+def _corner_edit(column, value, i=0):
+    """Content that sets row i of the file's column `column` to value(column)."""
 
     def edit(path):
         doc = json.loads(path.read_text())
-        doc["corners"][i][key] = value(doc["corners"])
+        doc[column][i] = value(doc[column])
         path.write_text(json.dumps(doc))
 
     return edit
@@ -416,13 +443,13 @@ def _cloud_edit(axis, value):
 @pytest.mark.parametrize(
     "pattern, content",
     [
-        ("corners_camera*.json", '{"sensor": {"kind": "camera", "index": 0}}'),  # no "corners"
+        ("corners_camera*.json", '{"corners": [{"id": 0, "uv": [1.0, 2.0]}]}'),  # no "ids"
         ("corners_camera*.json", "{not json"),
-        ("corners_camera*.json", _corner_edit("uv", lambda cs: [float("nan"), cs[0]["uv"][1]])),
-        ("corners_camera*.json", _corner_edit("uv", lambda cs: cs[0]["uv"] + [0.0])),
-        ("corners_camera*.json", _corner_edit("id", lambda cs: 1.5)),
-        ("corners_camera*.json", _corner_edit("id", lambda cs: 9999)),
-        ("corners_camera*.json", _corner_edit("id", lambda cs: cs[0]["id"], i=1)),
+        ("corners_camera*.json", _corner_edit("uv", lambda uv: [float("nan"), uv[0][1]])),
+        ("corners_camera*.json", _corner_edit("uv", lambda uv: uv[0] + [0.0])),
+        ("corners_camera*.json", _corner_edit("ids", lambda ids: 1.5)),
+        ("corners_camera*.json", _corner_edit("ids", lambda ids: 9999)),
+        ("corners_camera*.json", _corner_edit("ids", lambda ids: ids[0], i=1)),
         ("init_lidar*.json", '{"pose": {"translation": [0, 0, 1]}}'),  # no "euler_xyz_deg"
         ("init_lidar*.json", "[]"),
         ("init_lidar*.json", '{"pose": {"euler_xyz_deg": [0, 0, 0], "translation": [NaN, 0, 1]}}'),

@@ -17,6 +17,7 @@ from crosscal.errors import (
 from crosscal.geometry import Intrinsics, RigidTransform
 from crosscal.lidar import LidarDetection
 from crosscal.optimizer import SensorId
+from crosscal.target import TargetSpec
 
 
 # --- clouds -----------------------------------------------------------------
@@ -197,6 +198,45 @@ def _sample_records():
             0, SensorId("camera", 1), CameraDetection(pose_c, centers, c2, 0.2, 49)
         ),
     ]
+
+
+# --- corner files -----------------------------------------------------------
+
+def test_corner_columns_read_as_arrays(tmp_path):
+    """Two columns, row k corner k; integral floats are integer ids, and a
+    file without corners reads as empty arrays of the same shapes."""
+    path = tmp_path / "corners_camera0.json"
+    path.write_text('{"ids": [3, 1.0, 48], "uv": [[1, 2.5], [3.0, 4], [-1e3, 7]]}')
+    ids, uv = io_formats.read_corners(path, TargetSpec())
+    assert ids.dtype.kind == "i" and ids.tolist() == [3, 1, 48]
+    assert uv.dtype == np.float64 and uv.tolist() == [[1.0, 2.5], [3.0, 4.0], [-1e3, 7.0]]
+    path.write_text('{"ids": [], "uv": []}')
+    ids, uv = io_formats.read_corners(path, TargetSpec())
+    assert ids.shape == (0,) and uv.shape == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "doc, error, message",
+    [
+        ({"corners": [{"id": 0, "uv": [1.0, 2.0]}]}, MissingField, "'ids' in corners_camera0.json"),
+        ({"ids": [0, 1], "uv": [[1.0, 2.0]]}, ParseError, "2 ids but 1 uv pairs"),
+        ({"ids": [0, True], "uv": [[1, 2], [3, 4]]}, ParseError, "corner id True is not an integer"),
+        ({"ids": [0, 49], "uv": [[1, 2], [3, 4]]}, ParseError, r"corner id 49 is not in \[0, 49\)"),
+        ({"ids": [5, 2, 5], "uv": [[1, 2]] * 3}, ParseError, "corner id 5 repeated"),
+        ({"ids": [0, 7], "uv": [[1, 2], [3]]}, MissingField, "uv of corner 7 must be 2"),
+        ({"ids": [0, 7], "uv": [[1, 2], [3, "4"]]}, ParseError, "uv of corner 7 .* is not a number"),
+        ({"ids": [0, 7], "uv": [[1, 2], [3, float("inf")]]}, ParseError, "uv of corner 7 is not finite"),
+        ({"ids": {}, "uv": []}, ParseError, "ids must be a list, got dict"),
+    ],
+    ids=["per-corner-layout", "unequal-columns", "bool-id", "id-past-the-board", "repeated-id",
+         "short-pair", "string-in-a-pair", "inf-in-a-pair", "ids-not-a-list"],
+)
+def test_corner_file_errors_name_the_corner_and_the_file(tmp_path, doc, error, message):
+    path = tmp_path / "corners_camera0.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error, match=message) as info:
+        io_formats.read_corners(path, TargetSpec())
+    assert path.name in str(info.value)
 
 
 def test_pose_json_round_trip():

@@ -5,19 +5,21 @@ detections.
 Each JSON case applies one mutation to one field: the key deleted, a value
 of the wrong type, a bool, NaN, inf, an array of the wrong length, a value
 out of the range the format allows, or an integral float for an integer.
-The fields and their ranges come from `schemas/` for the config and the
-detections, and from the formats that README gives for corner and init
-files. Other cases give a path that is missing or a directory, break a
-PLY header or body, or copy a dataset file or station directory to a name
-that gives no index.
+The fields and their ranges come from `schemas/` for the config, the
+detections and the corner files, and from the format that README gives for
+init files. A corner file's two columns are walked at their first row too:
+a case that breaks that value is named by its corner, `corners.0.id` or
+`corners.0.uv`. Other cases give a path that is missing or a directory,
+break a PLY header or body, or copy a dataset file or station directory to
+a name that gives no index.
 
 No case may exit 1. A command that reads the config or the detections
 exits 2, naming the file, or exits 0 with the outputs of the unmutated run.
 A bad dataset file costs its own detection: `detect` exits 0 with exactly
-one warning, naming the file. A misnamed copy costs only itself. For the config and the detections,
-`jsonschema` rejects a file exactly when the reader does, but for the
-cases named in `_READER_ONLY` and for NaN and inf, which the schemas accept
-as numbers.
+one warning, naming the file. A misnamed copy costs only itself. For the
+config, the detections and the corner files, `jsonschema` rejects a file
+exactly when the reader does, but for the cases named in `_READER_ONLY` and
+for NaN and inf, which the schemas accept as numbers.
 
 The dataset has 2 stations, 2 cameras and 1 LiDAR, so that the table runs
 in seconds.
@@ -40,27 +42,8 @@ SCHEMAS = Path(__file__).parent.parent / "schemas"
 _DELETE = object()
 _NAN, _INF = float("nan"), float("inf")
 
-# Formats of the dataset's JSON files, in the schemas' terms; no schema file
-# publishes them.
-_CORNERS_FORMAT = {
-    "type": "object",
-    "required": ["corners"],
-    "properties": {
-        "sensor": {"type": "object"},
-        "corners": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "uv"],
-                "properties": {
-                    "id": {"type": "integer", "minimum": 0, "maximum": 48},  # 8x8 squares
-                    "uv": {"$ref": "#/$defs/vec2"},
-                },
-            },
-        },
-    },
-    "$defs": {"vec2": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}},
-}
+# The format of the dataset's init files, in the schemas' terms; no schema
+# file publishes it.
 _INIT_FORMAT = {
     "type": "object",
     "required": ["pose"],
@@ -72,7 +55,7 @@ _INIT_FORMAT = {
 _KINDS = {
     "config": (json.loads((SCHEMAS / "config.schema.json").read_text()), ("camera", "lidar")),
     "detections": (json.loads((SCHEMAS / "detections.schema.json").read_text()), ("lidar", "camera")),
-    "corners": (_CORNERS_FORMAT, (0,)),
+    "corners": (json.loads((SCHEMAS / "corners.schema.json").read_text()), ()),
     "init": (_INIT_FORMAT, ()),
 }
 
@@ -135,8 +118,13 @@ def _fields(kind):
             if path[:1] == ("sensors",) and element == "lidar" and key == "intrinsics":
                 continue  # a LiDAR has none
             sub = _resolve(sub, schema, element)
+            column = kind == "corners"  # walked at its first row too
             for name, mutate in _mutations(sub):
-                yield path + (key,), name, mutate
+                if not (column and name in ("bool", "nan", "inf")):  # cases of its first row
+                    yield path + (key,), name, mutate
+            if column:
+                for name, mutate in _mutations(_resolve(sub["items"], schema)):
+                    yield path + (key, 0), name, mutate
             if sub.get("type") == "object":
                 yield from walk(sub, path + (key,), element)
             if _holds_objects(sub):
@@ -198,6 +186,11 @@ _READER_ONLY = {
     "config-d_min-not-below-d_max": "d_min < d_max",
     "config-duplicate-sensor-ids": "duplicate sensor ids",
     "detections-repeated-record": "one record per station and sensor",
+    "corners-ids-short": "ids and uv of equal length",
+    "corners-uv-short": "ids and uv of equal length",
+    "corners-corners.0.id-deleted": "ids and uv of equal length",
+    "corners-corners.0.uv-deleted": "ids and uv of equal length",
+    "corners-corners.0.id-high": "ids below the config board's corner count",
 }
 _CROSS_FIELD = {
     "config-lidar-with-intrinsics": _lidar_with_intrinsics,
@@ -209,6 +202,8 @@ _CROSS_FIELD = {
         doc, ("sensors", 1, "index"), lambda v: _node(doc, ("sensors", 0, "index"))
     ),
     "detections-repeated-record": _repeated_record,
+    "corners-corners.0.id-high": _edit(("ids", 0), 49),  # the 8x8 board has 49 inner corners
+    "corners-repeated-id": lambda doc: _mutated(doc, ("ids", 1), lambda v: doc["ids"][0]),
 }
 
 # PLY edits: (bytes of the cloud -> bytes), each of which the reader rejects
@@ -243,12 +238,21 @@ _NAMES = {
 }
 
 
+def _field_name(kind, path):
+    """The dotted path of a field; a corner column's row k is corner k's
+    `corners.<k>.id` or `corners.<k>.uv`."""
+    if kind == "corners" and len(path) == 2:
+        column, k = path
+        return f"corners.{k}.{'id' if column == 'ids' else column}"
+    return ".".join(map(str, path))
+
+
 def _cases():
     cases = []
     for kind in ("config", "detections", "corners", "init"):
         for path, name, mutate in _fields(kind):
             edit = lambda doc, p=path, m=mutate: _mutated(doc, p, m)  # noqa: E731
-            cases.append(pytest.param(kind, edit, id=f"{kind}-{'.'.join(map(str, path))}-{name}"))
+            cases.append(pytest.param(kind, edit, id=f"{kind}-{_field_name(kind, path)}-{name}"))
     cases += [pytest.param(k.split("-")[0], edit, id=k) for k, edit in _CROSS_FIELD.items()]
     cases += [pytest.param("cloud", edit, id=f"cloud-{k}") for k, edit in _PLY.items()]
     cases += [pytest.param("name", name, id=f"name-{name}") for name in _NAMES]
@@ -396,7 +400,7 @@ def test_malformed_input(base, tmp_path, caplog, request, kind, edit):
         else:
             doc = json.loads(victim.read_text())
             victim.unlink()
-            _write(victim, edit, doc)
+            doc = _write(victim, edit, doc)
         argv = _commands(base["config"], data, out / "d.json", tmp_path)["detect"]
         rc, logged = _run(argv, caplog)
         assert rc == 0, [r.getMessage() for r in logged]
@@ -411,6 +415,8 @@ def test_malformed_input(base, tmp_path, caplog, request, kind, edit):
             keys = base["keys"]
             assert (tmp_path / "d.json").read_bytes() == base["outputs"]["detect"]
         assert _keys(json.loads((tmp_path / "d.json").read_text())) == keys
+        if kind == "corners":
+            _check_schema_agreement(kind, case_id, doc, bool(messages))
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """The JSON files the tools emit validate against the published schemas."""
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -9,7 +9,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from conftest import oracle_observations, rig
-from crosscal import io_formats, optimizer, sim
+from crosscal import cli, io_formats, optimizer, sim
 from crosscal.geometry import Intrinsics
 from crosscal.lidar import LidarParams
 from crosscal.optimizer import SensorId, SolveParams
@@ -79,3 +79,17 @@ def test_detections_and_report_schemas(tmp_path):
         },
     )
     jsonschema.validate(json.loads(rep_path.read_text()), _schema("report"))
+
+
+def test_corner_files_schema(tmp_path):
+    """Every corner file that `simulate` writes, with pixel noise and dropout."""
+    noise = {"lidar_sigma": 0.0, "pixel_sigma": 0.5, "dropout": 0.2}
+    cfg = io_formats.default_config(0, 3)
+    cfg = replace(cfg, sim={**cfg.sim, "sequences": 4, "noise": noise})
+    io_formats.write_config(tmp_path / "c.json", cfg)
+    argv = ["simulate", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "data")]
+    assert cli.main(argv) == 0
+    files = sorted(tmp_path.glob("data/seq_*/corners_camera*.json"))
+    assert len(files) >= 8
+    for path in files:
+        jsonschema.validate(json.loads(path.read_text()), _schema("corners"))

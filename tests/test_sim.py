@@ -12,7 +12,7 @@ from crosscal import geometry, sim
 from crosscal.errors import InfeasibleLayout
 from crosscal.geometry import RigidTransform
 from crosscal.optimizer import SensorId
-from crosscal.target import TargetSpec, circle_centers_board
+from crosscal.target import TargetSpec, checker_corners_board, circle_centers_board
 
 CAM0 = SensorId("camera", 0)
 L0 = SensorId("lidar", 0)
@@ -61,8 +61,8 @@ def test_renders_bit_identical_across_scene_rebuilds():
             cb = sim.render_lidar(b, SensorId("lidar", i), seq)
             assert np.array_equal(ca, cb)
         for j in range(3):
-            ids_a, uv_a = sim.render_camera(a, SensorId("camera", j), seq)
-            ids_b, uv_b = sim.render_camera(b, SensorId("camera", j), seq)
+            ((ids_a, uv_a),) = sim.render_camera(a, [(SensorId("camera", j), seq)])
+            ((ids_b, uv_b),) = sim.render_camera(b, [(SensorId("camera", j), seq)])
             assert np.array_equal(ids_a, ids_b) and np.array_equal(uv_a, uv_b)
 
 
@@ -373,7 +373,7 @@ def test_camera_render_full_corner_set_and_pnp_round_trip():
             cam = SensorId("camera", j)
             if not sim.sensor_sees_board(scene, cam, seq):
                 continue
-            corners = sim.render_camera(scene, cam, seq)
+            (corners,) = sim.render_camera(scene, [(cam, seq)])
             assert corners[0].tolist() == list(range(49)) and corners[1].shape == (49, 2)
             pose = solve_pnp(corners, scene.spec, scene.intrinsics[cam])
             truth = gt.board_in_sensor(cam, seq)
@@ -382,6 +382,91 @@ def test_camera_render_full_corner_set_and_pnp_round_trip():
             assert geometry.rotation_angle(d.rotation) < 1e-6
             checked += 1
     assert checked >= 3
+
+
+def _visible_one_pair(t_sw, sensor, t_bw, spec, intr, scan):
+    """Whether one sensor sees one board, the per-pair formula that the
+    visibility table replaces, as it was."""
+    corners = np.array(
+        [
+            [sx * spec.board_width / 2, sy * spec.board_height / 2, 0.0]
+            for sx in (-1, 1)
+            for sy in (-1, 1)
+        ]
+        + [[0.0, 0.0, 0.0]]
+    )
+    pts_s = geometry.invert(t_sw).apply(t_bw.apply(corners))
+    if sensor.kind == "camera":
+        if np.any(pts_s[:, 2] <= 0.1):
+            return False
+        uv = geometry.project_many(intr, pts_s)
+        return bool(
+            np.all((uv[:, 0] >= 5) & (uv[:, 0] < intr.width - 5))
+            and np.all((uv[:, 1] >= 5) & (uv[:, 1] < intr.height - 5))
+        )
+    rng_d = np.linalg.norm(pts_s, axis=1)
+    el = np.rad2deg(np.arcsin(pts_s[:, 2] / np.maximum(rng_d, 1e-9)))
+    return bool(
+        np.all(rng_d < scan.max_range)
+        and np.all(np.hypot(pts_s[:, 0], pts_s[:, 1]) < 7.9)
+        and np.all(el > scan.el_min_deg + 0.5)
+        and np.all(el < scan.el_max_deg - 0.5)
+        and np.all(pts_s[:, 2] > 0.09)
+    )
+
+
+def _render_one_pair(scene, sensor, sequence):
+    """(ids, uv) of one pair by the per-corner formula that the batched
+    render replaces, as it was, for scenes without dropout."""
+    intr = scene.intrinsics[sensor]
+    t_bc = geometry.compose(geometry.invert(scene.sensors[sensor]), scene.board_poses[sequence])
+    rng = sim._rng(scene.seed, 2, sequence, sensor.index)
+    corners = checker_corners_board(scene.spec)
+    pts = np.array([t_bc.apply(pt) for _, pt in corners])
+    front = pts[:, 2] > 1e-3
+    ids = np.array([cid for cid, _ in corners])[front]
+    uv = geometry.project_many(intr, pts[front])
+    for n in range(len(ids)):
+        uv[n] += rng.normal(0.0, scene.noise.pixel_sigma, size=2)
+    keep = (0 <= uv[:, 0]) & (uv[:, 0] < intr.width) & (0 <= uv[:, 1]) & (uv[:, 1] < intr.height)
+    return ids[keep], uv[keep]
+
+
+@pytest.mark.parametrize("n_lidars, m_cameras", [(2, 3), (4, 6)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batches_keep_the_per_pair_arithmetic(monkeypatch, n_lidars, m_cameras, seed):
+    """The visibility table equals the per-pair test on every candidate board
+    that `make_scene` draws, and `render_camera`'s one pass over all visible
+    pairs equals the per-corner render bit for bit, 0.5 px noise included."""
+    tables = []
+
+    def recorded(poses, intrinsics, boards, spec, scan):
+        out = visibility(poses, intrinsics, boards, spec, scan)
+        tables.append((poses, intrinsics, boards, spec, scan, out))
+        return out
+
+    visibility = sim._visibility
+    monkeypatch.setattr(sim, "_visibility", recorded)
+    noise = sim.NoiseModel(pixel_sigma=0.5)
+    scene = sim.make_scene(rig(n_lidars, m_cameras), sequences=20, seed=seed, noise=noise)
+    scene.visibility
+    assert len(tables) > 20 and len(tables[-1][2]) == 20  # candidates, then the scene's table
+    for poses, intrinsics, boards, spec, scan, out in tables:
+        expected = [
+            [_visible_one_pair(t_sw, s, t_bw, spec, intrinsics.get(s), scan) for t_bw in boards]
+            for s, t_sw in poses.items()
+        ]
+        assert np.array_equal(out, expected)
+    pairs = [
+        (s, seq)
+        for seq in range(20)
+        for s in scene.sensor_ids
+        if s.kind == "camera" and sim.sensor_sees_board(scene, s, seq)
+    ]
+    assert len(pairs) >= 20
+    for (s, seq), (ids, uv) in zip(pairs, sim.render_camera(scene, pairs)):
+        ids_1, uv_1 = _render_one_pair(scene, s, seq)
+        assert np.array_equal(ids, ids_1) and np.array_equal(uv, uv_1), (s, seq)
 
 
 def test_board_behind_camera_renders_nothing():
@@ -395,7 +480,7 @@ def test_board_behind_camera_renders_nothing():
         sim.NoiseModel(),
         0,
     )
-    ids, uv = sim.render_camera(scene, CAM0, 0)
+    ((ids, uv),) = sim.render_camera(scene, [(CAM0, 0)])
     assert ids.shape == (0,) and uv.shape == (0, 2)
 
 
@@ -406,8 +491,8 @@ def test_dropout_statistic():
     for seq in range(10):
         for j in range(3):
             cam = SensorId("camera", j)
-            total += len(sim.render_camera(base, cam, seq)[0])
-            kept += len(sim.render_camera(dropped, cam, seq)[0])
+            total += len(sim.render_camera(base, [(cam, seq)])[0][0])
+            kept += len(sim.render_camera(dropped, [(cam, seq)])[0][0])
     # binomial: kept ~ B(total, 0.7); allow 4 sigma
     sigma = np.sqrt(total * 0.3 * 0.7)
     assert abs(kept - 0.7 * total) < 4 * sigma
@@ -418,7 +503,7 @@ def test_wrong_sensor_kind_rejected():
     with pytest.raises(ValueError):
         sim.render_lidar(scene, CAM0, 0)
     with pytest.raises(ValueError):
-        sim.render_camera(scene, L0, 0)
+        sim.render_camera(scene, [(CAM0, 0), (L0, 0)])
 
 
 # --- ground truth algebra ---------------------------------------------------

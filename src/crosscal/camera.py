@@ -31,8 +31,8 @@ class CameraDetection:
     """Board pose (board -> camera) plus derived circle centers."""
 
     pose: RigidTransform
-    centers_3d: np.ndarray  # (4, 3) camera frame, canonical order
-    centers_2d: np.ndarray  # (4, 2) pixel projections of centers_3d
+    centers: np.ndarray  # (4, 3) camera frame, canonical order
+    centers_2d: np.ndarray  # (4, 2) pixel projections of centers
     reprojection_error: float  # mean over used corners, pixels
     corners_used: int
 

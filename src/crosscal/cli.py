@@ -329,6 +329,11 @@ def cmd_calibrate(args) -> int:
     except _INPUT_ERRORS as e:
         log.error("input error: %s", e)
         return EXIT_CONFIG
+    unconfigured = optimizer.display_order({rec.sensor for rec in records} - set(cfg.sensors))
+    if unconfigured:
+        names = ", ".join(map(str, unconfigured))
+        log.error("input error: detections of %s, which the config does not list", names)
+        return EXIT_CONFIG
     by_seq = {}
     for rec in records:
         by_seq.setdefault(rec.sequence, {})[rec.sensor] = rec.detection

@@ -341,32 +341,21 @@ class DetectionRecord:
 
 
 _LIDAR_FIELDS = {"type", "sequence", "sensor", "pose", "centers_3d", "fitness"}
-_CAMERA_FIELDS = {
-    "type",
-    "sequence",
-    "sensor",
-    "pose",
-    "centers_3d",
-    "centers_2d",
-    "reprojection_error",
-    "corners_used",
-}
+_CAMERA_FIELDS = _LIDAR_FIELDS - {"fitness"} | {"centers_2d", "reprojection_error", "corners_used"}
 
 
 def _record_to_json(rec: DetectionRecord) -> dict:
     det = rec.detection
     base = {
+        "type": rec.sensor.kind,
         "sequence": rec.sequence,
         "sensor": sensor_to_json(rec.sensor),
         "pose": pose_to_json(det.pose),
+        "centers_3d": [[float(v) for v in c] for c in det.centers],
     }
-    if isinstance(det, LidarDetection):
-        base["type"] = "lidar"
-        base["centers_3d"] = [[float(v) for v in c] for c in det.centers]
+    if rec.sensor.kind == "lidar":
         base["fitness"] = float(det.fitness)
     else:
-        base["type"] = "camera"
-        base["centers_3d"] = [[float(v) for v in c] for c in det.centers_3d]
         base["centers_2d"] = [[float(v) for v in c] for c in det.centers_2d]
         base["reprojection_error"] = float(det.reprojection_error)
         base["corners_used"] = int(det.corners_used)
@@ -394,7 +383,10 @@ def _record_from_json(d: dict, strict: bool) -> DetectionRecord:
     else:
         raise ValueError(f"unknown record type {kind!r}")
     sequence = _integer(d["sequence"], "sequence", minimum=0)
-    return DetectionRecord(sequence, sensor_from_json(d["sensor"]), det)
+    sensor = sensor_from_json(d["sensor"])
+    if sensor.kind != kind:
+        raise ValueError(f"a {kind} record of {sensor}")
+    return DetectionRecord(sequence, sensor, det)
 
 
 def _detections_from_json(doc, strict: bool) -> list:

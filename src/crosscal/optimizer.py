@@ -8,18 +8,23 @@ with its own 3D centers. One block function evaluates both kinds. The
 reference sensor is pinned to identity (gauge) and the rest solved by
 Levenberg-Marquardt on the SE(3) tangent space with an analytic Jacobian,
 stepping every pose with one batched `geometry.exp_se3_matrix`.
+
+A `SensorId` names a sensor only at the problem's boundary. Inside, one
+(stations, sensors) index of record positions, built once per problem, gives
+the co-detection counts that the connectivity check, the initial spanning
+tree and the pairwise paths walk, and the records the pairwise fits gather.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import geometry
-from .camera import CameraDetection
 from .errors import (
     DegenerateCenters,
     DisconnectedGraph,
@@ -29,7 +34,6 @@ from .errors import (
     UnknownSensor,
 )
 from .geometry import Intrinsics, RigidTransform
-from .lidar import LidarDetection
 from .lm import levenberg_marquardt
 
 log = logging.getLogger(__name__)
@@ -77,6 +81,11 @@ class CalibrationProblem:
         and the detected ones together, as `cli` reads `--reference S<n>`."""
         return f"S{display_order([*self.intrinsics, *self.sensors]).index(sensor) + 1}"
 
+    @cached_property
+    def _table(self) -> _TermTable:
+        """The solve's records and residual terms, by sensor position."""
+        return _term_table(self)
+
 
 @dataclass
 class CalibrationResult:
@@ -89,20 +98,6 @@ class CalibrationResult:
     gradient_norm: float
     cost_history: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
-
-
-def detection_centers(det) -> np.ndarray:
-    """(4, 3) centers of either detection flavor, canonical order."""
-    if isinstance(det, LidarDetection):
-        return det.centers
-    return det.centers_3d
-
-
-def _check_centers(det, sensor, seq):
-    c = detection_centers(det)
-    centered = c - c.mean(axis=0)
-    if np.linalg.matrix_rank(centered, tol=1e-9) < 2:
-        raise DegenerateCenters(f"sensor {sensor} sequence {seq}: collinear centers")
 
 
 def display_order(sensors) -> tuple:
@@ -136,25 +131,14 @@ def build_problem(
     sensors = display_order(s for seq in kept for s in seq.observations)
     if reference not in sensors:
         raise NoReferenceObservations(f"reference {reference} has no detections")
-    # connectivity over co-detection edges
-    comp = {s: s for s in sensors}
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for seq in kept:
-        obs = sorted(seq.observations)
-        for other in obs[1:]:
-            comp[find(other)] = find(obs[0])
-    groups = {}
-    for s in sensors:
-        groups.setdefault(find(s), []).append(s)
-    if len(groups) > 1:
-        raise DisconnectedGraph([sorted(map(str, g)) for g in groups.values()])
-    return CalibrationProblem(tuple(kept), reference, sensors, dict(intrinsics), params)
+    p = CalibrationProblem(tuple(kept), reference, sensors, dict(intrinsics), params)
+    linked = _codetections(p._table)[0] > 0
+    # each sensor's component, named by its first sensor
+    label = np.array([_came_from(linked, k) >= 0 for k in range(len(sensors))]).argmax(axis=1)
+    if label.any():
+        groups = [[str(s) for s, m in zip(sensors, label) if m == g] for g in np.unique(label)]
+        raise DisconnectedGraph([sorted(g) for g in groups])
+    return p
 
 
 def _kabsch(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
@@ -167,45 +151,45 @@ def _kabsch(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
     return RigidTransform(r, dm - r @ sm)
 
 
-def estimate_pairwise(p: CalibrationProblem, a: SensorId, b: SensorId) -> RigidTransform:
-    """Closed-form a->b transform from all shared center correspondences."""
-    src, dst = [], []
-    for seq in p.sequences:
-        if a in seq.observations and b in seq.observations:
-            _check_centers(seq.observations[a], a, seq.sequence)
-            _check_centers(seq.observations[b], b, seq.sequence)
-            src.append(detection_centers(seq.observations[a]))
-            dst.append(detection_centers(seq.observations[b]))
-    if not src:
-        raise UnknownSensor(f"sensors {a} and {b} never co-detect")
-    return _kabsch(np.concatenate(src), np.concatenate(dst))
+def estimate_pairwise(p: CalibrationProblem, a: int, b: int) -> RigidTransform:
+    """Closed-form transform from sensor p.sensors[a] to p.sensors[b] from
+    all their shared center correspondences."""
+    tab = p._table
+    stations = np.flatnonzero((tab.index[:, [a, b]] >= 0).all(axis=1))
+    if not stations.size:
+        raise UnknownSensor(f"sensors {p.sensors[a]} and {p.sensors[b]} never co-detect")
+    rec = tab.index[stations][:, [a, b]]
+    flat = np.argwhere(tab.collinear[rec])  # station by station, a before b
+    if flat.size:
+        k, side = flat[0]
+        seq = p.sequences[stations[k]].sequence
+        sensor = p.sensors[(a, b)[side]]
+        raise DegenerateCenters(f"sensor {sensor} sequence {seq}: collinear centers")
+    return _kabsch(tab.centers[rec[:, 0]].reshape(-1, 3), tab.centers[rec[:, 1]].reshape(-1, 3))
 
 
 def initial_guess(p: CalibrationProblem) -> dict:
     """Chain closed-form pairwise poses to the reference along a maximum
-    co-detection spanning tree; reference pose is identity."""
-    counts = {}
-    for seq in p.sequences:
-        obs = sorted(seq.observations)
-        for i, a in enumerate(obs):
-            for b in obs[i + 1 :]:
-                counts[(a, b)] = counts.get((a, b), 0) + 1
-    poses = {p.reference: RigidTransform.identity()}
-    remaining = set(p.sensors) - {p.reference}
-    while remaining:
-        best = None
-        for (a, b), n in counts.items():
-            for known, new in ((a, b), (b, a)):
-                if known in poses and new in remaining:
-                    if best is None or n > best[0]:
-                        best = (n, known, new)
-        if best is None:  # unreachable for a connected problem
-            raise DisconnectedGraph([sorted(map(str, poses)), sorted(map(str, remaining))])
-        _, known, new = best
-        t_new_known = estimate_pairwise(p, new, known)
-        poses[new] = geometry.compose(poses[known], t_new_known)
-        remaining.discard(new)
-    return poses
+    co-detection spanning tree; reference pose is identity. Of the pairs
+    tied on co-detections, the one first co-detected in station order joins
+    first, then the one first in display order."""
+    count, first = _codetections(p._table)
+    a, b = np.nonzero(np.triu(count, 1))  # the co-detecting pairs, a before b
+    order = np.lexsort((b, a, first[a, b], -count[a, b]))
+    a, b = a[order], b[order]
+    ref = p.sensors.index(p.reference)
+    known = np.arange(len(p.sensors)) == ref
+    poses = {ref: RigidTransform.identity()}
+    while not known.all():
+        edge = np.flatnonzero(known[a] != known[b])
+        if not edge.size:  # unreachable for a connected problem
+            sides = [[str(s) for s, k in zip(p.sensors, known) if k == side] for side in (1, 0)]
+            raise DisconnectedGraph([sorted(names) for names in sides])
+        e = edge[0]
+        old, new = (a[e], b[e]) if known[a[e]] else (b[e], a[e])
+        poses[new] = geometry.compose(poses[old], estimate_pairwise(p, new, old))
+        known[new] = True
+    return {p.sensors[n]: t for n, t in poses.items()}
 
 
 class _Terms(NamedTuple):
@@ -221,19 +205,20 @@ class _Terms(NamedTuple):
 
 
 class _TermTable(NamedTuple):
-    records: list  # (sequence position, SensorId) of each detection record
-    owner: np.ndarray  # (N,) position in p.sensors of each record's sensor
+    index: np.ndarray  # (Q, S) record of sensor p.sensors[s] at station q, -1 for none
     centers: np.ndarray  # (N, 4, 3) record centers in the sensor frame
     pixels: np.ndarray  # (N, 4, 2) camera records' pixel centers, 0 for LiDARs
+    collinear: np.ndarray  # (N,) whether a record's centers lie on one line
     sensor: np.ndarray  # (S, 6) weight, fx, fy, cx, cy, behind-camera residual
     cam: _Terms
     lidar: _Terms
 
 
 def _term_table(p: CalibrationProblem) -> _TermTable:
-    """Enumerate the residual terms once, in residual-vector order: per
-    sequence, the camera terms of each observing camera j, then the LiDAR pairs.
-    A camera's residuals are weighted by 1/fx, a LiDAR's by 1."""
+    """Number the records station by station, in p.sensors order, and
+    enumerate the residual terms once, in residual-vector order: per
+    station, the camera terms of each observing camera j, then the LiDAR
+    pairs. A camera's residuals are weighted by 1/fx, a LiDAR's by 1."""
     sensor = np.zeros((len(p.sensors), 6))
     sensor[:, 0] = 1.0
     for n, s in enumerate(p.sensors):
@@ -241,30 +226,53 @@ def _term_table(p: CalibrationProblem) -> _TermTable:
             k = p.intrinsics[s]
             w = 1.0 / k.fx
             sensor[n] = w, k.fx, k.fy, k.cx, k.cy, w * np.hypot(k.width, k.height) / np.sqrt(2.0)
-    position = {s: n for n, s in enumerate(p.sensors)}
-    records, terms, row = [], ([], []), 0
-    for q, seq in enumerate(p.sequences):
-        present = [s for s in p.sensors if s in seq.observations]
-        lids = [s for s in present if s.kind == "lidar"]
-        rec = {s: len(records) + n for n, s in enumerate(present)}
-        records += [(q, s) for s in present]
+    obs = [[seq.observations.get(s) for s in p.sensors] for seq in p.sequences]
+    seen = np.array([[d is not None for d in row] for row in obs])
+    index = np.where(seen, np.cumsum(seen).reshape(seen.shape) - 1, -1)
+    dets = [d for row in obs for d in row if d is not None]
+    is_lidar = np.array([s.kind == "lidar" for s in p.sensors])
+    terms, row = ([], []), 0
+    for rec in index:
+        present = np.flatnonzero(rec >= 0)
+        lids = present[is_lidar[present]]
         # a camera's own centers project exactly onto its own pixels: no self terms
-        pairs = [(i, j, 0) for j in present if j.kind == "camera" for i in present if i is not j]
+        pairs = [(i, j, 0) for j in present[~is_lidar[present]] for i in present if i != j]
         pairs += [(i, j, 1) for n, i in enumerate(lids) for j in lids[n + 1 :]]
         for i, j, kind in pairs:
-            terms[kind].append((position[i], position[j], rec[i], rec[j], row))
+            terms[kind].append((i, j, rec[i], rec[j], row))
             row += (8, 12)[kind]
-    dets = [p.sequences[q].observations[s] for q, s in records]
-    cam, lidar = (np.array(t, dtype=int).reshape(-1, 5).T for t in terms)
+    centers = np.array([d.centers for d in dets])
+    cam, lid = (np.array(t, dtype=int).reshape(-1, 5).T for t in terms)
     return _TermTable(
-        records,
-        np.array([position[s] for _, s in records], dtype=int),
-        np.array([detection_centers(d) for d in dets]),
+        index,
+        centers,
         np.array([getattr(d, "centers_2d", np.zeros((4, 2))) for d in dets]),
+        np.linalg.matrix_rank(centers - centers.mean(axis=1, keepdims=True), tol=1e-9) < 2,
         sensor,
         _Terms(*cam[:4], cam[4, :, None] + np.arange(8)),
-        _Terms(*lidar[:4], lidar[4, :, None] + np.arange(12)),
+        _Terms(*lid[:4], lid[4, :, None] + np.arange(12)),
     )
+
+
+def _codetections(tab: _TermTable):
+    """(S, S) number of stations at which two sensors both have a record,
+    and the position in p.sequences of the first such station."""
+    seen = tab.index >= 0
+    both = seen[:, :, None] & seen[:, None, :]
+    return both.sum(axis=0), both.argmax(axis=0)
+
+
+def _came_from(linked: np.ndarray, a: int) -> np.ndarray:
+    """Each sensor's predecessor on a fewest-hop path from sensor a over the
+    (S, S) adjacency `linked` (breadth-first, neighbours in p.sensors order):
+    a for a itself, -1 for a sensor that a does not reach."""
+    came = np.full(len(linked), -1)
+    came[a], queue = a, [a]
+    for s in queue:  # grows while it is walked: first in, first out
+        new = np.flatnonzero(linked[s] & (came < 0))
+        came[new] = s
+        queue.extend(new)
+    return came
 
 
 def _pose_arrays(p: CalibrationProblem, poses: dict):
@@ -306,7 +314,7 @@ def _blocks(tab: _TermTable, t: _Terms, rot, trans, jac: bool):
 def residuals(p: CalibrationProblem, poses: dict, table: _TermTable | None = None):
     """Stacked residual vector; behind-camera projections are capped at the
     image diagonal and counted in the returned flag total."""
-    tab = _term_table(p) if table is None else table
+    tab = p._table if table is None else table
     rot, trans = _pose_arrays(p, poses)
     r = np.empty(tab.cam.rows.size + tab.lidar.rows.size)
     flags = 0
@@ -317,10 +325,10 @@ def residuals(p: CalibrationProblem, poses: dict, table: _TermTable | None = Non
     return r, flags
 
 
-def jacobian(p: CalibrationProblem, poses: dict, table: _TermTable | None = None) -> np.ndarray:
+def jacobian(p: CalibrationProblem, poses: dict) -> np.ndarray:
     """Analytic Jacobian w.r.t. left-multiplied tangent increments on every
     non-reference pose, ordered like p.sensors with the reference skipped."""
-    tab = _term_table(p) if table is None else table
+    tab = p._table
     rot, trans = _pose_arrays(p, poses)
     free = np.array([s != p.reference for s in p.sensors])
     col = np.where(free, 6 * np.cumsum(free) - 6, -1)  # first column of each free pose
@@ -340,11 +348,11 @@ def resolve_circle_ordering(p: CalibrationProblem, poses: dict) -> CalibrationPr
     its records against their sequences' cameras and the LiDARs resolved in
     earlier passes, so an out-of-order record cannot drag a correct partner
     along; a sequence without a camera is anchored on its first LiDAR."""
-    tab = _term_table(p)
+    tab = p._table
     centers = tab.centers.copy()
     shift = np.zeros(len(centers), dtype=int)
     for k in np.flatnonzero([s.kind == "lidar" for s in p.sensors]):
-        recs = np.flatnonzero(tab.owner == k)
+        recs = tab.index[tab.index[:, k] >= 0, k]
         cost = np.zeros((4, len(centers)))
         for s in range(4):
             trial = centers.copy()
@@ -357,8 +365,9 @@ def resolve_circle_ordering(p: CalibrationProblem, poses: dict) -> CalibrationPr
         shift[recs] = np.where(c[0] - c.min(axis=0) > 1e-12, c.argmin(axis=0), 0)
         centers[recs] = centers[recs[:, None], (np.arange(4) + shift[recs, None]) % 4]
     obs = [dict(seq.observations) for seq in p.sequences]
+    station, owner = np.nonzero(tab.index >= 0)  # of each record
     for n in np.flatnonzero(shift):
-        q, sensor = tab.records[n]
+        q, sensor = station[n], p.sensors[owner[n]]
         obs[q][sensor] = replace(obs[q][sensor], centers=centers[n])
     seqs = [SequenceObservations(seq.sequence, o) for seq, o in zip(p.sequences, obs)]
     return replace(p, sequences=tuple(seqs))
@@ -368,14 +377,13 @@ def solve(p: CalibrationProblem) -> CalibrationResult:
     """Levenberg-Marquardt over all non-reference poses."""
     poses0 = initial_guess(p)
     p = resolve_circle_ordering(p, poses0)
-    table = _term_table(p)
     free = [s for s in p.sensors if s != p.reference]
 
     def res_fn(poses):
-        return residuals(p, poses, table)[0]
+        return residuals(p, poses)[0]
 
     def jac_fn(poses):  # LM's first Jacobian is the one checked below, handed over once
-        return checked.pop() if checked else jacobian(p, poses, table)
+        return checked.pop() if checked else jacobian(p, poses)
 
     def plus(poses, dx):
         out = dict(poses)
@@ -383,7 +391,7 @@ def solve(p: CalibrationProblem) -> CalibrationResult:
             out[s] = geometry.compose(RigidTransform(m[:3, :3], m[:3, 3]), poses[s])
         return out
 
-    checked = [jacobian(p, poses0, table)]
+    checked = [jacobian(p, poses0)]
     h0 = checked[0].T @ checked[0]
     eig = np.linalg.eigvalsh(h0)
     if eig[0] < 1e-12 * max(eig[-1], 1.0):
@@ -400,7 +408,7 @@ def solve(p: CalibrationProblem) -> CalibrationResult:
         max_iter=p.params.max_iter,
         gradient_tol=p.params.gradient_tol,
     )
-    _, flags = residuals(p, res.state, table)
+    _, flags = residuals(p, res.state)
     meta = {
         "camera_residual_weight": "1/fx per camera",
         "lidar_residual_weight": 1.0,
@@ -443,29 +451,18 @@ def consistency_check(result: CalibrationResult, chain):
     )
 
 
-def _pairwise_path(p: CalibrationProblem, a: SensorId, b: SensorId) -> RigidTransform:
-    """The a->b transform composed from pairwise estimates along the fewest
-    co-detection hops (breadth-first, neighbours in p.sensors order).
-    `build_problem`'s connectivity check guarantees a path between its
-    sensors."""
-    linked = {s: set() for s in p.sensors}
-    for seq in p.sequences:
-        for s in seq.observations:
-            linked[s].update(seq.observations)
-    came_from, frontier = {a: None}, [a]
-    while frontier and b not in came_from:
-        reached = []
-        for s in frontier:
-            for n in p.sensors:
-                if n in linked.get(s, ()) and n not in came_from:
-                    came_from[n] = s
-                    reached.append(n)
-        frontier = reached
-    if b not in came_from:
-        raise UnknownSensor(f"sensors {a} and {b} share no co-detections, even indirectly")
+def _pairwise_path(p: CalibrationProblem, a: int, b: int) -> RigidTransform:
+    """The transform from sensor position a to b composed from pairwise
+    estimates along the fewest co-detection hops. `build_problem`'s
+    connectivity check guarantees a path between its sensors."""
+    came = _came_from(_codetections(p._table)[0] > 0, a)
+    if came[b] < 0:
+        raise UnknownSensor(
+            f"sensors {p.sensors[a]} and {p.sensors[b]} share no co-detections, even indirectly"
+        )
     path = [b]
     while path[-1] != a:
-        path.append(came_from[path[-1]])
+        path.append(came[path[-1]])
     t = RigidTransform.identity()
     for u, v in zip(path[::-1], path[-2::-1]):
         t = geometry.compose(estimate_pairwise(p, u, v), t)
@@ -475,6 +472,10 @@ def _pairwise_path(p: CalibrationProblem, a: SensorId, b: SensorId) -> RigidTran
 def consistency_check_pairwise(p: CalibrationProblem, chain):
     """Same loop but over independently estimated pairwise transforms, so
     the deviation is finite on noisy data."""
+    for s in chain:
+        if s not in p.sensors:
+            raise UnknownSensor(str(s))
+    chain = [p.sensors.index(s) for s in chain]
     return _loop_deviation(chain, lambda a, b: _pairwise_path(p, a, b))
 
 
@@ -486,7 +487,7 @@ def reprojection_report(result: CalibrationResult):
     rows = []
     for seq in p.sequences:
         present = [s for s in p.sensors if s in seq.observations]
-        centers = [result.poses[s].apply(detection_centers(seq.observations[s])) for s in present]
+        centers = [result.poses[s].apply(seq.observations[s].centers) for s in present]
         for a, (i, ci) in enumerate(zip(present, centers)):
             for j, cj in zip(present[a + 1 :], centers[a + 1 :]):
                 dist = np.linalg.norm(ci - cj, axis=1)

@@ -342,15 +342,15 @@ def test_partial_occlusion_60_percent():
 def _assert_centers_of_pose(det):
     """The detection's circle centers are those of its own pose, bit for bit:
     the board-frame centers mapped by the pose, and their projections."""
-    assert np.array_equal(det.centers_3d, det.pose.apply(circle_centers_board(SPEC)))
-    assert np.array_equal(det.centers_2d, geometry.project_many(K, det.centers_3d))
+    assert np.array_equal(det.centers, det.pose.apply(circle_centers_board(SPEC)))
+    assert np.array_equal(det.centers_2d, geometry.project_many(K, det.centers))
 
 
 def test_detection_centers_trivial_shift():
     det = detect_one(RigidTransform(_FACING, np.array([0.0, 0.0, 2.0])))
     _assert_centers_of_pose(det)
     flipped = circle_centers_board(SPEC) * [1.0, -1.0, 0.0] + [0.0, 0.0, 2.0]
-    assert np.allclose(det.centers_3d, flipped, rtol=0, atol=1e-9)
+    assert np.allclose(det.centers, flipped, rtol=0, atol=1e-9)
 
 
 def test_detection_centers_random_pose_oracle():
@@ -383,4 +383,4 @@ def test_simulator_round_trip_noise_free():
         truth = gt.board_in_sensor(cam, seq)
         dt, dr = pose_delta(truth, det.pose)
         assert dt < 1e-6 and dr < 1e-6
-        assert np.abs(det.centers_3d - gt.centers_in_sensor(cam, seq)).max() < 1e-3
+        assert np.abs(det.centers - gt.centers_in_sensor(cam, seq)).max() < 1e-3

@@ -1076,8 +1076,27 @@ def test_calibrate_detections_of_a_camera_not_in_the_config_exit_2(ws, tmp_path,
     argv = ["calibrate", "--config", str(cfg_path), "--detections", str(ws["det"]), "--out", str(report)]
     with caplog.at_level(logging.ERROR, logger="crosscal"):
         assert cli.main(argv) == 2
-    assert f"no intrinsics for the detections of {cams[-1]}" in caplog.text
+    assert f"detections of {cams[-1]}, which the config does not list" in caplog.text
     assert "unexpected failure" not in caplog.text
+    assert not report.exists()
+
+
+def test_calibrate_detections_of_a_lidar_not_in_the_config_exit_2(ws, tmp_path, caplog):
+    """Detections of a sensor that the config does not list are an input
+    error, as `detect` refuses that sensor's files: solved, the sensor would
+    shift the S<n> names that `--reference` reads (S4 is lidar1 here)."""
+    lidar0 = SensorId("lidar", 0)
+    assert lidar0 in {r.sensor for r in io_formats.read_detections(ws["det"])}
+    cfg = io_formats.read_config(ws["config"])
+    cfg_path = tmp_path / "config.json"
+    io_formats.write_config(
+        cfg_path, replace(cfg, sensors={s: k for s, k in cfg.sensors.items() if s != lidar0})
+    )
+    report = tmp_path / "r.json"
+    argv = ["calibrate", "--config", str(cfg_path), "--detections", str(ws["det"])]
+    with caplog.at_level(logging.ERROR, logger="crosscal"):
+        assert cli.main(argv + ["--out", str(report), "--reference", "S4"]) == 2
+    assert "input error: detections of lidar0, which the config does not list" in caplog.text
     assert not report.exists()
 
 

@@ -174,6 +174,15 @@ def _repeated_record(doc):
     return doc
 
 
+def _lidar_type_of_a_camera(doc):
+    """The first camera record typed as a LiDAR's, with a fitness: valid as
+    a LiDAR record but for its sensor's kind."""
+    doc = copy.deepcopy(doc)
+    record = _node(doc, ("records", "camera"))
+    record.update(type="lidar", fitness=0.0)
+    return doc
+
+
 _CAMERA = ("sensors", "camera")
 # Cases that the schema accepts and the reader rejects: each breaks a rule
 # between fields or records, which JSON Schema cannot express.
@@ -202,6 +211,7 @@ _CROSS_FIELD = {
         doc, ("sensors", 1, "index"), lambda v: _node(doc, ("sensors", 0, "index"))
     ),
     "detections-repeated-record": _repeated_record,
+    "detections-lidar-type-of-a-camera-record": _lidar_type_of_a_camera,
     "corners-corners.0.id-high": _edit(("ids", 0), 49),  # the 8x8 board has 49 inner corners
     "corners-repeated-id": lambda doc: _mutated(doc, ("ids", 1), lambda v: doc["ids"][0]),
 }
@@ -373,6 +383,8 @@ def test_malformed_input(base, tmp_path, caplog, request, kind, edit):
             assert det.name in caplog.text, caplog.text
             if case_id == "detections-repeated-record":
                 assert "repeats record 0 in record 1" in caplog.text, caplog.text
+            if case_id == "detections-lidar-type-of-a-camera-record":
+                assert "a lidar record of camera0 in record 1" in caplog.text, caplog.text
         else:
             assert (tmp_path / "r.json").read_bytes() == base["outputs"]["calibrate"]
         _check_schema_agreement(kind, case_id, doc, rc == 2)

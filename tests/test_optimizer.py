@@ -92,6 +92,22 @@ def test_build_problem_disconnected():
     assert len(ei.value.components) == 2
 
 
+def test_build_problem_disconnected_reports_each_component_once_in_display_order():
+    """Components are ordered by their first sensor in display order, not by
+    station, and each lists its sensors' names sorted as strings."""
+    l2, l3, l4, l10 = (SensorId("lidar", k) for k in (2, 3, 4, 10))
+    pairs = [(l2, l10), (L1, l4), (L0, l3), (l10, l2)]
+    seqs = [
+        SequenceObservations(k, {a: _lidar_obs(SQUARE), b: _lidar_obs(SQUARE)})
+        for k, (a, b) in enumerate(pairs)
+    ]
+    with pytest.raises(DisconnectedGraph) as ei:
+        build_problem(seqs, L0, {})
+    expected = [["lidar0", "lidar3"], ["lidar1", "lidar4"], ["lidar10", "lidar2"]]
+    assert ei.value.components == expected
+    assert str(ei.value) == f"co-visibility graph has 3 components: {expected}"
+
+
 def test_build_problem_drops_single_detection_sequences(caplog):
     seqs = [
         SequenceObservations(0, {L0: _lidar_obs(SQUARE), L1: _lidar_obs(SQUARE)}),
@@ -135,23 +151,27 @@ def test_estimate_pairwise_exact():
             SequenceObservations(k, {L0: _lidar_obs(c_a), L1: _lidar_obs(t_ab.apply(c_a))})
         )
     p = build_problem(seqs, L0, {})
-    est = estimate_pairwise(p, L0, L1)
+    est = estimate_pairwise(p, 0, 1)
     assert np.abs(matrix(est) - matrix(t_ab)).max() < 1e-9
 
 
 def test_estimate_pairwise_unknown_pair():
-    scene = _scene()
-    p = _problem(scene)
-    with pytest.raises(UnknownSensor):
-        estimate_pairwise(p, L0, SensorId("lidar", 7))
+    l2 = SensorId("lidar", 2)
+    seqs = [
+        SequenceObservations(0, {L0: _lidar_obs(SQUARE), L1: _lidar_obs(SQUARE)}),
+        SequenceObservations(1, {L1: _lidar_obs(SQUARE), l2: _lidar_obs(SQUARE)}),
+    ]
+    p = build_problem(seqs, L0, {})
+    with pytest.raises(UnknownSensor, match="^sensors lidar0 and lidar2 never co-detect$"):
+        estimate_pairwise(p, 0, 2)
 
 
 def test_estimate_pairwise_degenerate_centers():
     line = np.array([[0.0, 0, 0], [0.1, 0, 0], [0.2, 0, 0], [0.3, 0, 0]])
     seqs = [SequenceObservations(0, {L0: _lidar_obs(line), L1: _lidar_obs(line)})]
     p = build_problem(seqs, L0, {})
-    with pytest.raises(DegenerateCenters):
-        estimate_pairwise(p, L0, L1)
+    with pytest.raises(DegenerateCenters, match="^sensor lidar0 sequence 0: collinear centers$"):
+        estimate_pairwise(p, 0, 1)
 
 
 def test_initial_guess_exact_on_noise_free_problem():
@@ -188,6 +208,29 @@ def test_initial_guess_chains_three_sensor_path():
     poses = initial_guess(p)
     assert np.abs(matrix(poses[L1]) - matrix(t_b)).max() < 1e-9
     assert np.abs(matrix(poses[l2]) - matrix(t_c)).max() < 1e-9
+
+
+def test_initial_guess_tie_goes_to_the_pair_first_co_detected():
+    """lidar2 joins the tree through lidar0 or lidar1, each with one
+    co-detection: the pair of the earlier station (lidar1, station 0) wins
+    over the pair first in display order (lidar0, station 1)."""
+    rng = np.random.default_rng(2)
+    l2 = SensorId("lidar", 2)
+
+    def noisy(c):
+        return _lidar_obs(c + rng.normal(0, 0.01, (4, 3)))
+
+    stations = [(L1, l2), (L0, l2), (L0, L1), (L0, L1)]
+    seqs = [
+        SequenceObservations(k, {s: noisy(SQUARE + rng.normal(0, 0.4, 3)) for s in pair})
+        for k, pair in enumerate(stations)
+    ]
+    p = build_problem(seqs, L0, {})
+    poses = initial_guess(p)
+    assert list(poses) == [L0, L1, l2]
+    via_l1 = geometry.compose(poses[L1], estimate_pairwise(p, 2, 1))
+    assert np.array_equal(matrix(poses[l2]), matrix(via_l1))
+    assert np.abs(matrix(poses[l2]) - matrix(estimate_pairwise(p, 2, 0))).max() > 1e-3
 
 
 # --- residuals --------------------------------------------------------------
@@ -333,8 +376,7 @@ def test_solve_metadata_declares_weights():
 def _assert_same_centers(p, fixed):
     for a, b in zip(p.sequences, fixed.sequences):
         for s in a.observations:
-            ca = optimizer.detection_centers(a.observations[s])
-            cb = optimizer.detection_centers(b.observations[s])
+            ca, cb = a.observations[s].centers, b.observations[s].centers
             assert np.array_equal(ca, cb), (a.sequence, str(s))
 
 
@@ -450,11 +492,7 @@ def test_consistency_pairwise_positive_on_noisy_centers():
     for seq in obs:
         o2 = {}
         for s, det in seq.observations.items():
-            c = optimizer.detection_centers(det) + rng.normal(0, 0.004, (4, 3))
-            if s.kind == "lidar":
-                o2[s] = replace(det, centers=c)
-            else:
-                o2[s] = replace(det, centers_3d=c)
+            o2[s] = replace(det, centers=det.centers + rng.normal(0, 0.004, (4, 3)))
         noisy.append(SequenceObservations(seq.sequence, o2))
     p = build_problem(noisy, CAM0, scene.intrinsics)
     # lidars observe every sequence, so camera-lidar links always co-detect

@@ -311,10 +311,9 @@ def _parse_reference(cfg, text):
     if text is None:
         return cfg.reference
     display = optimizer.display_order(cfg.sensors)
-    if text.upper().startswith("S") and text[1:].isdigit():
-        k = int(text[1:]) - 1
-        if 0 <= k < len(display):
-            return display[k]
+    k = _name_index(text.upper(), "S") if text.upper().startswith("S") else None
+    if k and k <= len(display):
+        return display[k - 1]
     for s in cfg.sensors:
         if str(s) == text:
             return s

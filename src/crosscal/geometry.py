@@ -4,12 +4,12 @@
 behind-camera test (depth <= MIN_DEPTH) that simulation, PnP, detection and
 the global solve share.
 
-A `RigidTransform` holds an explicit rotation matrix plus translation
-vector. The batched solvers use other forms: PnP works on (P, 4, 4)
-homogeneous matrices, and the global solve on stacked rotation and
-translation arrays. Both step with one SE(3) exponential, the batched
-`exp_se3_matrix`. Euler angles only appear at the file-format boundary
-(intrinsic XYZ, degrees).
+A `RigidTransform` (explicit rotation matrix plus translation vector) is
+the pose form at the boundaries: detections, solved poses, files. Both
+batched solvers keep (..., 4, 4) homogeneous stacks, PnP one per pose
+candidate and the global solve one per sensor, and step them with one SE(3)
+exponential, the batched `exp_se3_matrix`. Euler angles only appear at the
+file-format boundary (intrinsic XYZ, degrees).
 """
 
 from __future__ import annotations

@@ -9,10 +9,11 @@ reference sensor is pinned to identity (gauge) and the rest solved by
 Levenberg-Marquardt on the SE(3) tangent space with an analytic Jacobian,
 stepping every pose with one batched `geometry.exp_se3_matrix`.
 
-A `SensorId` names a sensor only at the problem's boundary. Inside, one
-(stations, sensors) index of record positions, built once per problem, gives
-the co-detection counts that the connectivity check, the initial spanning
-tree and the pairwise paths walk, and the records the pairwise fits gather.
+The state is one (S, 4, 4) pose stack in p.sensors order, as PnP's is. A
+`SensorId` or a `RigidTransform` appears only at the problem's boundary: its
+input, the reordered records, `CalibrationResult.poses` and display names.
+Inside, one (stations, sensors) index of record positions, built once per
+problem, drives the graph walks, the pairwise fits and the report's pairs.
 """
 
 from __future__ import annotations
@@ -79,7 +80,12 @@ class CalibrationProblem:
     def display_name(self, sensor: SensorId) -> str:
         """S<n>, numbering the configured sensors (the keys of `intrinsics`)
         and the detected ones together, as `cli` reads `--reference S<n>`."""
-        return f"S{display_order([*self.intrinsics, *self.sensors]).index(sensor) + 1}"
+        return self._names[sensor]
+
+    @cached_property
+    def _names(self) -> dict:  # {sensor: S<n>} of the problem's sensors, in order
+        order = display_order([*self.intrinsics, *self.sensors])
+        return {s: f"S{order.index(s) + 1}" for s in self.sensors}
 
     @cached_property
     def _table(self) -> _TermTable:
@@ -89,7 +95,7 @@ class CalibrationProblem:
 
 @dataclass
 class CalibrationResult:
-    poses: dict  # SensorId -> RigidTransform (sensor frame -> reference B)
+    poses: dict  # SensorId -> RigidTransform (sensor frame -> reference B), in problem.sensors order
     problem: CalibrationProblem
     final_cost: float
     initial_cost: float
@@ -168,18 +174,17 @@ def estimate_pairwise(p: CalibrationProblem, a: int, b: int) -> RigidTransform:
     return _kabsch(tab.centers[rec[:, 0]].reshape(-1, 3), tab.centers[rec[:, 1]].reshape(-1, 3))
 
 
-def initial_guess(p: CalibrationProblem) -> dict:
+def initial_guess(p: CalibrationProblem) -> np.ndarray:
     """Chain closed-form pairwise poses to the reference along a maximum
     co-detection spanning tree; reference pose is identity. Of the pairs
     tied on co-detections, the one first co-detected in station order joins
-    first, then the one first in display order."""
+    first, then the one first in display order. Returns the pose stack."""
     count, first = _codetections(p._table)
     a, b = np.nonzero(np.triu(count, 1))  # the co-detecting pairs, a before b
     order = np.lexsort((b, a, first[a, b], -count[a, b]))
     a, b = a[order], b[order]
-    ref = p.sensors.index(p.reference)
-    known = np.arange(len(p.sensors)) == ref
-    poses = {ref: RigidTransform.identity()}
+    known = ~p._table.free
+    poses = np.tile(np.eye(4), (len(p.sensors), 1, 1))
     while not known.all():
         edge = np.flatnonzero(known[a] != known[b])
         if not edge.size:  # unreachable for a connected problem
@@ -187,9 +192,10 @@ def initial_guess(p: CalibrationProblem) -> dict:
             raise DisconnectedGraph([sorted(names) for names in sides])
         e = edge[0]
         old, new = (a[e], b[e]) if known[a[e]] else (b[e], a[e])
-        poses[new] = geometry.compose(poses[old], estimate_pairwise(p, new, old))
+        t, r = estimate_pairwise(p, new, old), poses[old, :3, :3]  # geometry.compose(old, t)
+        poses[new, :3, :3], poses[new, :3, 3] = r @ t.rotation, r @ t.translation + poses[old, :3, 3]
         known[new] = True
-    return {p.sensors[n]: t for n, t in poses.items()}
+    return poses
 
 
 class _Terms(NamedTuple):
@@ -210,6 +216,7 @@ class _TermTable(NamedTuple):
     pixels: np.ndarray  # (N, 4, 2) camera records' pixel centers, 0 for LiDARs
     collinear: np.ndarray  # (N,) whether a record's centers lie on one line
     sensor: np.ndarray  # (S, 6) weight, fx, fy, cx, cy, behind-camera residual
+    free: np.ndarray  # (S,) True for the solved sensors, False for the reference
     cam: _Terms
     lidar: _Terms
 
@@ -249,6 +256,7 @@ def _term_table(p: CalibrationProblem) -> _TermTable:
         np.array([getattr(d, "centers_2d", np.zeros((4, 2))) for d in dets]),
         np.linalg.matrix_rank(centers - centers.mean(axis=1, keepdims=True), tol=1e-9) < 2,
         sensor,
+        np.array([s != p.reference for s in p.sensors]),
         _Terms(*cam[:4], cam[4, :, None] + np.arange(8)),
         _Terms(*lid[:4], lid[4, :, None] + np.arange(12)),
     )
@@ -275,12 +283,7 @@ def _came_from(linked: np.ndarray, a: int) -> np.ndarray:
     return came
 
 
-def _pose_arrays(p: CalibrationProblem, poses: dict):
-    rot = np.array([poses[s].rotation for s in p.sensors])
-    return rot, np.array([poses[s].translation for s in p.sensors])
-
-
-def _blocks(tab: _TermTable, t: _Terms, rot, trans, jac: bool):
+def _blocks(tab: _TermTable, t: _Terms, poses: np.ndarray, jac: bool):
     """(T, 8 | 12) residual blocks of terms t, their (T, 8 | 12, 6)
     derivatives by poses i and j (None unless jac) and the number of centers
     behind camera j. Every term maps record a's centers through pose i into
@@ -289,6 +292,7 @@ def _blocks(tab: _TermTable, t: _Terms, rot, trans, jac: bool):
     with record b's centers. With D the weighted derivative of that comparison
     by q, the derivative by pose i is D R_j^T [I | -skew(y)], by pose j its
     negative."""
+    rot, trans = poses[:, :3, :3], poses[:, :3, 3]
     y = tab.centers[t.a] @ rot[t.i].transpose(0, 2, 1) + trans[t.i, None]  # centers in B
     q = (y - trans[t.j, None]) @ rot[t.j]  # centers in sensor j
     w, fx, fy, cx, cy, cap = tab.sensor[t.j, :, None].transpose(1, 0, 2)
@@ -311,37 +315,34 @@ def _blocks(tab: _TermTable, t: _Terms, rot, trans, jac: bool):
     return block, core, -core, int(behind.sum())
 
 
-def residuals(p: CalibrationProblem, poses: dict, table: _TermTable | None = None):
-    """Stacked residual vector; behind-camera projections are capped at the
-    image diagonal and counted in the returned flag total."""
+def residuals(p: CalibrationProblem, poses: np.ndarray, table: _TermTable | None = None):
+    """Stacked residual vector at a pose stack; behind-camera projections are
+    capped at the image diagonal and counted in the returned flag total."""
     tab = p._table if table is None else table
-    rot, trans = _pose_arrays(p, poses)
     r = np.empty(tab.cam.rows.size + tab.lidar.rows.size)
     flags = 0
     for t in (tab.cam, tab.lidar):
-        block, _, _, n = _blocks(tab, t, rot, trans, jac=False)
+        block, _, _, n = _blocks(tab, t, poses, jac=False)
         r[t.rows] = block
         flags += n
     return r, flags
 
 
-def jacobian(p: CalibrationProblem, poses: dict) -> np.ndarray:
+def jacobian(p: CalibrationProblem, poses: np.ndarray) -> np.ndarray:
     """Analytic Jacobian w.r.t. left-multiplied tangent increments on every
     non-reference pose, ordered like p.sensors with the reference skipped."""
     tab = p._table
-    rot, trans = _pose_arrays(p, poses)
-    free = np.array([s != p.reference for s in p.sensors])
-    col = np.where(free, 6 * np.cumsum(free) - 6, -1)  # first column of each free pose
-    jac = np.zeros((tab.cam.rows.size + tab.lidar.rows.size, 6 * free.sum()))
+    col = np.where(tab.free, 6 * np.cumsum(tab.free) - 6, -1)  # first column of each free pose
+    jac = np.zeros((tab.cam.rows.size + tab.lidar.rows.size, 6 * tab.free.sum()))
     for t in (tab.cam, tab.lidar):
-        _, di, dj, _ = _blocks(tab, t, rot, trans, jac=True)
+        _, di, dj, _ = _blocks(tab, t, poses, jac=True)
         for sensor, d in ((t.i, di), (t.j, dj)):
             keep = col[sensor] >= 0
             jac[t.rows[keep, :, None], col[sensor[keep], None, None] + np.arange(6)] = d[keep]
     return jac
 
 
-def resolve_circle_ordering(p: CalibrationProblem, poses: dict) -> CalibrationProblem:
+def resolve_circle_ordering(p: CalibrationProblem, poses: np.ndarray) -> CalibrationProblem:
     """Undo the square board's 4-fold order ambiguity per LiDAR record: of
     the 4 cyclic shifts, keep the one with the lowest cost unless the current
     order is within 1e-12 of it. One pass per LiDAR in p.sensors order scores
@@ -377,7 +378,7 @@ def solve(p: CalibrationProblem) -> CalibrationResult:
     """Levenberg-Marquardt over all non-reference poses."""
     poses0 = initial_guess(p)
     p = resolve_circle_ordering(p, poses0)
-    free = [s for s in p.sensors if s != p.reference]
+    free = p._table.free
 
     def res_fn(poses):
         return residuals(p, poses)[0]
@@ -385,19 +386,21 @@ def solve(p: CalibrationProblem) -> CalibrationResult:
     def jac_fn(poses):  # LM's first Jacobian is the one checked below, handed over once
         return checked.pop() if checked else jacobian(p, poses)
 
-    def plus(poses, dx):
-        out = dict(poses)
-        for m, s in zip(geometry.exp_se3_matrix(dx.reshape(-1, 6)), free):
-            out[s] = geometry.compose(RigidTransform(m[:3, :3], m[:3, 3]), poses[s])
+    def plus(poses, dx):  # exp(dx) * pose by geometry.compose's two products, not one 4x4 product
+        m, out = geometry.exp_se3_matrix(dx.reshape(-1, 6)), poses.copy()
+        out[free, :3, :3] = m[:, :3, :3] @ poses[free, :3, :3]
+        out[free, :3, 3] = (m[:, :3, :3] @ poses[free, :3, 3:])[..., 0] + m[:, :3, 3]
         return out
 
     checked = [jacobian(p, poses0)]
     h0 = checked[0].T @ checked[0]
     eig = np.linalg.eigvalsh(h0)
-    if eig[0] < 1e-12 * max(eig[-1], 1.0):
-        diag = np.diag(h0).reshape(-1, 6).sum(axis=1)
-        suspects = [str(free[k]) for k in np.where(diag < 1e-9 * diag.max())[0]]
-        raise SingularNormalEquations(suspects or [str(s) for s in free])
+    tol = 1e-12 * max(eig[-1], 1.0)
+    if eig[0] < tol:  # suspects: the free sensors that the null directions move
+        w, v = np.linalg.eigh(h0)
+        share = (v[:, : max((w < tol).sum(), 1)] ** 2).reshape(free.sum(), 6, -1).sum(axis=1)
+        names = [str(s) for s, f in zip(p.sensors, free) if f]
+        raise SingularNormalEquations([n for n, x in zip(names, share.max(axis=1)) if x > 1e-6])
     del h0
 
     res = levenberg_marquardt(
@@ -415,7 +418,7 @@ def solve(p: CalibrationProblem) -> CalibrationResult:
         "behind_camera_flags": flags,
     }
     result = CalibrationResult(
-        res.state,
+        {s: RigidTransform(m[:3, :3], m[:3, 3]) for s, m in zip(p.sensors, res.state)},
         p,
         res.cost,
         res.cost_history[0],
@@ -481,15 +484,13 @@ def consistency_check_pairwise(p: CalibrationProblem, chain):
 
 def reprojection_report(result: CalibrationResult):
     """Per-sequence, per-pair Euclidean distances of the 4 centers mapped
-    into the reference frame; rows (sequence, name_i, name_j, [4 floats])."""
+    into the reference frame; rows (sequence, name_i, name_j, [4 floats]),
+    station by station, each pair in p.sensors order."""
     p = result.problem
-    name = {s: p.display_name(s) for s in p.sensors}
-    rows = []
-    for seq in p.sequences:
-        present = [s for s in p.sensors if s in seq.observations]
-        centers = [result.poses[s].apply(seq.observations[s].centers) for s in present]
-        for a, (i, ci) in enumerate(zip(present, centers)):
-            for j, cj in zip(present[a + 1 :], centers[a + 1 :]):
-                dist = np.linalg.norm(ci - cj, axis=1)
-                rows.append((seq.sequence, name[i], name[j], dist.tolist()))
-    return rows
+    tab = p._table
+    name, pose = list(p._names.values()), list(result.poses.values())  # by position
+    seen = tab.index >= 0
+    y = np.array([pose[k].apply(c) for k, c in zip(np.nonzero(seen)[1], tab.centers)])
+    q, i, j = np.nonzero(np.triu(seen[:, :, None] & seen[:, None, :], 1))  # in row order
+    dist = np.linalg.norm(y[tab.index[q, i]] - y[tab.index[q, j]], axis=2).tolist()
+    return [(p.sequences[k].sequence, name[a], name[b], d) for k, a, b, d in zip(q, i, j, dist)]

@@ -36,6 +36,12 @@ def matrix(t) -> np.ndarray:
     return m
 
 
+def pose_stack(p, poses) -> np.ndarray:
+    """The (S, 4, 4) pose stack of the global solve, in p.sensors order, of
+    the {SensorId: RigidTransform} `poses`."""
+    return np.array([matrix(poses[s]) for s in p.sensors])
+
+
 def relative(gt, a, b):
     """The exact a->b transform of the ground truth `gt`."""
     return geometry.compose(geometry.invert(gt.sensor_poses[b]), gt.sensor_poses[a])

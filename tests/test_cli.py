@@ -940,21 +940,15 @@ def test_calibrate_pairwise_mode_composes_along_a_path_of_cameras(tmp_path):
     assert rep["consistency"]["translation_deviation_m"] < 1e-9
 
 
-def test_calibrate_unknown_reference_exit_2(ws, tmp_path):
-    rc = cli.main(
-        [
-            "calibrate",
-            "--config",
-            str(ws["config"]),
-            "--detections",
-            str(ws["det"]),
-            "--out",
-            str(tmp_path / "r.json"),
-            "--reference",
-            "sonar0",
-        ]
-    )
-    assert rc == 2
+def test_calibrate_unknown_reference_exit_2(ws, tmp_path, caplog):
+    """A reference that is neither a sensor id nor S<n> of a configured
+    sensor exits 2, "S²" too, whose digit `str.isdigit` accepts."""
+    argv = ["calibrate", "--config", str(ws["config"]), "--detections", str(ws["det"])]
+    for name in ("sonar0", "S²", "S0", "S6"):
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="crosscal"):
+            assert cli.main(argv + ["--out", str(tmp_path / "r.json"), "--reference", name]) == 2
+        assert f"unknown reference sensor {name!r}" in caplog.text
 
 
 def test_calibrate_malformed_detections_exit_2(ws, tmp_path, caplog):

@@ -13,6 +13,7 @@ from conftest import (
     matrix,
     oracle_observations,
     pose_errors,
+    pose_stack,
     random_rigid,
     relative,
     rig,
@@ -25,6 +26,7 @@ from crosscal.errors import (
     DisconnectedGraph,
     NonPositiveDepth,
     NoReferenceObservations,
+    SingularNormalEquations,
     UnknownSensor,
 )
 from crosscal.geometry import RigidTransform
@@ -177,11 +179,11 @@ def test_estimate_pairwise_degenerate_centers():
 def test_initial_guess_exact_on_noise_free_problem():
     scene = _scene()
     p = _problem(scene)
-    poses = initial_guess(p)
-    assert np.abs(matrix(poses[CAM0]) - np.eye(4)).max() == 0.0  # gauge
+    poses = dict(zip(p.sensors, initial_guess(p)))
+    assert np.abs(poses[CAM0] - np.eye(4)).max() == 0.0  # gauge
     gt = _gt_poses(scene, CAM0)
     for s, t in poses.items():
-        assert np.abs(matrix(t) - matrix(gt[s])).max() < 1e-9
+        assert np.abs(t - matrix(gt[s])).max() < 1e-9
 
 
 def test_initial_guess_chains_three_sensor_path():
@@ -205,9 +207,9 @@ def test_initial_guess_chains_three_sensor_path():
             )
         )
     p = build_problem(seqs, L0, {})
-    poses = initial_guess(p)
-    assert np.abs(matrix(poses[L1]) - matrix(t_b)).max() < 1e-9
-    assert np.abs(matrix(poses[l2]) - matrix(t_c)).max() < 1e-9
+    poses = dict(zip(p.sensors, initial_guess(p)))
+    assert np.abs(poses[L1] - matrix(t_b)).max() < 1e-9
+    assert np.abs(poses[l2] - matrix(t_c)).max() < 1e-9
 
 
 def test_initial_guess_tie_goes_to_the_pair_first_co_detected():
@@ -226,7 +228,7 @@ def test_initial_guess_tie_goes_to_the_pair_first_co_detected():
         for k, pair in enumerate(stations)
     ]
     p = build_problem(seqs, L0, {})
-    poses = initial_guess(p)
+    poses = {s: RigidTransform(m[:3, :3], m[:3, 3]) for s, m in zip(p.sensors, initial_guess(p))}
     assert list(poses) == [L0, L1, l2]
     via_l1 = geometry.compose(poses[L1], estimate_pairwise(p, 2, 1))
     assert np.array_equal(matrix(poses[l2]), matrix(via_l1))
@@ -238,7 +240,7 @@ def test_initial_guess_tie_goes_to_the_pair_first_co_detected():
 def test_residuals_zero_at_ground_truth():
     scene = _scene()
     p = _problem(scene)
-    r, flags = residuals(p, _gt_poses(scene, CAM0))
+    r, flags = residuals(p, pose_stack(p, _gt_poses(scene, CAM0)))
     assert flags == 0
     assert np.abs(r).max() < 1e-6
 
@@ -250,14 +252,14 @@ def test_residuals_eq6_hand_case():
         L0: RigidTransform.identity(),
         L1: RigidTransform(np.eye(3), np.array([0.1, 0.0, 0.0])),
     }
-    r, _ = residuals(p, poses)
+    r, _ = residuals(p, pose_stack(p, poses))
     assert r.shape == (12,)
     assert np.allclose(r.reshape(4, 3), np.tile([-0.1, 0.0, 0.0], (4, 1)), atol=1e-12)  # LiDAR weight 1
     # a LiDAR pair is compared in the second LiDAR's frame: R1^T (y0 - y1),
     # the B-frame difference rotated, so of the same norm
     poses[L1] = RigidTransform(geometry.rot_z(np.deg2rad(30.0)), [0.1, 0.0, 0.0])
     diff = poses[L0].apply(SQUARE) - poses[L1].apply(SQUARE)
-    r, _ = residuals(p, poses)
+    r, _ = residuals(p, pose_stack(p, poses))
     assert np.abs(r.reshape(4, 3) - diff @ poses[L1].rotation).max() < 1e-15
     assert abs(r @ r - (diff**2).sum()) < 1e-15
 
@@ -265,7 +267,7 @@ def test_residuals_eq6_hand_case():
 def test_residual_length_matches_enumeration_formula():
     scene = _scene()
     p = _problem(scene)
-    r, _ = residuals(p, _gt_poses(scene, CAM0))
+    r, _ = residuals(p, pose_stack(p, _gt_poses(scene, CAM0)))
     expected = 0
     for seq in p.sequences:
         n_cam = sum(1 for s in seq.observations if s.kind == "camera")
@@ -280,7 +282,7 @@ def test_residual_length_matches_enumeration_formula():
 
 def _central_differences(p, poses, eps=1e-6):
     free = [s for s in p.sensors if s != p.reference]
-    num = np.zeros((len(residuals(p, poses)[0]), 6 * len(free)))
+    num = np.zeros((len(residuals(p, pose_stack(p, poses))[0]), 6 * len(free)))
     for k, s in enumerate(free):
         for a in range(6):
             dx = np.zeros(6)
@@ -289,7 +291,8 @@ def _central_differences(p, poses, eps=1e-6):
             up[s] = geometry.compose(exp_rigid(dx), poses[s])
             dn = dict(poses)
             dn[s] = geometry.compose(exp_rigid(-dx), poses[s])
-            num[:, 6 * k + a] = (residuals(p, up)[0] - residuals(p, dn)[0]) / (2 * eps)
+            r_up, r_dn = residuals(p, pose_stack(p, up))[0], residuals(p, pose_stack(p, dn))[0]
+            num[:, 6 * k + a] = (r_up - r_dn) / (2 * eps)
     return num
 
 
@@ -306,7 +309,7 @@ def test_jacobian_matches_central_differences_100_states():
             )
             for s, t in gt.items()
         }
-        jac = jacobian(p, poses)
+        jac = jacobian(p, pose_stack(p, poses))
         scale = max(np.abs(jac).max(), 1.0)
         assert np.abs(jac - _central_differences(p, poses)).max() / scale < 1e-4
 
@@ -329,13 +332,13 @@ def test_centers_behind_a_camera_are_capped_flagged_and_constant():
         cam1: RigidTransform(geometry.rotation_exp([0.01, -0.02, 0.03]), [0.01, 0.02, 5.0]),
         L0: RigidTransform(geometry.rotation_exp([0.0, 0.01, 0.0]), [0.02, 0.0, 0.0]),
     }
-    r, flags = residuals(p, poses)
+    r, flags = residuals(p, pose_stack(p, poses))
     assert flags == 4
     # rows: camera0's terms from camera1, lidar0 (0-15), then camera1's from camera0, lidar0 (16-31)
     capped = [row for base in (16, 24) for c in (0, 3) for row in (base + 2 * c, base + 2 * c + 1)]
     cap = np.hypot(k.width, k.height) / k.fx / np.sqrt(2.0)
     assert np.allclose(r[capped], cap, rtol=1e-15)
-    jac = jacobian(p, poses)
+    jac = jacobian(p, pose_stack(p, poses))
     assert np.all(jac[capped] == 0.0)
     num = _central_differences(p, poses)
     assert np.abs(jac - num).max() / np.abs(jac).max() < 1e-6
@@ -369,6 +372,29 @@ def test_solve_metadata_declares_weights():
     assert result.metadata["camera_residual_weight"] == "1/fx per camera"
     assert result.metadata["lidar_residual_weight"] == 1.0
     assert result.metadata["behind_camera_flags"] == 0
+
+
+def test_singular_normal_equations_name_the_sensors_of_the_null_direction():
+    """lidar2 co-detects only with lidar0, at a station whose 4 centers lie
+    within 1e-7 m of one line: its rotation about that line is free, while
+    lidar1 is fixed by a square. The error names lidar2 alone."""
+    rng = np.random.default_rng(5)
+    t1, t2 = (random_rigid(rng, max_trans=1.0) for _ in range(2))  # lidar1, lidar2 -> lidar0
+    l2 = SensorId("lidar", 2)
+    square = SQUARE + [0.2, -0.1, 3.0]
+    line = np.array([[0.0, 0.0, 0.0], [0.1, 1e-8, 0.0], [0.2, 0.0, -1e-8], [0.3, 1e-8, 0.0]])
+    line += [0.5, 0.2, 2.0]
+    seqs = [
+        SequenceObservations(
+            0, {L0: _lidar_obs(square), L1: _lidar_obs(geometry.invert(t1).apply(square))}
+        ),
+        SequenceObservations(
+            1, {L0: _lidar_obs(line), l2: _lidar_obs(geometry.invert(t2).apply(line))}
+        ),
+    ]
+    with pytest.raises(SingularNormalEquations) as err:
+        solve(build_problem(seqs, L0, {}))
+    assert err.value.suspects == ["lidar2"]
 
 
 # --- circle ordering --------------------------------------------------------
@@ -412,7 +438,7 @@ def test_resolve_circle_ordering_100_trials():
         slot = lidar_slots[rng.integers(len(lidar_slots))]
         corrupted = _roll_lidar_records(p, lambda qi, s: (qi, s) == slot, rng)
         # the rolled record is restored and every other record left as it was
-        _assert_same_centers(p, resolve_circle_ordering(corrupted, gt))
+        _assert_same_centers(p, resolve_circle_ordering(corrupted, pose_stack(p, gt)))
 
 
 def test_resolve_circle_ordering_all_lidar_records_rolled():
@@ -420,13 +446,13 @@ def test_resolve_circle_ordering_all_lidar_records_rolled():
     scene = _scene(sequences=10, seed=6)
     p = _problem(scene)
     rolled = _roll_lidar_records(p, lambda qi, s: True, rng)
-    _assert_same_centers(p, resolve_circle_ordering(rolled, _gt_poses(scene, CAM0)))
+    _assert_same_centers(p, resolve_circle_ordering(rolled, pose_stack(p, _gt_poses(scene, CAM0))))
     # without a camera, each sequence's first LiDAR is the anchor the others follow
     scene = _scene(n_lidars=3, m_cameras=0, sequences=6, seed=6)
     p = _problem(scene, reference=L0)
     first = {qi: min(q.observations) for qi, q in enumerate(p.sequences)}
     rolled = _roll_lidar_records(p, lambda qi, s: s != first[qi], rng)
-    _assert_same_centers(p, resolve_circle_ordering(rolled, _gt_poses(scene, L0)))
+    _assert_same_centers(p, resolve_circle_ordering(rolled, pose_stack(p, _gt_poses(scene, L0))))
 
 
 def test_solve_undoes_shifted_orders_on_a_large_rig():
@@ -465,7 +491,7 @@ def test_solve_undoes_shifted_orders_on_a_large_rig():
 def test_resolve_keeps_correct_order_unchanged():
     scene = _scene(sequences=3, seed=7)
     p = _problem(scene, reference=L0)
-    _assert_same_centers(p, resolve_circle_ordering(p, _gt_poses(scene, L0)))
+    _assert_same_centers(p, resolve_circle_ordering(p, pose_stack(p, _gt_poses(scene, L0))))
 
 
 # --- consistency / reports --------------------------------------------------
@@ -510,6 +536,40 @@ def test_reprojection_report_zeros_on_perfect_data():
         assert a.startswith("S") and b.startswith("S")
         assert len(errs) == 4
         assert max(errs) < 1e-6
+
+
+def test_reprojection_report_rows_match_a_direct_computation():
+    """On noisy centers, with some stations lacking some sensors: one row per
+    station and co-detecting pair, station by station and each pair in
+    p.sensors order, holding the distances between the pair's centers mapped
+    through their solved poses."""
+    rng = np.random.default_rng(8)
+    scene = _scene(sequences=8, seed=9)
+    obs = [
+        SequenceObservations(
+            seq.sequence,
+            {
+                s: replace(d, centers=d.centers + rng.normal(0.0, 0.003, (4, 3)))
+                for s, d in seq.observations.items()
+            },
+        )
+        for seq in oracle_observations(scene)
+    ]
+    result = solve(build_problem(obs, CAM0, scene.intrinsics))
+    p = result.problem
+    assert any(len(seq.observations) < len(p.sensors) for seq in p.sequences)
+    expected = []
+    for seq in p.sequences:
+        present = [s for s in p.sensors if s in seq.observations]
+        centers = [result.poses[s].apply(seq.observations[s].centers) for s in present]
+        for a, (i, ci) in enumerate(zip(present, centers)):
+            for j, cj in zip(present[a + 1 :], centers[a + 1 :]):
+                dist = np.linalg.norm(ci - cj, axis=1)
+                expected.append((seq.sequence, p.display_name(i), p.display_name(j), dist))
+    rows = reprojection_report(result)
+    assert [row[:3] for row in rows] == [row[:3] for row in expected]
+    assert all(np.abs(np.array(r[3]) - e[3]).max() < 1e-12 for r, e in zip(rows, expected))
+    assert max(max(r[3]) for r in rows) > 1e-3  # the noise shows
 
 
 def test_gauge_invariance_of_relative_transforms():

@@ -8,8 +8,12 @@ homography decomposition, both planar-ambiguity candidates of every set are
 refined in one batched Levenberg-Marquardt call, and per set the
 lower-reprojection candidate wins. Sets are padded to the largest corner
 count; padded corners carry zero residual and zero Jacobian rows. The
-detections are built from the batch too: one reprojection pass over the
-solved sets, and their circle centers from one stacked product.
+homographies and LM's residuals and normal equations are formed
+_CHUNK_ELEMENTS padded corners at a time, so a large batch holds no
+(P, 2N, 6) Jacobian; every candidate's arithmetic is the same in any chunk,
+so the chunk size moves no output bit. The detections are built
+from the batch too: one reprojection pass over the solved sets, and their
+circle centers from one stacked product.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ from .errors import BehindCamera, DegenerateConfiguration, InsufficientCorners
 from .geometry import RigidTransform
 from .lm import levenberg_marquardt
 from .target import TargetSpec, checker_corners_board, circle_centers_board
+
+# padded corners whose reprojections, Jacobians or DLT rows are built at once
+_CHUNK_ELEMENTS = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -85,25 +92,38 @@ def pnp_jacobian(pts, fx, fy):
     return jac.reshape(jac.shape[:-3] + (-1, 6))
 
 
+def _chunks(count: int, corners: int) -> list:
+    """Slices of `count` sets (or candidates) of `corners` padded corners
+    each: _CHUNK_ELEMENTS corners, and at least one set, per slice."""
+    step = max(_CHUNK_ELEMENTS // corners, 1)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
 def _refine(poses, c: _CornerSets):
     """Batched LM from candidate poses (P, 4, 4) of the sets c; a trial that
     puts a corner behind the camera gets an infinite cost and is rejected."""
 
     def residual(states, rows):
-        r, behind = _reprojection(states, c.take(rows))
-        r[behind] = np.inf
-        return r.reshape(len(rows), -1)
+        r = np.empty((len(rows), 2 * c.used.shape[1]))
+        for k in _chunks(len(rows), c.used.shape[1]):
+            part, behind = _reprojection(states[k], c.take(rows[k]))
+            part[behind] = np.inf
+            r[k] = part.reshape(len(part), -1)
+        return r
 
-    def jacobian(states, rows):
-        sub = c.take(rows)
-        jac = pnp_jacobian(_camera_points(states, sub), sub.k[:, :1], sub.k[:, 1:2])
-        jac[~np.repeat(sub.used, 2, axis=1)] = 0.0
-        return jac
+    def normal(states, rows, r):
+        hess, grad = np.empty((len(rows), 6, 6)), np.empty((len(rows), 6))
+        for k in _chunks(len(rows), c.used.shape[1]):
+            part = c.take(rows[k])
+            jac = pnp_jacobian(_camera_points(states[k], part), part.k[:, :1], part.k[:, 1:2])
+            jac[~np.repeat(part.used, 2, axis=1)] = 0.0
+            hess[k], grad[k] = jac.transpose(0, 2, 1) @ jac, (r[k, None, :] @ jac)[:, 0]
+        return hess, grad
 
     return levenberg_marquardt(
         poses,
         residual,
-        jacobian,
+        normal,
         lambda states, dx: geometry.exp_se3_matrix(dx) @ states,
         max_iter=100,
         gradient_tol=1e-10,
@@ -127,6 +147,11 @@ def _normalize_2d(pts, used):
 
 def _homographies(c: _CornerSets):
     """(S, 3, 3) board->image homographies by normalized DLT."""
+    return np.concatenate([_dlt(c.take(k)) for k in _chunks(*c.used.shape)])
+
+
+def _dlt(c: _CornerSets):
+    """_homographies of one chunk of sets."""
     t_obj, t_img = _normalize_2d(c.obj[..., :2], c.used), _normalize_2d(c.uv, c.used)
     ones = np.ones(c.used.shape + (1,))
 

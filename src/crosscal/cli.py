@@ -112,7 +112,8 @@ def cmd_simulate(args) -> int:
     # each LiDAR is one job on the pool; this process writes the cameras' files
     lidars = [(s,) for s in scene.sensor_ids if s.kind == "lidar"]
     cameras = [s for s in scene.sensor_ids if s.kind == "camera"]
-    scene.ray_dirs, scene.visibility  # built before the fork, so that every worker inherits them
+    scene.visibility  # built before the fork, so that every worker inherits it; each
+    # worker builds the ray grid it casts, which this process never reads
     with _forked(partial(_simulate_lidar, scene, out), lidars) as lidar_outputs:
         seen = [
             (sensor, seq)

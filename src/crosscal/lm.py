@@ -1,12 +1,16 @@
 """Damped Gauss-Newton (Levenberg-Marquardt) shared by PnP and the global solver.
 
-The state is opaque: callers provide residual/jacobian callbacks plus a
-retraction `plus(state, dx)` so poses can be updated on the SE(3) tangent
-space. Damping follows the classic lambda*10 / lambda/10 schedule starting
-at 1e-3; cost is monotonically non-increasing over accepted steps by
-construction. A trial whose predicted reduction is below the cost's rounding
-(MINPACK's stopping test, More 1978) is not evaluated: the damping loop ends
-as if exhausted.
+The state is opaque: callers provide a residual callback, a callback that
+returns the normal equations (J^T J, J^T r) at a state given its residuals,
+and a retraction `plus(state, dx)` so poses can be updated on the SE(3)
+tangent space. LM never sees a Jacobian, so each caller assembles its normal
+equations the way its structure allows: the global solve sums 6x6 blocks
+term by term, PnP builds its Jacobians a chunk of candidates at a time.
+Damping follows the classic lambda*10 / lambda/10 schedule starting at 1e-3;
+cost is monotonically non-increasing over accepted steps by construction. A
+trial whose predicted reduction is below the cost's rounding (MINPACK's
+stopping test, More 1978) is not evaluated: the damping loop ends as if
+exhausted.
 
 With `batched=True` the state has a leading batch axis of independent
 problems (PnP runs one per pose candidate of a `detect` run), solved in
@@ -44,7 +48,7 @@ class LMResult:
 def levenberg_marquardt(
     state,
     residual_fn,
-    jac_fn,
+    normal_fn,
     plus,
     max_iter: int = 100,
     gradient_tol: float = 1e-10,
@@ -52,11 +56,14 @@ def levenberg_marquardt(
 ) -> LMResult:
     """Minimize 0.5*||r(state)||^2.
 
-    Unbatched: residual_fn(state) -> (m,), jac_fn(state) -> (m, n),
+    Unbatched: residual_fn(state) -> r (m,), normal_fn(state, r) ->
+    (J^T J (n, n), J^T r (n,)) with J the Jacobian of r at state, and
     plus(state, dx (n,)) -> state. Batched: state (B, ...) is indexed along
     its first axis, residual_fn(states, rows) -> (len(rows), m),
-    jac_fn(states, rows) -> (len(rows), m, n) and plus(states, dx (len(rows), n))
-    -> states, where rows are the indices of `states` in the batch.
+    normal_fn(states, rows, r (len(rows), m)) -> ((len(rows), n, n),
+    (len(rows), n)) and plus(states, dx (len(rows), n)) -> states, where rows
+    are the indices of `states` in the batch. normal_fn is called once per
+    iteration of each running problem, at its current state.
 
     A trial whose cost is not finite (e.g. a point behind the camera) is
     rejected and its damping increased; an exception from a callback
@@ -70,11 +77,11 @@ def levenberg_marquardt(
     """
     args = (max_iter, gradient_tol)
     if batched:
-        return _solve(state, residual_fn, jac_fn, plus, *args)
+        return _solve(state, residual_fn, normal_fn, plus, *args)
     res = _solve(
         _one(state),
         lambda s, rows: residual_fn(s[0])[None],
-        lambda s, rows: jac_fn(s[0])[None],
+        lambda s, rows, r: tuple(a[None] for a in normal_fn(s[0], r[0])),
         lambda s, dx: _one(plus(s[0], dx[0])),
         *args,
     )
@@ -115,7 +122,7 @@ def _damped_steps(hess, lam, grad):
         return dx, ok
 
 
-def _solve(state, residual_fn, jac_fn, plus, max_iter, gradient_tol):
+def _solve(state, residual_fn, normal_fn, plus, max_iter, gradient_tol):
     n = len(state)
     r = residual_fn(state, np.arange(n))
     cost = _half_squares(r)
@@ -130,15 +137,12 @@ def _solve(state, residual_fn, jac_fn, plus, max_iter, gradient_tol):
         if not active.size:
             break
         iterations += active.size
-        jac = jac_fn(state[active], active)
-        grad = (r[active, None, :] @ jac)[:, 0]
+        hess, grad = normal_fn(state[active], active, r[active])
         grad_norm[active] = np.linalg.norm(grad, axis=1)
         done = grad_norm[active] < gradient_tol
         if done.any():
             converged[active[done]] = True
-            active, jac, grad = active[~done], jac[~done], grad[~done]
-        hess = jac.transpose(0, 2, 1) @ jac
-        del jac  # freed before jac_fn builds the next one
+            active, hess, grad = active[~done], hess[~done], grad[~done]
         accepted = np.zeros(len(active), dtype=bool)
         damping = np.arange(len(active))  # positions in `active` still looking for a step
         for _ in range(30):

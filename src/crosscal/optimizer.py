@@ -6,8 +6,10 @@ pose and the other sensor's inverse pose into the other sensor's frame,
 where a camera projects them and compares pixels and a LiDAR compares them
 with its own 3D centers. One block function evaluates both kinds. The
 reference sensor is pinned to identity (gauge) and the rest solved by
-Levenberg-Marquardt on the SE(3) tangent space with an analytic Jacobian,
-stepping every pose with one batched `geometry.exp_se3_matrix`.
+Levenberg-Marquardt on the SE(3) tangent space, stepping every pose with one
+batched `geometry.exp_se3_matrix`. A term touches two poses only, so LM gets
+its normal equations summed term by term from the analytic 6-column
+derivative blocks, never through a dense Jacobian.
 
 The state is one (S, 4, 4) pose stack in p.sensors order, as PnP's is. A
 `SensorId` or a `RigidTransform` appears only at the problem's boundary: its
@@ -285,9 +287,10 @@ def _came_from(linked: np.ndarray, a: int) -> np.ndarray:
 
 def _blocks(tab: _TermTable, t: _Terms, poses: np.ndarray, jac: bool):
     """(T, 8 | 12) residual blocks of terms t, their (T, 8 | 12, 6)
-    derivatives by poses i and j (None unless jac) and the number of centers
-    behind camera j. Every term maps record a's centers through pose i into
-    B and on into sensor j's frame, q = R_j^T (y - t_j). A camera j projects
+    derivatives by pose i (None unless jac; by pose j it is the negative) and
+    the number of centers behind camera j. Every term maps record a's
+    centers through pose i into B and on into sensor j's frame,
+    q = R_j^T (y - t_j). A camera j projects
     q and compares pixels with record b's; a LiDAR j (12-row terms) compares q
     with record b's centers. With D the weighted derivative of that comparison
     by q, the derivative by pose i is D R_j^T [I | -skew(y)], by pose j its
@@ -308,11 +311,10 @@ def _blocks(tab: _TermTable, t: _Terms, poses: np.ndarray, jac: bool):
         d = w[..., None, None] * geometry.project_jacobian(q, fx, fy) if jac else None
     block = block.reshape(-1, width)
     if not jac:
-        return block, None, None, int(behind.sum())
+        return block, None, int(behind.sum())
     core = d @ rot[t.j, None].transpose(0, 1, 3, 2) @ geometry.point_jacobian(y)
     core[behind] = 0.0  # capped rows
-    core = core.reshape(-1, width, 6)
-    return block, core, -core, int(behind.sum())
+    return block, core.reshape(-1, width, 6), int(behind.sum())
 
 
 def residuals(p: CalibrationProblem, poses: np.ndarray, table: _TermTable | None = None):
@@ -322,24 +324,38 @@ def residuals(p: CalibrationProblem, poses: np.ndarray, table: _TermTable | None
     r = np.empty(tab.cam.rows.size + tab.lidar.rows.size)
     flags = 0
     for t in (tab.cam, tab.lidar):
-        block, _, _, n = _blocks(tab, t, poses, jac=False)
+        block, _, n = _blocks(tab, t, poses, jac=False)
         r[t.rows] = block
         flags += n
     return r, flags
 
 
-def jacobian(p: CalibrationProblem, poses: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian w.r.t. left-multiplied tangent increments on every
-    non-reference pose, ordered like p.sensors with the reference skipped."""
+def normal_equations(p: CalibrationProblem, poses: np.ndarray):
+    """J^T J and J^T r of the residual vector at a pose stack, J being the
+    analytic Jacobian w.r.t. left-multiplied tangent increments on every
+    non-reference pose, ordered like p.sensors with the reference skipped.
+    Term n's derivative is D by pose i and -D by pose j, so it adds
+    G = D^T D to blocks (i, i) and (j, j), -G to (i, j) and (j, i), and
+    D^T r_n to pose i's gradient and -D^T r_n to pose j's."""
     tab = p._table
-    col = np.where(tab.free, 6 * np.cumsum(tab.free) - 6, -1)  # first column of each free pose
-    jac = np.zeros((tab.cam.rows.size + tab.lidar.rows.size, 6 * tab.free.sum()))
+    s = len(p.sensors)
+    gram, grad = np.zeros((s * s, 36)), np.zeros((s, 6))
     for t in (tab.cam, tab.lidar):
-        _, di, dj, _ = _blocks(tab, t, poses, jac=True)
-        for sensor, d in ((t.i, di), (t.j, dj)):
-            keep = col[sensor] >= 0
-            jac[t.rows[keep, :, None], col[sensor[keep], None, None] + np.arange(6)] = d[keep]
-    return jac
+        block, d, _ = _blocks(tab, t, poses, jac=True)
+        gram += _sum_by(t.i * s + t.j, (d.transpose(0, 2, 1) @ d).reshape(-1, 36), s * s)
+        dr = (block[:, None] @ d)[:, 0]
+        grad += _sum_by(t.i, dr, s) - _sum_by(t.j, dr, s)
+    g = gram.reshape(s, s, 6, 6)
+    g = g + g.transpose(1, 0, 2, 3)  # block (i, j): the G of every term between i and j
+    hess = -g
+    hess[np.arange(s), np.arange(s)] = g.sum(axis=1)  # no term has i == j
+    free = np.repeat(tab.free, 6)
+    return hess.transpose(0, 2, 1, 3).reshape(6 * s, 6 * s)[np.ix_(free, free)], grad.ravel()[free]
+
+
+def _sum_by(key: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """(size, c) sums of the rows (K, c) that share each key in [0, size)."""
+    return np.stack([np.bincount(key, col, size) for col in rows.T], axis=1)
 
 
 def resolve_circle_ordering(p: CalibrationProblem, poses: np.ndarray) -> CalibrationProblem:
@@ -383,8 +399,8 @@ def solve(p: CalibrationProblem) -> CalibrationResult:
     def res_fn(poses):
         return residuals(p, poses)[0]
 
-    def jac_fn(poses):  # LM's first Jacobian is the one checked below, handed over once
-        return checked.pop() if checked else jacobian(p, poses)
+    def normal_fn(poses, r):  # the blocks carry r; the first call gets the checked ones
+        return checked.pop() if checked else normal_equations(p, poses)
 
     def plus(poses, dx):  # exp(dx) * pose by geometry.compose's two products, not one 4x4 product
         m, out = geometry.exp_se3_matrix(dx.reshape(-1, 6)), poses.copy()
@@ -392,8 +408,8 @@ def solve(p: CalibrationProblem) -> CalibrationResult:
         out[free, :3, 3] = (m[:, :3, :3] @ poses[free, :3, 3:])[..., 0] + m[:, :3, 3]
         return out
 
-    checked = [jacobian(p, poses0)]
-    h0 = checked[0].T @ checked[0]
+    checked = [normal_equations(p, poses0)]
+    h0 = checked[0][0]  # the singularity check reads the H that LM starts from
     eig = np.linalg.eigvalsh(h0)
     tol = 1e-12 * max(eig[-1], 1.0)
     if eig[0] < tol:  # suspects: the free sensors that the null directions move
@@ -401,12 +417,11 @@ def solve(p: CalibrationProblem) -> CalibrationResult:
         share = (v[:, : max((w < tol).sum(), 1)] ** 2).reshape(free.sum(), 6, -1).sum(axis=1)
         names = [str(s) for s, f in zip(p.sensors, free) if f]
         raise SingularNormalEquations([n for n, x in zip(names, share.max(axis=1)) if x > 1e-6])
-    del h0
 
     res = levenberg_marquardt(
         poses0,
         res_fn,
-        jac_fn,
+        normal_fn,
         plus,
         max_iter=p.params.max_iter,
         gradient_tol=p.params.gradient_tol,

@@ -1,7 +1,6 @@
 """Shared helpers: random transforms, oracle/real detection builders, and
 the acceptance-line recorder printed in the terminal summary."""
 
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -160,7 +159,20 @@ def log_se3(t):
     return np.concatenate([jinv @ t.translation, w])
 
 
-def lm_without_reduction_stop(state, residual_fn, jac_fn, plus, max_iter=100, gradient_tol=1e-10):
+def normal_from_jacobian(jac_fn):
+    """An LM normal-equations callback from a Jacobian callback: (J^T J, J^T r)
+    of jac_fn(state) and the residuals r, or of jac_fn(states, rows) and
+    r (len(rows), m) in a batched call."""
+
+    def normal(*args):
+        *at, r = args
+        jac = jac_fn(*at)
+        return np.swapaxes(jac, -1, -2) @ jac, (r[..., None, :] @ jac)[..., 0, :]
+
+    return normal
+
+
+def lm_without_reduction_stop(state, residual_fn, normal_fn, plus, max_iter=100, gradient_tol=1e-10):
     """Levenberg-Marquardt as it was before the predicted-reduction stop:
     the damping loop runs until a trial lowers the cost or lambda passes
     1e14. Returns (state, cost, converged)."""
@@ -169,13 +181,11 @@ def lm_without_reduction_stop(state, residual_fn, jac_fn, plus, max_iter=100, gr
     lam = 1e-3
     converged = False
     for _ in range(max_iter):
-        jac = jac_fn(state)
-        grad = jac.T @ r
+        hess, grad = normal_fn(state, r)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < gradient_tol:
             converged = True
             break
-        hess = jac.T @ jac
         accepted = False
         for _ in range(30):
             dx = np.linalg.solve(hess + lam * np.eye(hess.shape[0]), -grad)
@@ -200,20 +210,6 @@ def lm_without_reduction_stop(state, residual_fn, jac_fn, plus, max_iter=100, gr
         if converged:
             break
     return state, cost, converged
-
-
-def watch_jacobians(jac_fn, calls: list):
-    """An LM jac_fn that calls `jac_fn`, appends a weak reference to each
-    Jacobian it returns to `calls`, and fails if the one it returned last is
-    still alive when the next one is requested."""
-
-    def watched(*args):
-        assert not calls or calls[-1]() is None, "the previous Jacobian is still alive"
-        jac = jac_fn(*args)
-        calls.append(weakref.ref(jac))
-        return jac
-
-    return watched
 
 
 def oracle_observations(scene):

@@ -9,7 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from crosscal import lidar, sim
+from conftest import oracle_observations, rig
+from crosscal import cli, io_formats, lidar, sim
 
 
 def _load_spans():
@@ -60,3 +61,29 @@ def test_installing_the_tracer_loads_no_scipy():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_traced_calibrate_counts_one_normal_equation_call_per_lm_iteration(tmp_path):
+    """The tracer counts LM's third positional callback, the normal
+    equations, as `lm.jacobian`: a traced calibrate reads one call per LM
+    iteration, and the residual rows it saw."""
+    cfg = io_formats.default_config()
+    scene = sim.make_scene(rig(), sequences=4, seed=0)
+    records = [
+        io_formats.DetectionRecord(seq.sequence, s, det)
+        for seq in oracle_observations(scene)
+        for s, det in seq.observations.items()
+    ]
+    io_formats.write_config(tmp_path / "config.json", cfg)
+    io_formats.write_detections(tmp_path / "detections.json", records)
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        argv = ["--config", str(tmp_path / "config.json"), "--detections", str(tmp_path / "detections.json")]
+        assert cli.main(["calibrate", *argv, "--out", str(tmp_path / "report.json")]) == 0
+    finally:
+        tracer.restore()
+    metrics = spans.summarize(tracer, 1)[0]
+    assert metrics["lm.jacobian_evals"] == metrics["lm.iterations"] > 0
+    assert metrics["optimizer.residual_rows"] > 0

@@ -10,9 +10,9 @@ from conftest import (
     exp_se3_scalar,
     lm_without_reduction_stop,
     matrix,
+    normal_from_jacobian,
     rig,
     solve_pnp,
-    watch_jacobians,
 )
 from crosscal import camera, geometry, sim
 from crosscal.camera import detect_target_camera, pnp_jacobian
@@ -124,7 +124,7 @@ def test_noisy_pnp_lm_stops_at_the_cost_rounding_floor():
         def plus(t, dx):
             return geometry.compose(exp_se3_scalar(dx), t)
 
-        args = (residual, lambda t: pnp_jacobian(t.apply(OBJ), K.fx, K.fy), plus)
+        args = (residual, normal_from_jacobian(lambda t: pnp_jacobian(t.apply(OBJ), K.fx, K.fy)), plus)
         res = levenberg_marquardt(start, *args, gradient_tol=1e-10)
         assert _rejected_trials(costs)[1] <= 2
         costs.clear()
@@ -182,7 +182,8 @@ def test_batched_lm_matches_problems_solved_one_at_a_time():
         return geometry.exp_se3_matrix(dx) @ states
 
     options = {"max_iter": 10, "gradient_tol": 1e-10}
-    batch = levenberg_marquardt(starts.copy(), residual, jacobian, plus, batched=True, **options)
+    normal = normal_from_jacobian(jacobian)
+    batch = levenberg_marquardt(starts.copy(), residual, normal, plus, batched=True, **options)
     singles, behind = [], 0
     for k, start in enumerate(starts):
 
@@ -196,7 +197,7 @@ def test_batched_lm_matches_problems_solved_one_at_a_time():
             levenberg_marquardt(
                 start,
                 residual_one,
-                lambda s: jacobian(s[None], [k])[0],
+                normal_from_jacobian(lambda s: jacobian(s[None], [k])[0]),
                 lambda s, dx: plus(s[None], dx[None])[0],
                 **options,
             )
@@ -214,22 +215,49 @@ def test_batched_lm_matches_problems_solved_one_at_a_time():
     assert sum(r.converged for r in singles) > len(singles) // 2
 
 
-def test_pnp_batch_holds_one_jacobian_at_a_time(monkeypatch):
-    """detect_target_camera's batched LM frees each round's Jacobian before
-    it builds the next."""
-    calls = []
-    lm = camera.levenberg_marquardt
+def test_pnp_normal_equations_in_chunks_equal_one_chunk(monkeypatch):
+    """PnP's homographies and LM normal equations built three candidates at a
+    time give the same bits as in one chunk: the same homographies, and the
+    same states, costs, histories, verdicts and iterations from a batch in
+    which problems stop at different iterations and trials put corners behind
+    the camera."""
+    rng = np.random.default_rng(4)
+    sets, starts = [], []
+    for n in range(24):
+        near = n % 3 == 0
+        truth = _matrix(board_pose(rng, dist=rng.uniform(0.4, 1.0) if near else rng.uniform(2.0, 6.0)))
+        pixels, behind = _project(truth[None])[:2]
+        if behind[0]:
+            continue
+        sets.append((np.arange(len(OBJ)), pixels[0] + rng.normal(0.0, 0.5, pixels[0].shape)))
+        sigma = np.repeat((0.2, 0.6) if near else (0.02, 0.02), 3)
+        starts.append(geometry.exp_se3_matrix(rng.normal(0.0, sigma)) @ truth)
+    c = camera._corner_sets(sets, SPEC, [K] * len(sets))
+    live = np.flatnonzero(~camera._reprojection(np.array(starts), c)[1])
+    c, starts = c.take(live), np.array(starts)[live]
+    behind, lm = [], camera.levenberg_marquardt
 
-    def watched_lm(state, residual_fn, jac_fn, plus, **kw):
-        return lm(state, residual_fn, watch_jacobians(jac_fn, calls), plus, **kw)
+    def watched_lm(state, residual_fn, normal_fn, plus, **kw):
+        def residual(states, rows):
+            r = residual_fn(states, rows)
+            behind.append(int((~np.isfinite(r).all(axis=1)).sum()))
+            return r
+
+        return lm(state, residual, normal_fn, plus, **kw)
 
     monkeypatch.setattr(camera, "levenberg_marquardt", watched_lm)
-    rng = np.random.default_rng(5)
-    poses = [board_pose(rng, dist=rng.uniform(1.5, 6.0)) for _ in range(6)]
-    sets = [synth_corners(pose, noise=0.5, rng=rng) for pose in poses]
-    dets = detect_target_camera(sets, SPEC, [K] * len(sets))
-    assert all(isinstance(d, camera.CameraDetection) for d in dets)
-    assert len(calls) > 1
+    out = []
+    for elements in (len(starts) * c.used.shape[1], 3 * c.used.shape[1]):
+        monkeypatch.setattr(camera, "_CHUNK_ELEMENTS", elements)
+        out.append((camera._homographies(c), camera._refine(starts.copy(), c)))
+    (h_one, one), (h_many, many) = out
+    assert np.array_equal(h_one, h_many)
+    assert np.array_equal(one.state, many.state) and np.array_equal(one.cost, many.cost)
+    assert one.cost_history == many.cost_history and one.iterations == many.iterations
+    assert np.array_equal(one.converged, many.converged)
+    # the mixture the batch was built for
+    assert sum(behind) > 0
+    assert len({len(h) for h in one.cost_history}) > 2
 
 
 def test_detect_batch_matches_sets_detected_alone():

@@ -2,6 +2,7 @@
 resolution, consistency and reprojection reports."""
 
 import logging
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,13 +12,13 @@ from conftest import (
     exp_rigid,
     lm_without_reduction_stop,
     matrix,
+    normal_from_jacobian,
     oracle_observations,
     pose_errors,
     pose_stack,
     random_rigid,
     relative,
     rig,
-    watch_jacobians,
 )
 from crosscal import geometry, optimizer, sim
 from crosscal.camera import CameraDetection
@@ -40,7 +41,7 @@ from crosscal.optimizer import (
     consistency_check_pairwise,
     estimate_pairwise,
     initial_guess,
-    jacobian,
+    normal_equations,
     reprojection_report,
     residuals,
     resolve_circle_ordering,
@@ -278,7 +279,7 @@ def test_residual_length_matches_enumeration_formula():
     assert len(r) == expected
 
 
-# --- jacobian ---------------------------------------------------------------
+# --- normal equations -------------------------------------------------------
 
 def _central_differences(p, poses, eps=1e-6):
     free = [s for s in p.sensors if s != p.reference]
@@ -296,7 +297,24 @@ def _central_differences(p, poses, eps=1e-6):
     return num
 
 
+def _assert_normal_equations_match(p, poses, tol):
+    """normal_equations at `poses` against J^T J and J^T r of the central
+    differences J: each 6x6 block and each pose's gradient within tol of its
+    own largest entry. Returns the central differences."""
+    h, g = normal_equations(p, pose_stack(p, poses))
+    num = _central_differences(p, poses)
+    want_h, want_g = num.T @ num, num.T @ residuals(p, pose_stack(p, poses))[0]
+    poses_at = [slice(6 * k, 6 * k + 6) for k in range(len(g) // 6)]
+    for a in poses_at:
+        assert np.abs(g[a] - want_g[a]).max() <= tol * np.abs(want_g[a]).max()
+        for b in poses_at:
+            assert np.abs(h[a, b] - want_h[a, b]).max() <= tol * np.abs(want_h[a, b]).max()
+    return num
+
+
 def test_jacobian_matches_central_differences_100_states():
+    """The assembled J^T J and J^T r equal those of a central-difference
+    Jacobian, block by block."""
     scene = _scene(sequences=3)
     gt = _gt_poses(scene, CAM0)
     p = _problem(scene)
@@ -309,9 +327,7 @@ def test_jacobian_matches_central_differences_100_states():
             )
             for s, t in gt.items()
         }
-        jac = jacobian(p, pose_stack(p, poses))
-        scale = max(np.abs(jac).max(), 1.0)
-        assert np.abs(jac - _central_differences(p, poses)).max() / scale < 1e-4
+        _assert_normal_equations_match(p, poses, 1e-7)
 
 
 def test_centers_behind_a_camera_are_capped_flagged_and_constant():
@@ -338,10 +354,8 @@ def test_centers_behind_a_camera_are_capped_flagged_and_constant():
     capped = [row for base in (16, 24) for c in (0, 3) for row in (base + 2 * c, base + 2 * c + 1)]
     cap = np.hypot(k.width, k.height) / k.fx / np.sqrt(2.0)
     assert np.allclose(r[capped], cap, rtol=1e-15)
-    jac = jacobian(p, pose_stack(p, poses))
-    assert np.all(jac[capped] == 0.0)
-    num = _central_differences(p, poses)
-    assert np.abs(jac - num).max() / np.abs(jac).max() < 1e-6
+    num = _assert_normal_equations_match(p, poses, 1e-6)
+    assert np.all(num[capped] == 0.0)
 
 
 # --- solve ------------------------------------------------------------------
@@ -455,11 +469,9 @@ def test_resolve_circle_ordering_all_lidar_records_rolled():
     _assert_same_centers(p, resolve_circle_ordering(rolled, pose_stack(p, _gt_poses(scene, L0))))
 
 
-def test_solve_undoes_shifted_orders_on_a_large_rig():
-    """4 LiDARs and 6 cameras over 40 stations, LiDAR centers with 2 mm noise:
-    with every LiDAR record, or a quarter of them, rolled by a cyclic shift,
-    solve returns the poses of the unshifted records."""
-    rng = np.random.default_rng(12)
+def _large_rig_problem(rng):
+    """large_rig's shape: 4 LiDARs and 6 cameras over 40 stations, LiDAR
+    centers with 2 mm noise."""
     scene = _scene(n_lidars=4, m_cameras=6, sequences=40, seed=0)
     noisy = [
         replace(
@@ -471,7 +483,14 @@ def test_solve_undoes_shifted_orders_on_a_large_rig():
         )
         for seq in oracle_observations(scene)
     ]
-    p = build_problem(noisy, CAM0, scene.intrinsics)
+    return build_problem(noisy, CAM0, scene.intrinsics)
+
+
+def test_solve_undoes_shifted_orders_on_a_large_rig():
+    """With every LiDAR record of a large rig, or a quarter of them, rolled by
+    a cyclic shift, solve returns the poses of the unshifted records."""
+    rng = np.random.default_rng(12)
+    p = _large_rig_problem(rng)
     truth = solve(p).poses
     for share in (1.0, 0.25):
         rolled = _roll_lidar_records(p, lambda qi, s: rng.random() < share, rng)
@@ -486,6 +505,20 @@ def test_solve_undoes_shifted_orders_on_a_large_rig():
             delta = geometry.compose(geometry.invert(t), poses[s])
             assert np.linalg.norm(poses[s].translation - t.translation) < 1e-8, (share, str(s))
             assert geometry.rotation_angle(delta.rotation) < 1e-8, (share, str(s))
+
+
+def test_solve_on_a_large_rig_holds_no_dense_jacobian():
+    """The global solve of a large rig allocates, at its peak, less than the
+    bytes of the dense m x 6(S - 1) Jacobian it never forms."""
+    p = _large_rig_problem(np.random.default_rng(12))
+    dense = residuals(p, initial_guess(p))[0].size * 6 * (len(p.sensors) - 1) * 8
+    tracemalloc.start()
+    try:
+        solve(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense, (peak, dense)
 
 
 def test_resolve_keeps_correct_order_unchanged():
@@ -592,7 +625,7 @@ def _lm_on_identity_residual(residual_fn, trials):
         trials.append((x.copy(), dx.copy()))
         return x + dx
 
-    return levenberg_marquardt(np.array([3.0]), residual_fn, lambda x: np.eye(1), plus)
+    return levenberg_marquardt(np.array([3.0]), residual_fn, normal_from_jacobian(lambda x: np.eye(1)), plus)
 
 
 def test_lm_trial_with_an_infinite_cost_is_rejected_with_more_damping():
@@ -630,32 +663,37 @@ def test_lm_identity_residual_still_converges_by_gradient():
     assert res.converged and res.gradient_norm < 1e-10
 
 
-def test_lm_holds_one_jacobian_at_a_time():
-    """Rosenbrock's residual from (-1.2, 1): each iteration's Jacobian is
-    freed before the next one is built."""
+def test_lm_builds_normal_equations_once_per_iteration():
+    """Rosenbrock's residual from (-1.2, 1): LM asks for the normal equations
+    once per iteration, at the residuals of the state it is at."""
     calls = []
-    res = levenberg_marquardt(
-        np.array([-1.2, 1.0]),
-        lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
-        watch_jacobians(lambda x: np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]), calls),
-        lambda x, dx: x + dx,
-    )
+
+    def residual(x):
+        return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+    jacobian = normal_from_jacobian(lambda x: np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]))
+
+    def normal(x, r):
+        assert np.array_equal(r, residual(x))
+        calls.append(x.copy())
+        return jacobian(x, r)
+
+    res = levenberg_marquardt(np.array([-1.2, 1.0]), residual, normal, lambda x, dx: x + dx)
     assert res.converged and np.allclose(res.state, 1.0)
     assert len(calls) == res.iterations > 5
 
 
-def test_solve_hands_over_the_checked_jacobian_and_holds_one_at_a_time(monkeypatch):
-    """solve gives LM the Jacobian of its singularity check as the first one
-    and keeps no reference to it: every Jacobian is freed before the next is
-    built, and there is one Jacobian evaluation per LM iteration."""
+def test_solve_hands_over_the_checked_normal_equations_once_per_iteration(monkeypatch):
+    """solve gives LM the normal equations of its singularity check as the
+    first ones, and builds them once per LM iteration."""
     calls, built = [], []
-    lm, jacobian = optimizer.levenberg_marquardt, optimizer.jacobian
+    lm, build = optimizer.levenberg_marquardt, optimizer.normal_equations
 
-    def watched_lm(state, residual_fn, jac_fn, plus, **kw):
-        return lm(state, residual_fn, watch_jacobians(jac_fn, calls), plus, **kw)
+    def watched_lm(state, residual_fn, normal_fn, plus, **kw):
+        return lm(state, residual_fn, lambda *a: calls.append(a) or normal_fn(*a), plus, **kw)
 
     monkeypatch.setattr(optimizer, "levenberg_marquardt", watched_lm)
-    monkeypatch.setattr(optimizer, "jacobian", lambda *a: built.append(a) or jacobian(*a))
+    monkeypatch.setattr(optimizer, "normal_equations", lambda *a: built.append(a) or build(*a))
     rng = np.random.default_rng(3)
     scene = _scene()
     obs = [
@@ -687,7 +725,7 @@ def test_lm_stop_at_cost_rounding_reports_converged_like_an_exhausted_loop(floor
         costs.append(0.5 * float(r @ r))
         return r
 
-    args = (residual, lambda x: np.array([[1.0], [0.0]]), lambda x, dx: x + dx)
+    args = (residual, normal_from_jacobian(lambda x: np.array([[1.0], [0.0]])), lambda x, dx: x + dx)
     res = levenberg_marquardt(np.array([3.0]), *args)
     assert res.converged is converged
     assert res.gradient_norm > 1e-10  # not the gradient stop

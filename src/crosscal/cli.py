@@ -112,8 +112,8 @@ def cmd_simulate(args) -> int:
     # each LiDAR is one job on the pool; this process writes the cameras' files
     lidars = [(s,) for s in scene.sensor_ids if s.kind == "lidar"]
     cameras = [s for s in scene.sensor_ids if s.kind == "camera"]
-    scene.visibility  # built before the fork, so that every worker inherits it; each
-    # worker builds the ray grid it casts, which this process never reads
+    scene.visibility  # built once here and pickled with each job; each worker
+    # builds the ray grid it casts, which this process never reads
     with _forked(partial(_simulate_lidar, scene, out), lidars) as lidar_outputs:
         seen = [
             (sensor, seq)
@@ -161,18 +161,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-_inherited = None  # in a worker of `_forked`, the function that its jobs call
-
-
-def _inherit(fn):
-    global _inherited
-    _inherited = fn
-
-
-def _call_inherited(job):
-    return _inherited(*job)
-
-
 @contextmanager
 def _forked(fn, jobs):
     """Run fn(*job) for each of `jobs` on a pool of processes sized to the
@@ -181,9 +169,8 @@ def _forked(fn, jobs):
 
     The pool forks, by name since Python 3.14 changes the default: each
     worker inherits the imported modules, where `spawn` or `forkserver`
-    would import numpy and crosscal again in every worker. `fn` is inherited
-    too, not pickled, so it may hold large state such as a scene's ray
-    directions. A job's arguments and its outcome or exception are pickled.
+    would import numpy and crosscal again in every worker. `fn` (kept
+    small), each job's arguments and its outcome or exception are pickled.
     Leaving the block waits for every job, also when it raises."""
     if not jobs:
         yield iter(())
@@ -193,10 +180,8 @@ def _forked(fn, jobs):
     from multiprocessing import get_context
 
     workers = min(len(jobs), _usable_cpus())
-    with ProcessPoolExecutor(
-        workers, mp_context=get_context("fork"), initializer=_inherit, initargs=(fn,)
-    ) as pool:
-        yield pool.map(_call_inherited, jobs)
+    with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+        yield pool.map(fn, *zip(*jobs))
 
 
 def _detect_lidar(cloud_path, init_path, cfg):
@@ -221,6 +206,14 @@ def _name_index(name: str, prefix: str):
     return int(digits) if digits.isascii() and digits.isdigit() else None
 
 
+def _by_index(paths, prefix: str, suffix: str = "") -> list:
+    """(index, path) of each of `paths` by the index that its name gives
+    between `prefix` and `suffix`, then by name; names that give no index
+    (None) come last."""
+    found = [(_name_index(p.name.removesuffix(suffix), prefix), p) for p in paths]
+    return sorted(found, key=lambda e: (e[0] is None, e[0] or 0, e[1].name))
+
+
 # (sensor kind, file name prefix, suffix, the kind's name in messages) of
 # the files that `detect` reads in a station directory, in record order
 _DATASET_FILES = (
@@ -243,16 +236,14 @@ def cmd_detect(args) -> int:
     # stands in for its sensor, with an error.
     slots, jobs = [], {"lidar": [], "camera": []}
     warnings = 0
-    for seq_dir in sorted(data.glob("seq_*")):
-        seq = _name_index(seq_dir.name, "seq_")
+    for seq, seq_dir in _by_index(data.glob("seq_*"), "seq_"):
         if seq is None:
             log.warning("%s: no station index in the name; skipped", seq_dir)
             warnings += 1
             continue
         for kind, prefix, suffix, name in _DATASET_FILES:
-            for path in sorted(seq_dir.glob(f"{prefix}*{suffix}")):
+            for index, path in _by_index(seq_dir.glob(f"{prefix}*{suffix}"), prefix, suffix):
                 inputs.append(path)
-                index = _name_index(path.stem, prefix)
                 if index is None:
                     slots.append((seq, path.name, UnknownSensor(f"no {name} index in the name")))
                     continue

@@ -16,6 +16,8 @@ The state is one (S, 4, 4) pose stack in p.sensors order, as PnP's is. A
 input, the reordered records, `CalibrationResult.poses` and display names.
 Inside, one (stations, sensors) index of record positions, built once per
 problem, drives the graph walks, the pairwise fits and the report's pairs.
+The terms, the circle ordering and the report map every record's centers
+into B through one helper; the ordering evaluates no residual.
 """
 
 from __future__ import annotations
@@ -285,6 +287,13 @@ def _came_from(linked: np.ndarray, a: int) -> np.ndarray:
     return came
 
 
+def _in_reference(tab: _TermTable, rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
+    """(N, 4, 3) every record's centers mapped into B through its sensor's
+    pose, given as (S, 3, 3) rotations and (S, 3) translations."""
+    owner = np.nonzero(tab.index >= 0)[1]
+    return tab.centers @ rot[owner].transpose(0, 2, 1) + trans[owner, None]
+
+
 def _blocks(tab: _TermTable, t: _Terms, poses: np.ndarray, jac: bool):
     """(T, 8 | 12) residual blocks of terms t, their (T, 8 | 12, 6)
     derivatives by pose i (None unless jac; by pose j it is the negative) and
@@ -296,7 +305,7 @@ def _blocks(tab: _TermTable, t: _Terms, poses: np.ndarray, jac: bool):
     by q, the derivative by pose i is D R_j^T [I | -skew(y)], by pose j its
     negative."""
     rot, trans = poses[:, :3, :3], poses[:, :3, 3]
-    y = tab.centers[t.a] @ rot[t.i].transpose(0, 2, 1) + trans[t.i, None]  # centers in B
+    y = _in_reference(tab, rot, trans)[t.a]
     q = (y - trans[t.j, None]) @ rot[t.j]  # centers in sensor j
     w, fx, fy, cx, cy, cap = tab.sensor[t.j, :, None].transpose(1, 0, 2)
     width = t.rows.shape[1]
@@ -317,10 +326,10 @@ def _blocks(tab: _TermTable, t: _Terms, poses: np.ndarray, jac: bool):
     return block, core.reshape(-1, width, 6), int(behind.sum())
 
 
-def residuals(p: CalibrationProblem, poses: np.ndarray, table: _TermTable | None = None):
+def residuals(p: CalibrationProblem, poses: np.ndarray):
     """Stacked residual vector at a pose stack; behind-camera projections are
     capped at the image diagonal and counted in the returned flag total."""
-    tab = p._table if table is None else table
+    tab = p._table
     r = np.empty(tab.cam.rows.size + tab.lidar.rows.size)
     flags = 0
     for t in (tab.cam, tab.lidar):
@@ -360,32 +369,28 @@ def _sum_by(key: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
 
 def resolve_circle_ordering(p: CalibrationProblem, poses: np.ndarray) -> CalibrationProblem:
     """Undo the square board's 4-fold order ambiguity per LiDAR record: of
-    the 4 cyclic shifts, keep the one with the lowest cost unless the current
-    order is within 1e-12 of it. One pass per LiDAR in p.sensors order scores
-    its records against their sequences' cameras and the LiDARs resolved in
-    earlier passes, so an out-of-order record cannot drag a correct partner
-    along; a sequence without a camera is anchored on its first LiDAR."""
+    its 4 cyclic shifts, take the one whose centers lie nearest, in B, its
+    station's anchor, unless the current order is within 1e-12 m^2 of it.
+    The anchor is the mean in B of the station's camera records, whose
+    order the corner ids fix; a station without a camera is anchored on its
+    first record. Returns p itself when no record moves."""
     tab = p._table
-    centers = tab.centers.copy()
-    shift = np.zeros(len(centers), dtype=int)
-    for k in np.flatnonzero([s.kind == "lidar" for s in p.sensors]):
-        recs = tab.index[tab.index[:, k] >= 0, k]
-        cost = np.zeros((4, len(centers)))
-        for s in range(4):
-            trial = centers.copy()
-            trial[recs] = np.roll(centers[recs], -s, axis=1)
-            r = residuals(p, poses, tab._replace(centers=trial))[0]
-            # LiDAR k is pose i of its camera terms and pose j of its pairs with earlier LiDARs
-            for t, rec in ((tab.cam, tab.cam.a), (tab.lidar, tab.lidar.b)):
-                cost[s] += np.bincount(rec, (r[t.rows] ** 2).sum(axis=1), len(centers))
-        c = cost[:, recs]
-        shift[recs] = np.where(c[0] - c.min(axis=0) > 1e-12, c.argmin(axis=0), 0)
-        centers[recs] = centers[recs[:, None], (np.arange(4) + shift[recs, None]) % 4]
-    obs = [dict(seq.observations) for seq in p.sequences]
     station, owner = np.nonzero(tab.index >= 0)  # of each record
+    # cameras precede LiDARs in p.sensors: a station's first record is a camera if it has one
+    anchored = np.r_[True, station[1:] != station[:-1]]
+    anchored |= np.array([s.kind == "camera" for s in p.sensors])[owner]
+    y = _in_reference(tab, poses[:, :3, :3], poses[:, :3, 3])
+    anchor = _sum_by(station[anchored], y[anchored].reshape(-1, 12), len(tab.index))
+    anchor = anchor.reshape(-1, 4, 3) / np.bincount(station[anchored])[:, None, None]
+    roll = (np.arange(4)[:, None] + np.arange(4)) % 4  # shift s puts center (k + s) % 4 at k
+    cost = ((y[:, roll] - anchor[station, None]) ** 2).sum(axis=(2, 3))  # (N, 4)
+    shift = np.where(~anchored & (cost[:, 0] - cost.min(axis=1) > 1e-12), cost.argmin(axis=1), 0)
+    if not shift.any():
+        return p
+    obs = [dict(seq.observations) for seq in p.sequences]
     for n in np.flatnonzero(shift):
         q, sensor = station[n], p.sensors[owner[n]]
-        obs[q][sensor] = replace(obs[q][sensor], centers=centers[n])
+        obs[q][sensor] = replace(obs[q][sensor], centers=tab.centers[n, roll[shift[n]]])
     seqs = [SequenceObservations(seq.sequence, o) for seq, o in zip(p.sequences, obs)]
     return replace(p, sequences=tuple(seqs))
 
@@ -503,9 +508,10 @@ def reprojection_report(result: CalibrationResult):
     station by station, each pair in p.sensors order."""
     p = result.problem
     tab = p._table
-    name, pose = list(p._names.values()), list(result.poses.values())  # by position
+    name, poses = list(p._names.values()), result.poses.values()  # by position
+    rot, trans = (np.array([getattr(t, a) for t in poses]) for a in ("rotation", "translation"))
+    y = _in_reference(tab, rot, trans)
     seen = tab.index >= 0
-    y = np.array([pose[k].apply(c) for k, c in zip(np.nonzero(seen)[1], tab.centers)])
     q, i, j = np.nonzero(np.triu(seen[:, :, None] & seen[:, None, :], 1))  # in row order
     dist = np.linalg.norm(y[tab.index[q, i]] - y[tab.index[q, j]], axis=2).tolist()
     return [(p.sequences[k].sequence, name[a], name[b], d) for k, a, b, d in zip(q, i, j, dist)]

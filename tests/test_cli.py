@@ -543,6 +543,32 @@ def test_detect_file_of_unlisted_sensor_costs_only_its_detection(
     assert read.value == 8 and not read_lidar5.value
 
 
+def test_detect_writes_records_in_index_order(ws, tmp_path):
+    """Stations and sensors go by the index their names give, not by the
+    names: seq_101 before seq_1000 and camera2 before camera10, with a name
+    that gives no index among them."""
+    data = tmp_path / "data"
+    shutil.copytree(ws["data"], data)
+    (data / "seq_001").rename(data / "seq_1000")
+    (data / "seq_002").rename(data / "seq_101")
+    corners = sorted(data.glob("seq_*/corners_camera2.json"))[0]
+    for name in ("corners_camera10.json", "corners_cameraX.json"):
+        shutil.copy(corners, corners.with_name(name))
+    cfg = io_formats.read_config(ws["config"])
+    camera2, camera10 = SensorId("camera", 2), SensorId("camera", 10)
+    cfg_path = tmp_path / "config.json"
+    sensors = {**cfg.sensors, camera10: cfg.sensors[camera2]}
+    io_formats.write_config(cfg_path, replace(cfg, sensors=sensors))
+    out = tmp_path / "d.json"
+    args = ["--config", str(cfg_path), "--data", str(data), "--out", str(out)]
+    assert cli.main(["detect", *args]) == 0
+    recs = io_formats.read_detections(out)
+    keys = [(r.sequence, r.sensor.kind != "lidar", r.sensor.index) for r in recs]
+    assert keys == sorted(keys)
+    assert {101, 1000} <= {k[0] for k in keys} and (int(corners.parent.name[4:]), True, 10) in keys
+    assert json.loads((tmp_path / "d.manifest.json").read_text())["warnings"] == 1
+
+
 def test_detect_and_calibrate_without_init_files(ws, tmp_path):
     """With no operator prior, each board pose comes from `rough_board_pose`;
     the noise-free detections still meet the zero-noise criterion's bounds on
@@ -618,6 +644,9 @@ def test_detect_on_one_worker_byte_identical_to_pool(ws, tmp_path, monkeypatch):
 def test_detect_holds_at_most_one_cloud_per_worker(ws, tmp_path, monkeypatch):
     alive = _SHARED.Value("i", 0)
     peak = _SHARED.Value("i", 0)
+    reads = _SHARED.Value("i", 0)
+    # the first two reads wait for each other, so two workers hold a cloud at once
+    first_two = _SHARED.Barrier(2, timeout=30)
     read_cloud, detect = io_formats.read_cloud, cli.detect_target_lidar
 
     def counted_read(path):
@@ -625,6 +654,8 @@ def test_detect_holds_at_most_one_cloud_per_worker(ws, tmp_path, monkeypatch):
         with alive.get_lock():
             alive.value += 1
             peak.value = max(peak.value, alive.value)
+        if _add(reads) <= 2:
+            first_two.wait()
         return cloud
 
     def counted_detect(*args):

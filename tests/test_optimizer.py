@@ -469,6 +469,54 @@ def test_resolve_circle_ordering_all_lidar_records_rolled():
     _assert_same_centers(p, resolve_circle_ordering(rolled, pose_stack(p, _gt_poses(scene, L0))))
 
 
+def test_resolve_circle_ordering_evaluates_no_residuals(monkeypatch):
+    scene = _scene(sequences=4, seed=6)
+    p = _problem(scene)
+    rolled = _roll_lidar_records(p, lambda qi, s: True, np.random.default_rng(7))
+    calls, real = [], optimizer.residuals
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "residuals", counted)
+    _assert_same_centers(p, resolve_circle_ordering(rolled, pose_stack(p, _gt_poses(scene, CAM0))))
+    assert not calls
+
+
+def test_resolve_circle_ordering_returns_the_problem_itself_when_no_record_moves():
+    scene = _scene(sequences=4, seed=6)
+    p = _problem(scene)
+    assert resolve_circle_ordering(p, pose_stack(p, _gt_poses(scene, CAM0))) is p
+
+
+def test_solve_undoes_rolled_orders_with_camera_centers_off_by_tens_of_mm():
+    """Every LiDAR record rolled, and each camera record's centers scaled
+    along their rays by 0.5% (30 mm at 6 m), as PnP's depth error moves
+    them on a noisy rig: solve returns the poses of the unrolled records."""
+    rng = np.random.default_rng(5)
+    p = _problem(_scene(sequences=10, seed=6))
+    off = replace(
+        p,
+        sequences=tuple(
+            replace(
+                q,
+                observations={
+                    s: replace(d, centers=d.centers * rng.normal(1.0, 0.005)) if s.kind == "camera" else d
+                    for s, d in q.observations.items()
+                },
+            )
+            for q in p.sequences
+        ),
+    )
+    truth = solve(off).poses
+    poses = solve(_roll_lidar_records(off, lambda qi, s: True, rng)).poses
+    for s, t in truth.items():
+        delta = geometry.compose(geometry.invert(t), poses[s])
+        assert np.linalg.norm(poses[s].translation - t.translation) < 1e-6, str(s)
+        assert geometry.rotation_angle(delta.rotation) < 1e-6, str(s)
+
+
 def _large_rig_problem(rng):
     """large_rig's shape: 4 LiDARs and 6 cameras over 40 stations, LiDAR
     centers with 2 mm noise."""

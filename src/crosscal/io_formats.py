@@ -77,6 +77,8 @@ _PLY_SCALARS = {
     "double": "f8", "float64": "f8",
 }
 _PLY_FORMATS = {"ascii": None, "binary_little_endian": "<", "binary_big_endian": ">"}
+# the vertex properties that write_cloud writes, in order
+_WRITTEN_PROPS = [("x", "f4"), ("y", "f4"), ("z", "f4")]
 
 
 def write_cloud(path, cloud: np.ndarray):
@@ -174,10 +176,14 @@ def _parse_ply(data: bytes) -> np.ndarray:
         vertex = np.dtype([(name, endian + code) for name, code in props.items()])
         if len(data) - offset < n_vertex * vertex.itemsize:
             raise ParseError("binary PLY body shorter than declared", line=header_end)
-        rows = np.frombuffer(data, vertex, count=n_vertex, offset=offset)
-        cloud = np.empty((n_vertex, 3))
-        for i, c in enumerate("xyz"):
-            cloud[:, i] = rows[c]  # widened exactly, once
+        if endian == "<" and list(props.items()) == _WRITTEN_PROPS:
+            # write_cloud's layout: the body is the (n, 3) array, widened below
+            cloud = np.frombuffer(data, "<f4", count=3 * n_vertex, offset=offset).reshape(-1, 3)
+        else:
+            rows = np.frombuffer(data, vertex, count=n_vertex, offset=offset)
+            cloud = np.empty((n_vertex, 3))
+            for i, c in enumerate("xyz"):
+                cloud[:, i] = rows[c]  # widened exactly, once
     else:
         lines = data[offset:].decode("ascii", "replace").splitlines()
         if len(lines) < n_vertex:
@@ -204,7 +210,7 @@ def _parse_ply(data: bytes) -> np.ndarray:
         row = int(np.flatnonzero(~np.isfinite(cloud).all(axis=1))[0])
         line = header_end + row + 1 if endian is None else None  # binary: no lines
         raise ParseError(f"vertex {row} has a non-finite coordinate", line=line)
-    return cloud
+    return cloud.astype(np.float64, copy=False)  # float32 widens exactly
 
 
 # --- poses / common pieces --------------------------------------------------

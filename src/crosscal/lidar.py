@@ -9,6 +9,7 @@ bit-deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,13 @@ class cKDTree:  # noqa: N801
     """Placeholder for the tracer to subclass; the program builds no KD-tree."""
 
 
-# Hypotheses x points scored per array pass in ransac_plane: 512 KB of
-# float64, small enough to stay in cache.
+# ransac_plane scores hypotheses _STOP_STEP at a time, and stops when the
+# chance that none it scored was an all-inlier triplet is below _MISS.
+_STOP_STEP = 8
+_MISS = 1e-6
+# Hypotheses x points scored per array pass in _inlier_counts: 512 KB of
+# float64, small enough to stay in cache; a rig's ~2,000-point crop scores a
+# step in one pass.
 _CHUNK_ELEMENTS = 1 << 16
 
 # m, added to the board's half diagonal around the prior's translation: the
@@ -71,7 +77,7 @@ class LidarParams:
     d_min: float = 0.5
     d_max: float = 8.0
     ransac_eps: float = 0.02
-    ransac_iters: int = 500
+    ransac_iters: int = 500  # triplets drawn: the cap on the hypotheses ransac_plane scores
     grid_res: int = 200  # cells per meter
     rng_seed: int = 0
 
@@ -121,9 +127,9 @@ class LidarDetection:
 def filter_cloud(cloud: np.ndarray, p: LidarParams) -> np.ndarray:
     """Ground / range gate: keep z >= h_min and d_min < ||p_xy|| <= d_max."""
     cloud = np.asarray(cloud, dtype=float).reshape(-1, 3)
-    high = cloud[cloud[:, 2] >= p.h_min]  # the ground, most of a scan, goes first
-    rho = np.hypot(high[:, 0], high[:, 1])
-    out = high[(rho > p.d_min) & (rho <= p.d_max)]
+    high = np.flatnonzero(cloud[:, 2] >= p.h_min)  # the ground, most of a scan, goes first
+    rho = np.hypot(cloud[high, 0], cloud[high, 1])
+    out = cloud[high[(rho > p.d_min) & (rho <= p.d_max)]]  # one copy, of the rows kept
     if len(out) < 100:
         raise EmptyAfterFilter(f"{len(out)} points after filtering")
     return out
@@ -158,36 +164,63 @@ def _draw_triplets(rng, n: int, count: int) -> np.ndarray:
     return np.column_stack([i, j, k])
 
 
+def _inlier_counts(pts: np.ndarray, tri: np.ndarray, eps: float) -> np.ndarray:
+    """For each triplet of `tri` (h, 3), the number of `pts` closer than
+    `eps` to the plane through its three points; -1 for a collinear one."""
+    a = pts[tri[:, 0]]
+    normals = np.cross(pts[tri[:, 1]] - a, pts[tri[:, 2]] - a)
+    norms = np.linalg.norm(normals, axis=1)
+    ok = norms >= 1e-12
+    normals[ok] /= norms[ok, None]
+    offsets = -np.einsum("hi,hi->h", normals, a)
+    counts = np.full(len(tri), -1)
+    rows = max(_CHUNK_ELEMENTS // len(pts), 1)
+    for lo in range(0, len(tri), rows):
+        chunk = slice(lo, lo + rows)
+        dist = normals[chunk] @ pts.T
+        dist += offsets[chunk, None]
+        np.abs(dist, out=dist)
+        counts[chunk] = np.where(ok[chunk], np.count_nonzero(dist < eps, axis=1), -1)
+    return counts
+
+
+def _draws_needed(w: float) -> float:
+    """N = ceil(log _MISS / log(1 - w^3)), the draws that hold an all-inlier
+    triplet with probability 1 - _MISS when a share w of the points are
+    inliers (Fischler and Bolles, CACM 1981): 0 for w >= 1, inf for w <= 0."""
+    w3 = min(max(w, 0.0), 1.0) ** 3
+    if w3 == 0.0:
+        return math.inf
+    return 0 if w3 == 1.0 else math.ceil(math.log(_MISS) / math.log1p(-w3))
+
+
 def ransac_plane(pts: np.ndarray, p: LidarParams):
     """RANSAC plane segmentation; consensus plane is least-squares refit to
     its inliers and inliers recomputed against the refit plane.
 
-    All triplets are drawn at once (`_draw_triplets`) from a generator
-    seeded by `p.rng_seed`; the hypothesis with the first maximal inlier
-    count wins, and its consensus set is taken from its plane computed for
-    that triplet alone."""
+    All `p.ransac_iters` triplets are drawn at once (`_draw_triplets`) from a
+    generator seeded by `p.rng_seed`. Their planes are scored _STOP_STEP at a
+    time until the hypotheses scored reach `_draws_needed` of the best inlier
+    share so far, or all of them (the cap, which binds below a share of about
+    0.3); collinear triplets score nothing, so they never stop the scan. Of
+    the hypotheses scored, the first with the maximal inlier count wins, and
+    its consensus set is taken from its plane computed for that triplet alone."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
     if len(pts) < 3:
         raise DegenerateInput(f"{len(pts)} points, need >= 3")
     n_pts = len(pts)
     tri = _draw_triplets(np.random.default_rng(p.rng_seed), n_pts, p.ransac_iters)
-    normals = np.cross(pts[tri[:, 1]] - pts[tri[:, 0]], pts[tri[:, 2]] - pts[tri[:, 0]])
-    norms = np.linalg.norm(normals, axis=1)
-    ok = norms >= 1e-12
-    normals[ok] /= norms[ok, None]
-    offsets = -np.einsum("hi,hi->h", normals, pts[tri[:, 0]])
-    # Score the hypotheses a chunk at a time; collinear triplets score -1.
     counts = np.full(len(tri), -1)
-    step = max(_CHUNK_ELEMENTS // n_pts, 1)
-    for lo in range(0, len(tri), step):
-        chunk = slice(lo, lo + step)
-        dist = normals[chunk] @ pts.T
-        dist += offsets[chunk, None]
-        np.abs(dist, out=dist)
-        counts[chunk] = np.where(ok[chunk], np.count_nonzero(dist < p.ransac_eps, axis=1), -1)
-    if not (counts >= 0).any():
+    scored, needed = 0, math.inf
+    while scored < min(needed, len(tri)):
+        step = slice(scored, scored + _STOP_STEP)
+        counts[step] = _inlier_counts(pts, tri[step], p.ransac_eps)
+        scored = min(scored + _STOP_STEP, len(tri))
+        needed = _draws_needed(counts.max() / n_pts)
+    if counts.max() < 0:
         raise DegenerateInput("all sampled triplets collinear")
-    i, j, k = tri[np.argmax(counts)]  # first maximal count, as a sequential scan keeps
+    best = int(np.argmax(counts))  # first maximal count, as a sequential scan keeps
+    i, j, k = tri[best]
     n = np.cross(pts[j] - pts[i], pts[k] - pts[i])
     n = n / np.linalg.norm(n)
     d = -float(n @ pts[i])
@@ -197,7 +230,11 @@ def ransac_plane(pts: np.ndarray, p: LidarParams):
     plane = _fit_plane_lsq(consensus)
     inliers = pts[plane.distances(pts) < p.ransac_eps]
     if len(inliers) < 0.3 * n_pts:
-        raise LowInlierRatio(f"{len(inliers)}/{n_pts} inliers")
+        cap = " (the cap)" if needed > scored else ""
+        raise LowInlierRatio(
+            f"{len(inliers)}/{n_pts} inliers, best of {scored} hypotheses{cap}: "
+            f"{counts[best]} before the refit"
+        )
     return plane, inliers
 
 

@@ -174,6 +174,49 @@ def test_ply_non_finite_coordinate(tmp_path, fmt, value):
     assert ei.value.line == (9 if fmt == "ascii" else None)
 
 
+@pytest.mark.parametrize("row", [0, 2, 4])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_written_cloud_with_a_non_finite_coordinate_names_its_vertex(tmp_path, row, value):
+    cloud = np.arange(15, dtype=float).reshape(5, 3)
+    cloud[row, (row + 1) % 3] = value
+    path = tmp_path / "c.ply"
+    io_formats.write_cloud(path, cloud)  # float32 x, y, z: read as one (n, 3) array
+    with pytest.raises(ParseError, match=f"vertex {row} has a non-finite coordinate in c.ply") as ei:
+        io_formats.read_cloud(path)
+    assert ei.value.line is None
+
+
+_PLY_TYPE = {"f4": "float", "f8": "double"}
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        [("x", "<f4"), ("y", "<f4"), ("z", "<f4")],
+        [("x", "<f8"), ("y", "<f8"), ("z", "<f8")],
+        [("x", ">f4"), ("y", ">f4"), ("z", ">f4")],
+        [("y", "<f4"), ("x", "<f4"), ("z", "<f4")],
+        [("x", "<f4"), ("y", "<f4"), ("z", "<f4"), ("intensity", "<f4")],
+    ],
+    ids=["written", "float64", "big-endian", "yxz", "extra-property"],
+)
+def test_binary_layouts_read_bit_equal_to_the_per_column_widening(tmp_path, layout):
+    values = np.random.default_rng(3).uniform(-30, 30, size=(500, 3)).astype(np.float32)
+    rows = np.zeros(len(values), dtype=layout)
+    for i, c in enumerate("xyz"):
+        rows[c] = values[:, i]
+    fmt = "binary_big_endian" if layout[0][1][0] == ">" else "binary_little_endian"
+    props = [f"property {_PLY_TYPE[code[1:]]} {name}" for name, code in layout]
+    path = tmp_path / "c.ply"
+    _write_ply(path, [f"format {fmt} 1.0", f"element vertex {len(rows)}", *props], rows.tobytes())
+    want = np.empty((len(rows), 3))
+    for i, c in enumerate("xyz"):
+        want[:, i] = rows[c]
+    cloud = io_formats.read_cloud(path)
+    assert cloud.dtype == np.float64 and cloud.flags.c_contiguous and cloud.flags.writeable
+    assert cloud.tobytes() == want.tobytes()
+
+
 def test_ply_truncated_body(tmp_path):
     path = tmp_path / "c.ply"
     path.write_text(

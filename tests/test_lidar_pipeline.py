@@ -1,6 +1,7 @@
 """LiDAR pipeline: each Algorithm stage against brute-force oracles, plus
 end-to-end detection on simulated clouds."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -74,6 +75,24 @@ def test_filter_boundaries():
     assert len(out) == 202  # base + z=h_min kept + rho=d_max kept
     assert any(np.allclose(q, [3.0, 0.0, P.h_min]) for q in out)
     assert not any(np.allclose(q, [P.d_min, 0.0, 1.0]) for q in out)
+
+
+def test_filter_keeps_the_rows_of_the_boolean_mask_form():
+    rng = np.random.default_rng(4)
+    cloud = rng.uniform(-9, 9, size=(2000, 3))
+    cloud[:300, 2] = P.h_min  # on the ground gate; the first 200 on a range gate too
+    for lo, r in ((0, P.d_min), (100, P.d_max), (300, P.d_min), (400, P.d_max)):
+        rows = np.arange(lo, lo + 100)
+        cloud[rows, :2] = 0.0
+        cloud[rows, rng.integers(0, 2, size=100)] = rng.choice([-r, r], size=100)  # rho is r
+    high = cloud[cloud[:, 2] >= P.h_min]
+    rho = np.hypot(high[:, 0], high[:, 1])
+    want = high[(rho > P.d_min) & (rho <= P.d_max)]
+    out = filter_cloud(cloud, P)
+    assert out.dtype == np.float64 and out.tobytes() == want.tobytes()
+    rho = np.hypot(out[:, 0], out[:, 1])
+    assert not (rho == P.d_min).any()
+    assert ((out[:, 2] == P.h_min) & (rho == P.d_max)).sum() == 100
 
 
 def test_filter_empty_raises():
@@ -159,6 +178,73 @@ def test_ransac_deterministic_given_seed():
     assert p1 == p2 and np.array_equal(i1, i2)
 
 
+@pytest.fixture
+def scored(monkeypatch):
+    """The sizes of the hypothesis chunks that ransac_plane scores, in order."""
+    sizes = []
+    inlier_counts = lidar._inlier_counts
+
+    def counting(pts, tri, eps):
+        sizes.append(len(tri))
+        return inlier_counts(pts, tri, eps)
+
+    monkeypatch.setattr(lidar, "_inlier_counts", counting)
+    return sizes
+
+
+def _plane_and_outliers(seed, n_pts, inlier_share):
+    """Points exactly on z = 0, then outliers uniform in a 6 m cube, of which
+    about 0.7% fall within ransac_eps of the plane."""
+    rng = np.random.default_rng(seed)
+    n_in = round(inlier_share * n_pts)
+    inplane = np.column_stack([rng.uniform(-1, 1, size=(n_in, 2)), np.zeros(n_in)])
+    return np.vstack([inplane, rng.uniform(-3, 3, size=(n_pts - n_in, 3))])
+
+
+def test_draws_needed_is_the_fischler_bolles_count():
+    assert lidar._draws_needed(0.947) == 8  # the rigs' lowest inlier share
+    assert lidar._draws_needed(0.6) == 57
+    assert lidar._draws_needed(0.3) == 505  # over the 500 cap
+    assert lidar._draws_needed(1.0) == 0
+    assert lidar._draws_needed(0.0) == lidar._draws_needed(-1 / 300) == math.inf
+
+
+def test_ransac_scores_one_chunk_on_an_exact_plane(scored):
+    ransac_plane(_plane_and_outliers(12, 2000, 1.0), P)
+    assert scored == [8]
+
+
+def test_ransac_stop_on_an_exact_plane_keeps_the_full_scans_result(scored, monkeypatch):
+    pts = _plane_and_outliers(12, 2000, 1.0)
+    plane, inliers = ransac_plane(pts, P)
+    monkeypatch.setattr(lidar, "_draws_needed", lambda w: math.inf)
+    full_plane, full_inliers = ransac_plane(pts, P)
+    assert scored[0] == 8 and sum(scored[1:]) == P.ransac_iters
+    assert plane == full_plane
+    assert np.array_equal(inliers, full_inliers)
+
+
+def test_ransac_with_40_percent_outliers_stops_before_the_cap(scored):
+    plane, inliers = ransac_plane(_plane_and_outliers(13, 2000, 0.6), P)
+    assert 8 < sum(scored) < P.ransac_iters
+    assert set(scored) == {8}
+    assert abs(plane.c) > np.cos(np.radians(0.1)) and len(inliers) >= 1200
+
+
+def test_ransac_near_the_inlier_floor_scores_up_to_the_cap(scored):
+    pts = _plane_and_outliers(14, 2000, 0.29)
+    with pytest.raises(LowInlierRatio, match=r"^\d+/2000 inliers, best of 500 hypotheses \(the cap\)"):
+        ransac_plane(pts, P)
+    assert sum(scored) == P.ransac_iters
+
+
+def test_ransac_does_not_stop_on_collinear_triplets(scored):
+    line = np.column_stack([np.linspace(0, 1, 300), np.zeros(300), np.zeros(300)])
+    with pytest.raises(DegenerateInput, match="collinear"):
+        ransac_plane(line, P)
+    assert sum(scored) == P.ransac_iters
+
+
 def test_triplets_hold_three_distinct_indices_and_follow_the_seed():
     for n in (3, 4, 7, 1000):
         tri = lidar._draw_triplets(np.random.default_rng(5), n, 500)
@@ -183,25 +269,29 @@ def test_triplets_are_uniform_over_ordered_triplets():
 
 def _ransac_per_hypothesis(pts, p):
     """Oracle: one hypothesis scored per iteration, over the triplets that
-    ransac_plane draws, the first strictly larger count kept, then the same
-    refit as ransac_plane."""
+    ransac_plane draws, the first strictly larger count kept; after every 8th
+    hypothesis the scan stops once it has scored log(1e-6) / log(1 - w^3),
+    w being the best count's share. Then the same refit as ransac_plane.
+    Returns the plane, its inliers and the hypotheses scored."""
     tri = lidar._draw_triplets(np.random.default_rng(p.rng_seed), len(pts), p.ransac_iters)
     best_count, best_normal, best_d = -1, None, None
-    for i, j, k in tri:
+    for h, (i, j, k) in enumerate(tri, 1):
         n = np.cross(pts[j] - pts[i], pts[k] - pts[i])
         norm = np.linalg.norm(n)
-        if norm < 1e-12:
-            continue
-        n = n / norm
-        d = -float(n @ pts[i])
-        count = int((np.abs(pts @ n + d) < p.ransac_eps).sum())
-        if count > best_count:
-            best_count, best_normal, best_d = count, n, d
+        if norm >= 1e-12:
+            n = n / norm
+            d = -float(n @ pts[i])
+            count = int((np.abs(pts @ n + d) < p.ransac_eps).sum())
+            if count > best_count:
+                best_count, best_normal, best_d = count, n, d
+        w3 = (max(best_count, 0) / len(pts)) ** 3
+        if h % 8 == 0 and w3 > 0 and (w3 == 1 or h >= math.log(1e-6) / math.log1p(-w3)):
+            break
     plane = lidar._fit_plane_lsq(pts[np.abs(pts @ best_normal + best_d) < p.ransac_eps])
-    return plane, pts[plane.distances(pts) < p.ransac_eps]
+    return plane, pts[plane.distances(pts) < p.ransac_eps], h
 
 
-def test_ransac_batched_matches_per_hypothesis_oracle():
+def test_ransac_batched_matches_per_hypothesis_oracle(scored):
     clouds = []
     for seed, n_pts in ((0, 300), (1, 1500), (2, 6000), (3, 70000)):
         rng = np.random.default_rng(seed)
@@ -218,10 +308,12 @@ def test_ransac_batched_matches_per_hypothesis_oracle():
         clouds.append((seed, np.vstack([np.column_stack([xy, np.full(400, z)]) for z in (0.0, 1.0)])))
     for seed, pts in clouds:
         p = LidarParams(rng_seed=seed)
+        scored.clear()
         plane, inliers = ransac_plane(pts, p)
-        want_plane, want_inliers = _ransac_per_hypothesis(pts, p)
+        want_plane, want_inliers, want_scored = _ransac_per_hypothesis(pts, p)
         assert plane == want_plane
         assert np.array_equal(inliers, want_inliers)
+        assert sum(scored) == want_scored
 
 
 # --- plane frame ------------------------------------------------------------

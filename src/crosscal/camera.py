@@ -58,7 +58,7 @@ class _CornerSets(NamedTuple):
 
 def _corner_sets(corner_sets, spec: TargetSpec, intrinsics) -> _CornerSets:
     """Board points and pixels of the corners whose ids the board has."""
-    board = np.array([p for _, p in checker_corners_board(spec)])  # id order
+    board = checker_corners_board(spec)
     known = [(ids >= 0) & (ids < len(board)) for ids, _ in corner_sets]
     n = max((k.sum() for k in known), default=0)
     obj, uv = np.zeros((len(known), n, 3)), np.zeros((len(known), n, 2))

@@ -84,6 +84,7 @@ def _scene_from_config(cfg, seed):
         noise=sim.NoiseModel(**s["noise"]),
         seed=seed,
         scan=sim.ScanPattern(**s["scan"]),
+        lidar_params=cfg.lidar_params,
     )
 
 

@@ -7,9 +7,9 @@ the global solve share.
 A `RigidTransform` (explicit rotation matrix plus translation vector) is
 the pose form at the boundaries: detections, solved poses, files. Both
 batched solvers keep (..., 4, 4) homogeneous stacks, PnP one per pose
-candidate and the global solve one per sensor, and step them with one SE(3)
-exponential, the batched `exp_se3_matrix`. Euler angles only appear at the
-file-format boundary (intrinsic XYZ, degrees).
+candidate and the global solve one per sensor, and step them with the one
+SE(3) exponential of the library, the batched `exp_se3_matrix`. Euler angles
+only appear at the file-format boundary (intrinsic XYZ, degrees).
 """
 
 from __future__ import annotations
@@ -169,25 +169,10 @@ def skew(v: np.ndarray) -> np.ndarray:
     return np.stack([o, -z, y, z, o, -x, -y, x, o], axis=-1).reshape(x.shape + (3, 3))
 
 
-def rotation_exp(w: np.ndarray) -> np.ndarray:
-    """SO(3) exponential (Rodrigues) of an axis-angle vector."""
-    w = np.asarray(w, dtype=float)
-    theta = np.linalg.norm(w)
-    k = skew(w)
-    kk = k @ k
-    if theta < 1e-10:
-        return np.eye(3) + k + 0.5 * kk
-    a = np.sin(theta) / theta
-    b = (1.0 - np.cos(theta)) / theta**2
-    return np.eye(3) + a * k + b * kk
-
-
 def exp_se3_matrix(xi: np.ndarray) -> np.ndarray:
     """SE(3) exponentials, as (..., 4, 4) homogeneous matrices, of 6-vectors
     (..., 6) (v, w), translation part first: the retraction of both solvers,
-    PnP and the global solve. Its rotation block is `rotation_exp`'s to
-    rounding; `rotation_exp` keeps its own scalar formula so that simulated
-    data keep their bits."""
+    PnP and the global solve, and the simulator's seeded board perturbation."""
     xi = np.asarray(xi, dtype=float)
     v, w = xi[..., :3], xi[..., 3:]
     theta = np.linalg.norm(w, axis=-1)[..., None, None]

@@ -29,7 +29,7 @@ from .geometry import Intrinsics, RigidTransform
 from .lidar import LidarDetection, LidarParams
 from .optimizer import CalibrationResult, SensorId, SolveParams, reprojection_report
 from .sim import NoiseModel, ScanPattern, default_intrinsics
-from .target import TargetSpec
+from .target import TargetSpec, checker_corners_board
 
 SCHEMA_VERSION = "v1"
 
@@ -321,7 +321,7 @@ def read_corners(path, spec: TargetSpec):
     distinct integers in [0, n) for the n inner corners of the board `spec`,
     each uv 2 finite numbers; anything else, the per-corner objects of older
     files included, is a ParseError or MissingField naming the file."""
-    return _read_json(path, _corners_from_json, (spec.squares_x - 1) * (spec.squares_y - 1))
+    return _read_json(path, _corners_from_json, len(checker_corners_board(spec)))
 
 
 def read_board_init(path) -> RigidTransform:
@@ -537,13 +537,13 @@ def write_config(path, cfg: ConfigFile):
 
 # --- calibration reports ----------------------------------------------------
 
-def format_pose_row(t: RigidTransform) -> str:
-    """Translation to 4 decimals, Euler XYZ degrees to 3."""
-    e = geometry.euler_xyz_from_rotation(t.rotation)
+def format_pose_row(pose: dict) -> str:
+    """A report's pose, as `pose_to_json` writes it: translation to 4
+    decimals, Euler XYZ degrees to 3."""
     # adding 0.0 after rounding turns -0.0 into 0.0 so identity rows print
     # without stray minus signs
-    tx, ty, tz = (round(float(v), 4) + 0.0 for v in t.translation)
-    rx, ry, rz = (round(float(v), 3) + 0.0 for v in (e.rx, e.ry, e.rz))
+    tx, ty, tz = (round(float(v), 4) + 0.0 for v in pose["translation"])
+    rx, ry, rz = (round(float(v), 3) + 0.0 for v in pose["euler_xyz_deg"])
     return f"({tx:.4f}, {ty:.4f}, {tz:.4f}) / ({rx:.3f}, {ry:.3f}, {rz:.3f})"
 
 
@@ -581,8 +581,7 @@ def format_report_text(doc: dict) -> str:
     lines.append("Sensor poses (translation x,y,z [m] / Euler XYZ [deg]):")
     for name in sorted(doc["poses"], key=lambda n: int(doc["poses"][n]["display"][1:])):  # S<n>
         p = doc["poses"][name]
-        pose = pose_from_json(p)
-        lines.append(f"  {p['display']} {name}: {format_pose_row(pose)}")
+        lines.append(f"  {p['display']} {name}: {format_pose_row(p)}")
     lines.append("")
     lines.append("Reprojection errors per sequence and sensor pair (m):")
     for row in doc["reprojection_errors"]:

@@ -15,6 +15,7 @@ import numpy as np
 from . import geometry
 from .errors import InfeasibleLayout
 from .geometry import Intrinsics, RigidTransform
+from .lidar import LidarParams
 from .optimizer import SensorId
 from .target import TargetSpec, checker_corners_board, circle_centers_board
 
@@ -54,6 +55,7 @@ class Scene:
     noise: NoiseModel
     seed: int
     scan: ScanPattern = ScanPattern()
+    lidar_params: LidarParams = LidarParams()  # the detector gates a LiDAR's boards pass
 
     @property
     def sensor_ids(self):
@@ -81,7 +83,9 @@ class Scene:
     def visibility(self) -> dict:
         """{SensorId: (B,) bool}, whether the sensor sees each station's
         board; one `_visibility` table over every sensor and station."""
-        table = _visibility(self.sensors, self.intrinsics, self.board_poses, self.spec, self.scan)
+        table = _visibility(
+            self.sensors, self.intrinsics, self.board_poses, self.spec, self.scan, self.lidar_params
+        )
         return dict(zip(self.sensors, table))
 
 
@@ -114,6 +118,11 @@ _BOARD_BASE = np.array([[0.0, 0.0, -1.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 _BOARD_BEARING_DEG = 40.0  # boards are placed within +/- this bearing of +x
 _BOARD_Z = 1.25  # board center height, m, +/- 5 cm
 
+# a LiDAR's board is kept this far inside the detector's gates: its corners'
+# horizontal range inside (d_min, d_max), their height above h_min
+_RANGE_MARGIN = 0.1  # m
+_HEIGHT_MARGIN = 0.04  # m
+
 
 def default_intrinsics() -> Intrinsics:
     return Intrinsics(700.0, 700.0, 639.5, 359.5, 1280, 720)
@@ -123,13 +132,16 @@ def sensor_sees_board(scene: Scene, sensor: SensorId, sequence: int) -> bool:
     return bool(scene.visibility[sensor][sequence])
 
 
-def _visibility(poses: dict, intrinsics: dict, boards, spec: TargetSpec, scan: ScanPattern):
+def _visibility(
+    poses: dict, intrinsics: dict, boards, spec: TargetSpec, scan: ScanPattern, gates: LidarParams
+):
     """(S, B) whether each sensor of `poses`, {SensorId: sensor->world}, in
     its order, sees each board->world pose of `boards`, judged by the board's
     corners and center: a camera sees them 5 px inside its image and over
-    0.1 m in front; a LiDAR in range, inside the detector's 7.9 m d_max gate,
-    0.5 deg inside its elevation span and above the h_min ground cut. One
-    array pass over every pair, each point moved by the same products as
+    0.1 m in front; a LiDAR in range, 0.5 deg inside its elevation span and
+    inside the detector's gates of `gates`, _RANGE_MARGIN inside its d_min
+    and d_max and _HEIGHT_MARGIN above its h_min ground cut. One array pass
+    over every pair, each point moved by the same products as
     `RigidTransform.apply` on the board's points."""
     corners = np.array(
         [
@@ -158,12 +170,14 @@ def _visibility(poses: dict, intrinsics: dict, boards, spec: TargetSpec, scan: S
     )
     rng_d = np.linalg.norm(pts, axis=-1)
     el = np.rad2deg(np.arcsin(pts[..., 2] / np.maximum(rng_d, 1e-9)))
+    rho = np.hypot(pts[..., 0], pts[..., 1])
     lidar = (
         (rng_d < scan.max_range)
-        & (np.hypot(pts[..., 0], pts[..., 1]) < 7.9)  # inside the d_max gate
+        & (rho > gates.d_min + _RANGE_MARGIN)
+        & (rho < gates.d_max - _RANGE_MARGIN)
         & (el > scan.el_min_deg + 0.5)
         & (el < scan.el_max_deg - 0.5)
-        & (pts[..., 2] > 0.09)  # clears the h_min ground cut
+        & (pts[..., 2] > gates.h_min + _HEIGHT_MARGIN)
     )
     return np.where(cams, camera.all(axis=-1), lidar.all(axis=-1)).T
 
@@ -176,6 +190,7 @@ def make_scene(
     seed: int = 0,
     scan: ScanPattern | None = None,
     board_range=(5.5, 6.8),
+    lidar_params: LidarParams | None = None,
 ) -> Scene:
     """Deterministic scene of the rig `sensors`, {SensorId: Intrinsics of a
     camera, None for a LiDAR}: sensors near the origin, cameras fanned over
@@ -183,14 +198,15 @@ def make_scene(
     placed by their rank in index order. Spreading the boards over a wide
     arc is what makes sensor rotations observable; a narrow cone lets a
     rotation error trade against translation along the viewing direction.
-    Every sequence is visible to every LiDAR, to at least one camera when
-    there are cameras, and to at least two sensors, or InfeasibleLayout is
-    raised."""
+    Every sequence is visible to every LiDAR, through the gates of
+    `lidar_params`, to at least one camera when there are cameras, and to at
+    least two sensors, or InfeasibleLayout is raised."""
     if len(sensors) < 2:
         raise InfeasibleLayout("need at least two sensors")
     spec = spec or TargetSpec()
     noise = noise or NoiseModel()
     scan = scan or ScanPattern()
+    lidar_params = lidar_params or LidarParams()
     rng = _rng(seed, 0)
 
     cameras = sorted(s for s in sensors if s.kind == "camera")
@@ -231,7 +247,7 @@ def make_scene(
             )
             facing = geometry.rot_z(bearing) @ _BOARD_BASE  # face back at the rig
             t_bw = RigidTransform(facing @ perturb, pos)
-            visible = _visibility(poses, intrinsics, [t_bw], spec, scan)[:, 0]
+            visible = _visibility(poses, intrinsics, [t_bw], spec, scan, lidar_params)[:, 0]
             seen = [sid for sid, v in zip(poses, visible) if v]
             lidars_seen = sum(1 for sid in seen if sid.kind == "lidar")
             cams_seen = len(seen) - lidars_seen
@@ -247,7 +263,7 @@ def make_scene(
         if ok is None:
             raise InfeasibleLayout(f"could not place a visible board for sequence {s}")
         boards.append(ok)
-    return Scene(poses, intrinsics, tuple(boards), spec, noise, seed, scan)
+    return Scene(poses, intrinsics, tuple(boards), spec, noise, seed, scan, lidar_params)
 
 
 def _board_rays(scene: Scene, t_sw: RigidTransform, t_bw: RigidTransform) -> np.ndarray:
@@ -345,17 +361,17 @@ def render_lidar(scene: Scene, sensor: SensorId, sequence: int) -> np.ndarray:
 def render_camera(scene: Scene, pairs) -> list:
     """Noisy checker-corner observations (ids, uv), (n,) ints and (n, 2)
     pixels, of each (camera, sequence) of `pairs`, in one array pass;
-    corners behind the camera, outside the image or hit by dropout are
-    omitted, ids preserved. Each pair draws from its own generator the pixel
-    noise of every corner, then their dropout. A corner moves as
-    `RigidTransform.apply` moves one point, so its pixels keep their bits."""
+    corners behind the camera (`geometry.project`'s test), outside the image
+    or hit by dropout are omitted, ids preserved. Each pair draws from its
+    own generator the pixel noise of every corner, then their dropout. A
+    corner moves as `RigidTransform.apply` moves one point, so its pixels
+    keep their bits."""
     for sensor, _ in pairs:
         if sensor.kind != "camera":
             raise ValueError(f"{sensor} is not a camera")
     if not pairs:
         return []
     corners = checker_corners_board(scene.spec)
-    ids = np.array([cid for cid, _ in corners])
     sensors = [scene.sensors[s] for s, _ in pairs]
     boards = [scene.board_poses[q] for _, q in pairs]
     # board->camera of each pair, as geometry.compose(geometry.invert(t_sw), t_bw)
@@ -365,11 +381,11 @@ def render_camera(scene: Scene, pairs) -> list:
     trans += [geometry.invert(t).translation for t in sensors]
     # (n, 1, 3) corners: one vector-matrix product each, where one (n, 3) @
     # (3, 3) product can round differently in the last bit
-    pts = np.array([pt for _, pt in corners])[:, None]
-    pts = (pts @ rot[:, None].transpose(0, 1, 3, 2))[:, :, 0] + trans[:, None]  # (P, n, 3)
+    pts = corners[:, None] @ rot[:, None].transpose(0, 1, 3, 2)
+    pts = pts[:, :, 0] + trans[:, None]  # (P, n, 3)
     k = np.array([astuple(scene.intrinsics[s]) for s, _ in pairs]).T[:, :, None]
-    uv = geometry.project(pts, *k[:4])[0]
-    keep = pts[..., 2] > 1e-3
+    uv, behind = geometry.project(pts, *k[:4])
+    keep = ~behind
     noise = scene.noise
     if noise.pixel_sigma > 0 or noise.dropout > 0:
         for row, (sensor, sequence) in enumerate(pairs):
@@ -380,7 +396,7 @@ def render_camera(scene: Scene, pairs) -> list:
             if noise.dropout > 0:
                 keep[row, front] = rng.random(len(front)) >= noise.dropout
     keep &= (0 <= uv[..., 0]) & (uv[..., 0] < k[4]) & (0 <= uv[..., 1]) & (uv[..., 1] < k[5])
-    return [(ids[m], p[m]) for m, p in zip(keep, uv)]
+    return [(np.flatnonzero(m), p[m]) for m, p in zip(keep, uv)]
 
 
 def ground_truth(scene: Scene) -> GroundTruth:
@@ -397,4 +413,5 @@ def perturbed_board_init(scene: Scene, sensor: SensorId, sequence: int) -> Rigid
     dt = rng.normal(0.0, trans_sigma, size=3)
     # rotate about the board's own position so the perturbation stays local
     # (left-composing would sweep the distant board through range * angle)
-    return RigidTransform(geometry.rotation_exp(dw) @ gt.rotation, gt.translation + dt)
+    rot = geometry.exp_se3_matrix(np.concatenate([np.zeros(3), dw]))[:3, :3]
+    return RigidTransform(rot @ gt.rotation, gt.translation + dt)

@@ -54,23 +54,16 @@ def circle_centers_board(spec: TargetSpec) -> np.ndarray:
     return np.array([[ox, oy, 0.0] for ox, oy in spec.circle_offsets])
 
 
-def checker_corners_board(spec: TargetSpec):
-    """Inner checker corners as (corner_id, (3,) point) pairs.
+def checker_corners_board(spec: TargetSpec) -> np.ndarray:
+    """(n, 3) table of the inner checker corners, row k corner id k.
 
     Ids are row-major starting at the top-left inner corner (highest y),
-    (squares_x-1)*(squares_y-1) corners total, all at z=0.
+    n = (squares_x-1)*(squares_y-1) corners, all at z=0.
     """
-    nx, ny = spec.squares_x - 1, spec.squares_y - 1
-    x0 = -spec.squares_x * spec.square_size / 2
-    y0 = spec.squares_y * spec.square_size / 2
-    out = []
-    for row in range(ny):
-        for col in range(nx):
-            cid = row * nx + col
-            x = x0 + (col + 1) * spec.square_size
-            y = y0 - (row + 1) * spec.square_size
-            out.append((cid, np.array([x, y, 0.0])))
-    return out
+    x = -spec.squares_x * spec.square_size / 2 + np.arange(1, spec.squares_x) * spec.square_size
+    y = spec.squares_y * spec.square_size / 2 - np.arange(1, spec.squares_y) * spec.square_size
+    gx, gy = np.meshgrid(x, y)  # rows of gy run down the board
+    return np.stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)], axis=1)
 
 
 def generate_mask_cloud(spec: TargetSpec, sample_pitch: float = 0.01) -> np.ndarray:

@@ -97,10 +97,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def rotation_exp(w: np.ndarray) -> np.ndarray:
+    """SO(3) exponential (Rodrigues) of an axis-angle vector, by the scalar
+    formula: the reference for `geometry.exp_se3_matrix`'s rotation block,
+    and the rotation of test data built before that block drew them."""
+    w = np.asarray(w, dtype=float)
+    theta = np.linalg.norm(w)
+    k = geometry.skew(w)
+    kk = k @ k
+    if theta < 1e-10:
+        return np.eye(3) + k + 0.5 * kk
+    a = np.sin(theta) / theta
+    b = (1.0 - np.cos(theta)) / theta**2
+    return np.eye(3) + a * k + b * kk
+
+
 def random_rotation(rng, max_angle=np.pi - 0.1):
     w = rng.normal(size=3)
     w = w / np.linalg.norm(w) * rng.uniform(1e-3, max_angle)
-    return geometry.rotation_exp(w)
+    return rotation_exp(w)
 
 
 def random_rigid(rng, max_angle=np.pi - 0.1, max_trans=2.0):
@@ -133,13 +148,7 @@ def exp_se3_scalar(xi):
             + (1.0 - np.cos(theta)) / theta**2 * k
             + (theta - np.sin(theta)) / theta**3 * kk
         )
-    if theta < 1e-10:
-        rot = np.eye(3) + k + 0.5 * kk
-    else:
-        a = np.sin(theta) / theta
-        b = (1.0 - np.cos(theta)) / theta**2
-        rot = np.eye(3) + a * k + b * kk
-    return geometry.RigidTransform(rot, jac @ v)
+    return geometry.RigidTransform(rotation_exp(w), jac @ v)
 
 
 def log_se3(t):

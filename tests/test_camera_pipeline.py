@@ -12,6 +12,7 @@ from conftest import (
     matrix,
     normal_from_jacobian,
     rig,
+    rotation_exp,
     solve_pnp,
 )
 from crosscal import camera, geometry, sim
@@ -24,7 +25,7 @@ from crosscal.target import TargetSpec, checker_corners_board, circle_centers_bo
 
 K = Intrinsics(700.0, 700.0, 639.5, 359.5, 1280, 720)
 SPEC = TargetSpec()
-OBJ = np.array([p for _, p in checker_corners_board(SPEC)])  # all corners, id order
+OBJ = checker_corners_board(SPEC)  # all corners, row k corner id k
 
 # board facing the camera (board +z toward the camera) at 3 m
 _FACING = geometry.rot_x(np.pi)
@@ -33,7 +34,7 @@ _FACING = geometry.rot_x(np.pi)
 def board_pose(rng=None, dist=3.0):
     if rng is None:
         return RigidTransform(_FACING, np.array([0.0, 0.0, dist]))
-    tilt = geometry.rotation_exp(rng.normal(0.0, np.deg2rad(10.0), size=3))
+    tilt = rotation_exp(rng.normal(0.0, np.deg2rad(10.0), size=3))
     t = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3), dist + rng.uniform(-0.5, 0.5)])
     return RigidTransform(tilt @ _FACING, t)
 
@@ -68,7 +69,7 @@ def test_exact_recovery_16_corners():
         dt, dr = pose_delta(truth, pose)
         assert dt < 1e-6 and dr < 1e-6
         # reprojection residual below 1e-8 px
-        obj = dict(checker_corners_board(SPEC))
+        obj = checker_corners_board(SPEC)
         errs = [
             np.linalg.norm(
                 geometry.project_many(K, pose.apply(obj[i]))
@@ -317,7 +318,7 @@ def test_unknown_corner_ids_ignored():
 
 def test_jacobian_matches_central_differences():
     rng = np.random.default_rng(2)
-    obj = np.array([p for _, p in checker_corners_board(SPEC)])
+    obj = checker_corners_board(SPEC)
     eps = 1e-6
     for _ in range(100):
         pose = board_pose(rng)

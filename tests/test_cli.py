@@ -21,7 +21,7 @@ from crosscal import cli, errors, geometry, io_formats, optimizer, sim
 from crosscal.camera import CameraDetection
 from crosscal.errors import SolverNotConverged
 from crosscal.geometry import RigidTransform
-from crosscal.lidar import LidarDetection
+from crosscal.lidar import LidarDetection, LidarParams
 from crosscal.optimizer import SensorId
 from crosscal.target import TargetSpec, checker_corners_board, circle_centers_board
 
@@ -346,6 +346,44 @@ def test_simulate_infeasible_exit_3(tmp_path):
     assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
 
 
+def _gated_config(tmp_path, d_max):
+    """A 4-station default config whose detector keeps ranges up to d_max."""
+    cfg = replace(
+        io_formats.default_config(),
+        sim={**io_formats.DEFAULT_SIM, "sequences": 4},
+        lidar_params=replace(LidarParams(), d_max=d_max),
+    )
+    path = tmp_path / "cfg.json"
+    io_formats.write_config(path, cfg)
+    return path
+
+
+def test_simulate_places_lidar_boards_inside_the_configured_gates(tmp_path):
+    """With d_max = 6.0, inside the 5.5-6.8 m board range, simulate places
+    each board inside the detector's gates, so detect finds every LiDAR
+    station that simulate writes, with no warning."""
+    path = _gated_config(tmp_path, 6.0)
+    data, det = tmp_path / "data", tmp_path / "detections.json"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(data)]) == 0
+    assert cli.main(["detect", "--config", str(path), "--data", str(data), "--out", str(det)]) == 0
+    written = {
+        (int(p.parent.name[len("seq_"):]), p.stem[len("cloud_"):])
+        for p in data.glob("seq_*/cloud_lidar*.ply")
+    }
+    found = {(r.sequence, str(r.sensor)) for r in io_formats.read_detections(det)}
+    assert len(written) == 8 and written <= found
+    assert json.loads((tmp_path / "detections.manifest.json").read_text())["warnings"] == 0
+
+
+def test_simulate_with_d_max_below_the_board_range_exit_3(tmp_path):
+    """No board of the 5.5-6.8 m range fits inside a 4.5 m d_max gate:
+    simulate exits 3 instead of writing stations that detect would drop."""
+    path = _gated_config(tmp_path, 4.5)
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+    assert not list(out.glob("seq_*"))
+
+
 # --- detect -----------------------------------------------------------------
 
 def test_detect_output_parses_with_full_coverage(ws):
@@ -390,8 +428,8 @@ def test_detect_partial_failure_warns_but_succeeds(ws, tmp_path):
     detects, with one warning."""
     intr = sim.default_intrinsics()
     board = checker_corners_board(TargetSpec())
-    pixels = geometry.project_many(intr, CIRCLE_BEHIND_CAMERA.apply([p for _, p in board]))
-    corners = {"ids": [cid for cid, _ in board], "uv": pixels.tolist()}
+    pixels = geometry.project_many(intr, CIRCLE_BEHIND_CAMERA.apply(board))
+    corners = {"ids": list(range(len(board))), "uv": pixels.tolist()}
     victims = [
         (
             "cloud_lidar0.ply",

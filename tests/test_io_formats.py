@@ -258,6 +258,18 @@ def test_corner_columns_read_as_arrays(tmp_path):
     assert ids.shape == (0,) and uv.shape == (0, 2)
 
 
+def test_corner_id_bound_is_the_corner_table_length(tmp_path):
+    """read_corners takes the ids [0, n) of the board's corner table: 24
+    rows on a 5 x 7 board."""
+    spec = TargetSpec(squares_x=5, squares_y=7)
+    path = tmp_path / "corners_camera0.json"
+    path.write_text('{"ids": [0, 23], "uv": [[1, 2], [3, 4]]}')
+    assert io_formats.read_corners(path, spec)[0].tolist() == [0, 23]
+    path.write_text('{"ids": [0, 24], "uv": [[1, 2], [3, 4]]}')
+    with pytest.raises(ParseError, match=r"corner id 24 is not in \[0, 24\)"):
+        io_formats.read_corners(path, spec)
+
+
 @pytest.mark.parametrize(
     "doc, error, message",
     [
@@ -472,17 +484,26 @@ def test_config_unknown_field_rejected(tmp_path):
 # --- report formatting ------------------------------------------------------
 
 def test_format_pose_row_table_style():
-    t = RigidTransform(
-        geometry.rotation_from_euler_xyz(110.80, -1.609, -87.738),
-        np.array([-0.6165, 0.2887, 0.1292]),
-    )
-    row = io_formats.format_pose_row(t)
+    pose = {"translation": [-0.6165, 0.2887, 0.1292], "euler_xyz_deg": [110.80, -1.609, -87.738]}
+    row = io_formats.format_pose_row(pose)
     assert row == "(-0.6165, 0.2887, 0.1292) / (110.800, -1.609, -87.738)"
 
 
 def test_format_pose_row_identity():
-    row = io_formats.format_pose_row(RigidTransform.identity())
+    """Identity's angles include -0.0, and small negatives round to -0.0:
+    each prints without a minus sign."""
+    row = io_formats.format_pose_row(io_formats.pose_to_json(RigidTransform.identity()))
     assert row == "(0.0000, 0.0000, 0.0000) / (0.000, 0.000, 0.000)"
+    pose = {"translation": [-0.0, -0.00004, 1e-9], "euler_xyz_deg": [-0.0, -0.0004, 0.0]}
+    assert io_formats.format_pose_row(pose) == row
+
+
+def test_format_pose_row_at_gimbal_lock():
+    """The report's angles at ry = 90 deg, where rz is fixed to 0, print as
+    the rotation's own angles did."""
+    t = RigidTransform(geometry.rotation_from_euler_xyz(30.0, 90.0, 40.0), [1.23456, -0.00004, 2.0])
+    row = io_formats.format_pose_row(io_formats.pose_to_json(t))
+    assert row == "(1.2346, 0.0000, 2.0000) / (70.000, 90.000, 0.000)"
 
 
 def test_report_text_lists_poses_by_display_number():

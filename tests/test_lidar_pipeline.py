@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import matrix, rig
+from conftest import matrix, rig, rotation_exp
 from crosscal import cli, geometry, io_formats, lidar, sim
 from crosscal.errors import (
     DegenerateInput,
@@ -143,7 +143,7 @@ def test_ransac_exact_ground_plane():
 
 def test_ransac_known_plane_with_20_percent_outliers():
     rng = np.random.default_rng(6)
-    n_true = geometry.rotation_exp([0.3, -0.2, 0.0]) @ np.array([0.0, 0.0, 1.0])
+    n_true = rotation_exp([0.3, -0.2, 0.0]) @ np.array([0.0, 0.0, 1.0])
     d_true = -1.3
     basis = np.linalg.svd(n_true[None, :])[2][1:]
     inplane = rng.uniform(-1, 1, size=(400, 2)) @ basis - d_true * n_true
@@ -295,7 +295,7 @@ def test_ransac_batched_matches_per_hypothesis_oracle(scored):
     clouds = []
     for seed, n_pts in ((0, 300), (1, 1500), (2, 6000), (3, 70000)):
         rng = np.random.default_rng(seed)
-        n_true = geometry.rotation_exp(rng.normal(0, 0.4, 3)) @ np.array([0.0, 0.0, 1.0])
+        n_true = rotation_exp(rng.normal(0, 0.4, 3)) @ np.array([0.0, 0.0, 1.0])
         basis = np.linalg.svd(n_true[None, :])[2][1:]
         n_in = int(0.7 * n_pts)
         inplane = rng.uniform(-1, 1, size=(n_in, 2)) @ basis + rng.normal(0, 0.01, (n_in, 1)) * n_true

@@ -19,6 +19,7 @@ from conftest import (
     random_rigid,
     relative,
     rig,
+    rotation_exp,
 )
 from crosscal import geometry, optimizer, sim
 from crosscal.camera import CameraDetection
@@ -345,8 +346,8 @@ def test_centers_behind_a_camera_are_capped_flagged_and_constant():
     # of camera0 and of lidar0 lie 0.2 m behind it, the other two 0.2 m in front
     poses = {
         CAM0: RigidTransform.identity(),
-        cam1: RigidTransform(geometry.rotation_exp([0.01, -0.02, 0.03]), [0.01, 0.02, 5.0]),
-        L0: RigidTransform(geometry.rotation_exp([0.0, 0.01, 0.0]), [0.02, 0.0, 0.0]),
+        cam1: RigidTransform(rotation_exp([0.01, -0.02, 0.03]), [0.01, 0.02, 5.0]),
+        L0: RigidTransform(rotation_exp([0.0, 0.01, 0.0]), [0.02, 0.0, 0.0]),
     }
     r, flags = residuals(p, pose_stack(p, poses))
     assert flags == 4

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import matrix, relative, rig, solve_pnp
+from conftest import matrix, relative, rig, rotation_exp, solve_pnp
 from crosscal import geometry, sim
 from crosscal.errors import InfeasibleLayout
 from crosscal.geometry import RigidTransform
@@ -269,7 +269,7 @@ def _elevation_deg(b):
         lambda: _one_board(
             [-5.0, 0.3, 1.25],
             geometry.rot_z(np.pi) @ sim._BOARD_BASE,
-            sensor_rot=geometry.rotation_exp([0.02, -0.03, 0.4]),
+            sensor_rot=rotation_exp([0.02, -0.03, 0.4]),
             hit=lambda b: (b[:, 0] < 0).all(),
         ),
         # 0.54 m from the board's center, within its 0.71 m half diagonal
@@ -384,9 +384,9 @@ def test_camera_render_full_corner_set_and_pnp_round_trip():
     assert checked >= 3
 
 
-def _visible_one_pair(t_sw, sensor, t_bw, spec, intr, scan):
+def _visible_one_pair(t_sw, sensor, t_bw, spec, intr, scan, gates):
     """Whether one sensor sees one board, the per-pair formula that the
-    visibility table replaces, as it was."""
+    visibility table replaces, with the LiDAR gates read from `gates`."""
     corners = np.array(
         [
             [sx * spec.board_width / 2, sy * spec.board_height / 2, 0.0]
@@ -408,10 +408,11 @@ def _visible_one_pair(t_sw, sensor, t_bw, spec, intr, scan):
     el = np.rad2deg(np.arcsin(pts_s[:, 2] / np.maximum(rng_d, 1e-9)))
     return bool(
         np.all(rng_d < scan.max_range)
-        and np.all(np.hypot(pts_s[:, 0], pts_s[:, 1]) < 7.9)
+        and np.all(np.hypot(pts_s[:, 0], pts_s[:, 1]) > gates.d_min + sim._RANGE_MARGIN)
+        and np.all(np.hypot(pts_s[:, 0], pts_s[:, 1]) < gates.d_max - sim._RANGE_MARGIN)
         and np.all(el > scan.el_min_deg + 0.5)
         and np.all(el < scan.el_max_deg - 0.5)
-        and np.all(pts_s[:, 2] > 0.09)
+        and np.all(pts_s[:, 2] > gates.h_min + sim._HEIGHT_MARGIN)
     )
 
 
@@ -421,10 +422,9 @@ def _render_one_pair(scene, sensor, sequence):
     intr = scene.intrinsics[sensor]
     t_bc = geometry.compose(geometry.invert(scene.sensors[sensor]), scene.board_poses[sequence])
     rng = sim._rng(scene.seed, 2, sequence, sensor.index)
-    corners = checker_corners_board(scene.spec)
-    pts = np.array([t_bc.apply(pt) for _, pt in corners])
-    front = pts[:, 2] > 1e-3
-    ids = np.array([cid for cid, _ in corners])[front]
+    pts = np.array([t_bc.apply(pt) for pt in checker_corners_board(scene.spec)])
+    front = pts[:, 2] > geometry.MIN_DEPTH
+    ids = np.flatnonzero(front)
     uv = geometry.project_many(intr, pts[front])
     for n in range(len(ids)):
         uv[n] += rng.normal(0.0, scene.noise.pixel_sigma, size=2)
@@ -440,9 +440,9 @@ def test_batches_keep_the_per_pair_arithmetic(monkeypatch, n_lidars, m_cameras, 
     pairs equals the per-corner render bit for bit, 0.5 px noise included."""
     tables = []
 
-    def recorded(poses, intrinsics, boards, spec, scan):
-        out = visibility(poses, intrinsics, boards, spec, scan)
-        tables.append((poses, intrinsics, boards, spec, scan, out))
+    def recorded(poses, intrinsics, boards, spec, scan, gates):
+        out = visibility(poses, intrinsics, boards, spec, scan, gates)
+        tables.append((poses, intrinsics, boards, spec, scan, gates, out))
         return out
 
     visibility = sim._visibility
@@ -451,9 +451,9 @@ def test_batches_keep_the_per_pair_arithmetic(monkeypatch, n_lidars, m_cameras, 
     scene = sim.make_scene(rig(n_lidars, m_cameras), sequences=20, seed=seed, noise=noise)
     scene.visibility
     assert len(tables) > 20 and len(tables[-1][2]) == 20  # candidates, then the scene's table
-    for poses, intrinsics, boards, spec, scan, out in tables:
+    for poses, intrinsics, boards, spec, scan, gates, out in tables:
         expected = [
-            [_visible_one_pair(t_sw, s, t_bw, spec, intrinsics.get(s), scan) for t_bw in boards]
+            [_visible_one_pair(t_sw, s, t_bw, spec, intrinsics.get(s), scan, gates) for t_bw in boards]
             for s, t_sw in poses.items()
         ]
         assert np.array_equal(out, expected)

@@ -58,14 +58,36 @@ def test_checker_corners_3x3_hand_layout():
         board_height=1.0,
     )
     corners = checker_corners_board(spec)
-    assert len(corners) == 4
-    pts = {cid: tuple(np.round(p[:2], 9)) for cid, p in corners}
+    assert corners.shape == (4, 3)
+    pts = [tuple(np.round(p[:2], 9)) for p in corners]
     # row-major from the top-left inner corner (highest y first)
-    assert pts[0] == (-0.05, 0.05)
-    assert pts[1] == (0.05, 0.05)
-    assert pts[2] == (-0.05, -0.05)
-    assert pts[3] == (0.05, -0.05)
-    assert all(p[2] == 0.0 for _, p in corners)
+    assert pts == [(-0.05, 0.05), (0.05, 0.05), (-0.05, -0.05), (0.05, -0.05)]
+    assert (corners[:, 2] == 0.0).all()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        TargetSpec(),
+        TargetSpec(squares_x=5, squares_y=7, square_size=0.0837),
+        TargetSpec(squares_x=9, squares_y=6, square_size=0.113, board_width=1.1),
+        TargetSpec(squares_x=2, squares_y=3, square_size=0.3),
+    ],
+    ids=["8x8", "5x7", "9x6", "2x3"],
+)
+def test_checker_corner_table_row_k_is_corner_k(spec):
+    """Row k of the table is bit for bit the per-corner formula of id k:
+    row-major, column col and row row at (x0 + (col+1) s, y0 - (row+1) s)."""
+    table = checker_corners_board(spec)
+    nx = spec.squares_x - 1
+    x0 = -spec.squares_x * spec.square_size / 2
+    y0 = spec.squares_y * spec.square_size / 2
+    assert table.shape == (nx * (spec.squares_y - 1), 3)
+    for cid, point in enumerate(table):
+        row, col = divmod(cid, nx)
+        x = x0 + (col + 1) * spec.square_size
+        y = y0 - (row + 1) * spec.square_size
+        assert point.tobytes() == np.array([x, y, 0.0]).tobytes(), cid
 
 
 def test_checker_corner_count_8x8():

@@ -28,9 +28,8 @@ from .errors import (
     DisconnectedGraph,
     InfeasibleLayout,
     IoError,
-    MissingField,
+    NoDetections,
     ParseError,
-    SchemaVersionMismatch,
     SolverNotConverged,
     UnknownSensor,
 )
@@ -47,8 +46,17 @@ EXIT_NO_DETECTIONS = 4
 EXIT_DISCONNECTED = 5
 EXIT_NOT_CONVERGED = 6
 
-# a config, or calibrate's detections, that cannot be read or used: exit 2
-_INPUT_ERRORS = (ParseError, MissingField, SchemaVersionMismatch, IoError)
+# (error type, exit code, log words) of every failure that a command raises
+# as a CrosscalError: `main` logs "<words>: <message>" for the first row that
+# matches and exits with its code; any other exception exits 1
+_EXITS = (
+    (InfeasibleLayout, EXIT_INFEASIBLE, "infeasible layout"),
+    (NoDetections, EXIT_NO_DETECTIONS, "no detections"),
+    (DisconnectedGraph, EXIT_DISCONNECTED, "co-visibility graph disconnected"),
+    (SolverNotConverged, EXIT_NOT_CONVERGED, "solver did not converge"),
+    (IoError, EXIT_CONFIG, "file error"),  # a file not read or written, a wrong directory
+    (CrosscalError, EXIT_CONFIG, "input error"),  # a config, detections or flag not usable
+)
 
 
 def _manifest_path(out: Path) -> Path:
@@ -89,18 +97,13 @@ def _scene_from_config(cfg, seed):
 
 
 def cmd_simulate(args) -> int:
-    try:
-        cfg = io_formats.read_config(args.config)
-        seed = args.seed if args.seed is not None else cfg.sim["seed"]
-        scene = _scene_from_config(cfg, seed)
-    except _INPUT_ERRORS as e:
-        log.error("config error: %s", e)
-        return EXIT_CONFIG
-    except InfeasibleLayout as e:
-        log.error("infeasible layout: %s", e)
-        return EXIT_INFEASIBLE
-
     out = Path(args.out)
+    # `detect` reads every station under its --data, listed in the manifest or not
+    if any(out.glob("seq_*")):
+        raise IoError(f"{out} already holds stations (seq_*); simulate into a new directory")
+    cfg = io_formats.read_config(args.config)
+    seed = args.seed if args.seed is not None else cfg.sim["seed"]
+    scene = _scene_from_config(cfg, seed)
     outputs = []
     gt_doc = {
         "sensors": {str(s): io_formats.pose_to_json(t) for s, t in scene.sensors.items()},
@@ -224,12 +227,10 @@ _DATASET_FILES = (
 
 
 def cmd_detect(args) -> int:
-    try:
-        cfg = io_formats.read_config(args.config)
-    except _INPUT_ERRORS as e:
-        log.error("config error: %s", e)
-        return EXIT_CONFIG
+    cfg = io_formats.read_config(args.config)
     data = Path(args.data)
+    if not data.is_dir():
+        raise IoError(f"dataset {data} is not a directory")
     inputs = [args.config]
     # (sequence, sensor, CrosscalError | index into jobs[sensor kind]), in
     # the order the records are written; LiDARs are detected on a process
@@ -286,8 +287,7 @@ def cmd_detect(args) -> int:
         else:
             records.append(DetectionRecord(seq, sensor, out))
     if not records:
-        log.error("no detections succeeded under %s", data)
-        return EXIT_NO_DETECTIONS
+        raise NoDetections(f"none succeeded under {data}")
     out = Path(args.out)
     io_formats.write_detections(out, records)
     _write_manifest(_manifest_path(out), args.config, None, inputs, [out], warnings)
@@ -314,52 +314,28 @@ def _parse_reference(cfg, text):
 
 
 def cmd_calibrate(args) -> int:
-    try:
-        cfg = io_formats.read_config(args.config)
-        reference = _parse_reference(cfg, args.reference)
-        records = io_formats.read_detections(args.detections, strict=args.strict_schema)
-    except _INPUT_ERRORS as e:
-        log.error("input error: %s", e)
-        return EXIT_CONFIG
+    cfg = io_formats.read_config(args.config)
+    reference = _parse_reference(cfg, args.reference)
+    records = io_formats.read_detections(args.detections, strict=args.strict_schema)
     unconfigured = optimizer.display_order({rec.sensor for rec in records} - set(cfg.sensors))
     if unconfigured:
         names = ", ".join(map(str, unconfigured))
-        log.error("input error: detections of %s, which the config does not list", names)
-        return EXIT_CONFIG
+        raise UnknownSensor(f"detections of {names}, which the config does not list")
     by_seq = {}
     for rec in records:
         by_seq.setdefault(rec.sequence, {})[rec.sensor] = rec.detection
     detections = [
         optimizer.SequenceObservations(seq, obs) for seq, obs in sorted(by_seq.items())
     ]
-    try:
-        problem = optimizer.build_problem(
-            detections, reference, cfg.sensors, cfg.solve_params
-        )
-        result = optimizer.solve(problem)
-        chain = list(result.problem.sensors)
-        if args.pairwise_mode:
-            rot_dev, trans_dev = optimizer.consistency_check_pairwise(result.problem, chain)
-            mode = "pairwise"
-        else:
-            rot_dev, trans_dev = optimizer.consistency_check(result, chain)
-            mode = "solved"
-    except DisconnectedGraph as e:
-        log.error("co-visibility graph disconnected: %s", e)
-        return EXIT_DISCONNECTED
-    except SolverNotConverged as e:
-        d = e.diagnostics
-        log.error(
-            "solver did not converge: final cost %.6g, gradient norm %.6g, %d iterations",
-            d.final_cost,
-            d.gradient_norm,
-            d.iterations,
-        )
-        return EXIT_NOT_CONVERGED
-    except CrosscalError as e:
-        log.error("calibration failed: %s", e)
-        return EXIT_CONFIG
-
+    problem = optimizer.build_problem(detections, reference, cfg.sensors, cfg.solve_params)
+    result = optimizer.solve(problem)
+    chain = list(result.problem.sensors)
+    if args.pairwise_mode:
+        rot_dev, trans_dev = optimizer.consistency_check_pairwise(result.problem, chain)
+        mode = "pairwise"
+    else:
+        rot_dev, trans_dev = optimizer.consistency_check(result, chain)
+        mode = "solved"
     chain_str = "->".join(result.problem.display_name(s) for s in chain + [chain[0]])
     consistency = {
         "chain": chain_str,
@@ -437,9 +413,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except IoError as e:  # an output that cannot be written
-        log.error("output error: %s", e)
-        return EXIT_CONFIG
+    except CrosscalError as e:
+        code, words = next((code, words) for kind, code, words in _EXITS if isinstance(e, kind))
+        log.error("%s: %s", words, e)
+        return code
     except Exception:  # panic guard: exit 1 is reserved for unexpected errors
         log.exception("unexpected failure")
         return 1

@@ -73,6 +73,12 @@ class BehindCamera(CrosscalError):
     """No pose candidate places all used corners at positive depth."""
 
 
+# --- detect -----------------------------------------------------------------
+
+class NoDetections(CrosscalError):
+    """No detection of a dataset succeeded."""
+
+
 # --- optimizer --------------------------------------------------------------
 
 class DisconnectedGraph(CrosscalError):
@@ -103,8 +109,11 @@ class SolverNotConverged(CrosscalError):
     """Global solve hit the iteration cap; diagnostics attached."""
 
     def __init__(self, diagnostics):
-        self.diagnostics = diagnostics
-        super().__init__("solver did not converge")
+        self.diagnostics = d = diagnostics
+        super().__init__(
+            f"final cost {d.final_cost:.6g}, gradient norm {d.gradient_norm:.6g}, "
+            f"{d.iterations} iterations"
+        )
 
 
 class UnknownSensor(CrosscalError):

@@ -44,10 +44,6 @@ class cKDTree:  # noqa: N801
 # chance that none it scored was an all-inlier triplet is below _MISS.
 _STOP_STEP = 8
 _MISS = 1e-6
-# Hypotheses x points scored per array pass in _inlier_counts: 512 KB of
-# float64, small enough to stay in cache; a rig's ~2,000-point crop scores a
-# step in one pass.
-_CHUNK_ELEMENTS = 1 << 16
 
 # m, added to the board's half diagonal around the prior's translation: the
 # crop that ransac_plane sees
@@ -172,16 +168,10 @@ def _inlier_counts(pts: np.ndarray, tri: np.ndarray, eps: float) -> np.ndarray:
     norms = np.linalg.norm(normals, axis=1)
     ok = norms >= 1e-12
     normals[ok] /= norms[ok, None]
-    offsets = -np.einsum("hi,hi->h", normals, a)
-    counts = np.full(len(tri), -1)
-    rows = max(_CHUNK_ELEMENTS // len(pts), 1)
-    for lo in range(0, len(tri), rows):
-        chunk = slice(lo, lo + rows)
-        dist = normals[chunk] @ pts.T
-        dist += offsets[chunk, None]
-        np.abs(dist, out=dist)
-        counts[chunk] = np.where(ok[chunk], np.count_nonzero(dist < eps, axis=1), -1)
-    return counts
+    dist = normals @ pts.T
+    dist -= np.einsum("hi,hi->h", normals, a)[:, None]
+    np.abs(dist, out=dist)
+    return np.where(ok, np.count_nonzero(dist < eps, axis=1), -1)
 
 
 def _draws_needed(w: float) -> float:

@@ -170,7 +170,7 @@ def test_simulate_on_one_worker_byte_identical_to_pool(ws, tmp_path, monkeypatch
 @pytest.mark.parametrize(
     "error, code, logged",
     [
-        (errors.IoError("cannot write cloud_lidar1.ply"), 2, "output error"),
+        (errors.IoError("cannot write cloud_lidar1.ply"), 2, "file error"),
         (RuntimeError("bug in a cast"), 1, "unexpected failure"),
     ],
     ids=["IoError", "RuntimeError"],
@@ -194,6 +194,19 @@ def test_simulate_error_in_a_lidar_job(ws, tmp_path, monkeypatch, caplog, error,
     assert not (out / "manifest.json").exists()
     assert (out / "seq_003" / "cloud_lidar0.ply").exists()  # the other job ran to its end
     assert not multiprocessing.active_children()
+
+
+def test_simulate_into_a_dataset_exit_2(ws, tmp_path, caplog):
+    """`detect` reads every station under its --data: `simulate` into a
+    directory that holds one would mix two scenes, so it writes nothing."""
+    out = tmp_path / "data"
+    shutil.copytree(ws["data"], out)
+    before = _tree_bytes(out)
+    argv = ["simulate", "--config", str(ws["config"]), "--seed", "1", "--out", str(out)]
+    with caplog.at_level(logging.ERROR, logger="crosscal"):
+        assert cli.main(argv) == 2
+    assert "file error" in caplog.text and str(out) in caplog.text
+    assert _tree_bytes(out) == before
 
 
 def test_importing_the_cli_loads_no_process_pool():
@@ -287,7 +300,7 @@ def test_config_naming_a_removed_lidar_param_exit_2(tmp_path, caplog, key):
             ["detect", "--config", str(path), "--data", str(tmp_path), "--out", str(tmp_path / "d")]
         )
     assert rc == 2
-    assert "config error" in caplog.text and key in caplog.text
+    assert "input error" in caplog.text and key in caplog.text
 
 
 @pytest.mark.parametrize(
@@ -331,7 +344,7 @@ def test_simulate_malformed_sim_section_exit_2(tmp_path, caplog, section, edit):
     with caplog.at_level(logging.ERROR, logger="crosscal"):
         rc = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "config error" in caplog.text
+    assert "input error" in caplog.text
 
 
 def test_simulate_infeasible_exit_3(tmp_path):
@@ -420,6 +433,18 @@ def test_detect_empty_dataset_exit_4(ws, tmp_path):
         ]
     )
     assert rc == 4
+
+
+@pytest.mark.parametrize("kind", ["missing", "regular-file"])
+def test_detect_data_not_a_directory_exit_2(ws, tmp_path, caplog, kind):
+    data = tmp_path / "data"
+    if kind == "regular-file":
+        data.write_text("")
+    argv = ["detect", "--config", str(ws["config"]), "--data", str(data)]
+    with caplog.at_level(logging.ERROR, logger="crosscal"):
+        assert cli.main(argv + ["--out", str(tmp_path / "d.json")]) == 2
+    assert "file error" in caplog.text and str(data) in caplog.text
+    assert not (tmp_path / "d.json").exists()
 
 
 def test_detect_partial_failure_warns_but_succeeds(ws, tmp_path):
@@ -1093,7 +1118,7 @@ def test_calibrate_unreadable_detections_exit_2(ws, tmp_path, caplog, name):
     with caplog.at_level(logging.ERROR, logger="crosscal"):
         rc = cli.main(argv + ["--out", str(tmp_path / "r.json")])
     assert rc == 2
-    assert "input error" in caplog.text and name in caplog.text
+    assert "file error" in caplog.text and name in caplog.text
 
 
 @pytest.mark.parametrize("command", ["simulate", "detect", "calibrate"])
@@ -1124,7 +1149,91 @@ def test_value_error_inside_simulation_exit_1(ws, tmp_path, monkeypatch, caplog)
     argv = ["simulate", "--config", str(ws["config"]), "--out", str(tmp_path / "o")]
     with caplog.at_level(logging.ERROR, logger="crosscal"):
         assert cli.main(argv) == 1
-    assert "unexpected failure" in caplog.text and "config error" not in caplog.text
+    assert "unexpected failure" in caplog.text and "input error" not in caplog.text
+
+
+def _error_types(base=errors.CrosscalError):
+    """`base` and every class below it, depth first."""
+    return [base] + [t for sub in base.__subclasses__() for t in _error_types(sub)]
+
+
+# the exit code of every error type of `errors`, as README lists them; a new
+# type fails test_every_error_type_exits_with_its_code until it is listed
+_CODES = {
+    errors.InfeasibleLayout: 3,
+    errors.NoDetections: 4,
+    errors.DisconnectedGraph: 5,
+    errors.SolverNotConverged: 6,
+    **dict.fromkeys(
+        [
+            errors.CrosscalError,
+            errors.NonPositiveDepth,
+            errors.LidarStageError,
+            errors.EmptyAfterFilter,
+            errors.EmptyMatch,
+            errors.DegenerateInput,
+            errors.LowInlierRatio,
+            errors.PoorFit,
+            errors.GridTooSmall,
+            errors.NoVoidFound,
+            errors.InconsistentCircles,
+            errors.InsufficientCorners,
+            errors.DegenerateConfiguration,
+            errors.BehindCamera,
+            errors.NoReferenceObservations,
+            errors.DegenerateCenters,
+            errors.SingularNormalEquations,
+            errors.UnknownSensor,
+            errors.ParseError,
+            errors.UnsupportedFormat,
+            errors.SchemaVersionMismatch,
+            errors.MissingField,
+            errors.IoError,
+        ],
+        2,
+    ),
+}
+# the arguments of the error types whose constructor takes no message
+_ERROR_ARGS = {
+    errors.DisconnectedGraph: ([["lidar0"], ["camera0"]],),
+    errors.SingularNormalEquations: (["lidar0"],),
+    errors.SolverNotConverged: (
+        optimizer.CalibrationResult(
+            poses={},
+            problem=None,
+            final_cost=1.5,
+            initial_cost=2.0,
+            iterations=7,
+            converged=False,
+            gradient_norm=0.25,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [t for t in _error_types() if t.__module__ == "crosscal.errors"] + [ValueError],
+    ids=lambda t: t.__name__,
+)
+def test_every_error_type_exits_with_its_code(tmp_path, monkeypatch, caplog, kind):
+    """`main` maps each CrosscalError that a command raises to its exit code
+    and logs one line with its message; any other exception exits 1."""
+    error = kind(*_ERROR_ARGS.get(kind, ("a failure",)))
+
+    def fail(path):
+        raise error
+
+    monkeypatch.setattr(cli.io_formats, "read_config", fail)
+    argv = ["simulate", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")]
+    with caplog.at_level(logging.ERROR, logger="crosscal"):
+        rc = cli.main(argv)
+    if kind is ValueError:
+        assert rc == 1 and "unexpected failure" in caplog.text
+        return
+    assert rc == _CODES[kind]
+    (logged,) = caplog.records
+    assert logged.getMessage().endswith(f": {error}")
 
 
 def test_calibrate_detections_of_a_camera_not_in_the_config_exit_2(ws, tmp_path, caplog):

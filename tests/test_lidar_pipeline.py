@@ -302,7 +302,6 @@ def test_ransac_batched_matches_per_hypothesis_oracle(scored):
         pts = np.vstack([inplane, rng.uniform(-1, 1, size=(n_pts - n_in, 3))])
         pts[:3] = pts[0]  # a few repeated points for degenerate triplets
         clouds.append((seed, pts))
-    assert n_pts > lidar._CHUNK_ELEMENTS  # the last cloud takes a chunk per hypothesis
     for seed in range(4):  # two equal exact planes: the maximal count ties across them
         xy = np.random.default_rng(10 + seed).uniform(-1, 1, size=(400, 2))
         clouds.append((seed, np.vstack([np.column_stack([xy, np.full(400, z)]) for z in (0.0, 1.0)])))

@@ -19,6 +19,8 @@ import os
 import sys
 from contextlib import contextmanager
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__, io_formats, optimizer, sim
@@ -34,7 +36,7 @@ from .errors import (
     UnknownSensor,
 )
 from .io_formats import DetectionRecord
-from .lidar import detect_target_lidar, rough_board_pose
+from .lidar import detect_target_lidar
 from .optimizer import SensorId
 
 log = logging.getLogger("crosscal")
@@ -79,8 +81,7 @@ def _write_manifest(path, config_path, seed, inputs, outputs, warnings=0):
         "outputs": sorted(os.path.relpath(p, here) for p in outputs),
         "warnings": warnings,
     }
-    io_formats.atomic_write(path, io_formats.canonical_json(doc))
-    return doc
+    io_formats.write_json(path, doc)
 
 
 def _scene_from_config(cfg, seed):
@@ -110,7 +111,7 @@ def cmd_simulate(args) -> int:
         "boards": [io_formats.pose_to_json(t) for t in scene.board_poses],
     }
     gt_path = out / "ground_truth.json"
-    io_formats.atomic_write(gt_path, io_formats.canonical_json(gt_doc))
+    io_formats.write_json(gt_path, gt_doc)
     outputs.append(gt_path)
 
     # each LiDAR is one job on the pool; this process writes the cameras' files
@@ -127,8 +128,7 @@ def cmd_simulate(args) -> int:
         ]
         for (sensor, seq), (ids, uv) in zip(seen, sim.render_camera(scene, seen)):
             path = out / f"seq_{seq:03d}" / f"corners_{sensor}.json"
-            doc = {"ids": ids.tolist(), "uv": uv.tolist()}
-            io_formats.atomic_write(path, io_formats.canonical_json(doc))
+            io_formats.write_json(path, {"ids": ids.tolist(), "uv": uv.tolist()})
             outputs.append(path)
         for paths in lidar_outputs:
             outputs += paths
@@ -151,9 +151,7 @@ def _simulate_lidar(scene, out: Path, sensor) -> list:
         io_formats.write_cloud(cloud_path, cast.render(seq))
         init = sim.perturbed_board_init(scene, sensor, seq)
         init_path = seq_dir / f"init_{sensor}.json"
-        io_formats.atomic_write(
-            init_path, io_formats.canonical_json({"pose": io_formats.pose_to_json(init)})
-        )
+        io_formats.write_json(init_path, {"pose": io_formats.pose_to_json(init)})
         paths += [cloud_path, init_path]
     return paths
 
@@ -194,10 +192,7 @@ def _detect_lidar(cloud_path, init_path, cfg):
     outcome, any other exception propagates."""
     try:
         cloud = io_formats.read_cloud(cloud_path)
-        if init_path is not None:
-            t_init = io_formats.read_board_init(init_path)
-        else:
-            t_init = rough_board_pose(cloud, cfg.lidar_params)
+        t_init = None if init_path is None else io_formats.read_board_init(init_path)
         return detect_target_lidar(cloud, cfg.target, t_init, cfg.lidar_params)
     except CrosscalError as e:
         return e
@@ -218,12 +213,9 @@ def _by_index(paths, prefix: str, suffix: str = "") -> list:
     return sorted(found, key=lambda e: (e[0] is None, e[0] or 0, e[1].name))
 
 
-# (sensor kind, file name prefix, suffix, the kind's name in messages) of
-# the files that `detect` reads in a station directory, in record order
-_DATASET_FILES = (
-    ("lidar", "cloud_lidar", ".ply", "LiDAR"),
-    ("camera", "corners_camera", ".json", "camera"),
-)
+# (sensor kind, file name prefix, suffix) of the files that `detect` reads
+# in a station directory, in record order
+_DATASET_FILES = (("lidar", "cloud_lidar", ".ply"), ("camera", "corners_camera", ".json"))
 
 
 def cmd_detect(args) -> int:
@@ -232,55 +224,56 @@ def cmd_detect(args) -> int:
     if not data.is_dir():
         raise IoError(f"dataset {data} is not a directory")
     inputs = [args.config]
-    # (sequence, sensor, CrosscalError | index into jobs[sensor kind]), in
-    # the order the records are written; LiDARs are detected on a process
-    # pool and cameras in one batch. A file whose name gives no sensor index
-    # stands in for its sensor, with an error.
-    slots, jobs = [], {"lidar": [], "camera": []}
     warnings = 0
-    for seq, seq_dir in _by_index(data.glob("seq_*"), "seq_"):
+    # (sequence, sensor) -> the files that name it, then its outcome, in the
+    # order the records are written. A file whose name gives no sensor index
+    # stands in for its sensor by that name.
+    table = {}
+    for seq, entries in groupby(_by_index(data.glob("seq_*"), "seq_"), itemgetter(0)):
+        seq_dirs = [seq_dir for _, seq_dir in entries]
         if seq is None:
-            log.warning("%s: no station index in the name; skipped", seq_dir)
-            warnings += 1
+            for seq_dir in seq_dirs:
+                log.warning("%s: no station index in the name; skipped", seq_dir)
+            warnings += len(seq_dirs)
             continue
-        for kind, prefix, suffix, name in _DATASET_FILES:
-            for index, path in _by_index(seq_dir.glob(f"{prefix}*{suffix}"), prefix, suffix):
+        for kind, prefix, suffix in _DATASET_FILES:
+            files = [path for seq_dir in seq_dirs for path in seq_dir.glob(f"{prefix}*{suffix}")]
+            for index, path in _by_index(files, prefix, suffix):
                 inputs.append(path)
-                if index is None:
-                    slots.append((seq, path.name, UnknownSensor(f"no {name} index in the name")))
-                    continue
-                sensor = SensorId(kind, index)
-                if sensor not in cfg.sensors:
-                    slots.append((seq, sensor, UnknownSensor(f"{sensor} is not in the config")))
-                    continue
-                job = (path, cfg.sensors[sensor])  # a camera's intrinsics; None for a LiDAR
-                init_path = seq_dir / f"init_{sensor}.json"
-                if kind == "lidar" and init_path.exists():
-                    inputs.append(init_path)
-                    job = (path, init_path)
-                jobs[kind].append(job)
-                slots.append((seq, sensor, len(jobs[kind]) - 1))
+                sensor = path.name if index is None else SensorId(kind, index)
+                table.setdefault((seq, sensor), []).append(path)
+    lidars, cameras = {}, {}  # key -> (cloud, init file or None) | (corner file, intrinsics)
+    for key, paths in table.items():
+        sensor = key[1]
+        if len(paths) > 1:
+            names = " and ".join(map(str, paths))
+            table[key] = ParseError(f"{names} name one station and sensor; neither is read")
+        elif isinstance(sensor, str):
+            table[key] = UnknownSensor("no sensor index in the name")
+        elif sensor not in cfg.sensors:
+            table[key] = UnknownSensor(f"{sensor} is not in the config")
+        elif sensor.kind == "lidar":
+            init_path = paths[0].with_name(f"init_{sensor}.json")
+            lidars[key] = (paths[0], init_path if init_path.exists() else None)
+        else:
+            cameras[key] = (paths[0], cfg.sensors[sensor])
+    inputs += [init_path for _, init_path in lidars.values() if init_path is not None]
     # the detections are independent and hold the GIL for much of their
     # time; each job reads its own cloud, so a worker holds one at a time,
     # and this process reads the corner files while the workers run
-    with _forked(partial(_detect_lidar, cfg=cfg), jobs["lidar"]) as lidar_outcomes:
-        camera_outcomes = []  # corner sets, then their detections
-        for corner_path, _ in jobs["camera"]:
+    with _forked(partial(_detect_lidar, cfg=cfg), list(lidars.values())) as lidar_outcomes:
+        corners = {}  # key -> corner set, of each corner file read
+        for key, (path, _) in cameras.items():
             try:
-                camera_outcomes.append(io_formats.read_corners(corner_path, cfg.target))
+                corners[key] = io_formats.read_corners(path, cfg.target)
             except CrosscalError as e:
-                camera_outcomes.append(e)
-        read = [k for k, c in enumerate(camera_outcomes) if not isinstance(c, CrosscalError)]
-        found = detect_target_camera(
-            [camera_outcomes[k] for k in read], cfg.target, [jobs["camera"][k][1] for k in read]
-        )
-        for k, d in zip(read, found):
-            camera_outcomes[k] = d
-        detected = {"camera": camera_outcomes, "lidar": list(lidar_outcomes)}
+                table[key] = e
+        intrinsics = [cameras[key][1] for key in corners]
+        found = detect_target_camera(list(corners.values()), cfg.target, intrinsics)
+        table.update(zip(corners, found))
+        table.update(zip(lidars, lidar_outcomes))
     records = []
-    for seq, sensor, out in slots:
-        if isinstance(out, int):
-            out = detected[sensor.kind][out]
+    for (seq, sensor), out in table.items():
         if isinstance(out, CrosscalError):
             log.warning("sequence %d %s: detection failed: %s", seq, sensor, out)
             warnings += 1
@@ -349,8 +342,8 @@ def cmd_calibrate(args) -> int:
         file=sys.stderr,
     )
     out = Path(args.out)
-    io_formats.write_report(result, out, consistency)
-    _write_manifest(_manifest_path(out), args.config, None, [args.config, args.detections], [out])
+    written = io_formats.write_report(result, out, consistency)
+    _write_manifest(_manifest_path(out), args.config, None, [args.config, args.detections], written)
     _summary(
         args,
         {

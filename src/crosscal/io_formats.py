@@ -27,7 +27,7 @@ from .camera import CameraDetection
 from .errors import IoError, MissingField, ParseError, SchemaVersionMismatch, UnsupportedFormat
 from .geometry import Intrinsics, RigidTransform
 from .lidar import LidarDetection, LidarParams
-from .optimizer import CalibrationResult, SensorId, SolveParams, reprojection_report
+from .optimizer import CalibrationResult, SensorId, SolveParams, display_order, reprojection_report
 from .sim import NoiseModel, ScanPattern, default_intrinsics
 from .target import TargetSpec, checker_corners_board
 
@@ -38,6 +38,11 @@ SCHEMA_VERSION = "v1"
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def write_json(path, doc):
+    """Write `doc` to `path` in the canonical form, atomically."""
+    atomic_write(path, canonical_json(doc))
 
 
 def atomic_write(path, data: str | bytes):
@@ -413,8 +418,7 @@ def _detections_from_json(doc, strict: bool) -> list:
 
 
 def write_detections(path, records):
-    doc = {"version": SCHEMA_VERSION, "records": [_record_to_json(r) for r in records]}
-    atomic_write(path, canonical_json(doc))
+    write_json(path, {"version": SCHEMA_VERSION, "records": [_record_to_json(r) for r in records]})
 
 
 def read_detections(path, strict: bool = False):
@@ -438,6 +442,8 @@ class ConfigFile:
                 raise ParseError(f"intrinsics must be present iff camera ({s})")
         if len(self.sensors) < 2:
             raise ParseError(f"{len(self.sensors)} sensors in config, need >= 2")
+        if self.reference not in self.sensors:
+            raise ParseError(f"reference {self.reference} is not one of the config's sensors")
 
 
 DEFAULT_SIM = {
@@ -456,7 +462,7 @@ def default_config(n_lidars: int = 2, m_cameras: int = 3) -> ConfigFile:
         TargetSpec(),
         LidarParams(),
         SolveParams(),
-        SensorId("camera", 0),
+        display_order(sensors)[0],
         copy.deepcopy(DEFAULT_SIM),
     )
 
@@ -532,7 +538,7 @@ def read_config(path) -> ConfigFile:
 
 
 def write_config(path, cfg: ConfigFile):
-    atomic_write(path, canonical_json(config_to_json(cfg)))
+    write_json(path, config_to_json(cfg))
 
 
 # --- calibration reports ----------------------------------------------------
@@ -595,10 +601,14 @@ def format_report_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(result: CalibrationResult, path, consistency: dict | None = None):
-    """JSON report at `path`, human-readable table alongside as .txt."""
+def write_report(result: CalibrationResult, path, consistency: dict | None = None) -> list:
+    """JSON report at `path`, human-readable table alongside as .txt; -> the
+    two paths. IoError, before either is written, for a `path` ending in .txt."""
     path = Path(path)
+    text_path = path.with_suffix(".txt")
+    if text_path == path:
+        raise IoError(f"report {path} ends in .txt, the name of its table")
     doc = report_to_json(result, consistency)
-    atomic_write(path, canonical_json(doc))
-    atomic_write(path.with_suffix(".txt"), format_report_text(doc))
-    return doc
+    write_json(path, doc)
+    atomic_write(text_path, format_report_text(doc))
+    return [path, text_path]

@@ -368,20 +368,6 @@ def check_circle_geometry(centers_2d, spec: TargetSpec) -> None:
                 )
 
 
-def rough_board_pose(cloud: np.ndarray, p: LidarParams) -> RigidTransform:
-    """Fallback board-pose guess when no operator initialization exists:
-    centroid of the filtered cloud plus its least-squares plane normal
-    (oriented back toward the sensor), with board x horizontal (the
-    sensor's x for a board lying flat). In-plane orientation is arbitrary,
-    so downstream ordering resolution matters more when this path is used."""
-    filtered = filter_cloud(cloud, p)
-    plane = _fit_plane_lsq(filtered)
-    n = -plane.normal() if plane.d < 0 else plane.normal()  # board z faces the sensor
-    x = np.cross([0.0, 0.0, 1.0], n)
-    frame = normalize_plane(n, x if x.any() else [1.0, 0.0, 0.0])
-    return RigidTransform(frame.T, filtered.mean(axis=0))
-
-
 def _convex_hull(xy: np.ndarray) -> np.ndarray:
     """The convex hull's vertices among the points `xy` (n, 2), counter-
     clockwise, with no collinear ones: Andrew's monotone chain (A. M. Andrew,
@@ -454,7 +440,7 @@ def board_outline(flat_pts: np.ndarray, max_size=None):
 def detect_target_lidar(
     cloud: np.ndarray,
     spec: TargetSpec,
-    t_init: RigidTransform,
+    t_init: RigidTransform | None,
     p: LidarParams,
 ) -> LidarDetection:
     """Full board detection: filter -> crop -> RANSAC -> plane outline ->
@@ -463,17 +449,25 @@ def detect_target_lidar(
     The prior `t_init` only places the crop (the points within the board's
     half diagonal plus _CROP_MARGIN of its translation), orients the plane's
     normal like its board z, and picks which of the outline's four axes is
-    the board x: the one nearest its own. The plane frame (`normalize_plane`)
+    the board x: the one nearest its own. With no prior (None), the filtered
+    cloud gives one: its centroid, its least-squares plane turned to face the
+    sensor as board z, and board x horizontal. The plane frame (`normalize_plane`)
     then takes the RANSAC plane's normal as z and that axis as x, so the grid
     lies in the board plane with the design offsets along its axes, and the
     outline's center plus the design offsets are the `preferred` centers.
     The grid centers are lifted back at the inliers' mean height in that
     frame and snapped onto the plane; so is the outline's center, which with
     the frame is the detection's pose."""
-    prior_x, _, prior_z = t_init.rotation.T
     radius = np.hypot(spec.board_width, spec.board_height) / 2 + _CROP_MARGIN
     try:
         filtered = filter_cloud(cloud, p)
+        if t_init is None:
+            plane = _fit_plane_lsq(filtered)
+            n = -plane.normal() if plane.d < 0 else plane.normal()  # board z faces the sensor
+            x = np.cross([0.0, 0.0, 1.0], n)
+            frame = normalize_plane(n, x if x.any() else [1.0, 0.0, 0.0])
+            t_init = RigidTransform(frame.T, filtered.mean(axis=0))
+        prior_x, _, prior_z = t_init.rotation.T
         crop = match_points(filtered, t_init.translation, radius)
         plane, inliers = ransac_plane(crop, p)
         n = plane.normal()

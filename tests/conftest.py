@@ -8,7 +8,14 @@ import numpy as np
 from crosscal import geometry, io_formats, sim
 from crosscal.camera import CameraDetection, detect_target_camera
 from crosscal.errors import CrosscalError
-from crosscal.lidar import LidarParams, detect_target_lidar
+from crosscal.geometry import RigidTransform
+from crosscal.lidar import (
+    LidarParams,
+    _fit_plane_lsq,
+    detect_target_lidar,
+    filter_cloud,
+    normalize_plane,
+)
 from crosscal.optimizer import SequenceObservations
 
 ACCEPTANCE_LINES = []
@@ -219,6 +226,23 @@ def lm_without_reduction_stop(state, residual_fn, normal_fn, plus, max_iter=100,
         if converged:
             break
     return state, cost, converged
+
+
+def rough_board_pose(cloud: np.ndarray, p: LidarParams) -> RigidTransform:
+    """Fallback board-pose guess when no operator initialization exists:
+    centroid of the filtered cloud plus its least-squares plane normal
+    (oriented back toward the sensor), with board x horizontal (the
+    sensor's x for a board lying flat). In-plane orientation is arbitrary,
+    so downstream ordering resolution matters more when this path is used.
+
+    The library's no-prior pose as it was before `detect_target_lidar` took
+    a None prior and computed it in place: the reference of that path."""
+    filtered = filter_cloud(cloud, p)
+    plane = _fit_plane_lsq(filtered)
+    n = -plane.normal() if plane.d < 0 else plane.normal()  # board z faces the sensor
+    x = np.cross([0.0, 0.0, 1.0], n)
+    frame = normalize_plane(n, x if x.any() else [1.0, 0.0, 0.0])
+    return RigidTransform(frame.T, filtered.mean(axis=0))
 
 
 def oracle_observations(scene):

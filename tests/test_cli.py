@@ -415,7 +415,7 @@ def test_detect_output_parses_with_full_coverage(ws):
     assert man["outputs"] == ["detections.json"]
     man = json.loads((ws["root"] / "report.manifest.json").read_text())
     assert man["inputs"] == ["config.json", "detections.json"]
-    assert man["outputs"] == ["report.json"]
+    assert man["outputs"] == ["report.json", "report.txt"]
 
 
 def test_detect_empty_dataset_exit_4(ws, tmp_path):
@@ -633,7 +633,8 @@ def test_detect_writes_records_in_index_order(ws, tmp_path):
 
 
 def test_detect_and_calibrate_without_init_files(ws, tmp_path):
-    """With no operator prior, each board pose comes from `rough_board_pose`;
+    """With no operator prior, the detector derives each board pose from the
+    cloud (`detect_target_lidar`'s None prior);
     the noise-free detections still meet the zero-noise criterion's bounds on
     the circle centers: 1e-5 m off the board plane, 2 grid cells in it, for
     the best of the 4 cyclic orders `calibrate` resolves."""
@@ -662,8 +663,9 @@ def test_detect_and_calibrate_without_init_files(ws, tmp_path):
 def test_detect_and_calibrate_without_init_files_on_noisy_clouds(tmp_path):
     """The no-prior path under 5 mm range and 0.5 px corner noise on the
     default rig's 20 stations: every one of the 40 LiDAR clouds is detected
-    from `rough_board_pose`, and each pose stays within the noisy rig's
-    bound of 0.1 m / 1 deg, which a wrong void or circle order exceeds."""
+    with `detect_target_lidar`'s None prior, and each pose stays within the
+    noisy rig's bound of 0.1 m / 1 deg, which a wrong void or circle order
+    exceeds."""
     cfg = io_formats.default_config()
     noise = {"lidar_sigma": 0.005, "pixel_sigma": 0.5, "dropout": 0.0}
     config = tmp_path / "config.json"
@@ -689,6 +691,60 @@ def test_detect_and_calibrate_without_init_files_on_noisy_clouds(tmp_path):
         d = geometry.compose(geometry.invert(truth), io_formats.pose_from_json(doc))
         assert np.linalg.norm(d.translation) < 0.1
         assert geometry.rotation_angle(d.rotation) < np.deg2rad(1.0)
+
+
+def test_detect_without_init_files_names_the_failed_stage(ws, tmp_path, caplog):
+    """A no-prior cloud of ground only fails in the detector's filter stage,
+    and its warning names the stage, as with an init file."""
+    data = tmp_path / "data"
+    shutil.copytree(ws["data"], data, ignore=shutil.ignore_patterns("init_lidar*.json"))
+    cloud_path = data / "seq_000" / "cloud_lidar0.ply"
+    cloud = io_formats.read_cloud(cloud_path)
+    h_min = io_formats.read_config(ws["config"]).lidar_params.h_min
+    io_formats.write_cloud(cloud_path, cloud[cloud[:, 2] < h_min])
+    argv = ["detect", "--config", str(ws["config"]), "--data", str(data)]
+    with caplog.at_level(logging.WARNING, logger="crosscal"):
+        assert cli.main(argv + ["--out", str(tmp_path / "d.json")]) == 0
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warned) == 1
+    assert "sequence 0 lidar0: detection failed: stage 'filter': 0 points" in warned[0]
+
+
+@pytest.mark.parametrize(
+    "original, copy", [("seq_001", "seq_1"), ("seq_001/cloud_lidar1.ply", "seq_001/cloud_lidar01.ply")]
+)
+def test_detect_two_names_for_one_station_and_sensor(ws, tmp_path, caplog, original, copy):
+    """A second file for a (station, sensor) already listed fails it, with one
+    warning naming both files; neither is detected, and `calibrate` reads
+    what `detect` writes."""
+    data = tmp_path / "data"
+    shutil.copytree(ws["data"], data)
+    everything = [(r.sequence, r.sensor) for r in io_formats.read_detections(ws["det"])]
+    if (data / original).is_dir():
+        shutil.copytree(data / original, data / copy)
+        name = {"lidar": "cloud_{}.ply", "camera": "corners_{}.json"}
+        files = {
+            (seq, s): [data / d / name[s.kind].format(s) for d in (original, copy)]
+            for seq, s in everything
+            if seq == 1
+        }
+    else:
+        shutil.copy(data / original, data / copy)
+        files = {(1, SensorId("lidar", 1)): [data / original, data / copy]}
+    det, report = tmp_path / "d.json", tmp_path / "r.json"
+    config = ["--config", str(ws["config"])]
+    with caplog.at_level(logging.WARNING, logger="crosscal"):
+        assert cli.main(["detect", *config, "--data", str(data), "--out", str(det)]) == 0
+    assert [(r.sequence, r.sensor) for r in io_formats.read_detections(det)] == [
+        k for k in everything if k not in files
+    ]
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warned) == len(files)
+    for (seq, sensor), paths in files.items():
+        (message,) = [m for m in warned if m.startswith(f"sequence {seq} {sensor}: ")]
+        assert all(str(path) in message for path in paths), message
+    assert json.loads((tmp_path / "d.manifest.json").read_text())["warnings"] == len(files)
+    assert cli.main(["calibrate", *config, "--detections", str(det), "--out", str(report)]) == 0
 
 
 def _detect(ws, out):
@@ -1043,6 +1099,80 @@ def test_calibrate_unknown_reference_exit_2(ws, tmp_path, caplog):
         with caplog.at_level(logging.ERROR, logger="crosscal"):
             assert cli.main(argv + ["--out", str(tmp_path / "r.json"), "--reference", name]) == 2
         assert f"unknown reference sensor {name!r}" in caplog.text
+
+
+def test_calibrate_out_ending_in_txt_exit_2(ws, tmp_path, caplog):
+    """The report's table goes beside it as .txt, so a .txt --out would be
+    overwritten by its own table: refused before anything is written."""
+    argv = ["calibrate", "--config", str(ws["config"]), "--detections", str(ws["det"])]
+    with caplog.at_level(logging.ERROR, logger="crosscal"):
+        assert cli.main(argv + ["--out", str(tmp_path / "rep.txt")]) == 2
+    assert "file error" in caplog.text and "rep.txt" in caplog.text
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["simulate", "detect", "calibrate"])
+def test_config_reference_not_a_listed_sensor_exit_2(ws, tmp_path, caplog, command):
+    doc = json.loads(ws["config"].read_text())
+    doc["reference"] = {"kind": "camera", "index": 7}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = {
+        "simulate": ["--out", str(out)],
+        "detect": ["--data", str(ws["data"]), "--out", str(out)],
+        "calibrate": ["--detections", str(ws["det"]), "--out", str(out)],
+    }[command]
+    with caplog.at_level(logging.ERROR, logger="crosscal"):
+        assert cli.main([command, "--config", str(config), *argv]) == 2
+    assert "input error" in caplog.text
+    assert "reference camera7 is not one of the config's sensors" in caplog.text
+    assert not out.exists()
+
+
+def _translations(report: Path) -> dict:
+    return {
+        name: np.array(doc["translation"])
+        for name, doc in json.loads(report.read_text())["poses"].items()
+    }
+
+
+_LIDAR_SWAP = {SensorId("lidar", 0): SensorId("lidar", 1), SensorId("lidar", 1): SensorId("lidar", 0)}
+
+
+# Reordering and renumbering leave the solve's start and path alone: its
+# poses move by float rounding. Relabelled LiDARs or doubled stations start
+# it elsewhere, and it stops within its gradient tolerance of the minimum:
+# 3.0e-8 m apart for the swap and 1.2e-8 m for the doubling on this dataset.
+@pytest.mark.parametrize(
+    "edit, renamed, bound",
+    [
+        (lambda recs: [recs[k] for k in np.random.default_rng(5).permutation(len(recs))], {}, 1e-9),
+        (lambda recs: recs[::-1], {}, 1e-9),
+        (lambda recs: [replace(r, sequence=100 - 7 * r.sequence) for r in recs], {}, 1e-9),
+        (
+            lambda recs: [replace(r, sensor=_LIDAR_SWAP.get(r.sensor, r.sensor)) for r in recs],
+            {"lidar0": "lidar1", "lidar1": "lidar0"},
+            1e-6,
+        ),
+        (lambda recs: recs + [replace(r, sequence=r.sequence + 1000) for r in recs], {}, 1e-6),
+    ],
+    ids=["shuffled", "reversed", "renumbered", "lidars-swapped", "stations-doubled"],
+)
+def test_calibrate_does_not_depend_on_record_order_station_numbers_or_lidar_labels(
+    ws, tmp_path, edit, renamed, bound
+):
+    """The same detections, reordered, renumbered, with lidar0 and lidar1
+    relabelled, or with every station given twice under new numbers, solve
+    to the same poses (the relabelled LiDARs' under each other's name)."""
+    det, report = tmp_path / "d.json", tmp_path / "r.json"
+    io_formats.write_detections(det, edit(io_formats.read_detections(ws["det"])))
+    argv = ["calibrate", "--config", str(ws["config"]), "--detections", str(det)]
+    assert cli.main(argv + ["--out", str(report)]) == 0
+    got = {renamed.get(name, name): t for name, t in _translations(report).items()}
+    want = _translations(ws["report"])
+    assert got.keys() == want.keys()
+    assert max(np.linalg.norm(got[k] - want[k]) for k in want) <= bound
 
 
 def test_calibrate_malformed_detections_exit_2(ws, tmp_path, caplog):

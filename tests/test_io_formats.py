@@ -441,6 +441,17 @@ def test_config_duplicate_sensor_ids():
         io_formats.config_from_json(doc)
 
 
+def test_config_reference_is_one_of_its_sensors():
+    """`default_config` takes the first sensor in display order (camera0 when
+    there are cameras, lidar0 otherwise); a config naming another is refused."""
+    assert io_formats.default_config().reference == SensorId("camera", 0)
+    assert io_formats.default_config(2, 0).reference == SensorId("lidar", 0)
+    doc = io_formats.config_to_json(io_formats.default_config())
+    doc["reference"] = {"kind": "lidar", "index": 2}
+    with pytest.raises(ParseError, match="reference lidar2 is not one of the config's sensors"):
+        io_formats.config_from_json(doc)
+
+
 def test_config_intrinsics_iff_camera():
     lidar = {SensorId("lidar", 1): None}  # a valid second sensor
     cam_no_intr = {SensorId("camera", 0): None}
@@ -530,8 +541,10 @@ def test_report_round_trip(tmp_path):
     )
     result = optimizer.solve(problem)
     path = tmp_path / "report.json"
-    doc = io_formats.write_report(result, path, {"chain": "S1->S2->S1", "mode": "solved"})
+    consistency = {"chain": "S1->S2->S1", "mode": "solved"}
+    assert io_formats.write_report(result, path, consistency) == [path, tmp_path / "report.txt"]
     assert path.exists() and path.with_suffix(".txt").exists()
+    doc = io_formats.report_to_json(result, consistency)
     back = json.loads(path.read_text())
     assert back == doc
     assert back["reference"] == "camera0"

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import matrix, rig, rotation_exp
+from conftest import matrix, rig, rotation_exp, rough_board_pose
 from crosscal import cli, geometry, io_formats, lidar, sim
 from crosscal.errors import (
     DegenerateInput,
@@ -845,6 +845,27 @@ def test_detect_board_on_a_wall_fails_at_the_outline():
     with pytest.raises(PoorFit, match="stage 'outline'") as ei:
         detect_target_lidar(cloud, SPEC, t_init, P)
     assert ei.value.stage == "outline"
+
+
+@pytest.mark.parametrize("noise", [None, sim.NoiseModel(lidar_sigma=0.005)], ids=["clean", "noisy"])
+def test_detect_without_a_prior_is_the_detection_from_the_rough_pose(noise):
+    """With no prior the detector derives the rough pose from the cloud it
+    has filtered: bit for bit the detection from `rough_board_pose`'s pose."""
+    scene = _lidar_scene(noise=noise, sequences=3, seed=11)
+    for seq in range(len(scene.board_poses)):
+        for s in scene.sensor_ids:
+            cloud = sim.render_lidar(scene, s, seq)
+            det = detect_target_lidar(cloud, scene.spec, None, P)
+            ref = detect_target_lidar(cloud, scene.spec, rough_board_pose(cloud, P), P)
+            assert np.array_equal(matrix(det.pose), matrix(ref.pose))
+            assert np.array_equal(det.centers, ref.centers)
+            assert det.fitness == ref.fitness
+
+
+def test_detect_without_a_prior_on_ground_only_fails_at_the_filter():
+    cloud = sim.render_lidar(_lidar_scene(), SensorId("lidar", 0), 0)
+    with pytest.raises(EmptyAfterFilter, match="stage 'filter'"):
+        detect_target_lidar(cloud[cloud[:, 2] < P.h_min], SPEC, None, P)
 
 
 def test_detect_noisy_centers_within_2cm_20_trials():

@@ -4,9 +4,9 @@ Every command writes a run manifest (seed, config hash, tool version,
 inputs/outputs) next to its outputs so runs are reproducible: `simulate` as
 `manifest.json` in its dataset directory, `detect` and `calibrate` as
 `<output stem>.manifest.json` beside their output file. The manifest names
-files by their paths relative to its own directory. With the same inputs
-(and, for `simulate`, the same seed) the outputs are byte-identical, also when
-the inputs and outputs move together to another directory.
+files by their paths relative to its own directory. With the same inputs the
+outputs are byte-identical, also when the inputs and outputs move together
+to another directory.
 """
 
 from __future__ import annotations
@@ -66,8 +66,13 @@ def _manifest_path(out: Path) -> Path:
     return out.with_name(out.stem + ".manifest.json")
 
 
-def _config_hash(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _refuse_overwriting(inputs, outputs):
+    """IoError when an output already is the file (inode, device) of an input."""
+    present = [p for p in outputs if os.path.exists(p)]
+    read = {os.stat(p)[1:3] for p in inputs if present and os.path.exists(p)}
+    for path in present:
+        if os.stat(path)[1:3] in read:
+            raise IoError(f"output {path} is one of the command's inputs")
 
 
 def _write_manifest(path, config_path, seed, inputs, outputs, warnings=0):
@@ -76,7 +81,7 @@ def _write_manifest(path, config_path, seed, inputs, outputs, warnings=0):
     doc = {
         "tool_version": __version__,
         "seed": seed,
-        "config_sha256": _config_hash(config_path),
+        "config_sha256": hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
         "inputs": sorted(os.path.relpath(p, here) for p in inputs),
         "outputs": sorted(os.path.relpath(p, here) for p in outputs),
         "warnings": warnings,
@@ -103,8 +108,7 @@ def cmd_simulate(args) -> int:
     if any(out.glob("seq_*")):
         raise IoError(f"{out} already holds stations (seq_*); simulate into a new directory")
     cfg = io_formats.read_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.sim["seed"]
-    scene = _scene_from_config(cfg, seed)
+    scene = _scene_from_config(cfg, cfg.sim["seed"])
     outputs = []
     gt_doc = {
         "sensors": {str(s): io_formats.pose_to_json(t) for s, t in scene.sensors.items()},
@@ -132,7 +136,7 @@ def cmd_simulate(args) -> int:
             outputs.append(path)
         for paths in lidar_outputs:
             outputs += paths
-    _write_manifest(out / "manifest.json", args.config, seed, [args.config], outputs)
+    _write_manifest(out / "manifest.json", args.config, scene.seed, [args.config], outputs)
     _summary(args, {"command": "simulate", "sequences": len(scene.board_poses), "out": str(out)})
     return EXIT_OK
 
@@ -223,7 +227,6 @@ def cmd_detect(args) -> int:
     data = Path(args.data)
     if not data.is_dir():
         raise IoError(f"dataset {data} is not a directory")
-    inputs = [args.config]
     warnings = 0
     # (sequence, sensor) -> the files that name it, then its outcome, in the
     # order the records are written. A file whose name gives no sensor index
@@ -239,7 +242,6 @@ def cmd_detect(args) -> int:
         for kind, prefix, suffix in _DATASET_FILES:
             files = [path for seq_dir in seq_dirs for path in seq_dir.glob(f"{prefix}*{suffix}")]
             for index, path in _by_index(files, prefix, suffix):
-                inputs.append(path)
                 sensor = path.name if index is None else SensorId(kind, index)
                 table.setdefault((seq, sensor), []).append(path)
     lidars, cameras = {}, {}  # key -> (cloud, init file or None) | (corner file, intrinsics)
@@ -257,7 +259,11 @@ def cmd_detect(args) -> int:
             lidars[key] = (paths[0], init_path if init_path.exists() else None)
         else:
             cameras[key] = (paths[0], cfg.sensors[sensor])
-    inputs += [init_path for _, init_path in lidars.values() if init_path is not None]
+    # the files read: the config, each LiDAR's cloud and init file, each corner file
+    inputs = [args.config, *(p for job in lidars.values() for p in job if p is not None)]
+    inputs += [path for path, _ in cameras.values()]
+    out = Path(args.out)
+    _refuse_overwriting(inputs, [out, _manifest_path(out)])
     # the detections are independent and hold the GIL for much of their
     # time; each job reads its own cloud, so a worker holds one at a time,
     # and this process reads the corner files while the workers run
@@ -273,15 +279,14 @@ def cmd_detect(args) -> int:
         table.update(zip(corners, found))
         table.update(zip(lidars, lidar_outcomes))
     records = []
-    for (seq, sensor), out in table.items():
-        if isinstance(out, CrosscalError):
-            log.warning("sequence %d %s: detection failed: %s", seq, sensor, out)
+    for (seq, sensor), outcome in table.items():
+        if isinstance(outcome, CrosscalError):
+            log.warning("sequence %d %s: detection failed: %s", seq, sensor, outcome)
             warnings += 1
         else:
-            records.append(DetectionRecord(seq, sensor, out))
+            records.append(DetectionRecord(seq, sensor, outcome))
     if not records:
         raise NoDetections(f"none succeeded under {data}")
-    out = Path(args.out)
     io_formats.write_detections(out, records)
     _write_manifest(_manifest_path(out), args.config, None, inputs, [out], warnings)
     _summary(
@@ -307,6 +312,9 @@ def _parse_reference(cfg, text):
 
 
 def cmd_calibrate(args) -> int:
+    out = Path(args.out)
+    reports = io_formats.report_paths(out)
+    _refuse_overwriting([args.config, args.detections], reports + [_manifest_path(out)])
     cfg = io_formats.read_config(args.config)
     reference = _parse_reference(cfg, args.reference)
     records = io_formats.read_detections(args.detections, strict=args.strict_schema)
@@ -320,7 +328,7 @@ def cmd_calibrate(args) -> int:
     detections = [
         optimizer.SequenceObservations(seq, obs) for seq, obs in sorted(by_seq.items())
     ]
-    problem = optimizer.build_problem(detections, reference, cfg.sensors, cfg.solve_params)
+    problem = optimizer.build_problem(detections, reference, cfg.sensors)
     result = optimizer.solve(problem)
     chain = list(result.problem.sensors)
     if args.pairwise_mode:
@@ -341,9 +349,8 @@ def cmd_calibrate(args) -> int:
         f"translation {trans_dev:.3e} m",
         file=sys.stderr,
     )
-    out = Path(args.out)
-    written = io_formats.write_report(result, out, consistency)
-    _write_manifest(_manifest_path(out), args.config, None, [args.config, args.detections], written)
+    io_formats.write_report(result, out, consistency)
+    _write_manifest(_manifest_path(out), args.config, None, [args.config, args.detections], reports)
     _summary(
         args,
         {
@@ -376,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset with ground truth")
     common(p)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)
 

@@ -27,7 +27,7 @@ from .camera import CameraDetection
 from .errors import IoError, MissingField, ParseError, SchemaVersionMismatch, UnsupportedFormat
 from .geometry import Intrinsics, RigidTransform
 from .lidar import LidarDetection, LidarParams
-from .optimizer import CalibrationResult, SensorId, SolveParams, display_order, reprojection_report
+from .optimizer import CalibrationResult, SensorId, display_order, reprojection_report
 from .sim import NoiseModel, ScanPattern, default_intrinsics
 from .target import TargetSpec, checker_corners_board
 
@@ -432,7 +432,6 @@ class ConfigFile:
     sensors: dict  # SensorId -> Intrinsics of a camera, None for a LiDAR; file order
     target: TargetSpec
     lidar_params: LidarParams
-    solve_params: SolveParams
     reference: SensorId
     sim: dict  # simulate-only knobs: sequences, noise, scan, seed
 
@@ -458,12 +457,7 @@ def default_config(n_lidars: int = 2, m_cameras: int = 3) -> ConfigFile:
     sensors = {SensorId("camera", j): default_intrinsics() for j in range(m_cameras)}
     sensors.update({SensorId("lidar", i): None for i in range(n_lidars)})
     return ConfigFile(
-        sensors,
-        TargetSpec(),
-        LidarParams(),
-        SolveParams(),
-        display_order(sensors)[0],
-        copy.deepcopy(DEFAULT_SIM),
+        sensors, TargetSpec(), LidarParams(), display_order(sensors)[0], copy.deepcopy(DEFAULT_SIM)
     )
 
 
@@ -478,7 +472,6 @@ def config_to_json(cfg: ConfigFile) -> dict:
         "sensors": sensors,
         "target": asdict(cfg.target),
         "lidar_params": asdict(cfg.lidar_params),
-        "solve_params": asdict(cfg.solve_params),
         "reference": sensor_to_json(cfg.reference),
         "sim": cfg.sim,
     }
@@ -522,7 +515,6 @@ def config_from_json(doc: dict) -> ConfigFile:
             target = {**target, "circle_offsets": offsets}
         spec = _dataclass_from(target, TargetSpec, "target")
         lp = _dataclass_from(doc["lidar_params"], LidarParams, "lidar_params")
-        sp = _dataclass_from(doc["solve_params"], SolveParams, "solve_params")
         ref = sensor_from_json(doc["reference"])
         sim = {**DEFAULT_SIM, **doc["sim"]}
         _reject_unknown(sim, DEFAULT_SIM, "sim")
@@ -530,7 +522,7 @@ def config_from_json(doc: dict) -> ConfigFile:
             sim[key] = asdict(_dataclass_from({**DEFAULT_SIM[key], **sim[key]}, cls, f"sim.{key}"))
         for key, low in (("sequences", 1), ("seed", 0)):
             sim[key] = _integer(sim[key], f"sim.{key}", low)
-        return ConfigFile(sensors, spec, lp, sp, ref, sim)
+        return ConfigFile(sensors, spec, lp, ref, sim)
 
 
 def read_config(path) -> ConfigFile:
@@ -601,14 +593,18 @@ def format_report_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(result: CalibrationResult, path, consistency: dict | None = None) -> list:
-    """JSON report at `path`, human-readable table alongside as .txt; -> the
-    two paths. IoError, before either is written, for a `path` ending in .txt."""
+def report_paths(path) -> list:
+    """[`path`, its .txt twin]: a JSON report and its table; IoError for a .txt `path`."""
     path = Path(path)
     text_path = path.with_suffix(".txt")
     if text_path == path:
         raise IoError(f"report {path} ends in .txt, the name of its table")
-    doc = report_to_json(result, consistency)
-    write_json(path, doc)
-    atomic_write(text_path, format_report_text(doc))
     return [path, text_path]
+
+
+def write_report(result: CalibrationResult, path, consistency: dict | None = None):
+    """The JSON report and its table at `report_paths(path)`."""
+    json_path, text_path = report_paths(path)
+    doc = report_to_json(result, consistency)
+    write_json(json_path, doc)
+    atomic_write(text_path, format_report_text(doc))

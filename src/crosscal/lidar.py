@@ -2,8 +2,8 @@
 occupancy grid and circle refinement.
 
 The stages are exposed individually (each is pure and independently
-testable) and chained by detect_target_lidar. All randomized steps draw
-from a generator seeded by LidarParams.rng_seed, so a full detection is
+testable) and chained by detect_target_lidar. RANSAC, the one randomized
+step, draws from a generator of fixed seed, so a full detection is
 bit-deterministic.
 """
 
@@ -40,10 +40,14 @@ class cKDTree:  # noqa: N801
     """Placeholder for the tracer to subclass; the program builds no KD-tree."""
 
 
-# ransac_plane scores hypotheses _STOP_STEP at a time, and stops when the
-# chance that none it scored was an all-inlier triplet is below _MISS.
+# ransac_plane draws from a generator seeded by _SEED, scores hypotheses
+# _STOP_STEP at a time, and stops when the chance that none it scored was an
+# all-inlier triplet is below _MISS. A plane that holds less than
+# _MIN_INLIER_SHARE of the points is a LowInlierRatio.
 _STOP_STEP = 8
 _MISS = 1e-6
+_SEED = 0
+_MIN_INLIER_SHARE = 0.3
 
 # m, added to the board's half diagonal around the prior's translation: the
 # crop that ransac_plane sees
@@ -73,17 +77,13 @@ class LidarParams:
     d_min: float = 0.5
     d_max: float = 8.0
     ransac_eps: float = 0.02
-    ransac_iters: int = 500  # triplets drawn: the cap on the hypotheses ransac_plane scores
     grid_res: int = 200  # cells per meter
-    rng_seed: int = 0
 
     def __post_init__(self):
-        if self.d_min < 0 or min(self.d_max, self.ransac_eps) <= 0:
-            raise ValueError("d_min must be >= 0, d_max and ransac_eps > 0")
+        if self.d_min < 0 or min(self.d_max, self.ransac_eps) <= 0 or self.grid_res < 2:
+            raise ValueError("d_min must be >= 0, d_max and ransac_eps > 0, grid_res >= 2")
         if self.d_min >= self.d_max:
             raise ValueError("d_min must be < d_max")
-        if self.ransac_iters < 1 or self.grid_res < 2 or self.rng_seed < 0:
-            raise ValueError("ransac_iters must be >= 1, grid_res >= 2 and rng_seed >= 0")
 
 
 @dataclass(frozen=True)
@@ -188,18 +188,19 @@ def ransac_plane(pts: np.ndarray, p: LidarParams):
     """RANSAC plane segmentation; consensus plane is least-squares refit to
     its inliers and inliers recomputed against the refit plane.
 
-    All `p.ransac_iters` triplets are drawn at once (`_draw_triplets`) from a
-    generator seeded by `p.rng_seed`. Their planes are scored _STOP_STEP at a
-    time until the hypotheses scored reach `_draws_needed` of the best inlier
-    share so far, or all of them (the cap, which binds below a share of about
-    0.3); collinear triplets score nothing, so they never stop the scan. Of
-    the hypotheses scored, the first with the maximal inlier count wins, and
-    its consensus set is taken from its plane computed for that triplet alone."""
+    The `_draws_needed(_MIN_INLIER_SHARE)` triplets (505) that the inlier
+    floor needs are drawn at once (`_draw_triplets`). Their planes are
+    scored _STOP_STEP at a time until the hypotheses scored reach
+    `_draws_needed` of the best inlier share so far, or all of them (the
+    cap, which binds only below the floor); collinear triplets score
+    nothing, so they never stop the scan. Of the hypotheses scored, the
+    first with the maximal inlier count wins, and its consensus set is
+    taken from its plane computed for that triplet alone."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
     if len(pts) < 3:
         raise DegenerateInput(f"{len(pts)} points, need >= 3")
     n_pts = len(pts)
-    tri = _draw_triplets(np.random.default_rng(p.rng_seed), n_pts, p.ransac_iters)
+    tri = _draw_triplets(np.random.default_rng(_SEED), n_pts, _draws_needed(_MIN_INLIER_SHARE))
     counts = np.full(len(tri), -1)
     scored, needed = 0, math.inf
     while scored < min(needed, len(tri)):
@@ -219,7 +220,7 @@ def ransac_plane(pts: np.ndarray, p: LidarParams):
         raise DegenerateInput("consensus set degenerate")
     plane = _fit_plane_lsq(consensus)
     inliers = pts[plane.distances(pts) < p.ransac_eps]
-    if len(inliers) < 0.3 * n_pts:
+    if len(inliers) < _MIN_INLIER_SHARE * n_pts:
         cap = " (the cap)" if needed > scored else ""
         raise LowInlierRatio(
             f"{len(inliers)}/{n_pts} inliers, best of {scored} hypotheses{cap}: "

@@ -68,10 +68,6 @@ class SolveParams:
     max_iter: int = 100
     gradient_tol: float = 1e-9
 
-    def __post_init__(self):
-        if self.max_iter < 1 or self.gradient_tol <= 0:
-            raise ValueError("max_iter must be >= 1 and gradient_tol > 0")
-
 
 @dataclass(frozen=True)
 class CalibrationProblem:

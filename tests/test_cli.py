@@ -202,7 +202,7 @@ def test_simulate_into_a_dataset_exit_2(ws, tmp_path, caplog):
     out = tmp_path / "data"
     shutil.copytree(ws["data"], out)
     before = _tree_bytes(out)
-    argv = ["simulate", "--config", str(ws["config"]), "--seed", "1", "--out", str(out)]
+    argv = ["simulate", "--config", str(ws["config"]), "--out", str(out)]
     with caplog.at_level(logging.ERROR, logger="crosscal"):
         assert cli.main(argv) == 2
     assert "file error" in caplog.text and str(out) in caplog.text
@@ -285,10 +285,14 @@ def test_simulate_bad_config_exit_2(tmp_path):
     assert cli.main(["simulate", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("key", ["gicp_max_iter", "gicp_corr_dist", "gicp_fitness_eps", "nn_delta"])
+@pytest.mark.parametrize(
+    "key",
+    ["gicp_max_iter", "gicp_corr_dist", "gicp_fitness_eps", "nn_delta", "rng_seed", "ransac_iters"],
+)
 def test_config_naming_a_removed_lidar_param_exit_2(tmp_path, caplog, key):
-    """The GICP settings and `nn_delta` left the detector with GICP; a config
-    that still names one is an unknown key, not silently ignored."""
+    """The GICP settings and `nn_delta` left the detector with GICP, and
+    RANSAC's seed and draw count are constants; a config that still names
+    one is an unknown key, not silently ignored."""
     doc = io_formats.config_to_json(io_formats.default_config())
     doc["lidar_params"][key] = 1
     path = tmp_path / "cfg.json"
@@ -747,6 +751,39 @@ def test_detect_two_names_for_one_station_and_sensor(ws, tmp_path, caplog, origi
     assert cli.main(["calibrate", *config, "--detections", str(det), "--out", str(report)]) == 0
 
 
+def test_detect_manifest_lists_the_files_it_reads(ws, tmp_path):
+    """The manifest's inputs are the config and the files that become jobs:
+    each cloud with its init file, and each corner file, also one that fails
+    to parse. Not a file of an unlisted sensor, a name with no sensor index,
+    nor either file of a repeated (station, sensor)."""
+    data = tmp_path / "data"
+    shutil.copytree(ws["data"], data)
+    unread = [
+        data / "seq_000" / "cloud_lidar5.ply",
+        data / "seq_000" / "cloud_lidarX.ply",
+        data / "seq_001" / "cloud_lidar00.ply",
+        data / "seq_001" / "cloud_lidar0.ply",
+        data / "seq_001" / "init_lidar0.json",
+    ]
+    for path in unread[:3]:
+        shutil.copy(data / "seq_001" / "cloud_lidar0.ply", path)
+    broken = sorted(data.glob("seq_002/corners_camera*.json"))[0]
+    broken.write_text("{not json")
+    out = tmp_path / "d.json"
+    argv = ["detect", "--config", str(ws["config"]), "--data", str(data), "--out", str(out)]
+    assert cli.main(argv) == 0
+    read = [ws["config"]] + [
+        path
+        for pattern in ("cloud_lidar*.ply", "init_lidar*.json", "corners_camera*.json")
+        for path in data.glob(f"seq_*/{pattern}")
+        if path not in unread
+    ]
+    assert broken in read
+    man = json.loads((tmp_path / "d.manifest.json").read_text())
+    assert man["inputs"] == sorted(os.path.relpath(p, tmp_path) for p in read)
+    assert man["warnings"] == 4  # lidar5, lidarX, the repeated lidar0, the broken corners
+
+
 def _detect(ws, out):
     return cli.main(
         ["detect", "--config", str(ws["config"]), "--data", str(ws["data"]), "--out", str(out)]
@@ -1109,6 +1146,75 @@ def test_calibrate_out_ending_in_txt_exit_2(ws, tmp_path, caplog):
         assert cli.main(argv + ["--out", str(tmp_path / "rep.txt")]) == 2
     assert "file error" in caplog.text and "rep.txt" in caplog.text
     assert not list(tmp_path.iterdir())
+
+
+def _copy_inputs(ws, tmp_path, config_name="config.json"):
+    """A copy of the config (as `config_name`), the dataset and the
+    detections under `tmp_path`."""
+    shutil.copy(ws["config"], tmp_path / config_name)
+    shutil.copytree(ws["data"], tmp_path / "data")
+    shutil.copy(ws["det"], tmp_path / "d.json")
+    return tmp_path / config_name, tmp_path / "data", tmp_path / "d.json"
+
+
+@pytest.mark.parametrize(
+    "config_name, out",
+    [
+        ("config.json", "config.json"),
+        ("config.json", "data/seq_000/corners_camera0.json"),
+        ("config.json", "data/seq_001/../seq_000/init_lidar0.json"),
+        ("config.json", "data/seq_000/cloud_lidar0.ply"),
+        ("out.manifest.json", "out.json"),  # its manifest
+    ],
+    ids=["config", "corner-file", "init-file", "cloud", "manifest-onto-the-config"],
+)
+def test_detect_output_onto_one_of_its_inputs_exit_2(ws, tmp_path, caplog, config_name, out):
+    """An output that names a file `detect` reads is refused before any
+    file is read or written."""
+    config, data, _ = _copy_inputs(ws, tmp_path, config_name)
+    before = _tree_bytes(tmp_path)
+    argv = ["detect", "--config", str(config), "--data", str(data), "--out", str(tmp_path / out)]
+    with caplog.at_level(logging.ERROR, logger="crosscal"):
+        assert cli.main(argv) == 2
+    assert "file error" in caplog.text and "is one of the command's inputs" in caplog.text
+    assert _tree_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "config_name, detections, out",
+    [
+        ("config.json", "d.json", "d.json"),
+        ("config.json", "d.json", "config.json"),
+        ("config.json", "r.txt", "r.json"),  # the report's table
+        ("r.manifest.json", "d.json", "r.json"),  # its manifest
+        ("config.json", "d.json", "./sub/../d.json"),
+        ("config.json", "d.json", "link.json"),  # a hard link to the detections
+    ],
+    ids=[
+        "detections",
+        "config",
+        "table-onto-the-detections",
+        "manifest-onto-the-config",
+        "by-another-path",
+        "hard-link",
+    ],
+)
+def test_calibrate_output_onto_one_of_its_inputs_exit_2(
+    ws, tmp_path, caplog, monkeypatch, config_name, detections, out
+):
+    """An output that names a file `calibrate` reads, the report's table and
+    manifest included, is refused before any file is read or written."""
+    config, _, det = _copy_inputs(ws, tmp_path, config_name)
+    det.rename(tmp_path / detections)
+    os.link(tmp_path / detections, tmp_path / "link.json")
+    (tmp_path / "sub").mkdir()
+    before = _tree_bytes(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    argv = ["calibrate", "--config", str(config), "--detections", detections, "--out", out]
+    with caplog.at_level(logging.ERROR, logger="crosscal"):
+        assert cli.main(argv) == 2
+    assert "file error" in caplog.text and "is one of the command's inputs" in caplog.text
+    assert _tree_bytes(tmp_path) == before
 
 
 @pytest.mark.parametrize("command", ["simulate", "detect", "calibrate"])

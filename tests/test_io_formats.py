@@ -462,7 +462,6 @@ def test_config_intrinsics_iff_camera():
                 {**bad, **lidar},
                 io_formats.TargetSpec(),
                 io_formats.LidarParams(),
-                io_formats.SolveParams(),
                 next(iter(bad)),
                 dict(io_formats.DEFAULT_SIM),
             )
@@ -479,11 +478,19 @@ def test_config_unknown_field_rejected(tmp_path):
     doc["sensors"][-1]["initial_pose"] = {"translation": [0, 0, 0], "euler_xyz_deg": [0, 0, 0]}
     with pytest.raises(ParseError, match="initial_pose"):
         io_formats.config_from_json(doc)
-    # so does one still carrying a removed setting of the global solve
-    for key in ("lm_lambda_init", "camera_residual_weight", "lidar_residual_weight", "huber_delta"):
+    # so does one still carrying the removed section of the global solve's
+    # settings, with any of the settings it held
+    for key in (
+        "max_iter",
+        "gradient_tol",
+        "lm_lambda_init",
+        "camera_residual_weight",
+        "lidar_residual_weight",
+        "huber_delta",
+    ):
         doc = io_formats.config_to_json(cfg)
-        doc["solve_params"][key] = 1.0
-        with pytest.raises(ParseError, match=key):
+        doc["solve_params"] = {key: 1.0}
+        with pytest.raises(ParseError, match=r"unknown config fields: \['solve_params'\]"):
             io_formats.config_from_json(doc)
     # and a misspelled section, whose settings would otherwise give way to the defaults
     doc = io_formats.config_to_json(cfg)
@@ -542,7 +549,8 @@ def test_report_round_trip(tmp_path):
     result = optimizer.solve(problem)
     path = tmp_path / "report.json"
     consistency = {"chain": "S1->S2->S1", "mode": "solved"}
-    assert io_formats.write_report(result, path, consistency) == [path, tmp_path / "report.txt"]
+    assert io_formats.report_paths(path) == [path, tmp_path / "report.txt"]
+    io_formats.write_report(result, path, consistency)
     assert path.exists() and path.with_suffix(".txt").exists()
     doc = io_formats.report_to_json(result, consistency)
     back = json.loads(path.read_text())

@@ -38,6 +38,7 @@ from crosscal.optimizer import SensorId
 from crosscal.target import TargetSpec, circle_centers_board, generate_mask_cloud
 
 P = LidarParams()
+CAP = lidar._draws_needed(lidar._MIN_INLIER_SHARE)  # the triplets ransac_plane draws
 SPEC = TargetSpec()
 FINE_SCAN = sim.ScanPattern()
 
@@ -204,7 +205,7 @@ def _plane_and_outliers(seed, n_pts, inlier_share):
 def test_draws_needed_is_the_fischler_bolles_count():
     assert lidar._draws_needed(0.947) == 8  # the rigs' lowest inlier share
     assert lidar._draws_needed(0.6) == 57
-    assert lidar._draws_needed(0.3) == 505  # over the 500 cap
+    assert lidar._draws_needed(0.3) == 505
     assert lidar._draws_needed(1.0) == 0
     assert lidar._draws_needed(0.0) == lidar._draws_needed(-1 / 300) == math.inf
 
@@ -217,32 +218,44 @@ def test_ransac_scores_one_chunk_on_an_exact_plane(scored):
 def test_ransac_stop_on_an_exact_plane_keeps_the_full_scans_result(scored, monkeypatch):
     pts = _plane_and_outliers(12, 2000, 1.0)
     plane, inliers = ransac_plane(pts, P)
-    monkeypatch.setattr(lidar, "_draws_needed", lambda w: math.inf)
+    # no stop before the cap, which stays the draws that the floor needs
+    never_enough = {lidar._MIN_INLIER_SHARE: CAP}.get
+    monkeypatch.setattr(lidar, "_draws_needed", lambda w: never_enough(w, math.inf))
     full_plane, full_inliers = ransac_plane(pts, P)
-    assert scored[0] == 8 and sum(scored[1:]) == P.ransac_iters
+    assert scored[0] == 8 and sum(scored[1:]) == CAP
     assert plane == full_plane
     assert np.array_equal(inliers, full_inliers)
 
 
 def test_ransac_with_40_percent_outliers_stops_before_the_cap(scored):
     plane, inliers = ransac_plane(_plane_and_outliers(13, 2000, 0.6), P)
-    assert 8 < sum(scored) < P.ransac_iters
+    assert 8 < sum(scored) < CAP
     assert set(scored) == {8}
     assert abs(plane.c) > np.cos(np.radians(0.1)) and len(inliers) >= 1200
 
 
+def test_ransac_cap_is_the_draws_that_its_inlier_floor_needs(scored, monkeypatch):
+    """The cap is no setting: it is the draws that LowInlierRatio's floor needs."""
+    assert CAP == 505
+    monkeypatch.setattr(lidar, "_MIN_INLIER_SHARE", 0.5)
+    line = np.column_stack([np.linspace(0, 1, 300), np.zeros(300), np.zeros(300)])
+    with pytest.raises(DegenerateInput, match="collinear"):
+        ransac_plane(line, P)
+    assert sum(scored) == lidar._draws_needed(0.5) == 104
+
+
 def test_ransac_near_the_inlier_floor_scores_up_to_the_cap(scored):
     pts = _plane_and_outliers(14, 2000, 0.29)
-    with pytest.raises(LowInlierRatio, match=r"^\d+/2000 inliers, best of 500 hypotheses \(the cap\)"):
+    with pytest.raises(LowInlierRatio, match=r"^\d+/2000 inliers, best of 505 hypotheses \(the cap\)"):
         ransac_plane(pts, P)
-    assert sum(scored) == P.ransac_iters
+    assert sum(scored) == CAP
 
 
 def test_ransac_does_not_stop_on_collinear_triplets(scored):
     line = np.column_stack([np.linspace(0, 1, 300), np.zeros(300), np.zeros(300)])
     with pytest.raises(DegenerateInput, match="collinear"):
         ransac_plane(line, P)
-    assert sum(scored) == P.ransac_iters
+    assert sum(scored) == CAP
 
 
 def test_triplets_hold_three_distinct_indices_and_follow_the_seed():
@@ -273,7 +286,7 @@ def _ransac_per_hypothesis(pts, p):
     hypothesis the scan stops once it has scored log(1e-6) / log(1 - w^3),
     w being the best count's share. Then the same refit as ransac_plane.
     Returns the plane, its inliers and the hypotheses scored."""
-    tri = lidar._draw_triplets(np.random.default_rng(p.rng_seed), len(pts), p.ransac_iters)
+    tri = lidar._draw_triplets(np.random.default_rng(lidar._SEED), len(pts), CAP)
     best_count, best_normal, best_d = -1, None, None
     for h, (i, j, k) in enumerate(tri, 1):
         n = np.cross(pts[j] - pts[i], pts[k] - pts[i])
@@ -291,7 +304,7 @@ def _ransac_per_hypothesis(pts, p):
     return plane, pts[plane.distances(pts) < p.ransac_eps], h
 
 
-def test_ransac_batched_matches_per_hypothesis_oracle(scored):
+def test_ransac_batched_matches_per_hypothesis_oracle(scored, monkeypatch):
     clouds = []
     for seed, n_pts in ((0, 300), (1, 1500), (2, 6000), (3, 70000)):
         rng = np.random.default_rng(seed)
@@ -306,10 +319,10 @@ def test_ransac_batched_matches_per_hypothesis_oracle(scored):
         xy = np.random.default_rng(10 + seed).uniform(-1, 1, size=(400, 2))
         clouds.append((seed, np.vstack([np.column_stack([xy, np.full(400, z)]) for z in (0.0, 1.0)])))
     for seed, pts in clouds:
-        p = LidarParams(rng_seed=seed)
+        monkeypatch.setattr(lidar, "_SEED", seed)
         scored.clear()
-        plane, inliers = ransac_plane(pts, p)
-        want_plane, want_inliers, want_scored = _ransac_per_hypothesis(pts, p)
+        plane, inliers = ransac_plane(pts, P)
+        want_plane, want_inliers, want_scored = _ransac_per_hypothesis(pts, P)
         assert plane == want_plane
         assert np.array_equal(inliers, want_inliers)
         assert sum(scored) == want_scored

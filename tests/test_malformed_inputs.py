@@ -11,7 +11,9 @@ init files. A corner file's two columns are walked at their first row too:
 a case that breaks that value is named by its corner, `corners.0.id` or
 `corners.0.uv`. Other cases give a path that is missing or a directory,
 break a PLY header or body, or copy a dataset file or station directory to
-a name that gives no index.
+a name that gives no index. A config key that earlier versions read
+(`_REMOVED`) is put back with each value of the type it had, but for
+`deleted`, which is today's config: every command exits 2, naming the key.
 
 No case may exit 1. A command that reads the config or the detections
 exits 2, naming the file, or exits 0 with the outputs of the unmutated run.
@@ -234,6 +236,54 @@ _PLY = {
     b"property float y\nproperty float z\nend_header\n1 oops 3\n",
 }
 
+# Config keys that earlier versions read -> (the schema each had, its old default)
+_REMOVED = {
+    ("lidar_params", "rng_seed"): ({"type": "integer", "minimum": 0}, 0),
+    ("lidar_params", "ransac_iters"): ({"type": "integer", "minimum": 1}, 500),
+    ("solve_params",): ({"type": "object"}, {}),
+    ("solve_params", "max_iter"): ({"type": "integer", "minimum": 1}, 100),
+    ("solve_params", "gradient_tol"): ({"type": "number", "exclusiveMinimum": 0}, 1e-9),
+}
+
+
+def _put_back(path, value):
+    """An edit that sets the removed key `path` to `value`, making the
+    sections on its way."""
+
+    def edit(doc):
+        doc = copy.deepcopy(doc)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent.setdefault(key, {})
+        parent[path[-1]] = value
+        return doc
+
+    return edit
+
+
+def _unknown_key(doc, path):
+    """The first key of `path` that `doc` does not hold."""
+    for key in path:
+        if key not in doc:
+            return key
+        doc = doc[key]
+
+
+def _removed_cases():
+    """case id -> (edit, the key that its error names)."""
+    today = io_formats.config_to_json(io_formats.default_config())
+    cases = {}
+    for path, (node, old) in _REMOVED.items():
+        named = _unknown_key(today, path)
+        for name, mutate in _mutations(node):
+            if name != "deleted":
+                cases[f"config-{'.'.join(path)}-{name}"] = (_put_back(path, mutate(old)), named)
+    return cases
+
+
+_REMOVED_CASES = _removed_cases()
+
+
 _VICTIMS = {"corners": "corners_camera*.json", "init": "init_lidar*.json", "cloud": "cloud_lidar*.ply"}
 
 # Names that give no station or sensor index -> the glob of the dataset
@@ -263,6 +313,7 @@ def _cases():
         for path, name, mutate in _fields(kind):
             edit = lambda doc, p=path, m=mutate: _mutated(doc, p, m)  # noqa: E731
             cases.append(pytest.param(kind, edit, id=f"{kind}-{_field_name(kind, path)}-{name}"))
+    cases += [pytest.param("config", edit, id=k) for k, (edit, _) in _REMOVED_CASES.items()]
     cases += [pytest.param(k.split("-")[0], edit, id=k) for k, edit in _CROSS_FIELD.items()]
     cases += [pytest.param("cloud", edit, id=f"cloud-{k}") for k, edit in _PLY.items()]
     cases += [pytest.param("name", name, id=f"name-{name}") for name in _NAMES]
@@ -368,6 +419,9 @@ def test_malformed_input(base, tmp_path, caplog, request, kind, edit):
             assert rc in (0, 2), (command, [r.getMessage() for r in logged])
             if rc == 2:
                 assert config.name in caplog.text, (command, caplog.text)
+            if case_id in _REMOVED_CASES:
+                named = _REMOVED_CASES[case_id][1]
+                assert rc == 2 and named in caplog.text, (command, caplog.text)
             results[command] = rc
         assert len(set(results.values())) == 1, results
         if results["simulate"] == 0:

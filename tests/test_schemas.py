@@ -12,7 +12,7 @@ from conftest import oracle_observations, rig
 from crosscal import cli, io_formats, optimizer, sim
 from crosscal.geometry import Intrinsics
 from crosscal.lidar import LidarParams
-from crosscal.optimizer import SensorId, SolveParams
+from crosscal.optimizer import SensorId
 from crosscal.sim import NoiseModel, ScanPattern
 from crosscal.target import TargetSpec
 
@@ -33,13 +33,12 @@ def test_config_schema(tmp_path):
     "section, cls",
     [
         (("properties", "lidar_params"), LidarParams),
-        (("properties", "solve_params"), SolveParams),
         (("properties", "target"), TargetSpec),
         (("properties", "sim", "properties", "noise"), NoiseModel),
         (("properties", "sim", "properties", "scan"), ScanPattern),
         (("$defs", "intrinsics"), Intrinsics),
     ],
-    ids=["lidar_params", "solve_params", "target", "sim.noise", "sim.scan", "intrinsics"],
+    ids=["lidar_params", "target", "sim.noise", "sim.scan", "intrinsics"],
 )
 def test_config_schema_sections_list_their_dataclass_fields(section, cls):
     """A field removed from the code cannot linger in the schema, nor the reverse."""
@@ -48,6 +47,16 @@ def test_config_schema_sections_list_their_dataclass_fields(section, cls):
         node = node[key]
     assert node["additionalProperties"] is False
     assert sorted(node["properties"]) == sorted(f.name for f in fields(cls))
+
+
+def test_config_schema_sections_are_the_config_files_fields():
+    """A section removed from the code cannot linger in the schema, nor the
+    reverse; every section is required."""
+    schema = _schema("config")
+    names = sorted(f.name for f in fields(io_formats.ConfigFile))
+    assert schema["additionalProperties"] is False
+    assert sorted(schema["properties"]) == names
+    assert sorted(schema["required"]) == names
 
 
 def test_detections_and_report_schemas(tmp_path):

@@ -5,7 +5,7 @@ touches pixels beyond the (id, u, v) observations: a camera's corner set is
 an (ids, uv) pair of arrays, (n,) ints and (n, 2) pixels. All corner sets of
 a run are solved together: each set's pose is initialized by a normalized-DLT
 homography decomposition, both planar-ambiguity candidates of every set are
-refined in one batched Levenberg-Marquardt call, and per set the
+refined in one Levenberg-Marquardt batch, and per set the
 lower-reprojection candidate wins. Sets are padded to the largest corner
 count; padded corners carry zero residual and zero Jacobian rows. The
 homographies and LM's residuals and normal equations are formed
@@ -100,7 +100,7 @@ def _chunks(count: int, corners: int) -> list:
 
 
 def _refine(poses, c: _CornerSets):
-    """Batched LM from candidate poses (P, 4, 4) of the sets c; a trial that
+    """LM on the batch of candidate poses (P, 4, 4) of the sets c; a trial that
     puts a corner behind the camera gets an infinite cost and is rejected."""
 
     def residual(states, rows):
@@ -127,7 +127,6 @@ def _refine(poses, c: _CornerSets):
         lambda states, dx: geometry.exp_se3_matrix(dx) @ states,
         max_iter=100,
         gradient_tol=1e-10,
-        batched=True,
     )
 
 

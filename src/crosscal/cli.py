@@ -107,6 +107,7 @@ def cmd_simulate(args) -> int:
     # `detect` reads every station under its --data, listed in the manifest or not
     if any(out.glob("seq_*")):
         raise IoError(f"{out} already holds stations (seq_*); simulate into a new directory")
+    _refuse_overwriting([args.config], [out / "ground_truth.json", out / "manifest.json"])
     cfg = io_formats.read_config(args.config)
     scene = _scene_from_config(cfg, cfg.sim["seed"])
     outputs = []

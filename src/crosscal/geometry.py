@@ -6,9 +6,9 @@ the global solve share.
 
 A `RigidTransform` (explicit rotation matrix plus translation vector) is
 the pose form at the boundaries: detections, solved poses, files. Both
-batched solvers keep (..., 4, 4) homogeneous stacks, PnP one per pose
+solvers keep (..., 4, 4) homogeneous stacks, PnP one per pose
 candidate and the global solve one per sensor, and step them with the one
-SE(3) exponential of the library, the batched `exp_se3_matrix`. Euler angles
+SE(3) exponential of the library, the vectorized `exp_se3_matrix`. Euler angles
 only appear at the file-format boundary (intrinsic XYZ, degrees).
 """
 

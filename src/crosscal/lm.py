@@ -12,13 +12,13 @@ trial whose predicted reduction is below the cost's rounding (MINPACK's
 stopping test, More 1978) is not evaluated: the damping loop ends as if
 exhausted.
 
-With `batched=True` the state has a leading batch axis of independent
-problems (PnP runs one per pose candidate of a `detect` run), solved in
-lock-step: each keeps its own damping, cost, accept/reject decisions and stop
-tests, as if it were solved alone. The callbacks then take the states of a
+The state has a leading batch axis of independent problems (PnP runs one per
+pose candidate of a `detect` run, the global solve is a batch of one), solved
+in lock-step: each keeps its own damping, cost, accept/reject decisions and
+stop tests, as if it were solved alone. The callbacks take the states of a
 subset of the problems plus their indices in the batch, and each round
 evaluates only the problems still running, so a few slow problems do not pay
-for the whole batch. An unbatched call is the batch of one.
+for the whole batch.
 """
 
 from __future__ import annotations
@@ -33,15 +33,15 @@ STEP_TOL = 1e-14  # an accepted step shorter than this ends the solve
 
 @dataclass
 class LMResult:
-    """Outcome of a solve. In a batched call state, cost, gradient_norm and
-    converged are arrays over the batch, cost_history holds one list per
-    problem, and iterations is the total over the batch."""
+    """Outcome of a solve: state, cost, gradient_norm and converged are
+    arrays over the batch, cost_history holds one list per problem, and
+    iterations is the total over the batch."""
 
-    state: object
-    cost: float
-    gradient_norm: float
+    state: np.ndarray
+    cost: np.ndarray
+    gradient_norm: np.ndarray
     iterations: int
-    converged: bool
+    converged: np.ndarray
     cost_history: list = field(default_factory=list)
 
 
@@ -52,18 +52,17 @@ def levenberg_marquardt(
     plus,
     max_iter: int = 100,
     gradient_tol: float = 1e-10,
-    batched: bool = False,
 ) -> LMResult:
-    """Minimize 0.5*||r(state)||^2.
+    """Minimize 0.5*||r(state)||^2 per problem of the batch.
 
-    Unbatched: residual_fn(state) -> r (m,), normal_fn(state, r) ->
-    (J^T J (n, n), J^T r (n,)) with J the Jacobian of r at state, and
-    plus(state, dx (n,)) -> state. Batched: state (B, ...) is indexed along
-    its first axis, residual_fn(states, rows) -> (len(rows), m),
-    normal_fn(states, rows, r (len(rows), m)) -> ((len(rows), n, n),
-    (len(rows), n)) and plus(states, dx (len(rows), n)) -> states, where rows
-    are the indices of `states` in the batch. normal_fn is called once per
-    iteration of each running problem, at its current state.
+    state (B, ...) is indexed along its first axis. residual_fn(states, rows)
+    returns the residuals of those problems, reshaped here to (len(rows), m),
+    so a batch of one may return its m rows flat. normal_fn(states, rows,
+    r (len(rows), m)) -> ((len(rows), n, n), (len(rows), n)), the J^T J and
+    J^T r of each problem with J the Jacobian of r at its state, and
+    plus(states, dx (len(rows), n)) -> states, where rows are the indices of
+    `states` in the batch. normal_fn is called once per iteration of each
+    running problem, at its current state.
 
     A trial whose cost is not finite (e.g. a point behind the camera) is
     rejected and its damping increased; an exception from a callback
@@ -75,57 +74,13 @@ def levenberg_marquardt(
     eps * cost. The last two report converged only if the gradient norm is
     below 1e-6 (a flat minimum).
     """
-    args = (max_iter, gradient_tol)
-    if batched:
-        return _solve(state, residual_fn, normal_fn, plus, *args)
-    res = _solve(
-        _one(state),
-        lambda s, rows: residual_fn(s[0])[None],
-        lambda s, rows, r: tuple(a[None] for a in normal_fn(s[0], r[0])),
-        lambda s, dx: _one(plus(s[0], dx[0])),
-        *args,
-    )
-    return LMResult(
-        res.state[0],
-        float(res.cost[0]),
-        float(res.gradient_norm[0]),
-        res.iterations,
-        bool(res.converged[0]),
-        res.cost_history[0],
-    )
 
+    def evaluate(states, rows):  # residuals (len(rows), m) and their costs
+        r = np.reshape(residual_fn(states, rows), (len(rows), -1))
+        return r, 0.5 * np.einsum("bm,bm->b", r, r)
 
-def _one(state) -> np.ndarray:
-    """A batch of one opaque state."""
-    out = np.empty(1, dtype=object)
-    out[0] = state
-    return out
-
-
-def _half_squares(r: np.ndarray) -> np.ndarray:
-    return 0.5 * np.einsum("bm,bm->b", r, r)
-
-
-def _damped_steps(hess, lam, grad):
-    """Solutions dx of (H + lambda I) dx = -g per problem, and which of the
-    systems were solvable."""
-    a = hess + lam[:, None, None] * np.eye(hess.shape[-1])
-    try:
-        return np.linalg.solve(a, -grad[..., None])[..., 0], np.ones(len(a), dtype=bool)
-    except np.linalg.LinAlgError:  # find the singular systems one by one
-        dx, ok = np.zeros_like(grad), np.ones(len(a), dtype=bool)
-        for k in range(len(a)):
-            try:
-                dx[k] = np.linalg.solve(a[k], -grad[k])
-            except np.linalg.LinAlgError:
-                ok[k] = False
-        return dx, ok
-
-
-def _solve(state, residual_fn, normal_fn, plus, max_iter, gradient_tol):
     n = len(state)
-    r = residual_fn(state, np.arange(n))
-    cost = _half_squares(r)
+    r, cost = evaluate(state, np.arange(n))
     lam = np.full(n, LAMBDA_INIT)
     history = [[c] for c in cost.tolist()]
     eps = np.finfo(float).eps
@@ -157,8 +112,7 @@ def _solve(state, residual_fn, normal_fn, plus, max_iter, gradient_tol):
             better = np.zeros(len(tried), dtype=bool)
             if tried.size:
                 trial = plus(state[tried], step)
-                r_trial = residual_fn(trial, tried)
-                cost_trial = _half_squares(r_trial)
+                r_trial, cost_trial = evaluate(trial, tried)
                 better = cost_trial < cost[tried]  # False for a non-finite cost
                 won = tried[better]
                 state[won], r[won], cost[won] = trial[better], r_trial[better], cost_trial[better]
@@ -177,3 +131,19 @@ def _solve(state, residual_fn, normal_fn, plus, max_iter, gradient_tol):
         converged[stalled] = grad_norm[stalled] < 1e-6  # stalled at a flat minimum
         active = active[accepted & ~converged[active]]
     return LMResult(state, cost, grad_norm, iterations, converged, history)
+
+
+def _damped_steps(hess, lam, grad):
+    """Solutions dx of (H + lambda I) dx = -g per problem, and which of the
+    systems were solvable."""
+    a = hess + lam[:, None, None] * np.eye(hess.shape[-1])
+    try:
+        return np.linalg.solve(a, -grad[..., None])[..., 0], np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:  # find the singular systems one by one
+        dx, ok = np.zeros_like(grad), np.ones(len(a), dtype=bool)
+        for k in range(len(a)):
+            try:
+                dx[k] = np.linalg.solve(a[k], -grad[k])
+            except np.linalg.LinAlgError:
+                ok[k] = False
+        return dx, ok

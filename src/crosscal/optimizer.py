@@ -7,7 +7,7 @@ where a camera projects them and compares pixels and a LiDAR compares them
 with its own 3D centers. One block function evaluates both kinds. The
 reference sensor is pinned to identity (gauge) and the rest solved by
 Levenberg-Marquardt on the SE(3) tangent space, stepping every pose with one
-batched `geometry.exp_se3_matrix`. A term touches two poses only, so LM gets
+vectorized `geometry.exp_se3_matrix`. A term touches two poses only, so LM gets
 its normal equations summed term by term from the analytic 6-column
 derivative blocks, never through a dense Jacobian.
 
@@ -397,17 +397,20 @@ def solve(p: CalibrationProblem) -> CalibrationResult:
     p = resolve_circle_ordering(p, poses0)
     free = p._table.free
 
-    def res_fn(poses):
-        return residuals(p, poses)[0]
+    # LM solves a batch of one: states (1, S, 4, 4), residual rows returned flat
+    def res_fn(states, rows):
+        return residuals(p, states[0])[0]
 
-    def normal_fn(poses, r):  # the blocks carry r; the first call gets the checked ones
-        return checked.pop() if checked else normal_equations(p, poses)
+    def normal_fn(states, rows, r):  # the blocks carry r; the first call gets the checked ones
+        hess, grad = checked.pop() if checked else normal_equations(p, states[0])
+        return hess[None], grad[None]
 
-    def plus(poses, dx):  # exp(dx) * pose by geometry.compose's two products, not one 4x4 product
+    def plus(states, dx):  # exp(dx) * pose by geometry.compose's two products, not one 4x4 product
+        poses = states[0]
         m, out = geometry.exp_se3_matrix(dx.reshape(-1, 6)), poses.copy()
         out[free, :3, :3] = m[:, :3, :3] @ poses[free, :3, :3]
         out[free, :3, 3] = (m[:, :3, :3] @ poses[free, :3, 3:])[..., 0] + m[:, :3, 3]
-        return out
+        return out[None]
 
     checked = [normal_equations(p, poses0)]
     h0 = checked[0][0]  # the singularity check reads the H that LM starts from
@@ -420,31 +423,32 @@ def solve(p: CalibrationProblem) -> CalibrationResult:
         raise SingularNormalEquations([n for n, x in zip(names, share.max(axis=1)) if x > 1e-6])
 
     res = levenberg_marquardt(
-        poses0,
+        poses0[None],
         res_fn,
         normal_fn,
         plus,
         max_iter=p.params.max_iter,
         gradient_tol=p.params.gradient_tol,
     )
-    _, flags = residuals(p, res.state)
+    poses, history = res.state[0], res.cost_history[0]
+    _, flags = residuals(p, poses)
     meta = {
         "camera_residual_weight": "1/fx per camera",
         "lidar_residual_weight": 1.0,
         "behind_camera_flags": flags,
     }
     result = CalibrationResult(
-        {s: RigidTransform(m[:3, :3], m[:3, 3]) for s, m in zip(p.sensors, res.state)},
+        {s: RigidTransform(m[:3, :3], m[:3, 3]) for s, m in zip(p.sensors, poses)},
         p,
-        res.cost,
-        res.cost_history[0],
+        float(res.cost[0]),
+        history[0],
         res.iterations,
-        res.converged,
-        res.gradient_norm,
-        res.cost_history,
+        bool(res.converged[0]),
+        float(res.gradient_norm[0]),
+        history,
         meta,
     )
-    if not res.converged:
+    if not result.converged:
         raise SolverNotConverged(result)
     return result
 

@@ -106,7 +106,7 @@ class GroundTruth:
 
 
 def _rng(seed, *tags):
-    return np.random.default_rng([seed & 0x7FFFFFFF, *tags])
+    return np.random.default_rng([seed, *tags])
 
 
 _CAMERA_AXES = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])

@@ -177,8 +177,8 @@ def log_se3(t):
 
 def normal_from_jacobian(jac_fn):
     """An LM normal-equations callback from a Jacobian callback: (J^T J, J^T r)
-    of jac_fn(state) and the residuals r, or of jac_fn(states, rows) and
-    r (len(rows), m) in a batched call."""
+    of jac_fn(states, rows) (len(rows), m, n) and the residuals
+    r (len(rows), m), or of jac_fn(state) and r (m,) for one state."""
 
     def normal(*args):
         *at, r = args

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from conftest import oracle_observations, rig
-from crosscal import cli, io_formats, lidar, sim
+from crosscal import cli, io_formats, lidar, optimizer, sim
 
 
 def _load_spans():
@@ -63,10 +63,14 @@ def test_installing_the_tracer_loads_no_scipy():
     assert out.stdout.strip() == "False"
 
 
-def test_traced_calibrate_counts_one_normal_equation_call_per_lm_iteration(tmp_path):
+def test_traced_calibrate_counts_one_normal_equation_call_per_lm_iteration(tmp_path, monkeypatch):
     """The tracer counts LM's third positional callback, the normal
     equations, as `lm.jacobian`: a traced calibrate reads one call per LM
-    iteration, and the residual rows it saw."""
+    iteration, and the residual rows it saw: the global solve's residual
+    count, 8 rows per camera term and 12 per LiDAR pair, which the batch of
+    one returns flat."""
+    problems, solve = [], optimizer.solve
+    monkeypatch.setattr(optimizer, "solve", lambda p: problems.append(p) or solve(p))
     cfg = io_formats.default_config()
     scene = sim.make_scene(rig(), sequences=4, seed=0)
     records = [
@@ -86,4 +90,6 @@ def test_traced_calibrate_counts_one_normal_equation_call_per_lm_iteration(tmp_p
         tracer.restore()
     metrics = spans.summarize(tracer, 1)[0]
     assert metrics["lm.jacobian_evals"] == metrics["lm.iterations"] > 0
-    assert metrics["optimizer.residual_rows"] > 0
+    (problem,) = problems
+    terms = problem._table
+    assert metrics["optimizer.residual_rows"] == 8 * len(terms.cam.i) + 12 * len(terms.lidar.i) > 0

@@ -108,7 +108,8 @@ def test_noisy_pnp_lm_stops_at_the_cost_rounding_floor():
     gradient_tol (1e-10) but below what the cost can resolve. LM stops there
     with at most 2 rejected trials after its last accepted step, where damping
     until lambda > 1e14 rejects a median of ~16, and lands within 1e-8 of that
-    loop's pose."""
+    loop's pose. LM solves each board as a batch of one RigidTransform, with
+    the oracle's callbacks and so its arithmetic."""
     rng = np.random.default_rng(21)
     old_tails = []
     for _ in range(12):
@@ -125,15 +126,28 @@ def test_noisy_pnp_lm_stops_at_the_cost_rounding_floor():
         def plus(t, dx):
             return geometry.compose(exp_se3_scalar(dx), t)
 
-        args = (residual, normal_from_jacobian(lambda t: pnp_jacobian(t.apply(OBJ), K.fx, K.fy)), plus)
-        res = levenberg_marquardt(start, *args, gradient_tol=1e-10)
+        normal = normal_from_jacobian(lambda t: pnp_jacobian(t.apply(OBJ), K.fx, K.fy))
+        res = levenberg_marquardt(
+            _one(start),
+            lambda s, rows: residual(s[0]),
+            lambda s, rows, r: tuple(a[None] for a in normal(s[0], r[0])),
+            lambda s, dx: _one(plus(s[0], dx[0])),
+            gradient_tol=1e-10,
+        )
         assert _rejected_trials(costs)[1] <= 2
         costs.clear()
-        old_state = lm_without_reduction_stop(start, *args, gradient_tol=1e-10)[0]
+        old_state = lm_without_reduction_stop(start, residual, normal, plus, gradient_tol=1e-10)[0]
         old_tails.append(_rejected_trials(costs)[1])
-        dt, dr = pose_delta(old_state, res.state)
+        dt, dr = pose_delta(old_state, res.state[0])
         assert dt < 1e-8 and dr < 1e-8
     assert np.median(old_tails) >= 10
+
+
+def _one(state):
+    """A batch of one opaque state."""
+    out = np.empty(1, dtype=object)
+    out[0] = state
+    return out
 
 
 def _project(poses):
@@ -150,7 +164,7 @@ def _matrix(t):
 
 def test_batched_lm_matches_problems_solved_one_at_a_time():
     """PnP problems solved in one lock-step batch against the same problems
-    solved one at a time by the unbatched call: cost within 1e-9 relative,
+    solved one at a time, each as a batch of one: cost within 1e-9 relative,
     pose within 1e-6, the same stop verdicts and the same total iterations.
     The batch mixes a problem that starts at its optimum (gradient 0), noisy
     boards at 2-6 m, and boards at 0.4-1 m from far-off starts: some of these
@@ -184,36 +198,29 @@ def test_batched_lm_matches_problems_solved_one_at_a_time():
 
     options = {"max_iter": 10, "gradient_tol": 1e-10}
     normal = normal_from_jacobian(jacobian)
-    batch = levenberg_marquardt(starts.copy(), residual, normal, plus, batched=True, **options)
+    batch = levenberg_marquardt(starts.copy(), residual, normal, plus, **options)
     singles, behind = [], 0
-    for k, start in enumerate(starts):
+    for k in range(len(starts)):
 
-        def residual_one(state):
+        def residual_one(states, rows):
             nonlocal behind
-            r = residual(state[None], [k])
+            r = residual(states, [k])
             behind += not np.isfinite(r).all()
-            return r[0]
+            return r
 
-        singles.append(
-            levenberg_marquardt(
-                start,
-                residual_one,
-                normal_from_jacobian(lambda s: jacobian(s[None], [k])[0]),
-                lambda s, dx: plus(s[None], dx[None])[0],
-                **options,
-            )
-        )
-    cost = np.array([r.cost for r in singles])
+        singles.append(levenberg_marquardt(starts[k : k + 1].copy(), residual_one, normal, plus, **options))
+    cost = np.array([r.cost[0] for r in singles])
+    converged = [bool(r.converged[0]) for r in singles]
     assert np.all(np.abs(batch.cost - cost) <= 1e-9 * cost)
-    assert np.abs(batch.state - np.array([r.state for r in singles])).max() <= 1e-6
-    assert list(batch.converged) == [r.converged for r in singles]
+    assert np.abs(batch.state - np.array([r.state[0] for r in singles])).max() <= 1e-6
+    assert list(batch.converged) == converged
     assert batch.iterations == sum(r.iterations for r in singles)
-    assert [len(h) for h in batch.cost_history] == [len(r.cost_history) for r in singles]
+    assert [len(h) for h in batch.cost_history] == [len(r.cost_history[0]) for r in singles]
     # the mixture the batch was built for
-    assert singles[0].iterations == 1 and singles[0].converged and singles[0].cost == 0.0
+    assert singles[0].iterations == 1 and converged[0] and singles[0].cost[0] == 0.0
     assert behind > 0
-    assert any(r.iterations == options["max_iter"] and not r.converged for r in singles)
-    assert sum(r.converged for r in singles) > len(singles) // 2
+    assert any(r.iterations == options["max_iter"] and not c for r, c in zip(singles, converged))
+    assert sum(converged) > len(singles) // 2
 
 
 def test_pnp_normal_equations_in_chunks_equal_one_chunk(monkeypatch):

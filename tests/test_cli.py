@@ -1217,6 +1217,20 @@ def test_calibrate_output_onto_one_of_its_inputs_exit_2(
     assert _tree_bytes(tmp_path) == before
 
 
+@pytest.mark.parametrize("name", ["ground_truth.json", "manifest.json"])
+def test_simulate_output_onto_its_config_exit_2(ws, tmp_path, caplog, name):
+    """A config at the path of the ground truth or the manifest that
+    `simulate` writes under --out is refused before anything is written."""
+    (tmp_path / "d").mkdir()
+    config = tmp_path / "d" / name
+    shutil.copy(ws["config"], config)
+    before = _tree_bytes(tmp_path)
+    with caplog.at_level(logging.ERROR, logger="crosscal"):
+        assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "d")]) == 2
+    assert "file error" in caplog.text and "is one of the command's inputs" in caplog.text
+    assert _tree_bytes(tmp_path) == before
+
+
 @pytest.mark.parametrize("command", ["simulate", "detect", "calibrate"])
 def test_config_reference_not_a_listed_sensor_exit_2(ws, tmp_path, caplog, command):
     doc = json.loads(ws["config"].read_text())

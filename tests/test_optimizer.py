@@ -668,28 +668,30 @@ def test_gauge_invariance_of_relative_transforms():
 # --- levenberg_marquardt ----------------------------------------------------
 
 def _lm_on_identity_residual(residual_fn, trials):
-    """Minimize 0.5*||x||^2 from x = 3, recording (state, dx) of every trial."""
+    """Minimize 0.5*||x||^2 from x = 3 as a batch of one, recording
+    (states, dx) of every trial."""
 
     def plus(x, dx):
         trials.append((x.copy(), dx.copy()))
         return x + dx
 
-    return levenberg_marquardt(np.array([3.0]), residual_fn, normal_from_jacobian(lambda x: np.eye(1)), plus)
+    normal = normal_from_jacobian(lambda x, rows: np.eye(1)[None])
+    return levenberg_marquardt(np.array([[3.0]]), residual_fn, normal, plus)
 
 
 def test_lm_trial_with_an_infinite_cost_is_rejected_with_more_damping():
     trials = []
 
-    def residual(x):
-        return np.full(1, np.inf) if len(trials) == 1 else x  # e.g. a point behind the camera
+    def residual(x, rows):
+        return np.full((1, 1), np.inf) if len(trials) == 1 else x  # e.g. a point behind the camera
 
     res = _lm_on_identity_residual(residual, trials)
     (x1, dx1), (x2, dx2) = trials[:2]
-    assert x2 == x1 == 3.0  # the first trial was not accepted
+    assert x2[0, 0] == x1[0, 0] == 3.0  # the first trial was not accepted
     # dx = -x / (1 + lambda): damping went up tenfold
-    assert dx1[0] == pytest.approx(-3.0 / (1 + 1e-3))
-    assert dx2[0] == pytest.approx(-3.0 / (1 + 1e-2))
-    assert res.converged and abs(res.state[0]) < 1e-6
+    assert dx1[0, 0] == pytest.approx(-3.0 / (1 + 1e-3))
+    assert dx2[0, 0] == pytest.approx(-3.0 / (1 + 1e-2))
+    assert res.converged[0] and abs(res.state[0, 0]) < 1e-6
 
 
 def test_lm_other_exception_from_residual_propagates():
@@ -698,7 +700,7 @@ def test_lm_other_exception_from_residual_propagates():
     for error in (RuntimeError("bug in the residual"), NonPositiveDepth("behind the camera")):
         trials = []
 
-        def residual(x):
+        def residual(x, rows):
             if trials:
                 raise error
             return x
@@ -708,27 +710,29 @@ def test_lm_other_exception_from_residual_propagates():
 
 
 def test_lm_identity_residual_still_converges_by_gradient():
-    res = _lm_on_identity_residual(lambda x: x, [])
-    assert res.converged and res.gradient_norm < 1e-10
+    res = _lm_on_identity_residual(lambda x, rows: x, [])
+    assert res.converged[0] and res.gradient_norm[0] < 1e-10
 
 
 def test_lm_builds_normal_equations_once_per_iteration():
-    """Rosenbrock's residual from (-1.2, 1): LM asks for the normal equations
-    once per iteration, at the residuals of the state it is at."""
+    """Rosenbrock's residual from (-1.2, 1) as a batch of one: LM asks for
+    the normal equations once per iteration, at the residuals of the state it
+    is at."""
     calls = []
 
-    def residual(x):
-        return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+    def residual(x, rows):
+        (a, b), = x
+        return np.array([[10.0 * (b - a**2), 1.0 - a]])
 
-    jacobian = normal_from_jacobian(lambda x: np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]))
+    jacobian = normal_from_jacobian(lambda x, rows: np.array([[[-20.0 * x[0, 0], 10.0], [-1.0, 0.0]]]))
 
-    def normal(x, r):
-        assert np.array_equal(r, residual(x))
+    def normal(x, rows, r):
+        assert np.array_equal(r, residual(x, rows))
         calls.append(x.copy())
-        return jacobian(x, r)
+        return jacobian(x, rows, r)
 
-    res = levenberg_marquardt(np.array([-1.2, 1.0]), residual, normal, lambda x, dx: x + dx)
-    assert res.converged and np.allclose(res.state, 1.0)
+    res = levenberg_marquardt(np.array([[-1.2, 1.0]]), residual, normal, lambda x, dx: x + dx)
+    assert res.converged[0] and np.allclose(res.state, 1.0)
     assert len(calls) == res.iterations > 5
 
 
@@ -766,7 +770,9 @@ def test_lm_stop_at_cost_rounding_reports_converged_like_an_exhausted_loop(floor
     """r = (x, floor): the cost cannot drop below floor^2 / 2, and once x is
     small the possible reduction x^2 / 2 is below the cost's rounding. Stopped
     there, LM reports converged iff the gradient x is below 1e-6, as the
-    loop that rejects trials until its damping runs out does."""
+    loop that rejects trials until its damping runs out does. LM solves a
+    batch of one whose residual rows come back flat; the oracle takes one
+    state."""
     costs = []
 
     def residual(x):
@@ -774,11 +780,19 @@ def test_lm_stop_at_cost_rounding_reports_converged_like_an_exhausted_loop(floor
         costs.append(0.5 * float(r @ r))
         return r
 
-    args = (residual, normal_from_jacobian(lambda x: np.array([[1.0], [0.0]])), lambda x, dx: x + dx)
-    res = levenberg_marquardt(np.array([3.0]), *args)
-    assert res.converged is converged
-    assert res.gradient_norm > 1e-10  # not the gradient stop
-    assert len(costs) == len(res.cost_history)  # no trial evaluated after the last accepted step
+    def jacobian(x):
+        return np.array([[1.0], [0.0]])
+
+    res = levenberg_marquardt(
+        np.array([[3.0]]),
+        lambda x, rows: residual(x[0]),
+        normal_from_jacobian(lambda x, rows: jacobian(x[0])[None]),
+        lambda x, dx: x + dx,
+    )
+    assert bool(res.converged[0]) is converged
+    assert res.gradient_norm[0] > 1e-10  # not the gradient stop
+    assert len(costs) == len(res.cost_history[0])  # no trial evaluated after the last accepted step
     costs.clear()
+    args = (residual, normal_from_jacobian(jacobian), lambda x, dx: x + dx)
     assert lm_without_reduction_stop(np.array([3.0]), *args)[2] is converged
     assert len(costs) > len(res.cost_history)

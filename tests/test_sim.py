@@ -51,6 +51,17 @@ def test_every_board_meets_visibility_contract():
 
 # --- determinism ------------------------------------------------------------
 
+def test_scene_seed_is_used_whole():
+    """Seeds that agree in their low 31 bits draw different scenes: any
+    non-negative integer the config accepts is a scene of its own."""
+    boards = [
+        np.array([matrix(t) for t in sim.make_scene(rig(), sequences=2, seed=seed).board_poses])
+        for seed in (0, 2**31, 2**64 + 1)
+    ]
+    assert not np.array_equal(boards[0], boards[1])
+    assert not np.array_equal(boards[0], boards[2])
+
+
 def test_renders_bit_identical_across_scene_rebuilds():
     noise = sim.NoiseModel(lidar_sigma=0.005, pixel_sigma=0.5, dropout=0.1)
     a = sim.make_scene(rig(), sequences=2, seed=3, noise=noise, scan=BEAMS_31)

@@ -121,12 +121,7 @@ def _refine(poses, c: _CornerSets):
         return hess, grad
 
     return levenberg_marquardt(
-        poses,
-        residual,
-        normal,
-        lambda states, dx: geometry.exp_se3_matrix(dx) @ states,
-        max_iter=100,
-        gradient_tol=1e-10,
+        poses, residual, normal, lambda states, dx: geometry.exp_se3_matrix(dx) @ states
     )
 
 

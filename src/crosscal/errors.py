@@ -106,13 +106,14 @@ class SingularNormalEquations(CrosscalError):
 
 
 class SolverNotConverged(CrosscalError):
-    """Global solve hit the iteration cap; diagnostics attached."""
+    """Global solve ended unconverged, at the iteration cap or stalled with
+    a gradient cosine of at least lm.STALL_COSINE; diagnostics attached."""
 
     def __init__(self, diagnostics):
         self.diagnostics = d = diagnostics
         super().__init__(
             f"final cost {d.final_cost:.6g}, gradient norm {d.gradient_norm:.6g}, "
-            f"{d.iterations} iterations"
+            f"gradient cosine {d.gradient_cosine:.3g}, {d.iterations} iterations"
         )
 
 

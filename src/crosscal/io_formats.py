@@ -29,7 +29,7 @@ from .geometry import Intrinsics, RigidTransform
 from .lidar import LidarDetection, LidarParams
 from .optimizer import CalibrationResult, SensorId, display_order, reprojection_report
 from .sim import NoiseModel, ScanPattern, default_intrinsics
-from .target import TargetSpec, checker_corners_board
+from .target import TargetSpec
 
 SCHEMA_VERSION = "v1"
 
@@ -326,7 +326,8 @@ def read_corners(path, spec: TargetSpec):
     distinct integers in [0, n) for the n inner corners of the board `spec`,
     each uv 2 finite numbers; anything else, the per-corner objects of older
     files included, is a ParseError or MissingField naming the file."""
-    return _read_json(path, _corners_from_json, len(checker_corners_board(spec)))
+    n_ids = (spec.squares_x - 1) * (spec.squares_y - 1)  # the rows of checker_corners_board(spec)
+    return _read_json(path, _corners_from_json, n_ids)
 
 
 def read_board_init(path) -> RigidTransform:
@@ -569,6 +570,7 @@ def report_to_json(result: CalibrationResult, consistency: dict | None = None) -
             "iterations": result.iterations,
             "converged": result.converged,
             "gradient_norm": result.gradient_norm,
+            "gradient_cosine": result.gradient_cosine,
             **result.metadata,
         },
     }

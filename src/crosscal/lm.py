@@ -10,7 +10,8 @@ Damping follows the classic lambda*10 / lambda/10 schedule starting at 1e-3;
 cost is monotonically non-increasing over accepted steps by construction. A
 trial whose predicted reduction is below the cost's rounding (MINPACK's
 stopping test, More 1978) is not evaluated: the damping loop ends as if
-exhausted.
+exhausted. The stop tests read MINPACK's gradient cosine, which scaling the
+residuals or a parameter leaves alone: callers choose their units freely.
 
 The state has a leading batch axis of independent problems (PnP runs one per
 pose candidate of a `detect` run, the global solve is a batch of one), solved
@@ -29,17 +30,20 @@ import numpy as np
 
 LAMBDA_INIT = 1e-3  # starting damping
 STEP_TOL = 1e-14  # an accepted step shorter than this ends the solve
+GRADIENT_COSINE = 1e-10  # a gradient cosine below this ends the solve, converged
+STALL_COSINE = 1e-6  # a problem no step can improve has converged below this cosine
 
 
 @dataclass
 class LMResult:
-    """Outcome of a solve: state, cost, gradient_norm and converged are
-    arrays over the batch, cost_history holds one list per problem, and
-    iterations is the total over the batch."""
+    """Outcome of a solve: state, cost, gradient_norm, gradient_cosine (of the
+    last gradient each problem built) and converged are arrays over the batch,
+    cost_history holds one list per problem, and iterations is the total."""
 
     state: np.ndarray
     cost: np.ndarray
     gradient_norm: np.ndarray
+    gradient_cosine: np.ndarray
     iterations: int
     converged: np.ndarray
     cost_history: list = field(default_factory=list)
@@ -51,7 +55,6 @@ def levenberg_marquardt(
     normal_fn,
     plus,
     max_iter: int = 100,
-    gradient_tol: float = 1e-10,
 ) -> LMResult:
     """Minimize 0.5*||r(state)||^2 per problem of the batch.
 
@@ -68,11 +71,13 @@ def levenberg_marquardt(
     rejected and its damping increased; an exception from a callback
     propagates.
 
-    Stops when the gradient norm drops below gradient_tol, an accepted step
-    is shorter than STEP_TOL, or no step can lower the cost: the damping
-    loop ran out, or the damped model predicts a reduction of at most
-    eps * cost. The last two report converged only if the gradient norm is
-    below 1e-6 (a flat minimum).
+    Stops when the gradient cosine max_k |g_k| / (||J_k|| ||r||) (MINPACK's
+    gtol test; ||J_k||^2 is the diagonal of J^T J, ||r||^2 twice the cost)
+    drops below GRADIENT_COSINE, an accepted step is shorter than STEP_TOL,
+    or no step can lower the cost: the damping loop ran out, or the damped
+    model predicts a reduction of at most eps * cost. The last two report
+    converged only if the cosine is below STALL_COSINE (a flat minimum). An
+    exact fit (r = 0) has cosine 0, and a zero column does not count.
     """
 
     def evaluate(states, rows):  # residuals (len(rows), m) and their costs
@@ -84,7 +89,7 @@ def levenberg_marquardt(
     lam = np.full(n, LAMBDA_INIT)
     history = [[c] for c in cost.tolist()]
     eps = np.finfo(float).eps
-    grad_norm = np.full(n, np.inf)
+    grad_norm, cosine = np.full(n, np.inf), np.full(n, np.inf)
     converged = np.zeros(n, dtype=bool)
     iterations = 0
     active = np.arange(n)  # problems still running
@@ -94,7 +99,9 @@ def levenberg_marquardt(
         iterations += active.size
         hess, grad = normal_fn(state[active], active, r[active])
         grad_norm[active] = np.linalg.norm(grad, axis=1)
-        done = grad_norm[active] < gradient_tol
+        scale = np.sqrt(np.einsum("bkk->bk", hess) * 2.0 * cost[active, None])  # ||J_k|| ||r||
+        cosine[active] = np.divide(np.abs(grad), scale, out=np.zeros_like(grad), where=scale > 0).max(1)
+        done = cosine[active] < GRADIENT_COSINE
         if done.any():
             converged[active[done]] = True
             active, hess, grad = active[~done], hess[~done], grad[~done]
@@ -128,9 +135,9 @@ def levenberg_marquardt(
             retry[trying] = ~better & (lam[tried] <= 1e14)
             damping = damping[retry]
         stalled = active[~accepted]
-        converged[stalled] = grad_norm[stalled] < 1e-6  # stalled at a flat minimum
+        converged[stalled] = cosine[stalled] < STALL_COSINE  # stalled at a flat minimum
         active = active[accepted & ~converged[active]]
-    return LMResult(state, cost, grad_norm, iterations, converged, history)
+    return LMResult(state, cost, grad_norm, cosine, iterations, converged, history)
 
 
 def _damped_steps(hess, lam, grad):

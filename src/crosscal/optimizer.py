@@ -66,7 +66,6 @@ class SequenceObservations:
 @dataclass(frozen=True)
 class SolveParams:
     max_iter: int = 100
-    gradient_tol: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -102,6 +101,7 @@ class CalibrationResult:
     iterations: int
     converged: bool
     gradient_norm: float
+    gradient_cosine: float  # LM's scale-free stop test at the end (lm.GRADIENT_COSINE)
     cost_history: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
@@ -422,14 +422,7 @@ def solve(p: CalibrationProblem) -> CalibrationResult:
         names = [str(s) for s, f in zip(p.sensors, free) if f]
         raise SingularNormalEquations([n for n, x in zip(names, share.max(axis=1)) if x > 1e-6])
 
-    res = levenberg_marquardt(
-        poses0[None],
-        res_fn,
-        normal_fn,
-        plus,
-        max_iter=p.params.max_iter,
-        gradient_tol=p.params.gradient_tol,
-    )
+    res = levenberg_marquardt(poses0[None], res_fn, normal_fn, plus, max_iter=p.params.max_iter)
     poses, history = res.state[0], res.cost_history[0]
     _, flags = residuals(p, poses)
     meta = {
@@ -445,6 +438,7 @@ def solve(p: CalibrationProblem) -> CalibrationResult:
         res.iterations,
         bool(res.converged[0]),
         float(res.gradient_norm[0]),
+        float(res.gradient_cosine[0]),
         history,
         meta,
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,12 +81,15 @@ class Scene:
         return dirs
 
     @cached_property
+    def frames(self) -> _Frames:
+        """The rig's arrays, shared by `visibility` and `render_camera`."""
+        return _frames(self.sensors, self.intrinsics)
+
+    @cached_property
     def visibility(self) -> dict:
         """{SensorId: (B,) bool}, whether the sensor sees each station's
         board; one `_visibility` table over every sensor and station."""
-        table = _visibility(
-            self.sensors, self.intrinsics, self.board_poses, self.spec, self.scan, self.lidar_params
-        )
+        table = _visibility(self.frames, self.board_poses, self.spec, self.scan, self.lidar_params)
         return dict(zip(self.sensors, table))
 
 
@@ -132,15 +136,34 @@ def sensor_sees_board(scene: Scene, sensor: SensorId, sequence: int) -> bool:
     return bool(scene.visibility[sensor][sequence])
 
 
-def _visibility(
-    poses: dict, intrinsics: dict, boards, spec: TargetSpec, scan: ScanPattern, gates: LidarParams
-):
-    """(S, B) whether each sensor of `poses`, {SensorId: sensor->world}, in
-    its order, sees each board->world pose of `boards`, judged by the board's
-    corners and center: a camera sees them 5 px inside its image and over
-    0.1 m in front; a LiDAR in range, 0.5 deg inside its elevation span and
-    inside the detector's gates of `gates`, _RANGE_MARGIN inside its d_min
-    and d_max and _HEIGHT_MARGIN above its h_min ground cut. One array pass
+class _Frames(NamedTuple):
+    """A rig's sensors and, row by row in their order, the arrays of them
+    that `_visibility` and `render_camera` read, built once per rig."""
+
+    sensors: tuple  # of SensorId
+    rotation: np.ndarray  # (S, 3, 3) sensor->world rotations
+    translation: np.ndarray  # (S, 3) translations of the world->sensor poses
+    k: np.ndarray  # (S, 6) a camera's fx, fy, cx, cy, width, height; a LiDAR's row is never read
+
+
+def _frames(poses: dict, intrinsics: dict) -> _Frames:
+    """The _Frames of the rig `poses`, {SensorId: sensor->world}, whose
+    cameras have the Intrinsics `intrinsics`."""
+    return _Frames(
+        tuple(poses),
+        np.array([t.rotation for t in poses.values()]),
+        np.array([geometry.invert(t).translation for t in poses.values()]),
+        np.array([astuple(intrinsics[s]) if s.kind == "camera" else (1.0,) * 6 for s in poses]),
+    )
+
+
+def _visibility(frames: _Frames, boards, spec: TargetSpec, scan: ScanPattern, gates: LidarParams):
+    """(S, B) whether each sensor of `frames`, in its order, sees each
+    board->world pose of `boards`, judged by the board's corners and center:
+    a camera sees them 5 px inside its image and over 0.1 m in front; a
+    LiDAR in range, 0.5 deg inside its elevation span and inside the
+    detector's gates of `gates`, _RANGE_MARGIN inside its d_min and d_max
+    and _HEIGHT_MARGIN above its h_min ground cut. One array pass
     over every pair, each point moved by the same products as
     `RigidTransform.apply` on the board's points."""
     corners = np.array(
@@ -153,13 +176,10 @@ def _visibility(
     )
     rot_b = np.array([t.rotation for t in boards])
     world = corners @ rot_b.transpose(0, 2, 1) + np.array([t.translation for t in boards])[:, None]
-    rot_s = np.array([t.rotation for t in poses.values()])
-    trans_s = np.array([geometry.invert(t).translation for t in poses.values()])
-    pts = world[:, None] @ rot_s + trans_s[:, None]  # (B, S, 5, 3) in each sensor's frame
-    cams = [s.kind == "camera" for s in poses]
-    # each camera's fx, fy, cx, cy, width, height; a LiDAR's row is never read
-    k = np.array([astuple(intrinsics[s]) if s.kind == "camera" else (1.0,) * 6 for s in poses])
-    fx, fy, cx, cy, width, height = k.T[:, :, None]
+    # (B, S, 5, 3) in each sensor's frame
+    pts = world[:, None] @ frames.rotation + frames.translation[:, None]
+    cams = [s.kind == "camera" for s in frames.sensors]
+    fx, fy, cx, cy, width, height = frames.k.T[:, :, None]
     uv = geometry.project(pts, fx, fy, cx, cy)[0]
     camera = (
         (pts[..., 2] > 0.1)
@@ -223,6 +243,7 @@ def make_scene(
         rot = geometry.rot_z(np.deg2rad(rng.uniform(-3, 3)))
         poses[sid] = RigidTransform(rot, np.array([0.2, y, 0.5]))
     intrinsics = {sid: sensors[sid] for sid in cameras}
+    frames = _frames(poses, intrinsics)
 
     boards = []
     for s in range(sequences):
@@ -247,7 +268,7 @@ def make_scene(
             )
             facing = geometry.rot_z(bearing) @ _BOARD_BASE  # face back at the rig
             t_bw = RigidTransform(facing @ perturb, pos)
-            visible = _visibility(poses, intrinsics, [t_bw], spec, scan, lidar_params)[:, 0]
+            visible = _visibility(frames, [t_bw], spec, scan, lidar_params)[:, 0]
             seen = [sid for sid, v in zip(poses, visible) if v]
             lidars_seen = sum(1 for sid in seen if sid.kind == "lidar")
             cams_seen = len(seen) - lidars_seen
@@ -372,18 +393,19 @@ def render_camera(scene: Scene, pairs) -> list:
     if not pairs:
         return []
     corners = checker_corners_board(scene.spec)
-    sensors = [scene.sensors[s] for s, _ in pairs]
+    frames = scene.frames
+    rows = [frames.sensors.index(s) for s, _ in pairs]
     boards = [scene.board_poses[q] for _, q in pairs]
     # board->camera of each pair, as geometry.compose(geometry.invert(t_sw), t_bw)
-    rot_s = np.array([t.rotation for t in sensors]).transpose(0, 2, 1)
+    rot_s = frames.rotation[rows].transpose(0, 2, 1)
     rot = rot_s @ np.array([t.rotation for t in boards])
     trans = (rot_s @ np.array([t.translation for t in boards])[..., None])[..., 0]
-    trans += [geometry.invert(t).translation for t in sensors]
+    trans += frames.translation[rows]
     # (n, 1, 3) corners: one vector-matrix product each, where one (n, 3) @
     # (3, 3) product can round differently in the last bit
     pts = corners[:, None] @ rot[:, None].transpose(0, 1, 3, 2)
     pts = pts[:, :, 0] + trans[:, None]  # (P, n, 3)
-    k = np.array([astuple(scene.intrinsics[s]) for s, _ in pairs]).T[:, :, None]
+    k = frames.k[rows].T[:, :, None]
     uv, behind = geometry.project(pts, *k[:4])
     keep = ~behind
     noise = scene.noise

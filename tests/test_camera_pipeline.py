@@ -105,7 +105,8 @@ def _rejected_trials(costs):
 
 def test_noisy_pnp_lm_stops_at_the_cost_rounding_floor():
     """Boards at 5 m with 0.5 px noise: the gradient at the optimum stays above
-    gradient_tol (1e-10) but below what the cost can resolve. LM stops there
+    the oracle's absolute gradient_tol (1e-10) but below what the cost can
+    resolve. LM stops there, by its gradient cosine or at the cost's rounding,
     with at most 2 rejected trials after its last accepted step, where damping
     until lambda > 1e14 rejects a median of ~16, and lands within 1e-8 of that
     loop's pose. LM solves each board as a batch of one RigidTransform, with
@@ -132,11 +133,10 @@ def test_noisy_pnp_lm_stops_at_the_cost_rounding_floor():
             lambda s, rows: residual(s[0]),
             lambda s, rows, r: tuple(a[None] for a in normal(s[0], r[0])),
             lambda s, dx: _one(plus(s[0], dx[0])),
-            gradient_tol=1e-10,
         )
         assert _rejected_trials(costs)[1] <= 2
         costs.clear()
-        old_state = lm_without_reduction_stop(start, residual, normal, plus, gradient_tol=1e-10)[0]
+        old_state = lm_without_reduction_stop(start, residual, normal, plus)[0]
         old_tails.append(_rejected_trials(costs)[1])
         dt, dr = pose_delta(old_state, res.state[0])
         assert dt < 1e-8 and dr < 1e-8
@@ -196,7 +196,7 @@ def test_batched_lm_matches_problems_solved_one_at_a_time():
     def plus(states, dx):
         return geometry.exp_se3_matrix(dx) @ states
 
-    options = {"max_iter": 10, "gradient_tol": 1e-10}
+    options = {"max_iter": 8}
     normal = normal_from_jacobian(jacobian)
     batch = levenberg_marquardt(starts.copy(), residual, normal, plus, **options)
     singles, behind = [], 0
@@ -221,6 +221,38 @@ def test_batched_lm_matches_problems_solved_one_at_a_time():
     assert behind > 0
     assert any(r.iterations == options["max_iter"] and not c for r, c in zip(singles, converged))
     assert sum(converged) > len(singles) // 2
+
+
+def test_pnp_lm_stop_does_not_depend_on_the_residual_units():
+    """A batch of noisy boards at 2-6 m with the residuals scaled by k and
+    J^T J, J^T r by k^2: the minimizers do not move with k, and LM converges
+    every problem at each k to k = 1's poses within 1e-8 m and 1e-8 rad."""
+    rng = np.random.default_rng(4)
+    starts, uv = [], []
+    for _ in range(12):
+        truth = _matrix(board_pose(rng, dist=rng.uniform(2.0, 6.0)))
+        starts.append(geometry.exp_se3_matrix(rng.normal(0.0, 0.02, 6)) @ truth)
+        uv.append(_project(truth[None])[0][0] + rng.normal(0.0, 0.5, (len(OBJ), 2)))
+    starts, uv = np.array(starts), np.array(uv)
+    normal = normal_from_jacobian(lambda states, rows: pnp_jacobian(_project(states)[2], K.fx, K.fy))
+    base = None
+    for k in (1.0, 1e-2, 1e2, 1e3):
+
+        def residual(states, rows, k=k):
+            return k * (_project(states)[0] - uv[rows]).reshape(len(rows), -1)
+
+        def scaled_normal(states, rows, r, k=k):
+            hess, grad = normal(states, rows, r / k)
+            return k**2 * hess, k**2 * grad
+
+        res = levenberg_marquardt(
+            starts.copy(), residual, scaled_normal, lambda states, dx: geometry.exp_se3_matrix(dx) @ states
+        )
+        assert res.converged.all(), k
+        base = res.state if base is None else base
+        dt = np.linalg.norm(res.state[:, :3, 3] - base[:, :3, 3], axis=1)
+        dr = [geometry.rotation_angle(a[:3, :3].T @ b[:3, :3]) for a, b in zip(base, res.state)]
+        assert dt.max() < 1e-8 and max(dr) < 1e-8, k
 
 
 def test_pnp_normal_equations_in_chunks_equal_one_chunk(monkeypatch):

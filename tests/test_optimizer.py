@@ -33,7 +33,7 @@ from crosscal.errors import (
 )
 from crosscal.geometry import RigidTransform
 from crosscal.lidar import LidarDetection
-from crosscal.lm import levenberg_marquardt
+from crosscal.lm import GRADIENT_COSINE, STALL_COSINE, levenberg_marquardt
 from crosscal.optimizer import (
     SensorId,
     SequenceObservations,
@@ -710,8 +710,41 @@ def test_lm_other_exception_from_residual_propagates():
 
 
 def test_lm_identity_residual_still_converges_by_gradient():
+    """A square system's gradient cosine is 1 until r = 0; LM ends by its
+    step test."""
     res = _lm_on_identity_residual(lambda x, rows: x, [])
     assert res.converged[0] and res.gradient_norm[0] < 1e-10
+
+
+def test_lm_exact_fit_has_cosine_zero_and_converges():
+    """At r = 0 the cosine 0 / 0 is defined as 0: LM stops at its first
+    iteration, converged, without trying a step."""
+    trials = []
+    a = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
+    start = np.array([[0.25, -2.0]])
+    res = levenberg_marquardt(
+        start.copy(),
+        lambda x, rows: x @ a.T - start @ a.T,
+        normal_from_jacobian(lambda x, rows: a[None]),
+        lambda x, dx: trials.append(dx) or x + dx,
+    )
+    assert res.converged[0] and res.cost[0] == 0.0 and res.gradient_cosine[0] == 0.0
+    assert res.iterations == 1 and not trials and np.array_equal(res.state, start)
+
+
+def test_lm_zero_column_does_not_count_in_the_cosine():
+    """r = (x0, x0 - 1, x0 - 2) with a second parameter that no residual
+    reads: its column of J is zero, so is its gradient, and it leaves the
+    cosine alone. LM converges by the cosine at x0 = 1 and never moves x1."""
+    a = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+    res = levenberg_marquardt(
+        np.array([[3.0, 5.0]]),
+        lambda x, rows: x @ a.T - np.array([0.0, 1.0, 2.0]),
+        normal_from_jacobian(lambda x, rows: a[None]),
+        lambda x, dx: x + dx,
+    )
+    assert res.converged[0] and res.gradient_cosine[0] < GRADIENT_COSINE
+    assert res.state[0, 0] == pytest.approx(1.0, abs=1e-9) and res.state[0, 1] == 5.0
 
 
 def test_lm_builds_normal_equations_once_per_iteration():
@@ -747,9 +780,16 @@ def test_solve_hands_over_the_checked_normal_equations_once_per_iteration(monkey
 
     monkeypatch.setattr(optimizer, "levenberg_marquardt", watched_lm)
     monkeypatch.setattr(optimizer, "normal_equations", lambda *a: built.append(a) or build(*a))
-    rng = np.random.default_rng(3)
     scene = _scene()
-    obs = [
+    result = solve(build_problem(_noisy_lidar_observations(scene), CAM0, scene.intrinsics))
+    assert len(calls) == len(built) == result.iterations > 1
+
+
+def _noisy_lidar_observations(scene):
+    """The scene's oracle observations with N(0, 4 mm) added to each LiDAR
+    center."""
+    rng = np.random.default_rng(3)
+    return [
         SequenceObservations(
             seq.sequence,
             {
@@ -761,18 +801,45 @@ def test_solve_hands_over_the_checked_normal_equations_once_per_iteration(monkey
         )
         for seq in oracle_observations(scene)
     ]
-    result = solve(build_problem(obs, CAM0, scene.intrinsics))
-    assert len(calls) == len(built) == result.iterations > 1
 
 
-@pytest.mark.parametrize("floor, converged", [(1e3, True), (1e6, False)])
-def test_lm_stop_at_cost_rounding_reports_converged_like_an_exhausted_loop(floor, converged):
+def test_solve_stop_does_not_depend_on_the_residual_units(monkeypatch):
+    """Every weight of the term table (the residual weight and the
+    behind-camera residual) times k scales the residuals by k, J^T J and
+    J^T r by k^2, and leaves the minimizer alone: the solve converges at
+    each k, to k = 1's poses within 1e-8 m and 1e-8 rad."""
+    scene = _scene()
+    obs = _noisy_lidar_observations(scene)
+    table = optimizer._term_table
+    base = None
+    for k in (1.0, 1e-2, 1e2, 1e3):
+
+        def scaled(p, k=k):
+            tab = table(p)
+            sensor = tab.sensor.copy()
+            sensor[:, [0, 5]] *= k
+            return tab._replace(sensor=sensor)
+
+        monkeypatch.setattr(optimizer, "_term_table", scaled)
+        result = solve(build_problem(obs, CAM0, scene.intrinsics))
+        assert result.converged and result.gradient_cosine < STALL_COSINE
+        base = base or result.poses
+        for s, t in base.items():
+            delta = geometry.compose(geometry.invert(t), result.poses[s])
+            assert np.linalg.norm(delta.translation) < 1e-8, (k, str(s))
+            assert geometry.rotation_angle(delta.rotation) < 1e-8, (k, str(s))
+
+
+@pytest.mark.parametrize("floor, exhausted_converged", [(1e3, True), (1e6, False)])
+def test_lm_stop_at_cost_rounding_reports_converged_like_an_exhausted_loop(floor, exhausted_converged):
     """r = (x, floor): the cost cannot drop below floor^2 / 2, and once x is
-    small the possible reduction x^2 / 2 is below the cost's rounding. Stopped
-    there, LM reports converged iff the gradient x is below 1e-6, as the
-    loop that rejects trials until its damping runs out does. LM solves a
-    batch of one whose residual rows come back flat; the oracle takes one
-    state."""
+    small the possible reduction x^2 / 2 is below the cost's rounding. LM
+    stops there without evaluating another trial, and reports converged at
+    both floors: its gradient cosine |x| / ||r|| is below STALL_COSINE
+    whatever the floor. The loop that rejects trials until its damping runs
+    out stops at the same x, and its absolute test (|x| < 1e-6) reports
+    converged at floor 1e3 only. LM solves a batch of one whose residual rows
+    come back flat; the oracle takes one state."""
     costs = []
 
     def residual(x):
@@ -789,10 +856,25 @@ def test_lm_stop_at_cost_rounding_reports_converged_like_an_exhausted_loop(floor
         normal_from_jacobian(lambda x, rows: jacobian(x[0])[None]),
         lambda x, dx: x + dx,
     )
-    assert bool(res.converged[0]) is converged
-    assert res.gradient_norm[0] > 1e-10  # not the gradient stop
+    assert res.converged[0]
+    assert GRADIENT_COSINE < res.gradient_cosine[0] < STALL_COSINE  # not the gradient stop
+    assert res.gradient_cosine[0] == pytest.approx(abs(res.state[0, 0]) / np.sqrt(2.0 * res.cost[0]))
     assert len(costs) == len(res.cost_history[0])  # no trial evaluated after the last accepted step
     costs.clear()
     args = (residual, normal_from_jacobian(jacobian), lambda x, dx: x + dx)
-    assert lm_without_reduction_stop(np.array([3.0]), *args)[2] is converged
+    state, _, converged = lm_without_reduction_stop(np.array([3.0]), *args)
+    assert converged is exhausted_converged and state[0] == res.state[0, 0]
     assert len(costs) > len(res.cost_history)
+
+
+def test_lm_stall_away_from_a_minimum_reports_not_converged():
+    """A Jacobian of the wrong sign: every step raises the cost, and LM
+    stalls with its damping run out at a gradient cosine of 1."""
+    res = levenberg_marquardt(
+        np.array([[3.0]]),
+        lambda x, rows: x,
+        normal_from_jacobian(lambda x, rows: -np.eye(1)[None]),
+        lambda x, dx: x + dx,
+    )
+    assert not res.converged[0] and res.state[0, 0] == 3.0
+    assert res.gradient_cosine[0] == 1.0 and res.iterations == 1

@@ -451,9 +451,9 @@ def test_batches_keep_the_per_pair_arithmetic(monkeypatch, n_lidars, m_cameras, 
     pairs equals the per-corner render bit for bit, 0.5 px noise included."""
     tables = []
 
-    def recorded(poses, intrinsics, boards, spec, scan, gates):
-        out = visibility(poses, intrinsics, boards, spec, scan, gates)
-        tables.append((poses, intrinsics, boards, spec, scan, gates, out))
+    def recorded(frames, boards, spec, scan, gates):
+        out = visibility(frames, boards, spec, scan, gates)
+        tables.append((boards, spec, scan, gates, out))
         return out
 
     visibility = sim._visibility
@@ -461,11 +461,14 @@ def test_batches_keep_the_per_pair_arithmetic(monkeypatch, n_lidars, m_cameras, 
     noise = sim.NoiseModel(pixel_sigma=0.5)
     scene = sim.make_scene(rig(n_lidars, m_cameras), sequences=20, seed=seed, noise=noise)
     scene.visibility
-    assert len(tables) > 20 and len(tables[-1][2]) == 20  # candidates, then the scene's table
-    for poses, intrinsics, boards, spec, scan, gates, out in tables:
+    assert len(tables) > 20 and len(tables[-1][0]) == 20  # candidates, then the scene's table
+    for boards, spec, scan, gates, out in tables:
         expected = [
-            [_visible_one_pair(t_sw, s, t_bw, spec, intrinsics.get(s), scan, gates) for t_bw in boards]
-            for s, t_sw in poses.items()
+            [
+                _visible_one_pair(t_sw, s, t_bw, spec, scene.intrinsics.get(s), scan, gates)
+                for t_bw in boards
+            ]
+            for s, t_sw in scene.sensors.items()
         ]
         assert np.array_equal(out, expected)
     pairs = [
